@@ -21,7 +21,6 @@ from .archspec import (
     Parallel,
     PatchEmbed,
     Repeat,
-    TensorShape,
     TokenEmbedding,
     TokenSequence,
     ValidationResult,

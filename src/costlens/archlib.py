@@ -12,7 +12,7 @@ Every builder output passes :func:`costlens.archspec.validate`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .archspec import (
     ArchSpec,
@@ -271,6 +271,16 @@ BUILDERS = {
     "universal_transformer": _build_ut_args,
     "moe": _build_moe_args,
     "lm": _build_lm_args,
+}
+
+_VIT_ARGS = tuple(f.name for f in fields(VitConfig))
+
+#: Keyword arguments each builder family accepts.
+BUILDER_ARGS = {
+    "vit": _VIT_ARGS,
+    "universal_transformer": _VIT_ARGS + ("steps",),
+    "moe": _VIT_ARGS + ("num_experts", "experts_per_token", "moe_every"),
+    "lm": tuple(f.name for f in fields(LmConfig)),
 }
 
 

@@ -34,40 +34,6 @@ class InvalidSpecError(ValueError):
         super().__init__(f"invalid architecture spec: {lines}")
 
 
-@dataclass(frozen=True)
-class TensorShape:
-    """Shape of one tensor: positive extents plus bytes per element."""
-
-    dims: tuple[int, ...]
-    element_bytes: int = 4
-
-    def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        for d in self.dims:
-            if d < 1:
-                raise ValueError(f"tensor extent must be >= 1, got {d}")
-        if self.element_bytes < 1:
-            raise ValueError("element_bytes must be >= 1")
-        n = 1
-        for d in self.dims:
-            n *= d
-            if n > UINT64_MAX:
-                raise OverflowError(
-                    "tensor element count exceeds 64-bit unsigned range"
-                )
-
-    @property
-    def num_elements(self) -> int:
-        n = 1
-        for d in self.dims:
-            n *= d
-        return n
-
-    @property
-    def num_bytes(self) -> int:
-        return self.num_elements * self.element_bytes
-
-
 # ---------------------------------------------------------------------------
 # Input signatures
 
@@ -329,7 +295,7 @@ def validate(spec: ArchSpec) -> ValidationResult:
         out.append(Violation("input", f"unknown input signature {type(inp).__name__}"))
 
     # Image inputs must be tokenized by a leading patch embedding; the
-    # shape walkers have no sequence length before that point.
+    # evaluator takes the sequence length from it.
     first = spec.layers[0] if spec.layers else None
     if isinstance(inp, Image):
         if not isinstance(first, PatchEmbed):

@@ -37,7 +37,7 @@ from .analysis import (
     misnomer_report,
     pareto_frontier,
 )
-from .archlib import build_from_reference
+from .archlib import BUILDER_ARGS, build_from_reference
 from .archspec import ArchSpec, InvalidSpecError, spec_from_dict, validate
 from .footprint import EnergyProfile, PricingProfile
 from .indicators import OptimizerKind
@@ -348,7 +348,7 @@ def _table(header: list[str], rows: list[list[str]]) -> list[str]:
 
 def _add_builder_flags(parser):
     group = parser.add_argument_group("builder flags (instead of a spec file)")
-    group.add_argument("--family", choices=["vit", "universal_transformer", "moe", "lm"])
+    group.add_argument("--family", choices=list(BUILDER_ARGS))
     group.add_argument("--patch", type=int)
     group.add_argument("--depth", type=int)
     group.add_argument("--model-dim", type=int)
@@ -368,24 +368,12 @@ def _add_builder_flags(parser):
     group.add_argument("--output-len", type=int)
 
 
-_BUILDER_FLAG_FIELDS = {
-    "vit": ["patch", "depth", "model_dim", "num_heads", "ffn_dim", "image", "classes"],
-    "universal_transformer": ["patch", "depth", "model_dim", "num_heads",
-                              "ffn_dim", "image", "classes", "steps"],
-    "moe": ["patch", "depth", "model_dim", "num_heads", "ffn_dim", "image",
-            "classes", "num_experts", "experts_per_token", "moe_every"],
-    "lm": ["arrangement", "layers", "model_dim", "ffn_dim", "heads", "vocab",
-           "input_len", "output_len"],
-}
-
-
 def _spec_from_args(args) -> ArchSpec:
     kwargs = {}
-    for field_name in _BUILDER_FLAG_FIELDS[args.family]:
-        value = getattr(args, field_name)
+    for name in BUILDER_ARGS[args.family]:
+        value = getattr(args, "layers" if name == "layers_per_stack" else name)
         if value is not None:
-            key = "layers_per_stack" if field_name == "layers" else field_name
-            kwargs[key] = tuple(value) if field_name == "image" else value
+            kwargs[name] = tuple(value) if name == "image" else value
     try:
         return build_from_reference(args.family, kwargs)
     except ValueError as exc:

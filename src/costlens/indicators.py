@@ -7,6 +7,10 @@ sizes, memory-access volume, and training/inference memory estimates.
 All accumulators are checked against the 64-bit unsigned range and raise
 :class:`OverflowError` beyond it, mirroring what a native implementation
 could actually hold.
+
+Each public indicator evaluates the spec once (:func:`costlens.trace.evaluate`);
+the ``*_of`` helpers fold an already evaluated step list, so one
+evaluation can serve several indicators.
 """
 
 from __future__ import annotations
@@ -14,15 +18,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .archspec import (
-    ArchSpec,
-    MoE,
-    Parallel,
-    Repeat,
-    UINT64_MAX,
-    ensure_valid,
-)
-from .trace import Step, execution_steps, leaf_params
+from .archspec import ArchSpec, UINT64_MAX
+from .trace import Step, evaluate
 
 
 def _checked(value: int, what: str) -> int:
@@ -33,7 +30,8 @@ def _checked(value: int, what: str) -> int:
 
 @dataclass(frozen=True)
 class ParamCount:
-    """Parameter totals with a per-layer breakdown.
+    """Parameter totals with a per-node breakdown (stored parameters of
+    every leaf and ``MoE`` node, times its stored copies).
 
     ``total`` counts each shared parameter group once; ``shared_savings``
     is how many parameters sharing avoided relative to the same stack with
@@ -57,7 +55,8 @@ class FlopCount:
     ``flops`` counts multiplies and adds separately (one fused
     multiply-add = 2 FLOPs) and includes elementwise work; ``macs`` is the
     exact multiply-accumulate count of the matmul terms, which is the
-    quantity most published "GFLOPs" tables actually report.
+    quantity most published "GFLOPs" tables actually report. ``by_layer``
+    has one entry per leaf and ``MoE`` node, summed over its executions.
     """
 
     flops: int
@@ -112,48 +111,18 @@ def patch_embed_weight_params(patch: int, in_channels: int, embed_dim: int) -> i
 
 def count_params(spec: ArchSpec) -> ParamCount:
     """Parameter count; bodies of parameter-shared repeats count once."""
-    ensure_valid(spec)
+    return params_of(evaluate(spec)[0])
 
-    def rec(layers, prefix):
-        unique = 0
-        unrolled = 0
-        breakdown = []
-        for i, layer in enumerate(layers):
-            path = f"{prefix}[{i}]" if prefix else f"layers[{i}]"
-            if isinstance(layer, Repeat):
-                u, r, sub = rec(layer.body, f"{path}.body")
-                copies = 1 if layer.share_params else layer.times
-                unique += u * copies
-                unrolled += r * layer.times
-                breakdown.extend((p, c * copies) for p, c in sub)
-            elif isinstance(layer, Parallel):
-                for b, branch in enumerate(layer.branches):
-                    u, r, sub = rec(branch, f"{path}.branches[{b}]")
-                    unique += u
-                    unrolled += r
-                    breakdown.extend(sub)
-            elif isinstance(layer, MoE):
-                eu, er, _ = rec([layer.expert], f"{path}.expert")
-                router = layer.router_dim * layer.num_experts
-                u = router + layer.num_experts * eu
-                r = router + layer.num_experts * er
-                unique += u
-                unrolled += r
-                breakdown.append((path, u))
-            else:
-                p = leaf_params(layer, spec)
-                unique += p
-                unrolled += p
-                breakdown.append((path, p))
-        return unique, unrolled, breakdown
 
-    unique, unrolled, breakdown = rec(spec.layers, "")
-    total = _checked(unique, "parameter count")
+def params_of(steps: list[Step]) -> ParamCount:
+    by_layer = tuple((s.path, s.unique_params * s.copies) for s in steps)
+    total = _checked(sum(c for _, c in by_layer), "parameter count")
+    unrolled = _checked(sum(s.params * s.count for s in steps), "parameter count")
     return ParamCount(
         total=total,
         trainable=total,
-        by_layer=tuple(breakdown),
-        shared_savings=_checked(unrolled, "parameter count") - total,
+        by_layer=by_layer,
+        shared_savings=unrolled - total,
     )
 
 
@@ -170,19 +139,23 @@ def count_flops(spec: ArchSpec, batch: int = 1, *,
     (the fraction of weights that are zero and skippable in principle);
     elementwise work is unaffected, and no speedup claim is implied.
     """
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
+    _check_batch(batch)
     if not 0.0 <= weight_sparsity < 1.0:
         raise ValueError("weight_sparsity must be in [0, 1)")
-    steps = execution_steps(spec)
+    return flops_of(evaluate(spec)[0], batch, weight_sparsity)
+
+
+def flops_of(steps: list[Step], batch: int, weight_sparsity: float = 0.0) -> FlopCount:
     keep = 1.0 - weight_sparsity
     total_flops = 0
     total_macs = 0
     breakdown = []
     for s in steps:
+        # Every execution of a node is identical, so rounding once and
+        # multiplying by the count equals rounding each execution.
         macs = s.matmul_macs if weight_sparsity == 0.0 else int(round(s.matmul_macs * keep))
-        flops = 2 * macs + (s.flops - 2 * s.matmul_macs)
-        total_macs += macs
+        flops = (2 * macs + (s.flops - 2 * s.matmul_macs)) * s.count
+        total_macs += macs * s.count
         total_flops += flops
         breakdown.append((s.path, flops * batch))
     return FlopCount(
@@ -201,12 +174,19 @@ def backward_flops(spec: ArchSpec, batch: int = 1) -> int:
 # Activations and memory traffic
 
 
-def activation_size(spec: ArchSpec, batch: int = 1) -> int:
-    """Total elements in every building-block output tensor, per batch."""
+def _check_batch(batch: int) -> None:
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
-    steps = execution_steps(spec)
-    per_example = sum(s.out_elements for s in steps)
+
+
+def activation_size(spec: ArchSpec, batch: int = 1) -> int:
+    """Total elements in every building-block output tensor, per batch."""
+    _check_batch(batch)
+    return activation_of(evaluate(spec)[0], batch)
+
+
+def activation_of(steps: list[Step], batch: int) -> int:
+    per_example = sum(s.out_elements * s.count for s in steps)
     return _checked(per_example * batch, "activation element count")
 
 
@@ -219,18 +199,17 @@ def memory_access_cost(spec: ArchSpec, batch: int = 1) -> int:
     accesses -- so the total is exactly linear in batch and identical for
     shared and unshared repeats.
     """
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
-    steps = execution_steps(spec)
-    eb = spec.element_bytes
-    per_example = sum(
-        (s.params + s.in_elements + s.out_elements) * eb for s in steps
-    )
-    return _checked(per_example * batch, "memory access volume")
+    _check_batch(batch)
+    return traffic_of(evaluate(spec)[0], spec.element_bytes, batch)
+
+
+def traffic_of(steps: list[Step], element_bytes: int, batch: int) -> int:
+    total = sum(layer_mac_bytes(s, element_bytes, batch) * s.count for s in steps)
+    return _checked(total, "memory access volume")
 
 
 def layer_mac_bytes(step: Step, element_bytes: int, batch: int) -> int:
-    """Memory traffic of one executed layer, same accounting as above."""
+    """Memory traffic of one execution of a step, same accounting as above."""
     return (step.params + step.in_elements + step.out_elements) * element_bytes * batch
 
 
@@ -247,13 +226,18 @@ def training_memory(spec: ArchSpec, batch: int = 1,
     stores the same activations as its unshared twin, which is why sharing
     helps inference memory far more than training memory.
     """
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
-    eb = spec.element_bytes
-    param_bytes = _checked(count_params(spec).total * eb, "parameter bytes")
+    _check_batch(batch)
+    return training_memory_of(evaluate(spec)[0], spec.element_bytes, batch,
+                              optimizer)
+
+
+def training_memory_of(steps: list[Step], element_bytes: int, batch: int,
+                       optimizer: OptimizerKind) -> MemoryEstimate:
+    eb = element_bytes
+    param_bytes = _checked(params_of(steps).total * eb, "parameter bytes")
     grad_bytes = param_bytes
     opt_bytes = OPTIMIZER_STATE_COPIES[optimizer] * param_bytes
-    act_bytes = _checked(activation_size(spec, batch) * eb, "activation bytes")
+    act_bytes = _checked(activation_of(steps, batch) * eb, "activation bytes")
     peak_train = _checked(param_bytes + grad_bytes + opt_bytes + act_bytes,
                           "peak training bytes")
     return MemoryEstimate(
@@ -262,7 +246,7 @@ def training_memory(spec: ArchSpec, batch: int = 1,
         optimizer_state_bytes=opt_bytes,
         activation_bytes=act_bytes,
         peak_training_bytes=peak_train,
-        peak_inference_bytes=_inference_peak(spec, batch, param_bytes),
+        peak_inference_bytes=_inference_peak(steps, eb, batch, param_bytes),
     )
 
 
@@ -270,11 +254,11 @@ def inference_memory(spec: ArchSpec, batch: int = 1) -> MemoryEstimate:
     """Peak device memory for a forward pass: weights plus the largest
     single-layer output working set. Gradient and optimizer fields are
     zero by construction."""
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
-    param_bytes = _checked(count_params(spec).total * spec.element_bytes,
-                           "parameter bytes")
-    working = _inference_peak(spec, batch, param_bytes) - param_bytes
+    _check_batch(batch)
+    steps, _ = evaluate(spec)
+    eb = spec.element_bytes
+    param_bytes = _checked(params_of(steps).total * eb, "parameter bytes")
+    working = _inference_peak(steps, eb, batch, param_bytes) - param_bytes
     return MemoryEstimate(
         parameter_bytes=param_bytes,
         gradient_bytes=0,
@@ -285,8 +269,9 @@ def inference_memory(spec: ArchSpec, batch: int = 1) -> MemoryEstimate:
     )
 
 
-def _inference_peak(spec: ArchSpec, batch: int, param_bytes: int) -> int:
-    steps = execution_steps(spec)
-    eb = spec.element_bytes
+def _inference_peak(steps: list[Step], element_bytes: int, batch: int,
+                    param_bytes: int) -> int:
+    # Repetition does not change the largest single output.
     largest = max((s.out_elements for s in steps), default=0)
-    return _checked(param_bytes + largest * eb * batch, "peak inference bytes")
+    return _checked(param_bytes + largest * element_bytes * batch,
+                    "peak inference bytes")

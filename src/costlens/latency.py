@@ -6,11 +6,11 @@ and an optional sequence-length padding rule. Each executed layer costs
 
     per_op_overhead + max(flops / (peak * devices), bytes / bandwidth)
 
-and sequential layers add up while parallel branches take the slowest
-branch. That is enough to capture the effects the pure FLOP count hides:
-a deep narrow stack and a shallow wide stack with identical FLOPs get
-different latencies because they dispatch different numbers of sequential
-ops.
+and sequential layers add up, a repeat takes ``times`` x its body, and
+parallel branches take the slowest branch. That is enough to capture the
+effects the pure FLOP count hides: a deep narrow stack and a shallow wide
+stack with identical FLOPs get different latencies because they dispatch
+different numbers of sequential ops.
 
 Absolute numbers from any real machine are not reproduction targets; the
 model is for orderings and what-if comparisons under a documented preset.
@@ -23,9 +23,9 @@ import os
 from dataclasses import dataclass
 from importlib import resources
 
-from .archspec import ArchSpec, Parallel, Repeat, TokenSequence, ensure_valid
+from .archspec import ArchSpec
 from .indicators import layer_mac_bytes
-from .trace import Step, expand_layer
+from .trace import Step, evaluate
 
 
 @dataclass(frozen=True)
@@ -147,63 +147,30 @@ class SpeedEstimate:
     pipeline_bubble_fraction: float | None = None
 
 
-def _leaf_time(step: Step, hw: HardwareModel, batch: int, eb: int):
-    flops = step.flops * batch
-    mac_bytes = layer_mac_bytes(step, eb, batch)
-    compute = flops / (hw.peak_flops_per_sec * hw.num_devices)
-    memory = mac_bytes / hw.mem_bandwidth_bytes_per_sec
-    seconds = hw.per_op_overhead_sec + max(compute, memory)
-    bound = "compute" if compute >= memory else "memory"
-    return seconds, LayerTiming(step.path, seconds, bound, flops, mac_bytes)
-
-
-def _time_layers(layers, prefix, L, spec, hw, batch, timings):
-    """Sum of per-op times; parallel branches contribute their max."""
-    total = 0.0
-    for i, layer in enumerate(layers):
-        path = f"{prefix}[{i}]" if prefix else f"layers[{i}]"
-        if isinstance(layer, Repeat):
-            for t in range(layer.times):
-                dt, L = _time_layers(layer.body, f"{path}.body@{t}", L, spec,
-                                     hw, batch, timings)
-                total += dt
-        elif isinstance(layer, Parallel):
-            slowest = 0.0
-            merged = L
-            for b, branch in enumerate(layer.branches):
-                dt, merged = _time_layers(branch, f"{path}.branches[{b}]", L,
-                                          spec, hw, batch, timings)
-                slowest = max(slowest, dt)
-            total += slowest
-            L = merged
-        else:
-            steps: list[Step] = []
-            L = expand_layer(layer, path, L, spec, hw.length_pad_multiple, steps)
-            for step in steps:
-                seconds, timing = _leaf_time(step, hw, batch, spec.element_bytes)
-                total += seconds
-                timings.append(timing)
-    return total, L
-
-
 def estimate_latency(spec: ArchSpec, hw: HardwareModel, batch: int = 1) -> SpeedEstimate:
     """Forward-pass time for one batch under the roofline model.
 
     With ``length_pad_multiple`` set on the hardware, all shape-dependent
-    costs are evaluated at the padded sequence length.
+    costs are evaluated at the padded sequence length. ``per_layer`` has
+    one entry per leaf or ``MoE`` node, summed over its executions.
     """
-    ensure_valid(spec)
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
-    if isinstance(spec.input, TokenSequence):
-        L = spec.input.length
-        if hw.length_pad_multiple and hw.length_pad_multiple > 1:
-            m = hw.length_pad_multiple
-            L = -(-L // m) * m
-    else:
-        L = 0
     timings: list[LayerTiming] = []
-    latency, _ = _time_layers(spec.layers, "", L, spec, hw, batch, timings)
+
+    def op_seconds(step: Step) -> float:
+        flops = step.flops * batch
+        mac_bytes = layer_mac_bytes(step, spec.element_bytes, batch)
+        compute = flops / (hw.peak_flops_per_sec * hw.num_devices)
+        memory = mac_bytes / hw.mem_bandwidth_bytes_per_sec
+        seconds = hw.per_op_overhead_sec + max(compute, memory)
+        n = step.count
+        timings.append(LayerTiming(step.path, n * seconds,
+                                   "compute" if compute >= memory else "memory",
+                                   n * flops, n * mac_bytes))
+        return seconds
+
+    _, latency = evaluate(spec, hw.length_pad_multiple, op_seconds)
     return SpeedEstimate(
         latency_sec=latency,
         throughput_examples_per_sec=batch / latency if latency > 0 else float("inf"),

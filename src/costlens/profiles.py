@@ -21,14 +21,14 @@ from .footprint import (
 )
 from .indicators import (
     OptimizerKind,
-    activation_size,
-    count_flops,
-    count_params,
-    inference_memory,
-    memory_access_cost,
-    training_memory,
+    activation_of,
+    flops_of,
+    params_of,
+    traffic_of,
+    training_memory_of,
 )
 from .latency import HardwareModel, estimate_throughput
+from .trace import evaluate
 
 
 @dataclass(frozen=True)
@@ -92,11 +92,16 @@ def compute_profile(spec: ArchSpec, batch: int = 1,
 
     Latency and throughput require ``hardware``; carbon and monetary cost
     require their respective profiles. Everything else is always computed.
+    The spec is evaluated once for the counts and, with ``hardware``, once
+    more at the hardware's padded length for latency.
     """
-    params = count_params(spec)
-    flops = count_flops(spec, 1)
-    train = training_memory(spec, batch, optimizer)
-    infer = inference_memory(spec, batch)
+    if batch < 1:
+        raise ValueError(f"batch must be >= 1, got {batch}")
+    steps, _ = evaluate(spec)
+    eb = spec.element_bytes
+    params = params_of(steps)
+    flops = flops_of(steps, 1)
+    train = training_memory_of(steps, eb, batch, optimizer)
 
     latency_sec = None
     throughput = None
@@ -108,19 +113,19 @@ def compute_profile(spec: ArchSpec, batch: int = 1,
     return CostProfile(
         name=spec.name,
         batch=batch,
-        element_bytes=spec.element_bytes,
+        element_bytes=eb,
         optimizer=optimizer.value,
         params=params.total,
         params_million=params.millions,
         flops=flops.flops,
         macs=flops.macs,
         gflops=flops.gflops,
-        activation_elements=activation_size(spec, 1),
-        mac_bytes=memory_access_cost(spec, 1),
+        activation_elements=activation_of(steps, 1),
+        mac_bytes=traffic_of(steps, eb, 1),
         parameter_bytes=train.parameter_bytes,
         activation_bytes=train.activation_bytes,
         peak_training_bytes=train.peak_training_bytes,
-        peak_inference_bytes=infer.peak_inference_bytes,
+        peak_inference_bytes=train.peak_inference_bytes,
         latency_sec=latency_sec,
         throughput_examples_per_sec=throughput,
         hardware=hardware.name if hardware is not None else None,

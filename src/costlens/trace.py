@@ -1,10 +1,18 @@
-"""Per-layer execution trace: shapes, parameters, FLOPs, element counts.
+"""One-pass evaluator: per-node costs folded over the spec tree.
 
-One walk of the spec tree produces a :class:`Step` for every *executed*
-leaf layer (so a ``Repeat(times=k)`` body appears k times). Every cost
-estimator is a fold over these steps; the parameter-uniqueness logic for
-shared repeats lives in :mod:`costlens.indicators` instead, since it is
-about storage rather than execution.
+:func:`evaluate` visits every *spec* node once and returns a :class:`Step`
+for every leaf layer and every ``MoE`` node, in spec order. A step holds
+the costs of one execution plus two multiplicities: ``count``, how many
+times the node executes (the product of the enclosing ``Repeat.times``),
+and ``copies``, how many parameter sets it stores (the same product, with
+a ``share_params`` repeat contributing 1). Every indicator is a fold over
+these steps, so cost grows with the size of the spec, not with the number
+of layers it executes.
+
+``PatchEmbed`` is only valid as the first layer, so the sequence length is
+the same at every node and every iteration of a ``Repeat`` is identical:
+a repeat costs ``times`` x its body, and a ``Parallel`` costs the sum of
+its branches for counts and the slowest branch for time.
 
 FLOP conventions (shared by everything downstream):
 
@@ -21,6 +29,7 @@ FLOP conventions (shared by everything downstream):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .archspec import (
     ArchSpec,
@@ -47,16 +56,24 @@ ADD_FLOPS_PER_ELEMENT = 1
 
 @dataclass(frozen=True)
 class Step:
-    """One executed leaf layer with its per-example costs."""
+    """One leaf or ``MoE`` node: per-example costs of one execution.
+
+    ``params`` are the weights one execution reads; ``unique_params`` the
+    weights one copy stores. They differ only for an ``MoE`` whose expert
+    holds a shared repeat.
+    """
 
     path: str
     layer: LayerSpec
-    seq_len: int          # token count at this layer (after any padding)
-    params: int           # parameters of this instance (sharing ignored)
+    seq_len: int          # token count at this node (after any padding)
+    params: int
+    unique_params: int
     matmul_macs: int      # per example
     flops: int            # per example, includes 2 * matmul_macs
     in_elements: int      # per example
     out_elements: int     # per example
+    count: int            # executions
+    copies: int           # stored parameter sets
 
 
 def _pad_length(length: int, multiple: int | None) -> int:
@@ -65,57 +82,31 @@ def _pad_length(length: int, multiple: int | None) -> int:
     return -(-length // multiple) * multiple
 
 
-def leaf_params(layer, spec: ArchSpec) -> int:
-    """Parameters of one primitive layer.
+def _patch_grid(layer: PatchEmbed, spec: ArchSpec) -> tuple[int, int]:
+    """(patch count, real token count) of the leading patch embedding."""
+    inp = spec.input
+    patches = (inp.height // layer.patch) * (inp.width // layer.patch)
+    return patches, patches + (1 if layer.add_cls_token else 0)
 
-    Only the patch embedding needs the spec: its learned positional table
-    is sized by the real (unpadded) token count of the input image.
-    """
+
+def _leaf_costs(layer, L: int, spec: ArchSpec):
+    """(params, matmul_macs, flops, in_elements, out_elements) of one
+    primitive layer at sequence length ``L``."""
     if isinstance(layer, PatchEmbed):
+        # The positional table is sized by the real (unpadded) token count.
         inp = spec.input
-        patch_in = layer.patch * layer.patch * layer.in_channels
-        params = patch_in * layer.embed_dim + layer.embed_dim
-        if layer.add_cls_token:
-            params += layer.embed_dim
-        if layer.positional:
-            patches = (inp.height // layer.patch) * (inp.width // layer.patch)
-            raw_len = patches + (1 if layer.add_cls_token else 0)
-            params += raw_len * layer.embed_dim
-        return params
-    if isinstance(layer, Attention):
-        return 4 * layer.model_dim * layer.qkv_dim + 4 * layer.qkv_dim
-    if isinstance(layer, FeedForward):
-        d, h = layer.model_dim, layer.hidden_dim
-        return d * h + h + h * d + d
-    if isinstance(layer, LayerNorm):
-        return 2 * layer.model_dim
-    if isinstance(layer, Dense):
-        return layer.in_dim * layer.out_dim + (layer.out_dim if layer.bias else 0)
-    if isinstance(layer, TokenEmbedding):
-        v, d = layer.vocab, layer.embed_dim
-        return v * d if layer.tied_output else 2 * v * d
-    if isinstance(layer, ClassifierHead):
-        return layer.model_dim * layer.classes + layer.classes
-    raise TypeError(f"unexpected layer type {type(layer).__name__}")
-
-
-def _leaf_step(layer, path, seq_len, spec, pad_multiple):
-    """Costs for one non-container layer at sequence length ``seq_len``."""
-    L = seq_len
-    params = leaf_params(layer, spec)
-    if isinstance(layer, PatchEmbed):
-        inp = spec.input
-        patches = (inp.height // layer.patch) * (inp.width // layer.patch)
-        raw_len = patches + (1 if layer.add_cls_token else 0)
-        L = _pad_length(raw_len, pad_multiple)
+        patches, raw_len = _patch_grid(layer, spec)
         d = layer.embed_dim
         patch_in = layer.patch * layer.patch * layer.in_channels
+        params = patch_in * d + d
+        if layer.add_cls_token:
+            params += d
         macs = patches * patch_in * d
         flops = 2 * macs + patches * d * ADD_FLOPS_PER_ELEMENT  # projection bias
         if layer.positional:
+            params += raw_len * d
             flops += L * d * ADD_FLOPS_PER_ELEMENT
-        return Step(path, layer, L, params, macs, flops,
-                    inp.height * inp.width * inp.channels, L * d), L
+        return params, macs, flops, inp.height * inp.width * inp.channels, L * d
 
     if isinstance(layer, Attention):
         d, dq = layer.model_dim, layer.qkv_dim
@@ -126,7 +117,7 @@ def _leaf_step(layer, path, seq_len, spec, pad_multiple):
         flops += SOFTMAX_FLOPS_PER_ELEMENT * layer.num_heads * L * L
         flops += (3 * L * dq + L * d) * ADD_FLOPS_PER_ELEMENT   # biases
         flops += L * d * ADD_FLOPS_PER_ELEMENT                  # residual
-        return Step(path, layer, L, params, macs, flops, L * d, L * d), L
+        return 4 * d * dq + 4 * dq, macs, flops, L * d, L * d
 
     if isinstance(layer, FeedForward):
         d, h = layer.model_dim, layer.hidden_dim
@@ -135,93 +126,101 @@ def _leaf_step(layer, path, seq_len, spec, pad_multiple):
         flops += (L * h + L * d) * ADD_FLOPS_PER_ELEMENT        # biases
         flops += ACTIVATION_FLOPS_PER_ELEMENT * L * h
         flops += L * d * ADD_FLOPS_PER_ELEMENT                  # residual
-        return Step(path, layer, L, params, macs, flops, L * d, L * d), L
+        return d * h + h + h * d + d, macs, flops, L * d, L * d
 
     if isinstance(layer, LayerNorm):
         d = layer.model_dim
-        flops = LAYERNORM_FLOPS_PER_ELEMENT * L * d
-        return Step(path, layer, L, params, 0, flops, L * d, L * d), L
+        return 2 * d, 0, LAYERNORM_FLOPS_PER_ELEMENT * L * d, L * d, L * d
 
     if isinstance(layer, Dense):
         a, b = layer.in_dim, layer.out_dim
         macs = L * a * b
         flops = 2 * macs + (L * b * ADD_FLOPS_PER_ELEMENT if layer.bias else 0)
-        return Step(path, layer, L, params, macs, flops, L * a, L * b), L
+        return a * b + (b if layer.bias else 0), macs, flops, L * a, L * b
 
     if isinstance(layer, TokenEmbedding):
         v, d = layer.vocab, layer.embed_dim
         macs = L * d * v                        # output logit projection
-        flops = 2 * macs                        # the lookup itself is free
-        # Two output tensors: the embedded sequence and the logits.
-        return Step(path, layer, L, params, macs, flops, L, L * d + L * v), L
+        # The lookup itself is free. Two output tensors: the embedded
+        # sequence and the logits.
+        params = v * d if layer.tied_output else 2 * v * d
+        return params, macs, 2 * macs, L, L * d + L * v
 
     if isinstance(layer, ClassifierHead):
         d, k = layer.model_dim, layer.classes
         macs = d * k
-        flops = 2 * macs + k * ADD_FLOPS_PER_ELEMENT
-        return Step(path, layer, L, params, macs, flops, d, k), L
+        return d * k + k, macs, 2 * macs + k * ADD_FLOPS_PER_ELEMENT, d, k
 
-    raise TypeError(f"unexpected layer type {type(layer).__name__} at {path}")
-
-
-def expand_layer(layer, path, seq_len, spec, pad_multiple, out) -> int:
-    """Append the step(s) for one non-container layer; returns the new
-    sequence length. MoE counts as a single composite step."""
-    L = seq_len
-    if isinstance(layer, MoE):
-        expert_steps: list[Step] = []
-        _walk([layer.expert], f"{path}.expert", L, spec, pad_multiple,
-              expert_steps)
-        e_params = sum(s.params for s in expert_steps)
-        e_macs = sum(s.matmul_macs for s in expert_steps)
-        e_flops = sum(s.flops for s in expert_steps)
-        dr, E, K = layer.router_dim, layer.num_experts, layer.experts_per_token
-        router_macs = L * dr * E
-        router_flops = 2 * router_macs + SOFTMAX_FLOPS_PER_ELEMENT * L * E
-        out.append(Step(
-            path, layer, L,
-            params=dr * E + E * e_params,
-            matmul_macs=router_macs + K * e_macs,
-            flops=router_flops + K * e_flops,
-            in_elements=expert_steps[0].in_elements,
-            out_elements=expert_steps[-1].out_elements,
-        ))
-        return L
-    step, L = _leaf_step(layer, path, L, spec, pad_multiple)
-    out.append(step)
-    return L
+    raise TypeError(f"unexpected layer type {type(layer).__name__}")
 
 
-def _walk(layers, prefix, seq_len, spec, pad_multiple, out):
-    L = seq_len
+def _fold(layers, prefix, L, spec, count, copies, seconds, out) -> float:
+    """Append a step per leaf and ``MoE`` node of ``layers`` to ``out``;
+    return the time of one pass over ``layers`` (0.0 without ``seconds``)."""
+    total = 0.0
     for i, layer in enumerate(layers):
         path = f"{prefix}[{i}]" if prefix else f"layers[{i}]"
         if isinstance(layer, Repeat):
-            for t in range(layer.times):
-                L = _walk(layer.body, f"{path}.body@{t}", L, spec, pad_multiple, out)
-        elif isinstance(layer, Parallel):
-            merged = L
+            n = layer.times
+            body = _fold(layer.body, f"{path}.body", L, spec, count * n,
+                         copies if layer.share_params else copies * n,
+                         seconds, out)
+            total += n * body
+            continue
+        if isinstance(layer, Parallel):
+            slowest = 0.0
             for b, branch in enumerate(layer.branches):
-                merged = _walk(branch, f"{path}.branches[{b}]", L, spec,
-                               pad_multiple, out)
-            L = merged
+                slowest = max(slowest, _fold(branch, f"{path}.branches[{b}]", L,
+                                             spec, count, copies, seconds, out))
+            total += slowest
+            continue
+        if isinstance(layer, MoE):
+            # One composite op: the router plus K of E experts per token.
+            expert: list[Step] = []
+            _fold([layer.expert], f"{path}.expert", L, spec, 1, 1, None, expert)
+            dr, E, K = layer.router_dim, layer.num_experts, layer.experts_per_token
+            router_macs = L * dr * E
+            step = Step(
+                path, layer, L,
+                params=dr * E + E * sum(s.params * s.count for s in expert),
+                unique_params=dr * E + E * sum(s.unique_params * s.copies
+                                               for s in expert),
+                matmul_macs=router_macs + K * sum(s.matmul_macs * s.count
+                                                  for s in expert),
+                flops=(2 * router_macs + SOFTMAX_FLOPS_PER_ELEMENT * L * E
+                       + K * sum(s.flops * s.count for s in expert)),
+                in_elements=expert[0].in_elements,
+                out_elements=expert[-1].out_elements,
+                count=count, copies=copies,
+            )
         else:
-            L = expand_layer(layer, path, L, spec, pad_multiple, out)
-    return L
+            params, macs, flops, n_in, n_out = _leaf_costs(layer, L, spec)
+            step = Step(path, layer, L, params, params, macs, flops, n_in, n_out,
+                        count, copies)
+        out.append(step)
+        if seconds is not None:
+            total += seconds(step)
+    return total
 
 
-def execution_steps(spec: ArchSpec, pad_multiple: int | None = None) -> list[Step]:
-    """Flat trace of every executed leaf layer, in execution order.
+def evaluate(spec: ArchSpec, pad_multiple: int | None = None,
+             seconds: Callable[[Step], float] | None = None
+             ) -> tuple[list[Step], float | None]:
+    """Steps of every leaf and ``MoE`` node, plus the folded time.
 
     ``pad_multiple`` rounds the token-stream length up to the next multiple
     before any shape-dependent cost (hardware length padding); parameter
-    counts are never affected by padding.
+    counts are never affected by padding. ``seconds`` gives the time of
+    one execution of a step; the returned time sums it over a sequence,
+    takes ``times`` x the body of a repeat and the slowest branch of a
+    parallel block. Without ``seconds`` the time is ``None``.
     """
     ensure_valid(spec)
     if isinstance(spec.input, TokenSequence):
         L = _pad_length(spec.input.length, pad_multiple)
     else:
-        L = 0  # set by the leading PatchEmbed
+        # validate() guarantees a leading PatchEmbed for image inputs.
+        L = _pad_length(_patch_grid(spec.layers[0], spec)[1], pad_multiple)
     steps: list[Step] = []
-    _walk(spec.layers, "", L, spec, pad_multiple, steps)
-    return steps
+    total = _fold(spec.layers, "", L, spec, 1, 1, seconds, steps)
+    return steps, (total if seconds is not None else None)

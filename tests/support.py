@@ -2,25 +2,33 @@
 
 The oracles here deliberately avoid the library's own code paths: the
 frontier oracle is a quadratic dominance scan, the correlation oracle is
-direct pair counting, and the activation/traffic oracles are closed-form
-sums written from the layer shapes.
+direct pair counting, the activation/traffic oracles are closed-form sums
+written from the layer shapes, and the unrolled evaluator is a frozen
+copy of the walkers the one-pass evaluator replaced.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import re
 from contextlib import contextmanager
+from dataclasses import dataclass
 from importlib import resources
 
 from costlens import (
     ArchSpec,
     Attention,
+    ClassifierHead,
     Dense,
     FeedForward,
     LayerNorm,
     ModelRecord,
+    MoE,
+    Parallel,
+    PatchEmbed,
     Repeat,
+    TokenEmbedding,
     TokenSequence,
     VitConfig,
     build_vit,
@@ -170,3 +178,272 @@ def brute_force_tau(xs, ys) -> float:
     if denom == 0:
         return 1.0 if discordant == 0 else 0.0
     return (concordant - discordant) / denom
+
+
+# ---------------------------------------------------------------------------
+# Unrolled reference evaluator (differential suite)
+#
+# A frozen copy of the layer-by-layer walkers the evaluator replaced: one
+# step per *executed* leaf (a Repeat body appears once per iteration, with
+# ``@t`` in its path), a separate parameter walker for storage, and a
+# latency walker that adds op times one execution at a time. It imports
+# nothing from costlens.trace, costlens.indicators or costlens.latency.
+
+_SOFTMAX = 5
+_LAYERNORM = 5
+_ACTIVATION = 4
+_ADD = 1
+
+
+@dataclass(frozen=True)
+class OracleStep:
+    path: str
+    layer: object
+    seq_len: int
+    params: int
+    matmul_macs: int
+    flops: int
+    in_elements: int
+    out_elements: int
+
+
+def _oracle_pad(length, multiple):
+    if multiple is None or multiple <= 1:
+        return length
+    return -(-length // multiple) * multiple
+
+
+def _oracle_leaf_params(layer, spec):
+    if isinstance(layer, PatchEmbed):
+        inp = spec.input
+        patch_in = layer.patch * layer.patch * layer.in_channels
+        params = patch_in * layer.embed_dim + layer.embed_dim
+        if layer.add_cls_token:
+            params += layer.embed_dim
+        if layer.positional:
+            patches = (inp.height // layer.patch) * (inp.width // layer.patch)
+            raw_len = patches + (1 if layer.add_cls_token else 0)
+            params += raw_len * layer.embed_dim
+        return params
+    if isinstance(layer, Attention):
+        return 4 * layer.model_dim * layer.qkv_dim + 4 * layer.qkv_dim
+    if isinstance(layer, FeedForward):
+        d, h = layer.model_dim, layer.hidden_dim
+        return d * h + h + h * d + d
+    if isinstance(layer, LayerNorm):
+        return 2 * layer.model_dim
+    if isinstance(layer, Dense):
+        return layer.in_dim * layer.out_dim + (layer.out_dim if layer.bias else 0)
+    if isinstance(layer, TokenEmbedding):
+        v, d = layer.vocab, layer.embed_dim
+        return v * d if layer.tied_output else 2 * v * d
+    if isinstance(layer, ClassifierHead):
+        return layer.model_dim * layer.classes + layer.classes
+    raise TypeError(f"unexpected layer type {type(layer).__name__}")
+
+
+def _oracle_leaf_step(layer, path, seq_len, spec, pad_multiple):
+    L = seq_len
+    params = _oracle_leaf_params(layer, spec)
+    if isinstance(layer, PatchEmbed):
+        inp = spec.input
+        patches = (inp.height // layer.patch) * (inp.width // layer.patch)
+        raw_len = patches + (1 if layer.add_cls_token else 0)
+        L = _oracle_pad(raw_len, pad_multiple)
+        d = layer.embed_dim
+        patch_in = layer.patch * layer.patch * layer.in_channels
+        macs = patches * patch_in * d
+        flops = 2 * macs + patches * d * _ADD
+        if layer.positional:
+            flops += L * d * _ADD
+        return OracleStep(path, layer, L, params, macs, flops,
+                          inp.height * inp.width * inp.channels, L * d), L
+    if isinstance(layer, Attention):
+        d, dq = layer.model_dim, layer.qkv_dim
+        macs = 4 * L * d * dq + 2 * L * L * dq
+        flops = 2 * macs
+        flops += _SOFTMAX * layer.num_heads * L * L
+        flops += (3 * L * dq + L * d) * _ADD
+        flops += L * d * _ADD
+        return OracleStep(path, layer, L, params, macs, flops, L * d, L * d), L
+    if isinstance(layer, FeedForward):
+        d, h = layer.model_dim, layer.hidden_dim
+        macs = 2 * L * d * h
+        flops = 2 * macs
+        flops += (L * h + L * d) * _ADD
+        flops += _ACTIVATION * L * h
+        flops += L * d * _ADD
+        return OracleStep(path, layer, L, params, macs, flops, L * d, L * d), L
+    if isinstance(layer, LayerNorm):
+        d = layer.model_dim
+        return OracleStep(path, layer, L, params, 0, _LAYERNORM * L * d,
+                          L * d, L * d), L
+    if isinstance(layer, Dense):
+        a, b = layer.in_dim, layer.out_dim
+        macs = L * a * b
+        flops = 2 * macs + (L * b * _ADD if layer.bias else 0)
+        return OracleStep(path, layer, L, params, macs, flops, L * a, L * b), L
+    if isinstance(layer, TokenEmbedding):
+        v, d = layer.vocab, layer.embed_dim
+        macs = L * d * v
+        return OracleStep(path, layer, L, params, macs, 2 * macs, L,
+                          L * d + L * v), L
+    if isinstance(layer, ClassifierHead):
+        d, k = layer.model_dim, layer.classes
+        macs = d * k
+        return OracleStep(path, layer, L, params, macs, 2 * macs + k * _ADD,
+                          d, k), L
+    raise TypeError(f"unexpected layer type {type(layer).__name__} at {path}")
+
+
+def _oracle_expand(layer, path, seq_len, spec, pad_multiple, out):
+    L = seq_len
+    if isinstance(layer, MoE):
+        expert_steps = []
+        _oracle_walk([layer.expert], f"{path}.expert", L, spec, pad_multiple,
+                     expert_steps)
+        dr, E, K = layer.router_dim, layer.num_experts, layer.experts_per_token
+        router_macs = L * dr * E
+        out.append(OracleStep(
+            path, layer, L,
+            params=dr * E + E * sum(s.params for s in expert_steps),
+            matmul_macs=router_macs + K * sum(s.matmul_macs for s in expert_steps),
+            flops=(2 * router_macs + _SOFTMAX * L * E
+                   + K * sum(s.flops for s in expert_steps)),
+            in_elements=expert_steps[0].in_elements,
+            out_elements=expert_steps[-1].out_elements,
+        ))
+        return L
+    step, L = _oracle_leaf_step(layer, path, L, spec, pad_multiple)
+    out.append(step)
+    return L
+
+
+def _oracle_walk(layers, prefix, seq_len, spec, pad_multiple, out):
+    L = seq_len
+    for i, layer in enumerate(layers):
+        path = f"{prefix}[{i}]" if prefix else f"layers[{i}]"
+        if isinstance(layer, Repeat):
+            for t in range(layer.times):
+                L = _oracle_walk(layer.body, f"{path}.body@{t}", L, spec,
+                                 pad_multiple, out)
+        elif isinstance(layer, Parallel):
+            merged = L
+            for b, branch in enumerate(layer.branches):
+                merged = _oracle_walk(branch, f"{path}.branches[{b}]", L, spec,
+                                      pad_multiple, out)
+            L = merged
+        else:
+            L = _oracle_expand(layer, path, L, spec, pad_multiple, out)
+    return L
+
+
+def oracle_steps(spec, pad_multiple=None) -> list[OracleStep]:
+    """Every executed leaf layer of a valid spec, in execution order."""
+    if isinstance(spec.input, TokenSequence):
+        L = _oracle_pad(spec.input.length, pad_multiple)
+    else:
+        L = 0
+    steps = []
+    _oracle_walk(spec.layers, "", L, spec, pad_multiple, steps)
+    return steps
+
+
+def oracle_params(spec):
+    """(unique, unrolled, per-node breakdown) with shared bodies once."""
+
+    def rec(layers, prefix):
+        unique = unrolled = 0
+        breakdown = []
+        for i, layer in enumerate(layers):
+            path = f"{prefix}[{i}]" if prefix else f"layers[{i}]"
+            if isinstance(layer, Repeat):
+                u, r, sub = rec(layer.body, f"{path}.body")
+                copies = 1 if layer.share_params else layer.times
+                unique += u * copies
+                unrolled += r * layer.times
+                breakdown.extend((p, c * copies) for p, c in sub)
+            elif isinstance(layer, Parallel):
+                for b, branch in enumerate(layer.branches):
+                    u, r, sub = rec(branch, f"{path}.branches[{b}]")
+                    unique += u
+                    unrolled += r
+                    breakdown.extend(sub)
+            elif isinstance(layer, MoE):
+                eu, er, _ = rec([layer.expert], f"{path}.expert")
+                router = layer.router_dim * layer.num_experts
+                unique += router + layer.num_experts * eu
+                unrolled += router + layer.num_experts * er
+                breakdown.append((path, router + layer.num_experts * eu))
+            else:
+                p = _oracle_leaf_params(layer, spec)
+                unique += p
+                unrolled += p
+                breakdown.append((path, p))
+        return unique, unrolled, breakdown
+
+    return rec(spec.layers, "")
+
+
+def oracle_latency(spec, hw, batch):
+    """(latency_sec, per-executed-op timings) adding one op at a time.
+
+    Each timing is ``(path, seconds, bound, flops, mac_bytes)``.
+    """
+    eb = spec.element_bytes
+
+    def time_layers(layers, prefix, L, timings):
+        total = 0.0
+        for i, layer in enumerate(layers):
+            path = f"{prefix}[{i}]" if prefix else f"layers[{i}]"
+            if isinstance(layer, Repeat):
+                for t in range(layer.times):
+                    dt, L = time_layers(layer.body, f"{path}.body@{t}", L, timings)
+                    total += dt
+            elif isinstance(layer, Parallel):
+                slowest = 0.0
+                merged = L
+                for b, branch in enumerate(layer.branches):
+                    dt, merged = time_layers(branch, f"{path}.branches[{b}]", L,
+                                             timings)
+                    slowest = max(slowest, dt)
+                total += slowest
+                L = merged
+            else:
+                steps = []
+                L = _oracle_expand(layer, path, L, spec, hw.length_pad_multiple,
+                                   steps)
+                for s in steps:
+                    flops = s.flops * batch
+                    mac_bytes = (s.params + s.in_elements + s.out_elements) * eb * batch
+                    compute = flops / (hw.peak_flops_per_sec * hw.num_devices)
+                    memory = mac_bytes / hw.mem_bandwidth_bytes_per_sec
+                    seconds = hw.per_op_overhead_sec + max(compute, memory)
+                    bound = "compute" if compute >= memory else "memory"
+                    total += seconds
+                    timings.append((s.path, seconds, bound, flops, mac_bytes))
+        return total, L
+
+    if isinstance(spec.input, TokenSequence):
+        L = _oracle_pad(spec.input.length, hw.length_pad_multiple)
+    else:
+        L = 0
+    timings = []
+    latency, _ = time_layers(spec.layers, "", L, timings)
+    return latency, timings
+
+
+def node_path(path: str) -> str:
+    """Spec-node path of an executed step: ``body@t`` becomes ``body``."""
+    return re.sub(r"@\d+", "", path)
+
+
+def group_by_node(rows):
+    """Sum per-execution ``(path, *values)`` rows per spec node, in
+    first-seen order."""
+    grouped = {}
+    for path, *values in rows:
+        key = node_path(path)
+        prior = grouped.get(key)
+        grouped[key] = values if prior is None else [a + b for a, b in zip(prior, values)]
+    return [(key, *values) for key, values in grouped.items()]

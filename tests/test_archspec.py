@@ -12,7 +12,6 @@ from costlens import (
     Parallel,
     PatchEmbed,
     Repeat,
-    TensorShape,
     TokenEmbedding,
     TokenSequence,
     derive_sequence_length,
@@ -23,25 +22,6 @@ from costlens import (
 from costlens.archspec import layer_from_dict, spec_from_dict
 
 from support import vit_base
-
-
-class TestTensorShape:
-    def test_element_count(self):
-        t = TensorShape((3, 224, 224))
-        assert t.num_elements == 3 * 224 * 224
-        assert t.num_bytes == 3 * 224 * 224 * 4
-
-    def test_element_bytes(self):
-        assert TensorShape((8,), element_bytes=2).num_bytes == 16
-
-    def test_rejects_zero_extent(self):
-        with pytest.raises(ValueError):
-            TensorShape((3, 0))
-
-    def test_rejects_u64_overflow(self):
-        TensorShape((2**32, 2**31))  # exactly 2**63 is fine
-        with pytest.raises(OverflowError):
-            TensorShape((2**33, 2**32))
 
 
 class TestSequenceLength:

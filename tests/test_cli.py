@@ -2,10 +2,16 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
-from costlens import record_from_profile
+from costlens import (
+    build_from_reference,
+    count_flops,
+    count_params,
+    record_from_profile,
+)
 from costlens.cli import format_fixed, main
 
 from support import data_file
@@ -73,6 +79,67 @@ class TestProfile:
         a, b = json.loads(from_file), json.loads(from_flags)
         for key in ("params", "flops", "macs", "activation_elements", "mac_bytes"):
             assert a[key] == b[key]
+
+    @pytest.mark.parametrize("flags,family,args", [
+        (["--arrangement", "encoder_decoder", "--layers", "2", "--heads", "4",
+          "--model-dim", "64", "--ffn-dim", "128", "--vocab", "100",
+          "--input-len", "32", "--output-len", "32", "--patch", "16"],
+         "lm", dict(arrangement="encoder_decoder", layers_per_stack=2, heads=4,
+                    model_dim=64, ffn_dim=128, vocab=100, input_len=32,
+                    output_len=32)),
+        (["--patch", "16", "--depth", "2", "--model-dim", "64", "--num-heads",
+          "4", "--ffn-dim", "128", "--image", "32", "32", "3", "--steps", "5",
+          "--vocab", "7"],
+         "universal_transformer", dict(patch=16, depth=2, model_dim=64,
+                                       num_heads=4, ffn_dim=128,
+                                       image=(32, 32, 3), steps=5)),
+        (["--patch", "16", "--depth", "4", "--model-dim", "64", "--num-heads",
+          "4", "--ffn-dim", "128", "--classes", "10", "--num-experts", "8",
+          "--experts-per-token", "2", "--moe-every", "1", "--layers", "9"],
+         "moe", dict(patch=16, depth=4, model_dim=64, num_heads=4, ffn_dim=128,
+                     classes=10, num_experts=8, experts_per_token=2,
+                     moe_every=1)),
+    ])
+    def test_builder_flags_of_every_family(self, flags, family, args, capsys):
+        # Flags of other families (--patch for lm, --vocab, --layers) are ignored.
+        code, out, _ = run_cli(["profile", "--family", family, *flags,
+                                "--format", "json"], capsys)
+        assert code == 0
+        spec = build_from_reference(family, args)
+        doc = json.loads(out)
+        assert doc["name"] == spec.name
+        assert doc["params"] == count_params(spec).total
+        assert doc["flops"] == count_flops(spec).flops
+
+    def test_huge_repeat_answers_in_bounded_time(self, tmp_path, capsys):
+        layer_norm = {"kind": "layer_norm", "model_dim": 64}
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps({"schema_version": 1, "arch": {
+            "input": {"kind": "token_sequence", "length": 128, "vocab": 1000},
+            "layers": [{"kind": "repeat", "times": 10**12, "body": [layer_norm]}],
+        }}))
+        start = time.perf_counter()
+        code, out, err = run_cli(["profile", str(p), "--hw", "default",
+                                  "--format", "json"], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["flops"] == 10**12 * 5 * 128 * 64
+        assert doc["latency_sec"] > 10**12 * 5e-6
+
+    def test_repeat_past_64_bits_exits_2(self, tmp_path, capsys):
+        dense = {"kind": "dense", "in_dim": 64, "out_dim": 64}
+        p = tmp_path / "overflow.json"
+        p.write_text(json.dumps({"schema_version": 1, "arch": {
+            "input": {"kind": "token_sequence", "length": 8, "vocab": 100},
+            "layers": [{"kind": "repeat", "times": 2**64, "body": [dense]}],
+        }}))
+        start = time.perf_counter()
+        code, out, err = run_cli(["profile", str(p), "--hw", "default"], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert "64-bit unsigned range" in json.loads(err)["error"]
 
     def test_round_trip_profile_to_record(self, vit16, capsys):
         code, out, _ = run_cli(

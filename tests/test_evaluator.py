@@ -1,0 +1,215 @@
+"""The one-pass evaluator against the frozen unrolled walkers.
+
+Random valid specs (image and token inputs, nested shared and unshared
+repeats, parallel blocks, experts that are leaves, repeats or parallel
+blocks) are costed both ways. Integer totals and per-node breakdowns must
+be equal; times may differ only by float rounding, because a repeat's time
+is ``times`` x its body instead of a running sum.
+"""
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import costlens.indicators
+import costlens.latency
+import costlens.profiles
+import costlens.trace
+from costlens import (
+    ArchSpec,
+    Attention,
+    ClassifierHead,
+    Dense,
+    FeedForward,
+    HardwareModel,
+    Image,
+    LayerNorm,
+    MoE,
+    OptimizerKind,
+    Parallel,
+    PatchEmbed,
+    Repeat,
+    TokenEmbedding,
+    TokenSequence,
+    activation_size,
+    backward_flops,
+    compute_profile,
+    count_flops,
+    count_params,
+    estimate_latency,
+    estimate_throughput,
+    inference_memory,
+    load_hardware,
+    memory_access_cost,
+    preset_names,
+    training_memory,
+)
+from costlens.indicators import OPTIMIZER_STATE_COPIES
+
+from support import (
+    group_by_node,
+    node_path,
+    oracle_latency,
+    oracle_params,
+    oracle_steps,
+    vit_base,
+)
+
+HARDWARE = [load_hardware(name) for name in preset_names()] + [
+    HardwareModel(1e12, 1e11, 1e-6, length_pad_multiple=8, name="pad8"),
+]
+
+# Fixed profile: the same examples on every run, so Tier-1 stays
+# deterministic.
+DIFFERENTIAL = settings(max_examples=150, derandomize=True, deadline=None,
+                        database=None,
+                        suppress_health_check=[HealthCheck.too_slow])
+
+
+def layer_trees(d, heads):
+    leaf = st.one_of(
+        st.just(LayerNorm(d)),
+        st.builds(FeedForward, st.just(d), st.sampled_from([d, 4 * d])),
+        st.builds(Attention, st.just(d), st.just(d), st.just(heads),
+                  is_causal=st.booleans()),
+        st.builds(Dense, st.just(d), st.sampled_from([d, 3 * d]),
+                  bias=st.booleans()),
+        st.builds(TokenEmbedding, st.sampled_from([50, 100]), st.just(d),
+                  tied_output=st.booleans()),
+        st.builds(ClassifierHead, st.just(d), st.sampled_from([10, 1000])),
+    )
+
+    def containers(children):
+        body = st.lists(children, min_size=1, max_size=3).map(tuple)
+        moe = st.integers(1, 4).flatmap(lambda e: st.builds(
+            MoE, children, st.just(e), st.integers(1, e),
+            st.sampled_from([d, 2 * d])))
+        return st.one_of(
+            st.builds(Repeat, body, st.integers(1, 4), st.booleans()),
+            st.builds(Parallel, st.lists(body, min_size=1, max_size=3)),
+            moe,
+        )
+
+    return st.recursive(leaf, containers, max_leaves=10)
+
+
+# Built once: a strategy validates itself on first use.
+TREES = {(d, heads): layer_trees(d, heads) for d in (8, 16, 32) for heads in (1, 2, 4)}
+
+
+@st.composite
+def specs(draw):
+    d = draw(st.sampled_from([8, 16, 32]))
+    node = TREES[d, draw(st.sampled_from([1, 2, 4]))]
+    layers = draw(st.lists(node, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        patch = draw(st.sampled_from([2, 4, 8]))
+        channels = draw(st.sampled_from([1, 3]))
+        inp = Image(patch * draw(st.integers(1, 4)),
+                    patch * draw(st.integers(1, 4)), channels)
+        layers = [PatchEmbed(patch, channels, d,
+                             add_cls_token=draw(st.booleans()),
+                             positional=draw(st.booleans()))] + layers
+    else:
+        inp = TokenSequence(draw(st.integers(1, 40)), 100)
+    return ArchSpec("random", inp, tuple(layers),
+                    element_bytes=draw(st.sampled_from([1, 2, 4])))
+
+
+def close(a, b):
+    return a == pytest.approx(b, rel=1e-12, abs=0)
+
+
+@DIFFERENTIAL
+@given(spec=specs(), hw=st.sampled_from(HARDWARE),
+       batch=st.sampled_from([1, 8, 64]),
+       sparsity=st.sampled_from([0.0, 0.3, 0.5]),
+       optimizer=st.sampled_from(list(OptimizerKind)))
+def test_matches_unrolled_walkers(spec, hw, batch, sparsity, optimizer):
+    eb = spec.element_bytes
+    steps = oracle_steps(spec)
+
+    unique, unrolled, param_rows = oracle_params(spec)
+    pc = count_params(spec)
+    assert (pc.total, pc.shared_savings) == (unique, unrolled - unique)
+    assert list(pc.by_layer) == param_rows
+
+    keep = 1.0 - sparsity
+    flop_rows = []
+    for s in steps:
+        macs = s.matmul_macs if sparsity == 0.0 else int(round(s.matmul_macs * keep))
+        flop_rows.append((s.path, macs, 2 * macs + s.flops - 2 * s.matmul_macs))
+    fc = count_flops(spec, batch, weight_sparsity=sparsity)
+    assert fc.macs == sum(m for _, m, _ in flop_rows) * batch
+    assert fc.flops == sum(f for *_, f in flop_rows) * batch
+    assert list(fc.by_layer) == group_by_node((p, f * batch) for p, _, f in flop_rows)
+
+    activation = sum(s.out_elements for s in steps) * batch
+    traffic = sum(s.params + s.in_elements + s.out_elements for s in steps) * eb * batch
+    param_bytes = unique * eb
+    peak_inference = param_bytes + max(s.out_elements for s in steps) * eb * batch
+    assert activation_size(spec, batch) == activation
+    assert memory_access_cost(spec, batch) == traffic
+    train = training_memory(spec, batch, optimizer)
+    opt_bytes = OPTIMIZER_STATE_COPIES[optimizer] * param_bytes
+    assert (train.parameter_bytes, train.gradient_bytes,
+            train.optimizer_state_bytes, train.activation_bytes,
+            train.peak_training_bytes, train.peak_inference_bytes) == (
+        param_bytes, param_bytes, opt_bytes, activation * eb,
+        2 * param_bytes + opt_bytes + activation * eb, peak_inference)
+    assert inference_memory(spec, batch).peak_inference_bytes == peak_inference
+
+    latency, timings = oracle_latency(spec, hw, batch)
+    est = estimate_latency(spec, hw, batch)
+    assert close(est.latency_sec, latency)
+    assert close(est.throughput_examples_per_sec, batch / latency)
+    per_node = group_by_node((path, seconds, flops, mac_bytes)
+                             for path, seconds, _, flops, mac_bytes in timings)
+    bounds = {node_path(path): bound for path, _, bound, _, _ in timings}
+    assert len(est.per_layer) == len(per_node)
+    for t, (path, seconds, flops, mac_bytes) in zip(est.per_layer, per_node):
+        assert (t.path, t.bound, t.flops, t.mac_bytes) == (
+            path, bounds[path], flops, mac_bytes)
+        assert close(t.seconds, seconds)
+
+    profile = compute_profile(spec, batch, hw, optimizer)
+    assert (profile.params, profile.flops, profile.macs,
+            profile.activation_elements, profile.mac_bytes,
+            profile.parameter_bytes, profile.activation_bytes,
+            profile.peak_training_bytes, profile.peak_inference_bytes) == (
+        unique, sum(s.flops for s in steps), sum(s.matmul_macs for s in steps),
+        activation // batch, traffic // batch, param_bytes, activation * eb,
+        train.peak_training_bytes, peak_inference)
+    assert close(profile.latency_sec, latency)
+    assert close(profile.throughput_examples_per_sec, batch / latency)
+
+
+@pytest.fixture()
+def fold_calls(monkeypatch):
+    """Positional pad multiple, if any, of each evaluation, whichever
+    module's binding calls the evaluator."""
+    calls = []
+    real = costlens.trace.evaluate
+
+    def spy(*args, **kwargs):
+        calls.append(args[1:2])
+        return real(*args, **kwargs)
+
+    for module in (costlens.indicators, costlens.latency, costlens.profiles):
+        monkeypatch.setattr(module, "evaluate", spy)
+    return calls
+
+
+def test_one_evaluation_per_indicator_call(fold_calls):
+    spec = vit_base(16, 224)
+    hw = load_hardware("tpu_like")
+    for call in (count_params, count_flops, backward_flops, activation_size,
+                 memory_access_cost, training_memory, inference_memory,
+                 lambda s: estimate_latency(s, hw, 8),
+                 lambda s: estimate_throughput(s, hw, 8)):
+        fold_calls.clear()
+        call(spec)
+        assert len(fold_calls) == 1
+    fold_calls.clear()
+    compute_profile(spec, 8, hw)
+    assert fold_calls == [(), (128,)]  # counts, then padded for latency

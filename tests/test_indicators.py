@@ -7,18 +7,24 @@ from costlens import (
     Attention,
     Dense,
     FeedForward,
+    HardwareModel,
     Image,
     LayerNorm,
     MoE,
     OptimizerKind,
+    Parallel,
     PatchEmbed,
     Repeat,
     TokenEmbedding,
     TokenSequence,
+    VitConfig,
     activation_size,
     backward_flops,
+    build_moe_transformer,
+    build_universal_transformer,
     count_flops,
     count_params,
+    estimate_latency,
     inference_memory,
     memory_access_cost,
     training_memory,
@@ -30,6 +36,22 @@ from support import TABLE1, random_repeat_pair, vit_base
 
 def tokens(length=8, layers=()):
     return ArchSpec("t", TokenSequence(length, 100), tuple(layers))
+
+
+# One spec per tree shape the breakdowns fold over: plain and shared
+# repeats, nested repeats, parallel branches, experts holding a shared
+# repeat.
+BREAKDOWN_SPECS = [
+    vit_base(16, 224),
+    build_universal_transformer(VitConfig(32, 6, 64, 4, 128, image=(64, 64, 3)), 6),
+    build_moe_transformer(VitConfig(32, 4, 64, 4, 128, image=(64, 64, 3)), 8, 2),
+    tokens(8, [
+        Repeat((Repeat((FeedForward(16, 32),), 3, share_params=True),
+                Attention(16, 16, 2)), 4),
+        Parallel(((Dense(16, 16),), (LayerNorm(16), Dense(16, 16, bias=False)))),
+        MoE(Repeat((FeedForward(16, 64),), 2, share_params=True), 4, 2, 16),
+    ]),
+]
 
 
 class TestParams:
@@ -66,9 +88,17 @@ class TestParams:
         assert pc.shared_savings == 3 * one
 
     def test_breakdown_sums_to_total(self):
-        pc = count_params(vit_base(16, 224))
-        assert sum(c for _, c in pc.by_layer) == pc.total
-        assert pc.trainable == pc.total
+        hw = HardwareModel(1e12, 1e11, 1e-6)  # no length padding
+        for spec in BREAKDOWN_SPECS:
+            pc = count_params(spec)
+            assert sum(c for _, c in pc.by_layer) == pc.total
+            assert pc.trainable == pc.total
+            for sparsity in (0.0, 0.3):
+                fc = count_flops(spec, 8, weight_sparsity=sparsity)
+                assert sum(f for _, f in fc.by_layer) == fc.flops
+            est = estimate_latency(spec, hw, 8)
+            assert sum(t.flops for t in est.per_layer) == count_flops(spec, 8).flops
+            assert sum(t.mac_bytes for t in est.per_layer) == memory_access_cost(spec, 8)
 
     def test_untied_embedding_adds_output_matrix(self):
         tied = tokens(8, [TokenEmbedding(100, 16, tied_output=True)])
