@@ -3,9 +3,9 @@
 Given a set of (name, quality, indicator values) records, this module
 finds where the indicators disagree: Pareto frontiers per indicator,
 tie-corrected Kendall rank correlation between indicator orderings with
-an explicit list of every inverted pair, relative-tolerance matched
-groups, and a combined report of models that look efficient under one
-indicator and dominated under another.
+the count of inverted pairs and a listing of them (all, or the first N),
+relative-tolerance matched groups, and a combined report of models that
+look efficient under one indicator and dominated under another.
 
 All indicator values are treated as lower-is-better; throughput is
 declared higher-is-better at ingestion and negated internally so the rule
@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress, islice
+from typing import NamedTuple
 
 #: Canonical indicator ids. CSV files may carry extra columns (treated as
 #: lower-is-better indicators); these are the ids with defined semantics.
@@ -138,8 +140,7 @@ def pareto_frontier(records, quality_key: str = "quality", cost_key: str = "para
 # Rank disagreement (Kendall tau-b with explicit inversions)
 
 
-@dataclass(frozen=True)
-class InvertedPair:
+class InvertedPair(NamedTuple):
     """Two models whose ordering flips between two indicators; ``model_a``
     is the one that looks cheaper under ``indicator_a``."""
 
@@ -158,14 +159,50 @@ class RankDisagreement:
     n_discordant: int
 
 
-def rank_disagreement(records, indicator_a: str, indicator_b: str) -> RankDisagreement:
+def _rank_masks(values):
+    """Dense ranks of ``values`` (exact float equality is a tie, so
+    ``0.0 == -0.0``), ``below[r]``, the bitmask of the positions ranked
+    under ``r`` (``below[-1]`` holds every position), and the number of
+    position pairs tied in value."""
+    index = {v: r for r, v in enumerate(sorted(set(values)))}
+    ranks = [index[v] for v in values]
+    buckets = [0] * len(index)
+    for pos, r in enumerate(ranks):
+        buckets[r] |= 1 << pos
+    below = [0]
+    ties = 0
+    for bucket in buckets:
+        below.append(below[-1] | bucket)
+        size = bucket.bit_count()
+        ties += size * (size - 1) // 2
+    return ranks, below, ties
+
+
+#: ``bytes.translate`` table turning the digits of ``format(m, "b")``
+#: into 0/1 bytes, a selector for ``itertools.compress``.
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def rank_disagreement(records, indicator_a: str, indicator_b: str,
+                      max_pairs: int | None = None) -> RankDisagreement:
     """Tie-corrected Kendall tau (tau-b) between two cost orderings.
 
-    ``inverted_pairs`` lists every discordant pair. When every pair is
-    tied in at least one indicator the correlation is undefined; it is
-    reported as 1.0 when there are no discordant pairs (the orderings
-    never actually disagree) and 0.0 otherwise.
+    ``inverted_pairs`` lists the discordant pairs in record order (pair
+    ``(i, j)`` before ``(i, j + 1)`` before ``(i + 1, j)``): every one of
+    them, or the first ``max_pairs`` when that is given; ``n_discordant``
+    always counts them all. When every pair is tied in at least one
+    indicator the correlation is undefined; it is reported as 1.0 when
+    there are no discordant pairs (the orderings never actually disagree)
+    and 0.0 otherwise.
+
+    The counts come from rank bitmasks: for record ``i`` the records
+    ranked below and above it under each indicator are integers used as
+    bitsets, so each record's concordant and discordant partners are
+    found by a few whole-integer operations, and only listed pairs cost
+    a Python step each.
     """
+    if max_pairs is not None and max_pairs < 0:
+        raise ValueError(f"max_pairs must be >= 0, got {max_pairs}")
     both = [r for r in records
             if indicator_a in r.indicators and indicator_b in r.indicators]
     if len(both) < 2:
@@ -173,30 +210,37 @@ def rank_disagreement(records, indicator_a: str, indicator_b: str) -> RankDisagr
             f"need >= 2 records carrying both {indicator_a!r} and {indicator_b!r}, "
             f"got {len(both)}"
         )
-    a = [r.cost_value(indicator_a) for r in both]
-    b = [r.cost_value(indicator_b) for r in both]
-    concordant = discordant = ties_a = ties_b = 0
-    inversions = []
     n = len(both)
-    for i in range(n):
-        for j in range(i + 1, n):
-            da = a[i] - a[j]
-            db = b[i] - b[j]
-            if da == 0:
-                ties_a += 1
-            if db == 0:
-                ties_b += 1
-            if da == 0 or db == 0:
-                continue
-            if (da > 0) == (db > 0):
-                concordant += 1
-            else:
-                discordant += 1
-                lo, hi = (i, j) if da < 0 else (j, i)
-                inversions.append(InvertedPair(
-                    both[lo].name, both[hi].name, indicator_a, indicator_b,
-                ))
+    names = [r.name for r in both]
+    ranks_a, below_a, ties_a = _rank_masks([r.cost_value(indicator_a) for r in both])
+    ranks_b, below_b, ties_b = _rank_masks([r.cost_value(indicator_b) for r in both])
+    everyone = below_a[-1]
     n0 = n * (n - 1) // 2
+    limit = n0 if max_pairs is None else max_pairs
+    concordant = discordant = 0
+    inversions = []
+    append = inversions.append
+    pair = tuple.__new__      # InvertedPair without the keyword-argument wrapper
+    for i in range(n):
+        x, y = ranks_a[i], ranks_b[i]
+        lt_a, gt_a = below_a[x], everyone ^ below_a[x + 1]
+        lt_b, gt_b = below_b[y], everyone ^ below_b[y + 1]
+        # bit k of these is the partner j = i + 1 + k
+        concordant += (((lt_a & lt_b) | (gt_a & gt_b)) >> (i + 1)).bit_count()
+        flipped = ((lt_a & gt_b) | (gt_a & lt_b)) >> (i + 1)
+        if not flipped:
+            continue
+        discordant += flipped.bit_count()
+        room = limit - len(inversions)
+        if room <= 0:
+            continue
+        me = names[i]
+        selector = format(flipped, "b")[::-1].encode().translate(_BIT_BYTES)
+        for j in islice(compress(range(i + 1, n), selector), room):
+            if ranks_a[j] > x:
+                append(pair(InvertedPair, (me, names[j], indicator_a, indicator_b)))
+            else:
+                append(pair(InvertedPair, (names[j], me, indicator_a, indicator_b)))
     denom = math.sqrt((n0 - ties_a) * (n0 - ties_b))
     if denom == 0:
         tau = 1.0 if discordant == 0 else 0.0
@@ -276,13 +320,21 @@ class MisnomerReport:
     indicator_pairs_examined: tuple[tuple[str, str], ...]
     kendall_tau: dict[tuple[str, str], float]
     inverted_pairs: tuple[InvertedPair, ...]
+    n_inverted_pairs: int
     pareto_instability: tuple[ParetoInstability, ...]
     coverage_warnings: tuple[CoverageWarning, ...]
     frontier_analysis_ran: bool = True
 
 
-def misnomer_report(records) -> MisnomerReport:
-    """Run every pairwise rank comparison and per-indicator frontier."""
+def misnomer_report(records, max_pairs: int | None = None) -> MisnomerReport:
+    """Run every pairwise rank comparison and per-indicator frontier.
+
+    ``inverted_pairs`` concatenates each indicator pair's listing, cut to
+    the first ``max_pairs`` when that is given; ``n_inverted_pairs``
+    counts every discordant pair.
+    """
+    if max_pairs is not None and max_pairs < 0:
+        raise ValueError(f"max_pairs must be >= 0, got {max_pairs}")
     records = list(records)
     if len(records) < 2:
         raise InsufficientDataError(f"need >= 2 records, got {len(records)}")
@@ -296,41 +348,45 @@ def misnomer_report(records) -> MisnomerReport:
     pairs = []
     taus = {}
     inversions = []
+    n_inverted = 0
     for i, ind_a in enumerate(present):
         for ind_b in present[i + 1:]:
-            both = [r for r in records
-                    if ind_a in r.indicators and ind_b in r.indicators]
-            if len(both) < 2:
+            room = None if max_pairs is None else max_pairs - len(inversions)
+            try:
+                result = rank_disagreement(records, ind_a, ind_b, max_pairs=room)
+            except InsufficientDataError:
                 continue
-            result = rank_disagreement(records, ind_a, ind_b)
             pairs.append((ind_a, ind_b))
             taus[(ind_a, ind_b)] = result.kendall_tau
             inversions.extend(result.inverted_pairs)
+            n_inverted += result.n_discordant
 
     have_quality = all(r.quality is not None for r in records)
     instability = []
     if have_quality:
-        frontier_under = {r.name: [] for r in records}
-        dominated_under = {r.name: [] for r in records}
+        # Keyed by position, so rows sharing a name stay apart. Frontier
+        # membership is by identity: one record object listed twice has
+        # equal cost and quality in both places, so it is on or off the
+        # frontier in both.
+        frontier_under = [[] for _ in records]
+        dominated_under = [[] for _ in records]
         for ind in present:
-            carrying = [r for r in records if ind in r.indicators]
-            if not carrying:
-                continue
-            on = {r.name for r in pareto_frontier(carrying, "quality", ind)}
-            for r in carrying:
-                (frontier_under if r.name in on else dominated_under)[r.name].append(ind)
-        for r in records:
-            if frontier_under[r.name] and dominated_under[r.name]:
-                instability.append(ParetoInstability(
-                    r.name,
-                    tuple(frontier_under[r.name]),
-                    tuple(dominated_under[r.name]),
-                ))
+            carrying = [k for k, r in enumerate(records) if ind in r.indicators]
+            on = {id(r) for r in pareto_frontier(
+                [records[k] for k in carrying], "quality", ind)}
+            for k in carrying:
+                (frontier_under if id(records[k]) in on else dominated_under)[k].append(ind)
+        instability = [
+            ParetoInstability(r.name, tuple(front), tuple(dominated))
+            for r, front, dominated in zip(records, frontier_under, dominated_under)
+            if front and dominated
+        ]
 
     return MisnomerReport(
         indicator_pairs_examined=tuple(pairs),
         kendall_tau=taus,
         inverted_pairs=tuple(inversions),
+        n_inverted_pairs=n_inverted,
         pareto_instability=tuple(instability),
         coverage_warnings=tuple(coverage),
         frontier_analysis_ran=have_quality,

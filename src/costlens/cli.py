@@ -13,9 +13,10 @@ architecture document) or ``builder`` (``{"family": ..., **kwargs}``),
 optional ``hardware`` (preset name or inline object) and ``batch``.
 
 Records file (CSV): header ``name,family,quality,<indicator columns...>``;
-empty cells mean a missing indicator. Canonical indicator columns are
-params, flops, latency, throughput, activation, mac, memory, carbon,
-cost; extra numeric columns are accepted and treated as lower-is-better.
+one row per model, names unique; empty cells mean a missing indicator.
+Canonical indicator columns are params, flops, latency, throughput,
+activation, mac, memory, carbon, cost; extra numeric columns are accepted
+and treated as lower-is-better.
 """
 
 from __future__ import annotations
@@ -162,6 +163,7 @@ def read_records_csv(path: str) -> list[ModelRecord]:
         )
     indicator_cols = [c for c in header if c not in ("name", "family", "quality")]
     records = []
+    first_line = {}
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise CliError(
@@ -169,6 +171,14 @@ def read_records_csv(path: str) -> list[ModelRecord]:
                 file=path, line=lineno,
             )
         cells = dict(zip(header, (c.strip() for c in row)))
+        name = cells["name"]
+        if name in first_line:
+            raise CliError(
+                f"{path}:{lineno}: duplicate model name {name!r} "
+                f"(first on line {first_line[name]})",
+                file=path, line=lineno, model=name,
+            )
+        first_line[name] = lineno
         indicators = {}
         for col in indicator_cols:
             if cells[col] == "":
@@ -192,7 +202,7 @@ def read_records_csv(path: str) -> list[ModelRecord]:
         try:
             quality = float(cells["quality"])
             record = ModelRecord(
-                name=cells["name"],
+                name=name,
                 indicators=indicators,
                 quality=quality,
                 family=cells.get("family") or None,
@@ -308,13 +318,13 @@ def _render_misnomer(report: MisnomerReport) -> list[str]:
         lines.append(f"  {pair[0]} vs {pair[1]}: tau = {format_fixed(tau)}")
     lines.append("inverted pairs (cheaper under the first indicator, "
                  "costlier under the second):")
-    if not report.inverted_pairs:
+    lines += [f"  {a} < {b} on {ind_a} but {a} > {b} on {ind_b}"
+              for a, b, ind_a, ind_b in report.inverted_pairs]
+    shown = len(report.inverted_pairs)
+    if shown < report.n_inverted_pairs:
+        lines.append(f"  showing {shown} of {report.n_inverted_pairs} inverted pairs")
+    elif not shown:
         lines.append("  none")
-    for p in report.inverted_pairs:
-        lines.append(
-            f"  {p.model_a} < {p.model_b} on {p.indicator_a} but "
-            f"{p.model_a} > {p.model_b} on {p.indicator_b}"
-        )
     if report.frontier_analysis_ran:
         lines.append("pareto instability (frontier under some indicators, "
                      "dominated under others):")
@@ -445,6 +455,8 @@ def _records_from_specs(paths, hw_name, batch) -> list[ModelRecord]:
 
 
 def cmd_compare(args) -> int:
+    if args.max_pairs is not None and args.max_pairs < 0:
+        raise CliError(f"--max-pairs must be >= 0, got {args.max_pairs}")
     if args.records is not None:
         records = read_records_csv(args.records)
     elif args.specs:
@@ -491,8 +503,11 @@ def cmd_compare(args) -> int:
         ]
         rows.append(cells)
     lines = _table(header, rows)
+    # max_pairs is passed only when given, so a stand-in for
+    # misnomer_report that takes just the records still fits.
+    limit = {} if args.max_pairs is None else {"max_pairs": args.max_pairs}
     try:
-        report = misnomer_report(records)
+        report = misnomer_report(records, **limit)
     except InsufficientDataError as exc:
         raise CliError(str(exc), code=1)
     lines += _render_misnomer(report)
@@ -561,6 +576,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--indicators", help="comma-separated indicator subset")
     p.add_argument("--hw", help="hardware preset for spec-file profiling")
     p.add_argument("--batch", type=int)
+    p.add_argument("--max-pairs", type=int, metavar="N",
+                   help="list at most N inverted pairs (all are still counted)")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("pareto", help="frontier of quality versus one cost indicator")

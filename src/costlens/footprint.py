@@ -7,6 +7,7 @@ argument, which the tests exploit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -26,8 +27,9 @@ class EnergyProfile:
 
     def __post_init__(self):
         for name in ("ee_train_kwh", "ee_inference_kwh", "queries", "co2e_per_kwh"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0")
 
     @classmethod
     def from_dict(cls, d: dict) -> "EnergyProfile":
@@ -47,8 +49,9 @@ class PricingProfile:
 
     def __post_init__(self):
         for name in ("total_train_hours", "num_chips", "price_per_chip_hour"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0")
 
     @classmethod
     def from_dict(cls, d: dict) -> "PricingProfile":

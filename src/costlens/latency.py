@@ -19,6 +19,7 @@ model is for orderings and what-if comparisons under a documented preset.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from importlib import resources
@@ -41,6 +42,10 @@ class HardwareModel:
     notes: str = ""
 
     def __post_init__(self):
+        for name in ("peak_flops_per_sec", "mem_bandwidth_bytes_per_sec",
+                     "per_op_overhead_sec"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.peak_flops_per_sec <= 0:
             raise ValueError("peak_flops_per_sec must be > 0")
         if self.mem_bandwidth_bytes_per_sec <= 0:

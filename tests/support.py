@@ -3,8 +3,10 @@
 The oracles here deliberately avoid the library's own code paths: the
 frontier oracle is a quadratic dominance scan, the correlation oracle is
 direct pair counting, the activation/traffic oracles are closed-form sums
-written from the layer shapes, and the unrolled evaluator is a frozen
-copy of the walkers the one-pass evaluator replaced.
+written from the layer shapes, the unrolled evaluator is a frozen copy of
+the walkers the one-pass evaluator replaced, and the pair-loop
+disagreement oracle is a frozen copy of the ``rank_disagreement`` the
+rank-bitset version replaced.
 """
 
 from __future__ import annotations
@@ -178,6 +180,51 @@ def brute_force_tau(xs, ys) -> float:
     if denom == 0:
         return 1.0 if discordant == 0 else 0.0
     return (concordant - discordant) / denom
+
+
+@dataclass(frozen=True)
+class OracleDisagreement:
+    kendall_tau: float
+    n_concordant: int
+    n_discordant: int
+    inverted_pairs: tuple[tuple[str, str, str, str], ...]
+
+
+def oracle_rank_disagreement(records, indicator_a: str, indicator_b: str):
+    """Frozen copy of the pair-loop ``rank_disagreement`` the rank-bitset
+    version replaced: every record pair is visited in ``(i, j)`` order and
+    each discordant one is listed as ``(cheaper under a, other, a, b)``."""
+    both = [r for r in records
+            if indicator_a in r.indicators and indicator_b in r.indicators]
+    a = [r.cost_value(indicator_a) for r in both]
+    b = [r.cost_value(indicator_b) for r in both]
+    concordant = discordant = ties_a = ties_b = 0
+    inversions = []
+    n = len(both)
+    for i in range(n):
+        for j in range(i + 1, n):
+            da = a[i] - a[j]
+            db = b[i] - b[j]
+            if da == 0:
+                ties_a += 1
+            if db == 0:
+                ties_b += 1
+            if da == 0 or db == 0:
+                continue
+            if (da > 0) == (db > 0):
+                concordant += 1
+            else:
+                discordant += 1
+                lo, hi = (i, j) if da < 0 else (j, i)
+                inversions.append(
+                    (both[lo].name, both[hi].name, indicator_a, indicator_b))
+    n0 = n * (n - 1) // 2
+    denom = math.sqrt((n0 - ties_a) * (n0 - ties_b))
+    if denom == 0:
+        tau = 1.0 if discordant == 0 else 0.0
+    else:
+        tau = (concordant - discordant) / denom
+    return OracleDisagreement(tau, concordant, discordant, tuple(inversions))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 import random
+import time
+import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from costlens import (
     CoverageError,
@@ -11,11 +15,13 @@ from costlens import (
     pareto_frontier,
     rank_disagreement,
 )
+from costlens.analysis import InvertedPair, indicators_present
 
 from support import (
     TABLE2_ROWS,
     brute_force_frontier_names,
     brute_force_tau,
+    oracle_rank_disagreement,
     random_records,
 )
 
@@ -280,3 +286,157 @@ class TestMisnomerReport:
         # W3072 is on the speed frontier but parameter-dominated; W768 is
         # the parameter/flops floor but slower than D6
         assert "W3072" in flagged
+
+
+# ---------------------------------------------------------------------------
+# Rank bitsets against the frozen pair loop
+
+# Fixed profile: the same examples on every run, so Tier-1 stays
+# deterministic.
+DIFFERENTIAL = settings(max_examples=100, derandomize=True, deadline=None,
+                        database=None,
+                        suppress_health_check=[HealthCheck.too_slow])
+
+COLUMNS = ("params", "flops", "throughput", "latency", "extra")
+
+# Few distinct values, so ties are common, with signed zeros, huge and
+# tiny magnitudes (a subnormal among them) on both sides of zero.
+VALUES = st.sampled_from([
+    0.0, -0.0, 1.0, 2.0, 2.5, 3.0, -1.0, 1e300, -1e300, 1e-300, -1e-300,
+    5e-324, 7.25,
+])
+
+
+@st.composite
+def record_sets(draw):
+    n = draw(st.integers(2, 40))
+    records = []
+    for i in range(n):
+        cells = draw(st.lists(st.one_of(st.none(), VALUES, VALUES, VALUES),
+                              min_size=len(COLUMNS), max_size=len(COLUMNS)))
+        indicators = {c: v for c, v in zip(COLUMNS, cells) if v is not None}
+        records.append(ModelRecord(f"m{i}", indicators or {"params": 0.0},
+                                   quality=float(draw(st.integers(0, 3)))))
+    return records
+
+
+def carrying_both(records, a, b):
+    return sum(a in r.indicators and b in r.indicators for r in records)
+
+
+def oracle_listing(records):
+    """The oracle result of every indicator pair the report examines, in
+    report order."""
+    present = indicators_present(records)
+    return [((a, b), oracle_rank_disagreement(records, a, b))
+            for i, a in enumerate(present) for b in present[i + 1:]
+            if carrying_both(records, a, b) >= 2]
+
+
+class TestRankBitsetsDifferential:
+    @DIFFERENTIAL
+    @given(record_sets(), st.sampled_from(COLUMNS), st.sampled_from(COLUMNS),
+           st.integers(0, 30))
+    def test_matches_pair_loop(self, records, a, b, k):
+        ref = oracle_rank_disagreement(records, a, b)
+        if carrying_both(records, a, b) < 2:
+            with pytest.raises(InsufficientDataError):
+                rank_disagreement(records, a, b)
+            return
+        got = rank_disagreement(records, a, b)
+        assert got.kendall_tau == ref.kendall_tau
+        assert (got.n_concordant, got.n_discordant) == (ref.n_concordant,
+                                                        ref.n_discordant)
+        assert got.inverted_pairs == ref.inverted_pairs
+        assert all(type(p) is InvertedPair for p in got.inverted_pairs)
+        cut = rank_disagreement(records, a, b, max_pairs=k)
+        assert cut.inverted_pairs == ref.inverted_pairs[:k]
+        assert (cut.kendall_tau, cut.n_concordant, cut.n_discordant) == (
+            ref.kendall_tau, ref.n_concordant, ref.n_discordant)
+
+    @DIFFERENTIAL
+    @given(record_sets(), st.integers(0, 60))
+    def test_report_listing_is_prefix(self, records, k):
+        listing = oracle_listing(records)
+        full = tuple(p for _, ref in listing for p in ref.inverted_pairs)
+        report = misnomer_report(records)
+        assert report.indicator_pairs_examined == tuple(ab for ab, _ in listing)
+        assert report.kendall_tau == {ab: ref.kendall_tau for ab, ref in listing}
+        assert report.inverted_pairs == full
+        assert report.n_inverted_pairs == len(full)
+        cut = misnomer_report(records, max_pairs=k)
+        assert cut.inverted_pairs == full[:k]
+        assert cut.n_inverted_pairs == len(full)
+        assert cut.kendall_tau == report.kendall_tau
+        assert cut.pareto_instability == report.pareto_instability
+
+    def test_signed_zero_is_a_tie(self):
+        records = [rec("a", 0, params=0.0, flops=1.0),
+                   rec("b", 0, params=-0.0, flops=2.0),
+                   rec("c", 0, params=1.0, flops=0.5)]
+        result = rank_disagreement(records, "params", "flops")
+        assert result.n_concordant + result.n_discordant == 2
+        assert result.inverted_pairs == (
+            ("a", "c", "params", "flops"), ("b", "c", "params", "flops"))
+
+    def test_negative_max_pairs_rejected(self):
+        records = [rec("a", 0, params=1, flops=2), rec("b", 0, params=2, flops=1)]
+        with pytest.raises(ValueError):
+            rank_disagreement(records, "params", "flops", max_pairs=-1)
+        with pytest.raises(ValueError):
+            misnomer_report(records, max_pairs=-1)
+
+
+def sweep_records(n, seed=2000):
+    """``n`` records with nine independent, tie-heavy indicator columns."""
+    rng = random.Random(seed)
+    columns = ("params", "flops", "latency", "throughput", "activation",
+               "mac", "memory", "carbon", "cost")
+    return [ModelRecord(f"m{i:04d}",
+                        {c: float(rng.randint(1, 40)) for c in columns},
+                        quality=round(rng.uniform(30, 80), 1))
+            for i in range(n)]
+
+
+class TestSweepScale:
+    def test_bounded_report_on_2000_records(self):
+        records = sweep_records(2000)
+        start = time.perf_counter()
+        report = misnomer_report(records, max_pairs=100)
+        assert time.perf_counter() - start < 10.0
+        assert len(report.inverted_pairs) == 100
+        # independent columns: close to half of the ~2M pairs per
+        # indicator pair are discordant, far more than are listed
+        assert report.n_inverted_pairs > 10_000_000
+        assert len(report.kendall_tau) == 36
+
+    def test_bounded_memory_does_not_follow_discordant_count(self):
+        records = sweep_records(300)
+        tracemalloc.start()
+        try:
+            report = misnomer_report(records, max_pairs=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # listing all ~0.7M pairs would hold them as tuples: tens of MB
+        assert report.n_inverted_pairs > 500_000
+        assert peak < 2_000_000
+
+
+class TestDuplicateRows:
+    def test_rows_sharing_a_name_stay_apart(self):
+        records = [rec("a", 2, params=1, flops=10),
+                   rec("a", 2, params=10, flops=1),
+                   rec("b", 3, params=5, flops=5)]
+        report = misnomer_report(records)
+        assert [(e.name, e.frontier_under, e.dominated_under)
+                for e in report.pareto_instability] == [
+            ("a", ("params",), ("flops",)),
+            ("a", ("flops",), ("params",)),
+        ]
+
+    def test_one_record_listed_twice(self):
+        twin = rec("twin", 2, params=1, flops=10)
+        records = [twin, twin, rec("b", 3, params=5, flops=5)]
+        report = misnomer_report(records)
+        assert [e.name for e in report.pareto_instability] == ["twin", "twin"]

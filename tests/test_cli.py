@@ -3,6 +3,7 @@ import shutil
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,8 @@ from costlens import (
 from costlens.cli import format_fixed, main
 
 from support import data_file
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(args, capsys):
@@ -167,6 +170,22 @@ class TestProfile:
         assert doc["carbon_kg_co2e"] == 50.0
         assert doc["monetary_cost"] == 12_800.0
 
+    @pytest.mark.parametrize("flag, doc", [
+        ("--hw", {"peak_flops_per_sec": "nan",
+                  "mem_bandwidth_bytes_per_sec": 1e9,
+                  "per_op_overhead_sec": 0}),
+        ("--energy", {"ee_train_kwh": 100, "co2e_per_kwh": "inf"}),
+        ("--pricing", {"total_train_hours": "nan", "num_chips": 64,
+                       "price_per_chip_hour": 2.0}),
+    ])
+    def test_non_finite_rates_exit_2(self, vit16, tmp_path, capsys, flag, doc):
+        path = tmp_path / "rates.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["profile", vit16, flag, str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert len(err.strip().splitlines()) == 1
+        assert "must be finite" in json.loads(err)["error"]
+
     def test_malformed_json_exits_2_with_offset(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"schema_version": 1, "arch": }')
@@ -288,6 +307,63 @@ class TestCompare:
         code, out, _ = run_cli(["compare", "--records", str(p)], capsys)
         assert code == 0
         assert "a is missing latency" in out
+
+    @pytest.mark.parametrize("golden, extra", [
+        ("compare_depth_width_scaling.txt", []),
+        ("compare_depth_width_scaling_params_latency.txt",
+         ["--indicators", "params,latency"]),
+    ])
+    def test_golden_stdout(self, records_csv, capsys, golden, extra):
+        code, out, _ = run_cli(["compare", "--records", records_csv, *extra],
+                               capsys)
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+    def test_max_pairs_truncates_listing(self, records_csv, capsys):
+        full = (GOLDEN / "compare_depth_width_scaling.txt").read_text(
+            encoding="utf-8").splitlines()
+        pair_lines = [l for l in full if " but " in l]
+        code, out, _ = run_cli(
+            ["compare", "--records", records_csv, "--max-pairs", "2"], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert [l for l in lines if " but " in l] == pair_lines[:2]
+        assert f"  showing 2 of {len(pair_lines)} inverted pairs" in lines
+        # everything but the pair listing is unchanged
+        assert [l for l in lines if " but " not in l and "showing" not in l] \
+            == [l for l in full if " but " not in l]
+
+    def test_max_pairs_zero_and_at_total(self, records_csv, capsys):
+        golden = (GOLDEN / "compare_depth_width_scaling.txt").read_text(
+            encoding="utf-8")
+        code, out, _ = run_cli(
+            ["compare", "--records", records_csv, "--max-pairs", "6"], capsys)
+        assert (code, out) == (0, golden)
+        code, out, _ = run_cli(
+            ["compare", "--records", records_csv, "--max-pairs", "0"], capsys)
+        assert code == 0
+        assert "  showing 0 of 6 inverted pairs" in out.splitlines()
+        assert " but " not in out
+
+    def test_negative_max_pairs_exits_2(self, records_csv, capsys):
+        code, out, err = run_cli(
+            ["compare", "--records", records_csv, "--max-pairs", "-1"], capsys)
+        assert (code, out) == (2, "")
+        assert "--max-pairs" in json.loads(err)["error"]
+
+    def test_duplicate_name_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "r.csv"
+        p.write_text("name,quality,params,flops\na,1.0,1,2\nb,2.0,2,1\n"
+                     "a,3.0,3,3\n")
+        code, out, err = run_cli(["compare", "--records", str(p)], capsys)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["file"] == str(p)
+        assert payload["line"] == 4
+        assert payload["model"] == "a"
+        assert "duplicate model name 'a'" in payload["error"]
+        assert "line 2" in payload["error"]
 
 
 class TestPareto:

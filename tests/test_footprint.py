@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -28,6 +29,14 @@ class TestCarbon:
         with pytest.raises(ValueError):
             EnergyProfile(-1.0, 0, 0, 0.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        for field in range(4):
+            args = [1.0, 0.0, 0.0, 0.5]
+            args[field] = bad
+            with pytest.raises(ValueError, match="finite"):
+                EnergyProfile(*args)
+
     def test_additive_in_energy_at_fixed_grid_factor(self):
         a = EnergyProfile(10.0, 0.25, 8.0, 0.5)
         b = EnergyProfile(4.0, 0.25, 16.0, 0.5)
@@ -54,6 +63,14 @@ class TestMonetary:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             PricingProfile(1, -2, 3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        for field in range(3):
+            args = [1.0, 2.0, 3.0]
+            args[field] = bad
+            with pytest.raises(ValueError, match="finite"):
+                PricingProfile(*args)
 
 
 class TestEnergyBridge:

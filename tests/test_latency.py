@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from costlens import (
@@ -69,6 +71,18 @@ class TestHardwareModel:
             HardwareModel(1e9, 1e9, -1)
         with pytest.raises(ValueError):
             HardwareModel(1e9, 1e9, 0, num_devices=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rates_rejected(self, bad):
+        for field in range(3):
+            args = [1e12, 1e11, 1e-6]
+            args[field] = bad
+            with pytest.raises(ValueError, match="finite"):
+                HardwareModel(*args)
+        with pytest.raises(ValueError, match="finite"):
+            HardwareModel.from_dict({"peak_flops_per_sec": "nan",
+                                     "mem_bandwidth_bytes_per_sec": 1e9,
+                                     "per_op_overhead_sec": 0})
 
 
 class TestLatency:
