@@ -27,6 +27,8 @@ from .archspec import (
     Repeat,
     TokenEmbedding,
     TokenSequence,
+    check_fields,
+    check_value,
 )
 
 
@@ -44,11 +46,7 @@ class VitConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "image", tuple(self.image))
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
-        for name in ("patch", "model_dim", "num_heads", "ffn_dim", "classes"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        check_fields(self)
         if self.model_dim % self.num_heads:
             raise ValueError("num_heads must divide model_dim")
         h, w, _c = self.image
@@ -89,8 +87,7 @@ def build_universal_transformer(cfg: VitConfig, steps: int) -> ArchSpec:
     """Same stack as :func:`build_vit` but one block reused ``steps``
     times with shared parameters: the parameter count of a depth-1 model
     with the compute of a depth-``steps`` model."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    check_value("steps", steps)
     h, w, c = cfg.image
     return ArchSpec(
         name=f"ut_p{cfg.patch}_k{steps}_w{cfg.model_dim}",
@@ -106,17 +103,24 @@ def build_universal_transformer(cfg: VitConfig, steps: int) -> ArchSpec:
     )
 
 
+#: The MoE builder lists every block instead of folding them into a
+#: ``Repeat``, so its spec grows with depth; deeper expert stacks are
+#: written as architecture documents with a repeat.
+MOE_MAX_DEPTH = 4096
+
+
 def build_moe_transformer(cfg: VitConfig, num_experts: int,
                           experts_per_token: int, moe_every: int = 2) -> ArchSpec:
     """Vision transformer with every ``moe_every``-th feed-forward block
     replaced by a mixture of ``num_experts`` expert blocks of the same
     shape, ``experts_per_token`` of which run per token."""
-    if num_experts < 1:
-        raise ValueError("num_experts must be >= 1")
-    if not 1 <= experts_per_token <= num_experts:
-        raise ValueError("experts_per_token must be in [1, num_experts]")
-    if moe_every < 1:
-        raise ValueError("moe_every must be >= 1")
+    if cfg.depth > MOE_MAX_DEPTH:
+        raise ValueError(f"moe depth must be <= {MOE_MAX_DEPTH}, got {cfg.depth}")
+    check_value("num_experts", num_experts)
+    check_value("experts_per_token", experts_per_token)
+    check_value("moe_every", moe_every)
+    if experts_per_token > num_experts:
+        raise ValueError("experts_per_token must be <= num_experts")
     d = cfg.model_dim
     h, w, c = cfg.image
     layers: list[LayerSpec] = [PatchEmbed(cfg.patch, c, d)]
@@ -172,10 +176,7 @@ class LmConfig:
                 f"arrangement must be decoder_only or encoder_decoder, "
                 f"got {self.arrangement!r}"
             )
-        for name in ("layers_per_stack", "model_dim", "ffn_dim", "heads",
-                     "vocab", "input_len", "output_len"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        check_fields(self)
         if self.model_dim % self.heads:
             raise ValueError("heads must divide model_dim")
         if self.arrangement == "encoder_decoder" and self.input_len != self.output_len:
@@ -243,34 +244,20 @@ def depth_width_pair(patch: int = 16, image: int = 224) -> tuple[ArchSpec, ArchS
 # Builder registry (spec files and the command line address builders by name)
 
 
-def _build_vit_args(args: dict) -> ArchSpec:
-    return build_vit(VitConfig(**args))
+def _build_ut_args(steps, **cfg) -> ArchSpec:
+    return build_universal_transformer(VitConfig(**cfg), steps)
 
 
-def _build_ut_args(args: dict) -> ArchSpec:
-    args = dict(args)
-    steps = args.pop("steps")
-    return build_universal_transformer(VitConfig(**args), steps)
-
-
-def _build_moe_args(args: dict) -> ArchSpec:
-    args = dict(args)
-    num_experts = args.pop("num_experts")
-    experts_per_token = args.pop("experts_per_token")
-    moe_every = args.pop("moe_every", 2)
-    return build_moe_transformer(VitConfig(**args), num_experts,
+def _build_moe_args(num_experts, experts_per_token, moe_every=2, **cfg) -> ArchSpec:
+    return build_moe_transformer(VitConfig(**cfg), num_experts,
                                  experts_per_token, moe_every)
 
 
-def _build_lm_args(args: dict) -> ArchSpec:
-    return build_lm(LmConfig(**args))
-
-
 BUILDERS = {
-    "vit": _build_vit_args,
+    "vit": lambda **cfg: build_vit(VitConfig(**cfg)),
     "universal_transformer": _build_ut_args,
     "moe": _build_moe_args,
-    "lm": _build_lm_args,
+    "lm": lambda **cfg: build_lm(LmConfig(**cfg)),
 }
 
 _VIT_ARGS = tuple(f.name for f in fields(VitConfig))
@@ -292,9 +279,7 @@ def build_from_reference(family: str, args: dict) -> ArchSpec:
         raise ValueError(
             f"unknown builder family {family!r} (known: {', '.join(sorted(BUILDERS))})"
         )
-    if "image" in args and isinstance(args["image"], list):
-        args = {**args, "image": tuple(args["image"])}
     try:
-        return builder(args)
+        return builder(**args)
     except TypeError as exc:
         raise ValueError(f"bad arguments for builder {family!r}: {exc}") from exc

@@ -13,8 +13,9 @@ violation as a value instead of raising.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field, fields
-from typing import Union
+from typing import Union, get_type_hints
 
 UINT64_MAX = 2**64 - 1
 
@@ -230,39 +231,69 @@ class ValidationResult:
         return not self.violations
 
 
-def _check_leaf(layer, path, out):
-    def positive(name, value):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            out.append(Violation(path, f"{name} must be a positive integer, got {value!r}"))
-            return False
-        return True
+# One rule for every number and flag of an input dataclass, read from the
+# field annotations: ``int`` is a count (an integer >= 1), ``float`` a rate
+# (a finite number >= 0, integers admitted), ``bool`` a flag; a bool is
+# never a number and a string never either. ``X | None`` also admits None.
+_FLOAT_MAX = sys.float_info.max
+_RULES = {  # kind: (test, what the message asks for)
+    int: (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
+    float: (lambda v: (type(v) is float or type(v) is int) and 0 <= v <= _FLOAT_MAX,
+            "finite, a number >= 0"),
+    bool: (lambda v: type(v) is bool, "true or false"),
+}
+_OPTIONAL = {kind | None: kind for kind in _RULES}
+# Per class, because validate() runs inside every cost operation.
+_FIELD_RULES: dict[type, tuple] = {}
 
-    if isinstance(layer, PatchEmbed):
-        positive("patch", layer.patch)
-        positive("in_channels", layer.in_channels)
-        positive("embed_dim", layer.embed_dim)
-    elif isinstance(layer, Attention):
-        ok_d = positive("model_dim", layer.model_dim)
-        ok_q = positive("qkv_dim", layer.qkv_dim)
-        ok_h = positive("num_heads", layer.num_heads)
-        if ok_q and ok_h and layer.qkv_dim % layer.num_heads != 0:
-            out.append(Violation(path, "num_heads must divide qkv_dim"))
-    elif isinstance(layer, FeedForward):
-        positive("model_dim", layer.model_dim)
-        positive("hidden_dim", layer.hidden_dim)
-    elif isinstance(layer, LayerNorm):
-        positive("model_dim", layer.model_dim)
-    elif isinstance(layer, Dense):
-        positive("in_dim", layer.in_dim)
-        positive("out_dim", layer.out_dim)
-    elif isinstance(layer, TokenEmbedding):
-        positive("vocab", layer.vocab)
-        positive("embed_dim", layer.embed_dim)
-    elif isinstance(layer, ClassifierHead):
-        positive("model_dim", layer.model_dim)
-        positive("classes", layer.classes)
-    else:
-        out.append(Violation(path, f"unknown layer kind {type(layer).__name__}"))
+
+def _field_rules(cls: type) -> tuple:
+    """(name, test, kind, optional) of each number or flag field of
+    ``cls``, read from its annotations once."""
+    rules = _FIELD_RULES.get(cls)
+    if rules is None:
+        hints = get_type_hints(cls)
+        rules = []
+        for f in fields(cls):
+            hint = hints[f.name]
+            kind = _OPTIONAL.get(hint, hint)
+            if kind in _RULES:
+                rules.append((f.name, _RULES[kind][0], kind, kind is not hint))
+        rules = _FIELD_RULES[cls] = tuple(rules)
+    return rules
+
+
+def _wrong(name: str, kind: type, optional: bool, value) -> str:
+    return f"{name} must be {_RULES[kind][1]}{' or null' if optional else ''}, got {value!r}"
+
+
+def field_errors(obj) -> list[str]:
+    """One message per number or flag field of the dataclass ``obj`` that
+    breaks the rule its annotation names."""
+    rules = _FIELD_RULES.get(type(obj)) or _field_rules(type(obj))
+    errors = []
+    for name, admits, kind, optional in rules:
+        value = getattr(obj, name)
+        if not admits(value) and not (optional and value is None):
+            errors.append(_wrong(name, kind, optional, value))
+    return errors
+
+
+def check_fields(obj) -> None:
+    """Raise ValueError with the first of ``field_errors(obj)``; store the
+    integer values of ``float`` fields as floats."""
+    errors = field_errors(obj)
+    if errors:
+        raise ValueError(errors[0])
+    for name, _, kind, _ in _field_rules(type(obj)):
+        if kind is float and type(getattr(obj, name)) is int:
+            object.__setattr__(obj, name, float(getattr(obj, name)))
+
+
+def check_value(name: str, value, kind: type = int) -> None:
+    """Raise ValueError unless ``value`` passes the field rule for ``kind``."""
+    if not _RULES[kind][0](value):
+        raise ValueError(_wrong(name, kind, False, value))
 
 
 def validate(spec: ArchSpec) -> ValidationResult:
@@ -273,45 +304,21 @@ def validate(spec: ArchSpec) -> ValidationResult:
     every downstream cost operation.
     """
 
-    out: list[Violation] = []
-
     if not isinstance(spec, ArchSpec):
         return ValidationResult((Violation("", "not an ArchSpec"),))
-    if not isinstance(spec.element_bytes, int) or spec.element_bytes < 1:
-        out.append(Violation("element_bytes", "element_bytes must be a positive integer"))
+    out = [Violation("spec", m) for m in field_errors(spec)]
 
     inp = spec.input
-    if isinstance(inp, Image):
-        for name in ("height", "width", "channels"):
-            v = getattr(inp, name)
-            if not isinstance(v, int) or v < 1:
-                out.append(Violation("input", f"{name} must be a positive integer"))
-    elif isinstance(inp, TokenSequence):
-        for name in ("length", "vocab"):
-            v = getattr(inp, name)
-            if not isinstance(v, int) or v < 1:
-                out.append(Violation("input", f"{name} must be a positive integer"))
+    if isinstance(inp, (Image, TokenSequence)):
+        input_errors = field_errors(inp)
+        out += [Violation("input", m) for m in input_errors]
     else:
-        out.append(Violation("input", f"unknown input signature {type(inp).__name__}"))
-
+        input_errors = [f"unknown input signature {type(inp).__name__}"]
+        out.append(Violation("input", input_errors[0]))
     # Image inputs must be tokenized by a leading patch embedding; the
     # evaluator takes the sequence length from it.
-    first = spec.layers[0] if spec.layers else None
-    if isinstance(inp, Image):
-        if not isinstance(first, PatchEmbed):
-            out.append(Violation("layers[0]", "image input requires a leading PatchEmbed"))
-        else:
-            if first.in_channels != inp.channels:
-                out.append(Violation(
-                    "layers[0]",
-                    f"in_channels {first.in_channels} does not match image channels {inp.channels}",
-                ))
-            if first.patch >= 1 and (inp.height % first.patch or inp.width % first.patch):
-                out.append(Violation(
-                    "layers[0]",
-                    f"patch {first.patch} does not divide input extent "
-                    f"{inp.height}x{inp.width}",
-                ))
+    if isinstance(inp, Image) and not (spec.layers and isinstance(spec.layers[0], PatchEmbed)):
+        out.append(Violation("layers[0]", "image input requires a leading PatchEmbed"))
 
     # Iterative walk: validate must not blow the interpreter stack on
     # adversarially deep trees.
@@ -323,9 +330,13 @@ def validate(spec: ArchSpec) -> ValidationResult:
         if depth > MAX_NESTING:
             out.append(Violation(path, f"nesting depth exceeds {MAX_NESTING}"))
             continue
+        if type(layer) not in _LAYER_TAGS:
+            out.append(Violation(path, f"unknown layer kind {type(layer).__name__}"))
+            continue
+        errors = field_errors(layer)
+        for message in errors:
+            out.append(Violation(path, message))
         if isinstance(layer, Repeat):
-            if not isinstance(layer.times, int) or isinstance(layer.times, bool) or layer.times < 1:
-                out.append(Violation(path, f"times must be >= 1, got {layer.times!r}"))
             if not layer.body:
                 out.append(Violation(path, "Repeat body is empty"))
             for i, child in reversed(list(enumerate(layer.body))):
@@ -334,23 +345,35 @@ def validate(spec: ArchSpec) -> ValidationResult:
             if not layer.branches:
                 out.append(Violation(path, "Parallel has no branches"))
             for b, branch in reversed(list(enumerate(layer.branches))):
+                if not branch:
+                    out.append(Violation(f"{path}.branches[{b}]", "Parallel branch is empty"))
                 for i, child in reversed(list(enumerate(branch))):
                     stack.append((child, f"{path}.branches[{b}][{i}]", depth + 1))
         elif isinstance(layer, MoE):
-            e, k = layer.num_experts, layer.experts_per_token
-            if not isinstance(e, int) or e < 1:
-                out.append(Violation(path, "num_experts must be >= 1"))
-            if not isinstance(k, int) or k < 1:
-                out.append(Violation(path, "experts_per_token must be >= 1"))
-            elif isinstance(e, int) and e >= 1 and k > e:
+            if not errors and layer.experts_per_token > layer.num_experts:
                 out.append(Violation(path, "experts_per_token must be <= num_experts"))
-            if not isinstance(layer.router_dim, int) or layer.router_dim < 1:
-                out.append(Violation(path, "router_dim must be a positive integer"))
             stack.append((layer.expert, f"{path}.expert", depth + 1))
-        else:
-            if isinstance(layer, PatchEmbed) and path != "layers[0]":
+        elif isinstance(layer, Attention):
+            if not errors and layer.qkv_dim % layer.num_heads:
+                out.append(Violation(path, "num_heads must divide qkv_dim"))
+        elif isinstance(layer, PatchEmbed):
+            if path != "layers[0]":
                 out.append(Violation(path, "PatchEmbed is only valid as the first layer"))
-            _check_leaf(layer, path, out)
+            elif not isinstance(inp, Image):
+                out.append(Violation(path, "PatchEmbed requires an image input"))
+            elif not errors and not input_errors:
+                if layer.in_channels != inp.channels:
+                    out.append(Violation(
+                        path,
+                        f"in_channels {layer.in_channels} does not match image "
+                        f"channels {inp.channels}",
+                    ))
+                if inp.height % layer.patch or inp.width % layer.patch:
+                    out.append(Violation(
+                        path,
+                        f"patch {layer.patch} does not divide input extent "
+                        f"{inp.height}x{inp.width}",
+                    ))
 
     return ValidationResult(tuple(out))
 
@@ -374,8 +397,7 @@ def derive_sequence_length(inp: InputSignature, patch: int, add_cls: bool) -> in
     """
     if isinstance(inp, TokenSequence):
         return inp.length
-    if patch < 1:
-        raise ValueError(f"patch must be >= 1, got {patch}")
+    check_value("patch", patch)
     if inp.height % patch or inp.width % patch:
         raise ValueError(
             f"patch {patch} does not divide input extent {inp.height}x{inp.width}"
@@ -413,26 +435,17 @@ _LAYER_TAGS = {
 _TAG_CLASSES = {tag: cls for cls, tag in _LAYER_TAGS.items()}
 
 
+def _to_json(value):
+    if type(value) in _LAYER_TAGS:
+        return layer_to_dict(value)
+    return [_to_json(v) for v in value] if isinstance(value, tuple) else value
+
+
 def layer_to_dict(layer: LayerSpec) -> dict:
     tag = _LAYER_TAGS.get(type(layer))
     if tag is None:
         raise TypeError(f"cannot serialize layer of type {type(layer).__name__}")
-    d = {"kind": tag}
-    if isinstance(layer, Repeat):
-        d["body"] = [layer_to_dict(c) for c in layer.body]
-        d["times"] = layer.times
-        d["share_params"] = layer.share_params
-    elif isinstance(layer, Parallel):
-        d["branches"] = [[layer_to_dict(c) for c in b] for b in layer.branches]
-    elif isinstance(layer, MoE):
-        d["expert"] = layer_to_dict(layer.expert)
-        d["num_experts"] = layer.num_experts
-        d["experts_per_token"] = layer.experts_per_token
-        d["router_dim"] = layer.router_dim
-    else:
-        for f in fields(layer):
-            d[f.name] = getattr(layer, f.name)
-    return d
+    return {"kind": tag, **{f.name: _to_json(getattr(layer, f.name)) for f in fields(layer)}}
 
 
 def layer_from_dict(d: dict) -> LayerSpec:
@@ -445,16 +458,12 @@ def layer_from_dict(d: dict) -> LayerSpec:
     args = {k: v for k, v in d.items() if k != "kind"}
     try:
         if cls is Repeat:
-            args["body"] = tuple(layer_from_dict(c) for c in args.get("body", ()))
-            return Repeat(**args)
-        if cls is Parallel:
-            args["branches"] = tuple(
-                tuple(layer_from_dict(c) for c in b) for b in args.get("branches", ())
-            )
-            return Parallel(**args)
-        if cls is MoE:
-            args["expert"] = layer_from_dict(args["expert"])
-            return MoE(**args)
+            args["body"] = [layer_from_dict(c) for c in args.get("body", ())]
+        elif cls is Parallel:
+            args["branches"] = [[layer_from_dict(c) for c in b]
+                                for b in args.get("branches", ())]
+        elif cls is MoE:
+            args["expert"] = layer_from_dict(args.get("expert"))
         return cls(**args)
     except TypeError as exc:
         raise ValueError(f"bad fields for layer kind {kind!r}: {exc}") from exc
@@ -470,6 +479,8 @@ def input_to_dict(inp: InputSignature) -> dict:
 
 
 def input_from_dict(d: dict) -> InputSignature:
+    if not isinstance(d, dict):
+        raise ValueError("input must be an object with a 'kind' field")
     kind = d.get("kind")
     try:
         if kind == "image":

@@ -39,11 +39,17 @@ from .analysis import (
     pareto_frontier,
 )
 from .archlib import BUILDER_ARGS, build_from_reference
-from .archspec import ArchSpec, InvalidSpecError, spec_from_dict, validate
+from .archspec import (
+    ArchSpec,
+    InvalidSpecError,
+    check_value,
+    spec_from_dict,
+    validate,
+)
 from .footprint import EnergyProfile, PricingProfile
 from .indicators import OptimizerKind
 from .latency import HardwareModel, load_hardware
-from .profiles import compute_profile
+from .profiles import compute_profile, record_from_profile
 
 
 class CliError(Exception):
@@ -90,6 +96,40 @@ def _load_json(path: str) -> dict:
             f"malformed JSON in {path}: {exc.msg} (byte offset {exc.pos})",
             file=path, offset=exc.pos,
         )
+    except RecursionError:
+        raise CliError(f"{path}: JSON nested too deeply", file=path)
+    except (OSError, ValueError) as exc:
+        raise CliError(f"cannot read {path}: {exc}", file=path)
+
+
+def _hardware(hw) -> HardwareModel:
+    """A hardware preset name, a JSON path or an inline object."""
+    try:
+        return load_hardware(hw) if isinstance(hw, str) else HardwareModel.from_dict(hw)
+    except (OSError, KeyError, ValueError, RecursionError) as exc:
+        raise CliError(f"bad hardware {hw!r}: {exc}")
+
+
+def _rates(cls, path: str, what: str):
+    """An energy or pricing profile read from a JSON file."""
+    try:
+        return cls.from_dict(_load_json(path))
+    except (KeyError, ValueError) as exc:
+        raise CliError(f"{path}: bad {what}: {exc}")
+
+
+def _batch(flag: int | None, from_file: int | None) -> int:
+    """``--batch``, else the spec file's ``batch``, else 1."""
+    if flag is not None:
+        return flag
+    return 1 if from_file is None else from_file
+
+
+def _profile(spec, batch, hardware, **extra):
+    try:
+        return compute_profile(spec, batch=batch, hardware=hardware, **extra)
+    except (InvalidSpecError, OverflowError, ValueError) as exc:
+        raise CliError(str(exc))
 
 
 def load_spec_file(path: str) -> tuple[ArchSpec, HardwareModel | None, int | None]:
@@ -106,7 +146,10 @@ def load_spec_file(path: str) -> tuple[ArchSpec, HardwareModel | None, int | Non
         raise CliError(
             f"{path}: exactly one of 'arch' or 'builder' is required", file=path
         )
+    batch = doc.get("batch")
     try:
+        if batch is not None:
+            check_value("batch", batch)
         if has_arch:
             spec = spec_from_dict(doc["arch"])
         else:
@@ -117,6 +160,8 @@ def load_spec_file(path: str) -> tuple[ArchSpec, HardwareModel | None, int | Non
             spec = build_from_reference(family, builder)
     except (ValueError, TypeError) as exc:
         raise CliError(f"{path}: {exc}", file=path)
+    except RecursionError:
+        raise CliError(f"{path}: architecture nested too deeply", file=path)
     if isinstance(doc.get("name"), str):
         spec = ArchSpec(doc["name"], spec.input, spec.layers, spec.metadata,
                         spec.element_bytes)
@@ -128,19 +173,7 @@ def load_spec_file(path: str) -> tuple[ArchSpec, HardwareModel | None, int | Non
             file=path,
             violations=[[v.path, v.message] for v in result.violations],
         )
-    hardware = None
-    if doc.get("hardware") is not None:
-        hw_field = doc["hardware"]
-        try:
-            if isinstance(hw_field, str):
-                hardware = load_hardware(hw_field)
-            else:
-                hardware = HardwareModel.from_dict(hw_field)
-        except (FileNotFoundError, KeyError, ValueError) as exc:
-            raise CliError(f"{path}: bad hardware field: {exc}", file=path)
-    batch = doc.get("batch")
-    if batch is not None and (not isinstance(batch, int) or batch < 1):
-        raise CliError(f"{path}: batch must be a positive integer", file=path)
+    hardware = None if doc.get("hardware") is None else _hardware(doc["hardware"])
     return spec, hardware, batch
 
 
@@ -184,18 +217,12 @@ def read_records_csv(path: str) -> list[ModelRecord]:
             if cells[col] == "":
                 continue
             try:
-                value = float(cells[col])
+                indicators[col] = float(cells[col])
             except ValueError:
                 raise CliError(
                     f"{path}:{lineno}: cell {col!r} is not numeric: {cells[col]!r}",
                     file=path, line=lineno,
                 )
-            if not math.isfinite(value):
-                raise CliError(
-                    f"{path}:{lineno}: cell {col!r} must be finite", file=path,
-                    line=lineno,
-                )
-            indicators[col] = value
         if cells["quality"] == "":
             raise CliError(f"{path}:{lineno}: quality cell is empty",
                            file=path, line=lineno)
@@ -383,7 +410,7 @@ def _spec_from_args(args) -> ArchSpec:
     for name in BUILDER_ARGS[args.family]:
         value = getattr(args, "layers" if name == "layers_per_stack" else name)
         if value is not None:
-            kwargs[name] = tuple(value) if name == "image" else value
+            kwargs[name] = value
     try:
         return build_from_reference(args.family, kwargs)
     except ValueError as exc:
@@ -400,56 +427,28 @@ def cmd_profile(args) -> int:
     else:
         raise CliError("profile requires a spec file or --family")
     if args.hw is not None:
-        try:
-            hardware = load_hardware(args.hw)
-        except (FileNotFoundError, KeyError, ValueError) as exc:
-            raise CliError(str(exc))
-    if args.batch is not None:
-        batch = args.batch
-    batch = batch or 1
+        hardware = _hardware(args.hw)
     energy = pricing = None
     if args.energy is not None:
-        try:
-            energy = EnergyProfile.from_dict(_load_json(args.energy))
-        except (KeyError, ValueError) as exc:
-            raise CliError(f"{args.energy}: bad energy profile: {exc}")
+        energy = _rates(EnergyProfile, args.energy, "energy profile")
     if args.pricing is not None:
-        try:
-            pricing = PricingProfile.from_dict(_load_json(args.pricing))
-        except (KeyError, ValueError) as exc:
-            raise CliError(f"{args.pricing}: bad pricing profile: {exc}")
+        pricing = _rates(PricingProfile, args.pricing, "pricing profile")
+    profile = _profile(spec, _batch(args.batch, batch), hardware,
+                       optimizer=OptimizerKind(args.optimizer),
+                       energy=energy, pricing=pricing)
     if hardware is None:
         print("warning: no hardware model given; latency and throughput "
               "are omitted", file=sys.stderr)
-    try:
-        profile = compute_profile(
-            spec, batch=batch, hardware=hardware,
-            optimizer=OptimizerKind(args.optimizer),
-            energy=energy, pricing=pricing,
-        )
-    except (InvalidSpecError, OverflowError, ValueError) as exc:
-        raise CliError(str(exc))
     sys.stdout.write(_profile_lines(profile.to_dict(), args.format))
     return 0
 
 
 def _records_from_specs(paths, hw_name, batch) -> list[ModelRecord]:
-    hardware = None
-    if hw_name is not None:
-        try:
-            hardware = load_hardware(hw_name)
-        except (FileNotFoundError, KeyError, ValueError) as exc:
-            raise CliError(str(exc))
+    hardware = None if hw_name is None else _hardware(hw_name)
     records = []
     for path in paths:
         spec, file_hw, file_batch = load_spec_file(path)
-        profile = compute_profile(
-            spec,
-            batch=batch or file_batch or 1,
-            hardware=hardware or file_hw,
-        )
-        from .profiles import record_from_profile
-
+        profile = _profile(spec, _batch(batch, file_batch), hardware or file_hw)
         records.append(record_from_profile(profile.to_dict()))
     return records
 

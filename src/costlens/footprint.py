@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .archspec import check_fields, check_value
+
 
 @dataclass(frozen=True)
 class EnergyProfile:
@@ -26,18 +28,17 @@ class EnergyProfile:
     co2e_per_kwh: float
 
     def __post_init__(self):
-        for name in ("ee_train_kwh", "ee_inference_kwh", "queries", "co2e_per_kwh"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0")
+        check_fields(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "EnergyProfile":
+        if not isinstance(d, dict):
+            raise ValueError("energy profile must be a JSON object")
         return cls(
-            ee_train_kwh=float(d["ee_train_kwh"]),
-            ee_inference_kwh=float(d.get("ee_inference_kwh", 0.0)),
-            queries=float(d.get("queries", 0.0)),
-            co2e_per_kwh=float(d["co2e_per_kwh"]),
+            ee_train_kwh=d["ee_train_kwh"],
+            ee_inference_kwh=d.get("ee_inference_kwh", 0.0),
+            queries=d.get("queries", 0.0),
+            co2e_per_kwh=d["co2e_per_kwh"],
         )
 
 
@@ -48,28 +49,35 @@ class PricingProfile:
     price_per_chip_hour: float
 
     def __post_init__(self):
-        for name in ("total_train_hours", "num_chips", "price_per_chip_hour"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0")
+        check_fields(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PricingProfile":
+        if not isinstance(d, dict):
+            raise ValueError("pricing profile must be a JSON object")
         return cls(
-            total_train_hours=float(d["total_train_hours"]),
-            num_chips=float(d["num_chips"]),
-            price_per_chip_hour=float(d["price_per_chip_hour"]),
+            total_train_hours=d["total_train_hours"],
+            num_chips=d["num_chips"],
+            price_per_chip_hour=d["price_per_chip_hour"],
         )
+
+
+def _finite(value: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise OverflowError(f"{what} exceeds the floating-point range")
+    return value
 
 
 def carbon_footprint(e: EnergyProfile) -> float:
     """kg CO2e: (train energy + queries * per-query energy) * grid factor."""
-    return (e.ee_train_kwh + e.queries * e.ee_inference_kwh) * e.co2e_per_kwh
+    return _finite((e.ee_train_kwh + e.queries * e.ee_inference_kwh) * e.co2e_per_kwh,
+                   "carbon footprint")
 
 
 def monetary_cost(p: PricingProfile) -> float:
     """Currency units: train hours * chips * price per chip-hour."""
-    return p.total_train_hours * p.num_chips * p.price_per_chip_hour
+    return _finite(p.total_train_hours * p.num_chips * p.price_per_chip_hour,
+                   "monetary cost")
 
 
 def train_energy_kwh(device_watts: float, wall_clock_hours: float,
@@ -79,8 +87,7 @@ def train_energy_kwh(device_watts: float, wall_clock_hours: float,
     A rough estimate (ignores PUE, idle draw, host machines); use measured
     energy when available.
     """
-    if device_watts < 0 or wall_clock_hours < 0:
-        raise ValueError("power and time must be >= 0")
-    if num_devices < 1:
-        raise ValueError("num_devices must be >= 1")
+    check_value("device_watts", device_watts, float)
+    check_value("wall_clock_hours", wall_clock_hours, float)
+    check_value("num_devices", num_devices)
     return device_watts * wall_clock_hours * num_devices / 1000.0

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .archspec import ArchSpec, UINT64_MAX
+from .archspec import ArchSpec, UINT64_MAX, check_value
 from .trace import Step, evaluate
 
 
@@ -139,7 +139,7 @@ def count_flops(spec: ArchSpec, batch: int = 1, *,
     (the fraction of weights that are zero and skippable in principle);
     elementwise work is unaffected, and no speedup claim is implied.
     """
-    _check_batch(batch)
+    check_value("batch", batch)
     if not 0.0 <= weight_sparsity < 1.0:
         raise ValueError("weight_sparsity must be in [0, 1)")
     return flops_of(evaluate(spec)[0], batch, weight_sparsity)
@@ -174,14 +174,9 @@ def backward_flops(spec: ArchSpec, batch: int = 1) -> int:
 # Activations and memory traffic
 
 
-def _check_batch(batch: int) -> None:
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
-
-
 def activation_size(spec: ArchSpec, batch: int = 1) -> int:
     """Total elements in every building-block output tensor, per batch."""
-    _check_batch(batch)
+    check_value("batch", batch)
     return activation_of(evaluate(spec)[0], batch)
 
 
@@ -199,7 +194,7 @@ def memory_access_cost(spec: ArchSpec, batch: int = 1) -> int:
     accesses -- so the total is exactly linear in batch and identical for
     shared and unshared repeats.
     """
-    _check_batch(batch)
+    check_value("batch", batch)
     return traffic_of(evaluate(spec)[0], spec.element_bytes, batch)
 
 
@@ -226,7 +221,7 @@ def training_memory(spec: ArchSpec, batch: int = 1,
     stores the same activations as its unshared twin, which is why sharing
     helps inference memory far more than training memory.
     """
-    _check_batch(batch)
+    check_value("batch", batch)
     return training_memory_of(evaluate(spec)[0], spec.element_bytes, batch,
                               optimizer)
 
@@ -254,7 +249,7 @@ def inference_memory(spec: ArchSpec, batch: int = 1) -> MemoryEstimate:
     """Peak device memory for a forward pass: weights plus the largest
     single-layer output working set. Gradient and optimizer fields are
     zero by construction."""
-    _check_batch(batch)
+    check_value("batch", batch)
     steps, _ = evaluate(spec)
     eb = spec.element_bytes
     param_bytes = _checked(params_of(steps).total * eb, "parameter bytes")

@@ -24,7 +24,7 @@ import os
 from dataclasses import dataclass
 from importlib import resources
 
-from .archspec import ArchSpec
+from .archspec import ArchSpec, check_fields, check_value
 from .indicators import layer_mac_bytes
 from .trace import Step, evaluate
 
@@ -42,30 +42,21 @@ class HardwareModel:
     notes: str = ""
 
     def __post_init__(self):
-        for name in ("peak_flops_per_sec", "mem_bandwidth_bytes_per_sec",
-                     "per_op_overhead_sec"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.peak_flops_per_sec <= 0:
-            raise ValueError("peak_flops_per_sec must be > 0")
-        if self.mem_bandwidth_bytes_per_sec <= 0:
-            raise ValueError("mem_bandwidth_bytes_per_sec must be > 0")
-        if self.per_op_overhead_sec < 0:
-            raise ValueError("per_op_overhead_sec must be >= 0")
-        if self.num_devices < 1:
-            raise ValueError("num_devices must be >= 1")
+        check_fields(self)
+        for name in ("peak_flops_per_sec", "mem_bandwidth_bytes_per_sec"):
+            if getattr(self, name) == 0:
+                raise ValueError(f"{name} must be > 0")
 
     @classmethod
     def from_dict(cls, d: dict) -> "HardwareModel":
+        if not isinstance(d, dict):
+            raise ValueError("hardware document must be a JSON object")
         return cls(
-            peak_flops_per_sec=float(d["peak_flops_per_sec"]),
-            mem_bandwidth_bytes_per_sec=float(d["mem_bandwidth_bytes_per_sec"]),
-            per_op_overhead_sec=float(d["per_op_overhead_sec"]),
-            num_devices=int(d.get("num_devices", 1)),
-            length_pad_multiple=(
-                int(d["length_pad_multiple"])
-                if d.get("length_pad_multiple") is not None else None
-            ),
+            peak_flops_per_sec=d["peak_flops_per_sec"],
+            mem_bandwidth_bytes_per_sec=d["mem_bandwidth_bytes_per_sec"],
+            per_op_overhead_sec=d["per_op_overhead_sec"],
+            num_devices=d.get("num_devices", 1),
+            length_pad_multiple=d.get("length_pad_multiple"),
             name=str(d.get("name", "custom")),
             notes=str(d.get("notes", "")),
         )
@@ -138,10 +129,7 @@ class PipelineBubble:
     steady_batches: int
 
     def __post_init__(self):
-        if self.setup_sec < 0:
-            raise ValueError("setup_sec must be >= 0")
-        if self.steady_batches < 1:
-            raise ValueError("steady_batches must be >= 1")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -158,9 +146,10 @@ def estimate_latency(spec: ArchSpec, hw: HardwareModel, batch: int = 1) -> Speed
     With ``length_pad_multiple`` set on the hardware, all shape-dependent
     costs are evaluated at the padded sequence length. ``per_layer`` has
     one entry per leaf or ``MoE`` node, summed over its executions.
+    Raises OverflowError unless latency and throughput are finite floats
+    (a spec without layers has no finite throughput).
     """
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
+    check_value("batch", batch)
     timings: list[LayerTiming] = []
 
     def op_seconds(step: Step) -> float:
@@ -176,9 +165,14 @@ def estimate_latency(spec: ArchSpec, hw: HardwareModel, batch: int = 1) -> Speed
         return seconds
 
     _, latency = evaluate(spec, hw.length_pad_multiple, op_seconds)
+    throughput = batch / latency if latency > 0 else math.inf
+    if not math.isfinite(throughput) or not math.isfinite(latency):
+        raise OverflowError(
+            f"latency {latency!r} s at batch {batch} gives no finite throughput"
+        )
     return SpeedEstimate(
         latency_sec=latency,
-        throughput_examples_per_sec=batch / latency if latency > 0 else float("inf"),
+        throughput_examples_per_sec=throughput,
         per_layer=tuple(timings),
     )
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .analysis import ModelRecord
-from .archspec import ArchSpec
+from .archspec import ArchSpec, check_value
 from .footprint import (
     EnergyProfile,
     PricingProfile,
@@ -95,8 +95,7 @@ def compute_profile(spec: ArchSpec, batch: int = 1,
     The spec is evaluated once for the counts and, with ``hardware``, once
     more at the hardware's padded length for latency.
     """
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
+    check_value("batch", batch)
     steps, _ = evaluate(spec)
     eb = spec.element_bytes
     params = params_of(steps)

@@ -1,0 +1,476 @@
+"""The input contract, end to end through ``costlens.cli.main``.
+
+Every input the command line reads (spec files with a builder reference
+or an inline architecture, records CSV, hardware, energy and pricing
+JSON, ``--batch``) ends one of two ways: exit 0 with only finite numbers
+on stdout, or exit 2 with exactly one JSON line on stderr. Never a
+traceback, and always within a time bound. Valid documents are mutated:
+a value replaced by one of the wrong kind or out of range, a key or an
+element dropped. Each input the contract once let through, or that once
+ended in a traceback, is an explicit example.
+
+The drift guard at the end sets every number and flag field of every
+input dataclass to a value of the wrong kind and expects a refusal, so a
+field added later cannot bypass the field rule.
+"""
+
+import contextlib
+import copy
+import dataclasses
+import io
+import json
+import math
+import re
+import time
+import typing
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+import costlens
+from costlens import (
+    ArchSpec,
+    Attention,
+    ClassifierHead,
+    Dense,
+    EnergyProfile,
+    FeedForward,
+    HardwareModel,
+    Image,
+    LayerNorm,
+    LmConfig,
+    MoE,
+    Parallel,
+    PatchEmbed,
+    PipelineBubble,
+    PricingProfile,
+    Repeat,
+    TokenEmbedding,
+    TokenSequence,
+    VitConfig,
+    validate,
+)
+from costlens.archspec import LEAF_KINDS, field_errors
+from costlens.cli import main
+
+# Fixed profile: the same examples on every run, so Tier-1 stays
+# deterministic.
+CONTRACT = settings(max_examples=150, derandomize=True, deadline=None,
+                    database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+#: Wall-clock bound for one command, far above the milliseconds a valid
+#: small input takes.
+TIME_BOUND_S = 10.0
+
+# Values a mutation puts in place of a valid one: wrong kinds, out of
+# range, non-finite, past the 64-bit and the float range.
+ODD_VALUES = [
+    True, False, None, 0, -1, 1, 2, 1.9, 2.0, -0.0, 1e308, 5e-324,
+    math.nan, math.inf, -math.inf, 2**64, 10**400, "x", "2", "1e12", "NaN",
+    "Infinity", "", [], [1], {}, {"kind": "dense"},
+]
+
+# Cell texts for records CSV mutations.
+ODD_CELLS = ["", "x", "nan", "inf", "-inf", "1e400", "-1", "0", "1_0",
+             "0x10", " 5 ", "True", "1e-320", "1,2"]
+NAMES = ["", "a", "D6", "W768", "b c", "Q"]
+
+_VIT = {"family": "vit", "patch": 16, "depth": 2, "model_dim": 64, "num_heads": 4,
+        "ffn_dim": 128, "image": [64, 64, 3], "classes": 10}
+_DENSE = {"kind": "dense", "in_dim": 8, "out_dim": 8}
+_TOKENS = {"kind": "token_sequence", "length": 8, "vocab": 10}
+_FFN = {"kind": "feed_forward", "model_dim": 8, "hidden_dim": 16}
+_MOE = {"kind": "moe", "expert": _FFN, "num_experts": 2, "experts_per_token": 1,
+        "router_dim": 8}
+_HW = {"peak_flops_per_sec": 1e12, "mem_bandwidth_bytes_per_sec": 1e11,
+       "per_op_overhead_sec": 1e-6, "num_devices": 1, "length_pad_multiple": 8}
+
+
+def tokens(layers, batch=None, **input_fields):
+    doc = {"schema_version": 1,
+           "arch": {"input": {**_TOKENS, **input_fields}, "layers": layers}}
+    if batch is not None:
+        doc["batch"] = batch
+    return doc
+
+
+SPECS = [
+    {"schema_version": 1, "name": "v", "builder": _VIT, "hardware": "tpu_like",
+     "batch": 2},
+    {"schema_version": 1, "builder": {**_VIT, "family": "universal_transformer",
+                                      "steps": 3}},
+    {"schema_version": 1, "builder": {**_VIT, "family": "moe", "num_experts": 4,
+                                      "experts_per_token": 2, "moe_every": 1}},
+    {"schema_version": 1, "builder": {
+        "family": "lm", "arrangement": "encoder_decoder", "layers_per_stack": 2,
+        "model_dim": 64, "ffn_dim": 128, "heads": 4, "vocab": 100,
+        "input_len": 16, "output_len": 16}},
+    {"schema_version": 1, "hardware": _HW, "batch": 3, "arch": {
+        "name": "t", "element_bytes": 2, "input": _TOKENS, "layers": [
+            {"kind": "token_embedding", "vocab": 10, "embed_dim": 8,
+             "tied_output": False},
+            {"kind": "repeat", "times": 3, "share_params": True, "body": [
+                {"kind": "layer_norm", "model_dim": 8},
+                {"kind": "attention", "model_dim": 8, "qkv_dim": 8, "num_heads": 2,
+                 "is_causal": True, "cross_attention": False},
+                {"kind": "parallel", "branches": [[_FFN], [_DENSE]]},
+                {**_MOE, "expert": {"kind": "repeat", "times": 2, "body": [_FFN]}},
+            ]},
+            {"kind": "classifier_head", "model_dim": 8, "classes": 4}]}},
+    {"schema_version": 1, "arch": {
+        "input": {"kind": "image", "height": 8, "width": 8, "channels": 3},
+        "layers": [{"kind": "patch_embed", "patch": 4, "in_channels": 3,
+                    "embed_dim": 8, "add_cls_token": True, "positional": True},
+                   {**_DENSE, "bias": False}]}},
+]
+
+NESTED_700 = ('{"schema_version": 1, "arch": {"input": ' + json.dumps(_TOKENS)
+              + ', "layers": [' + '{"kind": "repeat", "times": 1, "body": [' * 700
+              + json.dumps(_DENSE) + "]}" * 700 + "]}}")
+OVERFLOWING = tokens([{"kind": "repeat", "times": 2**63 - 1, "body": [
+    {"kind": "dense", "in_dim": 100_000, "out_dim": 100_000}]}])
+
+
+def _slots(doc):
+    """(container, key) of every value inside ``doc``."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in list(items):
+        yield doc, key
+        if isinstance(value, (dict, list)):
+            yield from _slots(value)
+
+
+@st.composite
+def mutated(draw, bases):
+    """A deep copy of one base document with one to three values replaced
+    by odd ones or dropped."""
+    doc = copy.deepcopy(draw(st.sampled_from(bases)))
+    for _ in range(draw(st.integers(1, 3))):
+        slots = list(_slots(doc))
+        if not slots:
+            break
+        container, key = draw(st.sampled_from(slots))
+        if draw(st.integers(0, 4)) == 0:
+            del container[key]
+        else:
+            container[key] = copy.deepcopy(draw(st.sampled_from(ODD_VALUES)))
+    return doc
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert time.perf_counter() - start < TIME_BOUND_S, argv
+    return code, out.getvalue(), err.getvalue()
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"non-finite {name} on stdout")
+
+
+def _assert_finite(value):
+    if isinstance(value, dict):
+        for v in value.values():
+            _assert_finite(v)
+    elif isinstance(value, float):
+        assert math.isfinite(value)
+
+
+# format_fixed renders a non-finite value as inf, -inf or nan. Names in
+# these tests never spell those words in lower case.
+NON_FINITE_TEXT = re.compile(r"(?<![\w.])-?(inf|nan)(?![\w.])")
+
+
+def assert_contract(code, out, err, *, json_out=False, insufficiency_ok=False):
+    """Exit 0 with only finite numbers on stdout, or exit 2 (1 where the
+    command reports too few comparable models) with one JSON line on
+    stderr and nothing on stdout."""
+    assert "Traceback" not in err
+    if code == 0:
+        if json_out:
+            _assert_finite(json.loads(out, parse_constant=_refuse_constant))
+        else:
+            assert not NON_FINITE_TEXT.search(out), out
+        return
+    assert code == 2 or (insufficiency_ok and code == 1), (code, err)
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert isinstance(json.loads(lines[0])["error"], str)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract")
+
+
+def write_json(path, doc):
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return str(path)
+
+
+# ---------------------------------------------------------------------------
+# Spec files, profiled and compared
+
+
+@CONTRACT
+@given(doc=mutated(SPECS),
+       command=st.sampled_from(["profile", "compare"]),
+       batch=st.sampled_from([None, "0", "-3", "1", "7", str(2**64)]))
+@example(doc=tokens([_DENSE], length=True), command="profile", batch=None)
+@example(doc=tokens([_DENSE], vocab=True), command="profile", batch=None)
+@example(doc={"schema_version": 1, "arch": {
+    "input": {"kind": "image", "height": True, "width": 8, "channels": 3},
+    "layers": [{"kind": "patch_embed", "patch": 1, "in_channels": 3,
+                "embed_dim": 8}]}}, command="profile", batch=None)
+@example(doc={"schema_version": 1, "arch": {
+    "input": _TOKENS, "layers": [_DENSE], "element_bytes": True}},
+    command="profile", batch=None)
+@example(doc=tokens([{**_MOE, "num_experts": True}]), command="profile", batch=None)
+@example(doc=tokens([{**_MOE, "router_dim": True}]), command="profile", batch=None)
+@example(doc=tokens([{**_DENSE, "bias": "no"}]), command="profile", batch=None)
+@example(doc=tokens([{**_DENSE, "bias": 0}]), command="profile", batch=None)
+@example(doc=tokens([_DENSE], batch=True), command="profile", batch=None)
+@example(doc=SPECS[0], command="profile", batch="0")
+@example(doc=SPECS[0], command="compare", batch="0")
+@example(doc={"schema_version": 1, "arch": {"input": [1], "layers": []}},
+         command="profile", batch=None)
+@example(doc=tokens([{"kind": "patch_embed", "patch": 2, "in_channels": 3,
+                      "embed_dim": 8}]), command="profile", batch=None)
+@example(doc=tokens([{**_MOE, "expert": {"kind": "parallel", "branches": [[]]}}]),
+         command="profile", batch=None)
+@example(doc=NESTED_700, command="profile", batch=None)
+@example(doc='{"schema_version":1,"arch":' + "[" * 100_000, command="profile",
+         batch=None)
+@example(doc=OVERFLOWING, command="compare", batch=None)
+@example(doc=SPECS[0], command="compare", batch="-3")
+@example(doc=tokens([]), command="profile", batch=None)
+@example(doc={"schema_version": 1, "builder": {**_VIT, "family": "moe",
+                                               "depth": 2**64, "num_experts": 2,
+                                               "experts_per_token": 1}},
+         command="profile", batch=None)
+def test_spec_file_meets_contract(workdir, doc, command, batch):
+    path = write_json(workdir / "spec.json", doc)
+    argv = ["profile", path, "--format", "json"] if command == "profile" \
+        else ["compare", path, path]
+    if batch is not None:
+        argv += ["--batch", batch]
+    code, out, err = run(argv)
+    assert_contract(code, out, err, json_out=command == "profile")
+
+
+def test_named_inputs_are_refused(workdir):
+    """The inputs above that older versions accepted or crashed on are
+    refused, not merely free of a traceback."""
+    refused = [
+        tokens([_DENSE], length=True), tokens([{**_DENSE, "bias": "no"}]),
+        tokens([{**_MOE, "num_experts": True}]), tokens([_DENSE], batch=True),
+        tokens([{"kind": "patch_embed", "patch": 2, "in_channels": 3,
+                 "embed_dim": 8}]),
+        tokens([{**_MOE, "expert": {"kind": "parallel", "branches": [[]]}}]),
+        NESTED_700,
+    ]
+    for i, doc in enumerate(refused):
+        path = write_json(workdir / f"refused{i}.json", doc)
+        assert run(["profile", path])[0] == 2, doc
+    vit = write_json(workdir / "vit.json", SPECS[0])
+    assert run(["profile", vit, "--batch", "0"])[0] == 2
+    assert run(["compare", vit, vit, "--batch", "0"])[0] == 2
+
+
+# ---------------------------------------------------------------------------
+# Hardware, energy and pricing documents
+
+ENERGY = {"ee_train_kwh": 100.0, "ee_inference_kwh": 0.001, "queries": 1e6,
+          "co2e_per_kwh": 0.4}
+PRICING = {"total_train_hours": 100, "num_chips": 64, "price_per_chip_hour": 2.0}
+RATE_DOCS = [
+    {"hw": _HW, "energy": ENERGY, "pricing": PRICING},
+    {"hw": {**_HW, "length_pad_multiple": None, "name": "x", "notes": "n"},
+     "energy": {"ee_train_kwh": 1, "co2e_per_kwh": 0}, "pricing": PRICING},
+]
+
+
+def rates(**changes):
+    return {"hw": dict(_HW), "energy": dict(ENERGY), "pricing": dict(PRICING),
+            **changes}
+
+
+@CONTRACT
+@given(docs=mutated(RATE_DOCS))
+@example(docs=rates(hw={**_HW, "num_devices": 1.9}))
+@example(docs=rates(hw={**_HW, "num_devices": "2"}))
+@example(docs=rates(hw={**_HW, "length_pad_multiple": -5}))
+@example(docs=rates(hw={**_HW, "length_pad_multiple": True}))
+@example(docs=rates(hw={**_HW, "peak_flops_per_sec": True}))
+@example(docs=rates(hw={**_HW, "peak_flops_per_sec": None}))
+@example(docs=rates(hw=[1]))
+@example(docs=rates(energy=[1]))
+@example(docs=rates(pricing=[1]))
+@example(docs=rates(energy={"ee_train_kwh": None, "co2e_per_kwh": None}))
+@example(docs=rates(hw={**_HW, "peak_flops_per_sec": 5e-324}))
+@example(docs=rates(energy={**ENERGY, "queries": 1e308, "ee_inference_kwh": 1e308}))
+def test_rate_files_meet_contract(workdir, docs):
+    spec = write_json(workdir / "rates_spec.json", SPECS[0])
+    argv = ["profile", spec, "--format", "json"]
+    for flag in ("hw", "energy", "pricing"):
+        if flag in docs:
+            argv += [f"--{flag}", write_json(workdir / f"{flag}.json", docs[flag])]
+    code, out, err = run(argv)
+    assert_contract(code, out, err, json_out=True)
+
+
+def test_named_rate_inputs_are_refused(workdir):
+    spec = write_json(workdir / "rates_spec.json", SPECS[0])
+    for flag, doc in [("hw", {**_HW, "num_devices": 1.9}),
+                      ("hw", {**_HW, "length_pad_multiple": -5}),
+                      ("hw", {**_HW, "peak_flops_per_sec": True}),
+                      ("hw", [1]), ("energy", [1]), ("pricing", [1]),
+                      ("energy", {"ee_train_kwh": None, "co2e_per_kwh": None})]:
+        path = write_json(workdir / "refused_rates.json", doc)
+        assert run(["profile", spec, f"--{flag}", path])[0] == 2, (flag, doc)
+
+
+# ---------------------------------------------------------------------------
+# Records CSV
+
+RECORDS = [
+    ["name", "family", "quality", "params", "flops", "latency"],
+    ["D6", "depth", "37.5", "18.89", "0.61", "0.09"],
+    ["D8", "depth", "42.4", "22.44", "", "0.11"],
+    ["W768", "width", "34.4", "9.47", "0.31", "0.11"],
+    ["W1024", "width", "45.2", "24.81", "0.92", "0.16"],
+]
+
+
+@st.composite
+def records_text(draw):
+    rows = [list(r) for r in RECORDS]
+    for _ in range(draw(st.integers(1, 3))):
+        r = draw(st.integers(0, len(rows) - 1))
+        action = draw(st.integers(0, 5))
+        if action == 0 and len(rows) > 1:
+            del rows[r]
+        elif action == 1 and rows[r]:
+            del rows[r][draw(st.integers(0, len(rows[r]) - 1))]
+        elif action == 2:
+            rows.append(list(rows[r]))
+        elif rows[r]:
+            c = draw(st.integers(0, len(rows[r]) - 1))
+            column = RECORDS[0][c] if c < len(RECORDS[0]) else ""
+            pool = NAMES if column in ("name", "family") or r == 0 else ODD_CELLS
+            rows[r][c] = draw(st.sampled_from(pool))
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+@CONTRACT
+@given(text=records_text(), command=st.sampled_from(["compare", "pareto"]))
+@example(text="name,quality,params\na,1.0,inf\nb,2.0,3\n", command="compare")
+@example(text="name,quality,params\na,nan,1\nb,2.0,3\n", command="pareto")
+@example(text="name,quality,params\na,1,1e400\nb,2.0,3\n", command="compare")
+def test_records_file_meets_contract(workdir, text, command):
+    path = workdir / "records.csv"
+    path.write_text(text)
+    argv = ["compare", "--records", str(path)] if command == "compare" \
+        else ["pareto", str(path), "--cost", "params"]
+    code, out, err = run(argv)
+    assert_contract(code, out, err, insufficiency_ok=True)
+
+
+# ---------------------------------------------------------------------------
+# Drift guard: every number and flag field of every input dataclass
+
+
+def _node_spec(node):
+    if isinstance(node, PatchEmbed):
+        return ArchSpec("x", Image(8, 8, 3), (node,))
+    return ArchSpec("x", TokenSequence(4, 10), (node,))
+
+
+SPEC_NODES = [
+    PatchEmbed(2, 3, 8), Attention(8, 8, 2), FeedForward(8, 16), LayerNorm(8),
+    Dense(8, 8), TokenEmbedding(10, 8), ClassifierHead(8, 4),
+    MoE(FeedForward(8, 16), 2, 1, 8), Repeat((LayerNorm(8),), 2),
+    Parallel(((LayerNorm(8),),)),
+]
+# Each as a valid, minimal instance.
+CHECKED_ON_BUILD = [
+    HardwareModel(1e12, 1e11, 1e-6, length_pad_multiple=8),
+    PipelineBubble(0.5, 4),
+    EnergyProfile(1.0, 0.1, 2.0, 0.5),
+    PricingProfile(1.0, 2.0, 3.0),
+    VitConfig(16, 2, 64, 4, 128, image=(64, 64, 3)),
+    LmConfig("decoder_only", 2, 64, 128, 4, 100),
+]
+RULED = {int: int, float: float, bool: bool,
+         int | None: int, float | None: float, bool | None: bool}
+
+
+def _ruled_fields(cls):
+    """(name, kind, optional) of every int, float and bool field, read from
+    the annotations independently of the library's own reading."""
+    hints = typing.get_type_hints(cls)
+    return [(f.name, RULED[hints[f.name]], type(None) in typing.get_args(hints[f.name]))
+            for f in dataclasses.fields(cls) if hints[f.name] in RULED]
+
+
+def _wrong_values(kind, optional):
+    values = [True if kind is not bool else 1, "x"]
+    return values if optional else values + [None]
+
+
+def test_every_input_class_is_guarded():
+    guarded = {type(n) for n in SPEC_NODES} | {type(o) for o in CHECKED_ON_BUILD}
+    guarded |= {Image, TokenSequence, ArchSpec}
+    assert set(LEAF_KINDS) | {MoE, Repeat, Parallel} <= guarded
+    exported = {obj for obj in vars(costlens).values()
+                if isinstance(obj, type) and hasattr(obj, "from_dict")}
+    assert exported <= guarded
+
+
+def test_spec_number_and_flag_fields_follow_the_rule():
+    holders = [(node, _node_spec) for node in SPEC_NODES] + [
+        (Image(8, 8, 3), lambda inp: ArchSpec("x", inp, (PatchEmbed(2, 3, 8),))),
+        (TokenSequence(4, 10), lambda inp: ArchSpec("x", inp, ())),
+        (ArchSpec("x", TokenSequence(4, 10), ()), lambda spec: spec),
+    ]
+    checked = 0
+    for obj, spec_of in holders:
+        assert validate(spec_of(obj)).ok, obj
+        for name, kind, optional in _ruled_fields(type(obj)):
+            for bad in _wrong_values(kind, optional):
+                broken = dataclasses.replace(obj, **{name: bad})
+                assert any(name in m for m in field_errors(broken)), (obj, name, bad)
+                result = validate(spec_of(broken))
+                assert any(name in v.message for v in result.violations), (obj, name, bad)
+                checked += 1
+    assert checked > 60
+
+
+def test_built_number_and_flag_fields_follow_the_rule():
+    for obj in CHECKED_ON_BUILD:
+        fields = _ruled_fields(type(obj))
+        assert fields, obj
+        for name, kind, optional in fields:
+            for bad in _wrong_values(kind, optional):
+                with pytest.raises(ValueError, match=name):
+                    dataclasses.replace(obj, **{name: bad})
+
+
+def test_integers_are_stored_as_floats_and_huge_ones_refused():
+    hw = HardwareModel.from_dict({"peak_flops_per_sec": 10**12,
+                                  "mem_bandwidth_bytes_per_sec": 10**11,
+                                  "per_op_overhead_sec": 0})
+    assert [type(v) for v in (hw.peak_flops_per_sec, hw.per_op_overhead_sec)] \
+        == [float, float]
+    assert str(PricingProfile(168, 64, 2).num_chips) == "64.0"
+    with pytest.raises(ValueError, match="finite"):
+        PricingProfile(10**400, 1, 1)
+    with pytest.raises(ValueError, match="finite"):
+        HardwareModel.from_dict({"peak_flops_per_sec": "1e12",
+                                 "mem_bandwidth_bytes_per_sec": 1e11,
+                                 "per_op_overhead_sec": 0})
