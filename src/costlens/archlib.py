@@ -145,11 +145,6 @@ def build_moe_transformer(cfg: VitConfig, num_experts: int,
     )
 
 
-def moe_layer_count(cfg: VitConfig, moe_every: int = 2) -> int:
-    """How many feed-forward positions :func:`build_moe_transformer` converts."""
-    return cfg.depth // moe_every
-
-
 @dataclass(frozen=True)
 class LmConfig:
     """Language-model shape for arrangement comparisons.

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field, fields
-from typing import Union, get_type_hints
+from dataclasses import MISSING, dataclass, field, fields
+from typing import NamedTuple, Union, get_args, get_origin, get_type_hints
 
 UINT64_MAX = 2**64 - 1
 
@@ -202,7 +202,7 @@ class ArchSpec:
     every byte-denominated estimate (default 4, i.e. 32-bit values).
     """
 
-    name: str
+    name: str = field(metadata={"document_default": "unnamed"})
     input: InputSignature
     layers: tuple[LayerSpec, ...]
     metadata: dict = field(default_factory=dict)
@@ -231,36 +231,60 @@ class ValidationResult:
         return not self.violations
 
 
-# One rule for every number and flag of an input dataclass, read from the
-# field annotations: ``int`` is a count (an integer >= 1), ``float`` a rate
-# (a finite number >= 0, integers admitted), ``bool`` a flag; a bool is
-# never a number and a string never either. ``X | None`` also admits None.
+# One rule for every number, flag and name of an input dataclass, read
+# from the field annotations: ``int`` is a count (an integer >= 1),
+# ``float`` a rate (a finite number >= 0, integers admitted), ``bool`` a
+# flag, ``str`` a name, ``dict`` an object; a bool is never a number and
+# a string never either. ``X | None`` also admits None.
 _FLOAT_MAX = sys.float_info.max
 _RULES = {  # kind: (test, what the message asks for)
     int: (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
     float: (lambda v: (type(v) is float or type(v) is int) and 0 <= v <= _FLOAT_MAX,
             "finite, a number >= 0"),
     bool: (lambda v: type(v) is bool, "true or false"),
+    str: (lambda v: type(v) is str, "a string"),
+    dict: (lambda v: type(v) is dict, "an object"),
 }
 _OPTIONAL = {kind | None: kind for kind in _RULES}
-# Per class, because validate() runs inside every cost operation.
-_FIELD_RULES: dict[type, tuple] = {}
 
 
-def _field_rules(cls: type) -> tuple:
-    """(name, test, kind, optional) of each number or flag field of
-    ``cls``, read from its annotations once."""
-    rules = _FIELD_RULES.get(cls)
-    if rules is None:
+class _Reading(NamedTuple):
+    """What the annotations of one dataclass say, read once per class
+    because validate() runs inside every cost operation. A field whose
+    metadata holds ``document_default`` is required by the constructor
+    but may be left out of a JSON document."""
+
+    names: dict             # every field name, in declaration order
+    rules: tuple            # (name, test, kind, optional) of each ruled field
+    required: frozenset     # fields a document must carry
+    defaults: tuple         # (name, value) of each document_default field
+    readers: tuple          # (name, read) of fields holding layers or an input
+
+
+_READINGS: dict[type, _Reading] = {}
+
+
+def _reading(cls: type) -> _Reading:
+    reading = _READINGS.get(cls)
+    if reading is None:
         hints = get_type_hints(cls)
-        rules = []
+        rules, required, defaults, readers = [], [], [], []
         for f in fields(cls):
             hint = hints[f.name]
             kind = _OPTIONAL.get(hint, hint)
             if kind in _RULES:
                 rules.append((f.name, _RULES[kind][0], kind, kind is not hint))
-        rules = _FIELD_RULES[cls] = tuple(rules)
-    return rules
+            if "document_default" in f.metadata:
+                defaults.append((f.name, f.metadata["document_default"]))
+            elif f.default is MISSING and f.default_factory is MISSING:
+                required.append(f.name)
+            read = _value_reader(f.name, hint)
+            if read is not None:
+                readers.append((f.name, read))
+        reading = _READINGS[cls] = _Reading(
+            dict.fromkeys(f.name for f in fields(cls)), tuple(rules),
+            frozenset(required), tuple(defaults), tuple(readers))
+    return reading
 
 
 def _wrong(name: str, kind: type, optional: bool, value) -> str:
@@ -268,11 +292,11 @@ def _wrong(name: str, kind: type, optional: bool, value) -> str:
 
 
 def field_errors(obj) -> list[str]:
-    """One message per number or flag field of the dataclass ``obj`` that
-    breaks the rule its annotation names."""
-    rules = _FIELD_RULES.get(type(obj)) or _field_rules(type(obj))
+    """One message per number, flag or name field of the dataclass ``obj``
+    that breaks the rule its annotation names."""
+    reading = _READINGS.get(type(obj)) or _reading(type(obj))
     errors = []
-    for name, admits, kind, optional in rules:
+    for name, admits, kind, optional in reading.rules:
         value = getattr(obj, name)
         if not admits(value) and not (optional and value is None):
             errors.append(_wrong(name, kind, optional, value))
@@ -285,7 +309,7 @@ def check_fields(obj) -> None:
     errors = field_errors(obj)
     if errors:
         raise ValueError(errors[0])
-    for name, _, kind, _ in _field_rules(type(obj)):
+    for name, _, kind, _ in _reading(type(obj)).rules:
         if kind is float and type(getattr(obj, name)) is int:
             object.__setattr__(obj, name, float(getattr(obj, name)))
 
@@ -418,7 +442,7 @@ def input_sequence_length(spec: ArchSpec) -> int:
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization
+# JSON documents: one reader and one writer for every input dataclass
 
 _LAYER_TAGS = {
     PatchEmbed: "patch_embed",
@@ -432,75 +456,105 @@ _LAYER_TAGS = {
     Repeat: "repeat",
     Parallel: "parallel",
 }
-_TAG_CLASSES = {tag: cls for cls, tag in _LAYER_TAGS.items()}
+_INPUT_TAGS = {Image: "image", TokenSequence: "token_sequence"}
+_TAGS = {**_LAYER_TAGS, **_INPUT_TAGS}
+#: A union is read by the ``kind`` tag of its document: (what, {tag: class}).
+_UNIONS = {
+    LayerSpec: ("layer", {tag: cls for cls, tag in _LAYER_TAGS.items()}),
+    InputSignature: ("input", {tag: cls for cls, tag in _INPUT_TAGS.items()}),
+}
+
+
+def _value_reader(name: str, hint):
+    """How a field annotated ``hint`` is read from JSON: a layer or an
+    input by its ``kind``, a tuple of them from an array; None for a value
+    taken as it is."""
+    union = _UNIONS.get(hint)
+    if union is not None:
+        return lambda value: _read_tagged(union, value)
+    if get_origin(hint) is tuple:
+        item = _value_reader(name, get_args(hint)[0])
+        if item is not None:
+            def read(value):
+                if type(value) is not list:
+                    raise ValueError(
+                        f"{name} must be an array, got {type(value).__name__}")
+                return tuple(item(v) for v in value)
+            return read
+    return None
+
+
+def from_document(cls, value):
+    """Build the dataclass ``cls`` (or the member of the union ``cls``
+    that the document's ``kind`` names) from the JSON value.
+
+    A key that is not a field is refused, as is a missing field that has
+    no default; fields holding layers or an input are read recursively.
+    Values are not coerced: the field rule and :func:`validate` judge them.
+    """
+    union = _UNIONS.get(cls)
+    if union is not None:
+        return _read_tagged(union, value)
+    if type(value) is not dict:
+        raise ValueError(f"expected a JSON object, got {type(value).__name__}")
+    return _build(cls, dict(value))
+
+
+def _read_tagged(union, value):
+    what, classes = union
+    kind = value.get("kind") if type(value) is dict else None
+    if kind is None:
+        raise ValueError(f"{what} must be a JSON object with a 'kind' field")
+    cls = classes.get(kind) if type(kind) is str else None
+    if cls is None:
+        raise ValueError(f"unknown {what} kind {kind!r}")
+    args = dict(value)
+    del args["kind"]
+    return _build(cls, args, what, kind)
+
+
+def _build(cls, args: dict, what: str | None = None, kind=None):
+    reading = _READINGS.get(cls) or _reading(cls)
+    if not (reading.names.keys() >= args.keys() >= reading.required):
+        errors = [f"unknown field {k!r}" for k in sorted(args.keys() - reading.names, key=str)]
+        errors += [f"missing field {k!r}" for k in reading.names
+                   if k in reading.required and k not in args]
+        prefix = "" if what is None else f"bad fields for {what} kind {kind!r}: "
+        raise ValueError(prefix + "; ".join(errors))
+    for name, default in reading.defaults:
+        args.setdefault(name, default)
+    for name, read in reading.readers:
+        if name in args:
+            args[name] = read(args[name])
+    return cls(**args)
+
+
+def to_document(obj) -> dict:
+    """The JSON object of a dataclass: the ``kind`` tag of a layer or an
+    input, then every field that is not None."""
+    tag = _TAGS.get(type(obj))
+    doc = {} if tag is None else {"kind": tag}
+    for name in _reading(type(obj)).names:
+        value = getattr(obj, name)
+        if value is not None:
+            doc[name] = _to_json(value)
+    return doc
 
 
 def _to_json(value):
-    if type(value) in _LAYER_TAGS:
-        return layer_to_dict(value)
-    return [_to_json(v) for v in value] if isinstance(value, tuple) else value
-
-
-def layer_to_dict(layer: LayerSpec) -> dict:
-    tag = _LAYER_TAGS.get(type(layer))
-    if tag is None:
-        raise TypeError(f"cannot serialize layer of type {type(layer).__name__}")
-    return {"kind": tag, **{f.name: _to_json(getattr(layer, f.name)) for f in fields(layer)}}
+    if type(value) in _TAGS:
+        return to_document(value)
+    if type(value) is tuple:
+        return [_to_json(v) for v in value]
+    return dict(value) if type(value) is dict else value
 
 
 def layer_from_dict(d: dict) -> LayerSpec:
-    if not isinstance(d, dict) or "kind" not in d:
-        raise ValueError("layer entry must be an object with a 'kind' field")
-    kind = d["kind"]
-    cls = _TAG_CLASSES.get(kind)
-    if cls is None:
-        raise ValueError(f"unknown layer kind {kind!r}")
-    args = {k: v for k, v in d.items() if k != "kind"}
-    try:
-        if cls is Repeat:
-            args["body"] = [layer_from_dict(c) for c in args.get("body", ())]
-        elif cls is Parallel:
-            args["branches"] = [[layer_from_dict(c) for c in b]
-                                for b in args.get("branches", ())]
-        elif cls is MoE:
-            args["expert"] = layer_from_dict(args.get("expert"))
-        return cls(**args)
-    except TypeError as exc:
-        raise ValueError(f"bad fields for layer kind {kind!r}: {exc}") from exc
-
-
-def input_to_dict(inp: InputSignature) -> dict:
-    if isinstance(inp, Image):
-        return {"kind": "image", "height": inp.height, "width": inp.width,
-                "channels": inp.channels}
-    if isinstance(inp, TokenSequence):
-        return {"kind": "token_sequence", "length": inp.length, "vocab": inp.vocab}
-    raise TypeError(f"cannot serialize input of type {type(inp).__name__}")
-
-
-def input_from_dict(d: dict) -> InputSignature:
-    if not isinstance(d, dict):
-        raise ValueError("input must be an object with a 'kind' field")
-    kind = d.get("kind")
-    try:
-        if kind == "image":
-            return Image(height=d["height"], width=d["width"], channels=d["channels"])
-        if kind == "token_sequence":
-            return TokenSequence(length=d["length"], vocab=d["vocab"])
-    except KeyError as exc:
-        raise ValueError(f"input signature missing field {exc}") from exc
-    raise ValueError(f"unknown input kind {kind!r}")
+    return from_document(LayerSpec, d)
 
 
 def spec_to_dict(spec: ArchSpec) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "name": spec.name,
-        "input": input_to_dict(spec.input),
-        "layers": [layer_to_dict(l) for l in spec.layers],
-        "metadata": dict(spec.metadata),
-        "element_bytes": spec.element_bytes,
-    }
+    return {"schema_version": SCHEMA_VERSION, **to_document(spec)}
 
 
 def spec_from_dict(d: dict) -> ArchSpec:
@@ -509,15 +563,7 @@ def spec_from_dict(d: dict) -> ArchSpec:
     version = d.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {version!r}")
-    if "input" not in d or "layers" not in d:
-        raise ValueError("architecture document requires 'input' and 'layers'")
-    return ArchSpec(
-        name=d.get("name", "unnamed"),
-        input=input_from_dict(d["input"]),
-        layers=tuple(layer_from_dict(l) for l in d["layers"]),
-        metadata=dict(d.get("metadata", {})),
-        element_bytes=d.get("element_bytes", 4),
-    )
+    return _build(ArchSpec, {k: v for k, v in d.items() if k != "schema_version"})
 
 
 def to_json(spec: ArchSpec) -> str:

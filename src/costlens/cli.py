@@ -10,10 +10,12 @@ File formats
 
 Spec file (JSON): ``schema_version``, exactly one of ``arch`` (an inline
 architecture document) or ``builder`` (``{"family": ..., **kwargs}``),
-optional ``hardware`` (preset name or inline object) and ``batch``.
+optional ``name``, ``notes``, ``hardware`` (preset name or inline object)
+and ``batch``; any other key is refused.
 
 Records file (CSV): header ``name,family,quality,<indicator columns...>``;
-one row per model, names unique; empty cells mean a missing indicator.
+one row per model, names unique; empty cells mean a missing indicator,
+other cells hold plain decimal or exponent notation.
 Canonical indicator columns are params, flops, latency, throughput,
 activation, mac, memory, carbon, cost; extra numeric columns are accepted
 and treated as lower-is-better.
@@ -106,7 +108,7 @@ def _hardware(hw) -> HardwareModel:
     """A hardware preset name, a JSON path or an inline object."""
     try:
         return load_hardware(hw) if isinstance(hw, str) else HardwareModel.from_dict(hw)
-    except (OSError, KeyError, ValueError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise CliError(f"bad hardware {hw!r}: {exc}")
 
 
@@ -114,7 +116,7 @@ def _rates(cls, path: str, what: str):
     """An energy or pricing profile read from a JSON file."""
     try:
         return cls.from_dict(_load_json(path))
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(f"{path}: bad {what}: {exc}")
 
 
@@ -132,6 +134,10 @@ def _profile(spec, batch, hardware, **extra):
         raise CliError(str(exc))
 
 
+#: Keys of a spec file; anything else is refused.
+_SPEC_FILE_KEYS = {"schema_version", "name", "arch", "builder", "hardware", "batch", "notes"}
+
+
 def load_spec_file(path: str) -> tuple[ArchSpec, HardwareModel | None, int | None]:
     """Parse a spec file into (architecture, optional hardware, batch)."""
     doc = _load_json(path)
@@ -146,10 +152,17 @@ def load_spec_file(path: str) -> tuple[ArchSpec, HardwareModel | None, int | Non
         raise CliError(
             f"{path}: exactly one of 'arch' or 'builder' is required", file=path
         )
+    unknown = sorted(doc.keys() - _SPEC_FILE_KEYS)
+    if unknown:
+        raise CliError(f"{path}: " + "; ".join(f"unknown field {k!r}" for k in unknown),
+                       file=path)
     batch = doc.get("batch")
     try:
         if batch is not None:
             check_value("batch", batch)
+        for key in ("name", "notes"):
+            if key in doc:
+                check_value(key, doc[key], str)
         if has_arch:
             spec = spec_from_dict(doc["arch"])
         else:
@@ -162,9 +175,6 @@ def load_spec_file(path: str) -> tuple[ArchSpec, HardwareModel | None, int | Non
         raise CliError(f"{path}: {exc}", file=path)
     except RecursionError:
         raise CliError(f"{path}: architecture nested too deeply", file=path)
-    if isinstance(doc.get("name"), str):
-        spec = ArchSpec(doc["name"], spec.input, spec.layers, spec.metadata,
-                        spec.element_bytes)
     result = validate(spec)
     if not result.ok:
         raise CliError(
@@ -173,6 +183,9 @@ def load_spec_file(path: str) -> tuple[ArchSpec, HardwareModel | None, int | Non
             file=path,
             violations=[[v.path, v.message] for v in result.violations],
         )
+    if "name" in doc:
+        spec = ArchSpec(doc["name"], spec.input, spec.layers, spec.metadata,
+                        spec.element_bytes)
     hardware = None if doc.get("hardware") is None else _hardware(doc["hardware"])
     return spec, hardware, batch
 
@@ -194,7 +207,7 @@ def read_records_csv(path: str) -> list[ModelRecord]:
             f"(missing: {', '.join(missing)})",
             file=path,
         )
-    indicator_cols = [c for c in header if c not in ("name", "family", "quality")]
+    number_cols = [c for c in header if c not in ("name", "family")]
     records = []
     first_line = {}
     for lineno, row in enumerate(rows[1:], start=2):
@@ -212,25 +225,29 @@ def read_records_csv(path: str) -> list[ModelRecord]:
                 file=path, line=lineno, model=name,
             )
         first_line[name] = lineno
-        indicators = {}
-        for col in indicator_cols:
-            if cells[col] == "":
-                continue
-            try:
-                indicators[col] = float(cells[col])
-            except ValueError:
-                raise CliError(
-                    f"{path}:{lineno}: cell {col!r} is not numeric: {cells[col]!r}",
-                    file=path, line=lineno,
-                )
         if cells["quality"] == "":
             raise CliError(f"{path}:{lineno}: quality cell is empty",
                            file=path, line=lineno)
+        numbers = {}
+        for col in number_cols:
+            text = cells[col]
+            if text == "":
+                continue
+            # float() alone would also read 1_0 and non-ASCII digits.
+            try:
+                if "_" in text or not text.isascii():
+                    raise ValueError(text)
+                numbers[col] = float(text)
+            except ValueError:
+                raise CliError(
+                    f"{path}:{lineno}: cell {col!r} is not numeric: {text!r}",
+                    file=path, line=lineno,
+                )
+        quality = numbers.pop("quality")
         try:
-            quality = float(cells["quality"])
             record = ModelRecord(
                 name=name,
-                indicators=indicators,
+                indicators=numbers,
                 quality=quality,
                 family=cells.get("family") or None,
             )

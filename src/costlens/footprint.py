@@ -8,9 +8,9 @@ argument, which the tests exploit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .archspec import check_fields, check_value
+from .archspec import check_fields, check_value, from_document
 
 
 @dataclass(frozen=True)
@@ -19,12 +19,13 @@ class EnergyProfile:
 
     ``ee_train_kwh``: energy to train once. ``ee_inference_kwh`` is per
     query, multiplied by ``queries``. ``co2e_per_kwh`` converts energy to
-    kg of CO2 equivalent for the datacenter's grid mix.
+    kg of CO2 equivalent for the datacenter's grid mix. A document may
+    leave out ``ee_inference_kwh`` and ``queries`` (0.0 each).
     """
 
     ee_train_kwh: float
-    ee_inference_kwh: float
-    queries: float
+    ee_inference_kwh: float = field(metadata={"document_default": 0.0})
+    queries: float = field(metadata={"document_default": 0.0})
     co2e_per_kwh: float
 
     def __post_init__(self):
@@ -32,14 +33,7 @@ class EnergyProfile:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EnergyProfile":
-        if not isinstance(d, dict):
-            raise ValueError("energy profile must be a JSON object")
-        return cls(
-            ee_train_kwh=d["ee_train_kwh"],
-            ee_inference_kwh=d.get("ee_inference_kwh", 0.0),
-            queries=d.get("queries", 0.0),
-            co2e_per_kwh=d["co2e_per_kwh"],
-        )
+        return from_document(cls, d)
 
 
 @dataclass(frozen=True)
@@ -53,13 +47,7 @@ class PricingProfile:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PricingProfile":
-        if not isinstance(d, dict):
-            raise ValueError("pricing profile must be a JSON object")
-        return cls(
-            total_train_hours=d["total_train_hours"],
-            num_chips=d["num_chips"],
-            price_per_chip_hour=d["price_per_chip_hour"],
-        )
+        return from_document(cls, d)
 
 
 def _finite(value: float, what: str) -> float:

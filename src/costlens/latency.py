@@ -23,8 +23,9 @@ import math
 import os
 from dataclasses import dataclass
 from importlib import resources
+from pathlib import Path
 
-from .archspec import ArchSpec, check_fields, check_value
+from .archspec import ArchSpec, check_fields, check_value, from_document
 from .indicators import layer_mac_bytes
 from .trace import Step, evaluate
 
@@ -49,28 +50,7 @@ class HardwareModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "HardwareModel":
-        if not isinstance(d, dict):
-            raise ValueError("hardware document must be a JSON object")
-        return cls(
-            peak_flops_per_sec=d["peak_flops_per_sec"],
-            mem_bandwidth_bytes_per_sec=d["mem_bandwidth_bytes_per_sec"],
-            per_op_overhead_sec=d["per_op_overhead_sec"],
-            num_devices=d.get("num_devices", 1),
-            length_pad_multiple=d.get("length_pad_multiple"),
-            name=str(d.get("name", "custom")),
-            notes=str(d.get("notes", "")),
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "peak_flops_per_sec": self.peak_flops_per_sec,
-            "mem_bandwidth_bytes_per_sec": self.mem_bandwidth_bytes_per_sec,
-            "per_op_overhead_sec": self.per_op_overhead_sec,
-            "num_devices": self.num_devices,
-            "length_pad_multiple": self.length_pad_multiple,
-            "notes": self.notes,
-        }
+        return from_document(cls, d)
 
 
 #: Environment variable naming a directory of extra hardware preset JSONs.
@@ -88,23 +68,20 @@ def preset_names() -> list[str]:
 def load_hardware(name_or_path: str) -> HardwareModel:
     """Load a hardware model by preset name or JSON file path.
 
-    Lookup order: an explicit existing path, then ``$COSTLENS_HW_DIR``,
-    then the presets shipped with the package.
+    Lookup order: an existing file, then ``$COSTLENS_HW_DIR``, then the
+    presets shipped with the package. Only a bare name (no path separator,
+    no ``..``) is looked up in those two directories.
     """
-    if os.path.exists(name_or_path):
-        with open(name_or_path, "r", encoding="utf-8") as fh:
-            return HardwareModel.from_dict(json.load(fh))
-    env_dir = os.environ.get(HW_PRESET_DIR_ENV)
-    if env_dir:
-        candidate = os.path.join(env_dir, name_or_path + ".json")
-        if os.path.exists(candidate):
-            with open(candidate, "r", encoding="utf-8") as fh:
-                return HardwareModel.from_dict(json.load(fh))
-    builtin = resources.files("costlens").joinpath(
-        f"data/hardware/{name_or_path}.json"
-    )
-    if builtin.is_file():
-        return HardwareModel.from_dict(json.loads(builtin.read_text("utf-8")))
+    candidates = [Path(name_or_path)]
+    if os.path.basename(name_or_path) == name_or_path and ".." not in name_or_path:
+        env_dir = os.environ.get(HW_PRESET_DIR_ENV)
+        if env_dir:
+            candidates.append(Path(env_dir, name_or_path + ".json"))
+        candidates.append(resources.files("costlens").joinpath(
+            f"data/hardware/{name_or_path}.json"))
+    for candidate in candidates:
+        if candidate.is_file():
+            return HardwareModel.from_dict(json.loads(candidate.read_text("utf-8")))
     raise FileNotFoundError(
         f"no hardware preset or file named {name_or_path!r} "
         f"(shipped presets: {', '.join(preset_names())})"

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .analysis import ModelRecord
-from .archspec import ArchSpec, check_value
+from .archspec import ArchSpec, check_value, to_document
 from .footprint import (
     EnergyProfile,
     PricingProfile,
@@ -55,32 +55,7 @@ class CostProfile:
     monetary_cost: float | None = None
 
     def to_dict(self) -> dict:
-        d = {
-            "name": self.name,
-            "batch": self.batch,
-            "element_bytes": self.element_bytes,
-            "optimizer": self.optimizer,
-            "params": self.params,
-            "params_million": self.params_million,
-            "flops": self.flops,
-            "macs": self.macs,
-            "gflops": self.gflops,
-            "activation_elements": self.activation_elements,
-            "mac_bytes": self.mac_bytes,
-            "parameter_bytes": self.parameter_bytes,
-            "activation_bytes": self.activation_bytes,
-            "peak_training_bytes": self.peak_training_bytes,
-            "peak_inference_bytes": self.peak_inference_bytes,
-        }
-        if self.hardware is not None:
-            d["hardware"] = self.hardware
-            d["latency_sec"] = self.latency_sec
-            d["throughput_examples_per_sec"] = self.throughput_examples_per_sec
-        if self.carbon_kg_co2e is not None:
-            d["carbon_kg_co2e"] = self.carbon_kg_co2e
-        if self.monetary_cost is not None:
-            d["monetary_cost"] = self.monetary_cost
-        return d
+        return to_document(self)
 
 
 def compute_profile(spec: ArchSpec, batch: int = 1,

@@ -15,7 +15,7 @@ import math
 import random
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 
 from costlens import (
@@ -62,6 +62,15 @@ TABLE2_ROWS = [
     ("W3072", 12, 3072, 768, 12, 101.52, 4.44, 0.35, 58.3),
     ("W4096", 12, 4096, 1024, 16, 173.10, 7.80, 0.68, 63.3),
 ]
+
+
+def document_required_fields(cls) -> set[str]:
+    """Fields a JSON document of the dataclass ``cls`` must carry: no
+    default, no default factory and no ``document_default``, read from the
+    dataclass independently of the library's reader."""
+    return {f.name for f in fields(cls)
+            if f.default is MISSING and f.default_factory is MISSING
+            and "document_default" not in f.metadata}
 
 
 def vit_base(patch: int, image: int) -> ArchSpec:

@@ -186,6 +186,40 @@ class TestProfile:
         assert len(err.strip().splitlines()) == 1
         assert "must be finite" in json.loads(err)["error"]
 
+    def test_preset_names_stay_in_preset_directories(self, vit16, tmp_path,
+                                                     monkeypatch, capsys):
+        hw = {"peak_flops_per_sec": 1e12, "mem_bandwidth_bytes_per_sec": 1e11,
+              "per_op_overhead_sec": 1e-6}
+        presets = tmp_path / "presets"
+        (presets / "sub").mkdir(parents=True)
+        (presets / "sub" / "nested.json").write_text(json.dumps(hw))
+        (presets / "mine.json").write_text(json.dumps(hw))
+        monkeypatch.setenv("COSTLENS_HW_DIR", str(presets))
+        monkeypatch.chdir(tmp_path)
+        for name in ("../specs/vit_b16", "sub/nested", "../presets/mine", "sub/../mine"):
+            code, out, err = run_cli(["profile", vit16, "--hw", name], capsys)
+            assert (code, out) == (2, ""), name
+            assert f"no hardware preset or file named {name!r}" \
+                in json.loads(err)["error"]
+        # Bare names and explicit existing paths still resolve.
+        for name in ("mine", "tpu_like", str(presets / "sub" / "nested.json")):
+            assert run_cli(["profile", vit16, "--hw", name], capsys)[0] == 0, name
+
+    @pytest.mark.parametrize("doc", [
+        {"schema_version": 1, "name": 5, "builder": {
+            "family": "vit", "patch": 16, "depth": 1, "model_dim": 64,
+            "num_heads": 4, "ffn_dim": 128, "image": [32, 32, 3]}},
+        {"schema_version": 1, "arch": {
+            "name": 5, "input": {"kind": "token_sequence", "length": 4, "vocab": 10},
+            "layers": [{"kind": "layer_norm", "model_dim": 8}]}},
+    ])
+    def test_non_string_names_exit_2(self, tmp_path, capsys, doc):
+        p = tmp_path / "named.json"
+        p.write_text(json.dumps(doc))
+        code, out, err = run_cli(["profile", str(p), "--format", "json"], capsys)
+        assert (code, out) == (2, "")
+        assert "name must be a string, got 5" in json.loads(err)["error"]
+
     def test_malformed_json_exits_2_with_offset(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"schema_version": 1, "arch": }')
@@ -293,6 +327,20 @@ class TestCompare:
         code, _, err = run_cli(["compare", "--records", str(p)], capsys)
         assert code == 2
         assert "not numeric" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("row, column, cell", [
+        ("a,1.0,1_0", "params", "1_0"),
+        ("a,1_0.5,3", "quality", "1_0.5"),
+        ("a,1.0,\u0661\u0660", "params", "\u0661\u0660"),
+    ])
+    def test_cells_take_plain_decimal_notation_only(self, tmp_path, capsys,
+                                                    row, column, cell):
+        p = tmp_path / "r.csv"
+        p.write_text(f"name,quality,params\n{row}\nb,2.0,3\n", encoding="utf-8")
+        code, out, err = run_cli(["compare", "--records", str(p)], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] \
+            == f"{p}:2: cell {column!r} is not numeric: {cell!r}"
 
     def test_non_finite_cell_exits_2(self, tmp_path, capsys):
         p = tmp_path / "r.csv"

@@ -54,6 +54,8 @@ from costlens import (
 from costlens.archspec import LEAF_KINDS, field_errors
 from costlens.cli import main
 
+from support import document_required_fields
+
 # Fixed profile: the same examples on every run, so Tier-1 stays
 # deterministic.
 CONTRACT = settings(max_examples=150, derandomize=True, deadline=None,
@@ -249,6 +251,13 @@ def write_json(path, doc):
 @example(doc=OVERFLOWING, command="compare", batch=None)
 @example(doc=SPECS[0], command="compare", batch="-3")
 @example(doc=tokens([]), command="profile", batch=None)
+@example(doc={"schema_version": 1, "arch": {
+    "input": _TOKENS, "layers": [_DENSE], "elment_bytes": 2}},
+    command="profile", batch=None)
+@example(doc=tokens([_DENSE], lenght=4096), command="profile", batch=None)
+@example(doc={**SPECS[0], "name": 5}, command="profile", batch=None)
+@example(doc={"schema_version": 1, "arch": {
+    "name": 5, "input": _TOKENS, "layers": [_DENSE]}}, command="compare", batch=None)
 @example(doc={"schema_version": 1, "builder": {**_VIT, "family": "moe",
                                                "depth": 2**64, "num_experts": 2,
                                                "experts_per_token": 1}},
@@ -295,6 +304,13 @@ RATE_DOCS = [
 ]
 
 
+# A misspelled key used to be dropped: no inference term, no padding.
+QUERIE = {"ee_train_kwh": 1.0, "ee_inference_kwh": 1e-3, "querie": 1e9,
+          "co2e_per_kwh": 0.5}
+PAD_MULTPLE = {**{k: v for k, v in _HW.items() if k != "length_pad_multiple"},
+               "length_pad_multple": 8}
+
+
 def rates(**changes):
     return {"hw": dict(_HW), "energy": dict(ENERGY), "pricing": dict(PRICING),
             **changes}
@@ -314,6 +330,9 @@ def rates(**changes):
 @example(docs=rates(energy={"ee_train_kwh": None, "co2e_per_kwh": None}))
 @example(docs=rates(hw={**_HW, "peak_flops_per_sec": 5e-324}))
 @example(docs=rates(energy={**ENERGY, "queries": 1e308, "ee_inference_kwh": 1e308}))
+@example(docs=rates(energy=QUERIE))
+@example(docs=rates(hw=PAD_MULTPLE))
+@example(docs=rates(hw={**_HW, "name": 5}))
 def test_rate_files_meet_contract(workdir, docs):
     spec = write_json(workdir / "rates_spec.json", SPECS[0])
     argv = ["profile", spec, "--format", "json"]
@@ -372,6 +391,7 @@ def records_text(draw):
 @example(text="name,quality,params\na,1.0,inf\nb,2.0,3\n", command="compare")
 @example(text="name,quality,params\na,nan,1\nb,2.0,3\n", command="pareto")
 @example(text="name,quality,params\na,1,1e400\nb,2.0,3\n", command="compare")
+@example(text="name,quality,params\na,1.0,1_0\nb,2.0,3\n", command="compare")
 def test_records_file_meets_contract(workdir, text, command):
     path = workdir / "records.csv"
     path.write_text(text)
@@ -379,6 +399,124 @@ def test_records_file_meets_contract(workdir, text, command):
         else ["pareto", str(path), "--cost", "params"]
     code, out, err = run(argv)
     assert_contract(code, out, err, insufficiency_ok=True)
+
+
+# ---------------------------------------------------------------------------
+# The document rule: every key of a document is a field of its class, every
+# field without a default is present, and every name is a string
+
+_IMAGE = {"kind": "image", "height": 8, "width": 8, "channels": 3}
+_PATCH = {"kind": "patch_embed", "patch": 4, "in_channels": 3, "embed_dim": 8,
+          "add_cls_token": True, "positional": True}
+LAYER_DOCS = {
+    PatchEmbed: _PATCH,
+    Attention: {"kind": "attention", "model_dim": 8, "qkv_dim": 8, "num_heads": 2,
+                "is_causal": False, "cross_attention": False},
+    FeedForward: _FFN,
+    LayerNorm: {"kind": "layer_norm", "model_dim": 8},
+    Dense: {**_DENSE, "bias": True},
+    TokenEmbedding: {"kind": "token_embedding", "vocab": 10, "embed_dim": 8,
+                     "tied_output": True},
+    ClassifierHead: {"kind": "classifier_head", "model_dim": 8, "classes": 4},
+    MoE: _MOE,
+    Repeat: {"kind": "repeat", "body": [_DENSE], "times": 2, "share_params": False},
+    Parallel: {"kind": "parallel", "branches": [[_DENSE], [_FFN]]},
+}
+
+
+def _arch(layer):
+    inp = _IMAGE if layer["kind"] == "patch_embed" else _TOKENS
+    return {"schema_version": 1, "arch": {"input": inp, "layers": [layer]}}
+
+
+# (class, a complete valid document, where it goes: a spec file built
+# around it, or the CLI flag that reads it next to SPECS[0])
+DOCUMENTS = [
+    (ArchSpec, {"name": "a", "input": _TOKENS, "layers": [_DENSE], "metadata": {},
+                "element_bytes": 4}, lambda doc: {"schema_version": 1, "arch": doc}),
+    (Image, _IMAGE, lambda doc: {"schema_version": 1, "arch": {
+        "input": doc, "layers": [_PATCH]}}),
+    (TokenSequence, _TOKENS, lambda doc: {"schema_version": 1, "arch": {
+        "input": doc, "layers": [_DENSE]}}),
+    *[(cls, doc, _arch) for cls, doc in LAYER_DOCS.items()],
+    (HardwareModel, {**_HW, "name": "h", "notes": "n"}, "--hw"),
+    (EnergyProfile, ENERGY, "--energy"),
+    (PricingProfile, PRICING, "--pricing"),
+]
+
+
+def _str_fields(cls):
+    hints = typing.get_type_hints(cls)
+    return [f.name for f in dataclasses.fields(cls) if RULED.get(hints[f.name]) is str]
+
+
+def run_document(workdir, place, doc):
+    if isinstance(place, str):
+        argv = ["profile", write_json(workdir / "doc_spec.json", SPECS[0]),
+                place, write_json(workdir / "doc.json", doc)]
+    else:
+        argv = ["profile", write_json(workdir / "doc_spec.json", place(doc))]
+    return run(argv + ["--format", "json"])
+
+
+def assert_refused(result, *named):
+    code, out, err = result
+    assert_contract(code, out, err)
+    assert code == 2, err
+    error = json.loads(err)["error"]
+    assert all(name in error for name in named), (named, error)
+    return error
+
+
+def test_every_document_class_is_covered():
+    covered = {cls for cls, _, _ in DOCUMENTS}
+    assert set(LEAF_KINDS) | {MoE, Repeat, Parallel} <= covered
+    assert {Image, TokenSequence, ArchSpec, HardwareModel, EnergyProfile,
+            PricingProfile} <= covered
+    for cls, doc, _ in DOCUMENTS:
+        assert set(doc) - {"kind"} == {f.name for f in dataclasses.fields(cls)}, cls
+
+
+@pytest.mark.parametrize("cls, doc, place", DOCUMENTS,
+                         ids=[cls.__name__ for cls, _, _ in DOCUMENTS])
+def test_document_rule(workdir, cls, doc, place):
+    code, _, err = run_document(workdir, place, doc)
+    assert code == 0, err
+    assert_refused(run_document(workdir, place, {**doc, "zz_unknown": 1}),
+                   "unknown field 'zz_unknown'")
+    for name in sorted(document_required_fields(cls)):
+        dropped = {k: v for k, v in doc.items() if k != name}
+        assert_refused(run_document(workdir, place, dropped), f"missing field {name!r}")
+    for name in _str_fields(cls):
+        assert_refused(run_document(workdir, place, {**doc, name: 5}),
+                       f"{name} must be a string")
+
+
+def test_named_document_inputs_are_refused(workdir):
+    """Each of these once exited 0 with a wrong answer."""
+    spec = write_json(workdir / "named_spec.json", SPECS[0])
+    for flag, doc, key in [("--energy", QUERIE, "'querie'"),
+                           ("--hw", PAD_MULTPLE, "'length_pad_multple'"),
+                           ("--hw", {**_HW, "name": 5}, "name must be a string")]:
+        path = write_json(workdir / "named.json", doc)
+        assert_refused(run(["profile", spec, flag, path]), key)
+    for doc, key in [
+        ({"schema_version": 1, "arch": {"input": _TOKENS, "layers": [_DENSE],
+                                        "elment_bytes": 2}}, "'elment_bytes'"),
+        (tokens([_DENSE], lenght=4096), "'lenght'"),
+        (tokens([{"kind": "repeat", "times": 2, "body": [{**_DENSE, "bais": False}]}]),
+         "'bais'"),
+        ({**SPECS[0], "name": 5}, "name must be a string"),
+        ({**SPECS[0], "hardwre": "tpu_like"}, "'hardwre'"),
+    ]:
+        path = write_json(workdir / "named.json", doc)
+        assert_refused(run(["profile", path]), key)
+    assert_refused(run(["profile", spec, "--hw", "../specs/vit_b16"]),
+                   "no hardware preset or file named '../specs/vit_b16'")
+    records = workdir / "named.csv"
+    records.write_text("name,quality,params\na,1.0,1_0\nb,2.0,3\n")
+    assert_refused(run(["compare", "--records", str(records)]),
+                   "named.csv:2:", "'1_0'")
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +544,8 @@ CHECKED_ON_BUILD = [
     VitConfig(16, 2, 64, 4, 128, image=(64, 64, 3)),
     LmConfig("decoder_only", 2, 64, 128, 4, 100),
 ]
-RULED = {int: int, float: float, bool: bool,
-         int | None: int, float | None: float, bool | None: bool}
+RULED = {int: int, float: float, bool: bool, str: str,
+         int | None: int, float | None: float, bool | None: bool, str | None: str}
 
 
 def _ruled_fields(cls):
@@ -419,7 +557,7 @@ def _ruled_fields(cls):
 
 
 def _wrong_values(kind, optional):
-    values = [True if kind is not bool else 1, "x"]
+    values = [True if kind is not bool else 1, "x" if kind is not str else 5]
     return values if optional else values + [None]
 
 

@@ -1,0 +1,41 @@
+"""``docs/spec_file.schema.json`` against the code that reads spec files.
+
+Each object definition of the schema lists exactly the fields of the
+dataclass it describes and requires exactly the fields a document must
+carry, so the documented format and the reader cannot drift apart.
+"""
+
+import dataclasses
+import json
+from pathlib import Path
+
+import pytest
+
+from costlens import ArchSpec, HardwareModel, Image, TokenSequence
+from costlens.cli import _SPEC_FILE_KEYS
+
+from support import document_required_fields
+
+SCHEMA = json.loads((Path(__file__).resolve().parent.parent / "docs"
+                     / "spec_file.schema.json").read_text(encoding="utf-8"))
+
+#: Document keys that are not dataclass fields: the union tag and the
+#: architecture document's own version.
+NOT_FIELDS = {"kind", "schema_version"}
+
+
+@pytest.mark.parametrize("definition, cls", [
+    ("arch", ArchSpec), ("image", Image), ("token_sequence", TokenSequence),
+    ("hardware", HardwareModel),
+])
+def test_definition_matches_dataclass(definition, cls):
+    schema = SCHEMA["definitions"][definition]
+    assert schema["additionalProperties"] is False
+    assert set(schema["properties"]) - NOT_FIELDS \
+        == {f.name for f in dataclasses.fields(cls)}
+    assert set(schema["required"]) - NOT_FIELDS == document_required_fields(cls)
+
+
+def test_spec_file_keys_match_schema():
+    assert SCHEMA["additionalProperties"] is False
+    assert set(SCHEMA["properties"]) == _SPEC_FILE_KEYS
