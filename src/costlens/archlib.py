@@ -12,7 +12,8 @@ Every builder output passes :func:`costlens.archspec.validate`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import get_type_hints
 
 from .archspec import (
     ArchSpec,
@@ -145,6 +146,10 @@ def build_moe_transformer(cfg: VitConfig, num_experts: int,
     )
 
 
+#: The language-model arrangements :class:`LmConfig` accepts.
+ARRANGEMENTS = ("decoder_only", "encoder_decoder")
+
+
 @dataclass(frozen=True)
 class LmConfig:
     """Language-model shape for arrangement comparisons.
@@ -156,7 +161,7 @@ class LmConfig:
     length equals the query length).
     """
 
-    arrangement: str                  # "decoder_only" | "encoder_decoder"
+    arrangement: str                  # one of ARRANGEMENTS
     layers_per_stack: int
     model_dim: int
     ffn_dim: int
@@ -166,9 +171,9 @@ class LmConfig:
     output_len: int = 512
 
     def __post_init__(self):
-        if self.arrangement not in ("decoder_only", "encoder_decoder"):
+        if self.arrangement not in ARRANGEMENTS:
             raise ValueError(
-                f"arrangement must be decoder_only or encoder_decoder, "
+                f"arrangement must be {' or '.join(ARRANGEMENTS)}, "
                 f"got {self.arrangement!r}"
             )
         check_fields(self)
@@ -239,11 +244,11 @@ def depth_width_pair(patch: int = 16, image: int = 224) -> tuple[ArchSpec, ArchS
 # Builder registry (spec files and the command line address builders by name)
 
 
-def _build_ut_args(steps, **cfg) -> ArchSpec:
+def _build_ut_args(steps: int, **cfg):
     return build_universal_transformer(VitConfig(**cfg), steps)
 
 
-def _build_moe_args(num_experts, experts_per_token, moe_every=2, **cfg) -> ArchSpec:
+def _build_moe_args(num_experts: int, experts_per_token: int, moe_every: int = 2, **cfg):
     return build_moe_transformer(VitConfig(**cfg), num_experts,
                                  experts_per_token, moe_every)
 
@@ -255,14 +260,15 @@ BUILDERS = {
     "lm": lambda **cfg: build_lm(LmConfig(**cfg)),
 }
 
-_VIT_ARGS = tuple(f.name for f in fields(VitConfig))
+_VIT_ARGS = get_type_hints(VitConfig)
 
-#: Keyword arguments each builder family accepts.
+#: Keyword arguments each builder family accepts, with their annotated types
+#: (the adapters above annotate their extra arguments and nothing else).
 BUILDER_ARGS = {
     "vit": _VIT_ARGS,
-    "universal_transformer": _VIT_ARGS + ("steps",),
-    "moe": _VIT_ARGS + ("num_experts", "experts_per_token", "moe_every"),
-    "lm": tuple(f.name for f in fields(LmConfig)),
+    "universal_transformer": _VIT_ARGS | get_type_hints(_build_ut_args),
+    "moe": _VIT_ARGS | get_type_hints(_build_moe_args),
+    "lm": get_type_hints(LmConfig),
 }
 
 

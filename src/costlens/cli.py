@@ -13,21 +13,23 @@ architecture document) or ``builder`` (``{"family": ..., **kwargs}``),
 optional ``name``, ``notes``, ``hardware`` (preset name or inline object)
 and ``batch``; any other key is refused.
 
-Records file (CSV): header ``name,family,quality,<indicator columns...>``;
-one row per model, names unique; empty cells mean a missing indicator,
-other cells hold plain decimal or exponent notation.
-Canonical indicator columns are params, flops, latency, throughput,
-activation, mac, memory, carbon, cost; extra numeric columns are accepted
-and treated as lower-is-better.
+Records file (CSV): header ``name,family,quality,<indicator columns...>``
+with unique, non-empty column names; one row per model, names unique;
+empty cells mean a missing indicator, other cells hold plain decimal or
+exponent notation. Canonical indicator columns are params, flops,
+latency, throughput, activation, mac, memory, carbon, cost; extra numeric
+columns are accepted and treated as lower-is-better.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
+import os
 import sys
 
 from .analysis import (
@@ -40,7 +42,7 @@ from .analysis import (
     misnomer_report,
     pareto_frontier,
 )
-from .archlib import BUILDER_ARGS, build_from_reference
+from .archlib import ARRANGEMENTS, BUILDER_ARGS, build_from_reference
 from .archspec import (
     ArchSpec,
     InvalidSpecError,
@@ -186,8 +188,11 @@ def load_spec_file(path: str) -> tuple[ArchSpec, HardwareModel | None, int | Non
     if "name" in doc:
         spec = ArchSpec(doc["name"], spec.input, spec.layers, spec.metadata,
                         spec.element_bytes)
-    hardware = None if doc.get("hardware") is None else _hardware(doc["hardware"])
-    return spec, hardware, batch
+    hardware = doc.get("hardware")
+    if isinstance(hardware, str):  # a file beside the spec file comes first
+        beside = os.path.join(os.path.dirname(path), hardware)
+        hardware = beside if os.path.isfile(beside) else hardware
+    return spec, None if hardware is None else _hardware(hardware), batch
 
 
 def read_records_csv(path: str) -> list[ModelRecord]:
@@ -200,6 +205,11 @@ def read_records_csv(path: str) -> list[ModelRecord]:
     if not rows:
         raise CliError(f"{path}: empty records file", file=path)
     header = [h.strip() for h in rows[0]]
+    first = {}  # column name -> its first column number
+    for i, col in enumerate(header, start=1):
+        if not col or first.setdefault(col, i) != i:
+            raise CliError(f"{path}:1: column names must be unique and non-empty, "
+                           f"got {col!r} in column {i}", file=path, line=1, column=col)
     if "name" not in header or "quality" not in header:
         missing = [c for c in ("name", "quality") if c not in header]
         raise CliError(
@@ -401,33 +411,22 @@ def _table(header: list[str], rows: list[list[str]]) -> list[str]:
 
 
 def _add_builder_flags(parser):
+    """One flag per builder argument, read from its annotation; the flag is
+    the argument name with dashes, but ``--layers`` for ``layers_per_stack``."""
+    settings = {int: {"type": int}, tuple[int, int, int]: {"type": int, "nargs": 3},
+                str: {"choices": ARRANGEMENTS}}
     group = parser.add_argument_group("builder flags (instead of a spec file)")
     group.add_argument("--family", choices=list(BUILDER_ARGS))
-    group.add_argument("--patch", type=int)
-    group.add_argument("--depth", type=int)
-    group.add_argument("--model-dim", type=int)
-    group.add_argument("--num-heads", type=int)
-    group.add_argument("--ffn-dim", type=int)
-    group.add_argument("--image", type=int, nargs=3, metavar=("H", "W", "C"))
-    group.add_argument("--classes", type=int)
-    group.add_argument("--steps", type=int, help="shared-repeat count (universal_transformer)")
-    group.add_argument("--num-experts", type=int)
-    group.add_argument("--experts-per-token", type=int)
-    group.add_argument("--moe-every", type=int)
-    group.add_argument("--arrangement", choices=["decoder_only", "encoder_decoder"])
-    group.add_argument("--layers", type=int, help="layers per stack (lm)")
-    group.add_argument("--heads", type=int, help="attention heads (lm)")
-    group.add_argument("--vocab", type=int)
-    group.add_argument("--input-len", type=int)
-    group.add_argument("--output-len", type=int)
+    declared = {n: kind for accepted in BUILDER_ARGS.values() for n, kind in accepted.items()}
+    for name, kind in declared.items():
+        flag = {"layers_per_stack": "--layers"}.get(name, "--" + name.replace("_", "-"))
+        group.add_argument(flag, dest=name, **settings[kind], help=", ".join(
+            f for f, accepted in BUILDER_ARGS.items() if name in accepted))
 
 
 def _spec_from_args(args) -> ArchSpec:
-    kwargs = {}
-    for name in BUILDER_ARGS[args.family]:
-        value = getattr(args, "layers" if name == "layers_per_stack" else name)
-        if value is not None:
-            kwargs[name] = value
+    kwargs = {name: getattr(args, name) for name in BUILDER_ARGS[args.family]
+              if getattr(args, name) is not None}
     try:
         return build_from_reference(args.family, kwargs)
     except ValueError as exc:
@@ -533,19 +532,14 @@ def cmd_compare(args) -> int:
 
 def cmd_pareto(args) -> int:
     records = read_records_csv(args.records)
-    if args.quality != "quality":
-        raise CliError(
-            f"column {args.quality!r} is not the quality column; records "
-            f"files carry quality in the 'quality' column"
-        )
     try:
-        frontier = pareto_frontier(records, args.quality, args.cost)
+        frontier = pareto_frontier(records, "quality", args.cost)
     except CoverageError as exc:
         raise CliError(str(exc))
     except InsufficientDataError as exc:
         raise CliError(str(exc), code=1)
     names = {r.name for r in frontier}
-    lines = [f"frontier ({args.quality} vs {args.cost}): "
+    lines = [f"frontier (quality vs {args.cost}): "
              f"{len(frontier)} of {len(records)} records"]
     rows = [
         [r.name, format_fixed(r.quality), format_fixed(r.indicators[args.cost])]
@@ -566,7 +560,9 @@ def cmd_pareto(args) -> int:
 # Entry point
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process (parsing leaves it as is)."""
     parser = argparse.ArgumentParser(
         prog="costlens",
         description="Analytical cost indicators and cross-indicator "
@@ -584,7 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pricing", help="pricing profile JSON (enables monetary cost)")
     p.add_argument("--format", choices=["json", "csv", "table"], default="table")
     _add_builder_flags(p)
-    p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("compare", help="compare models across indicators")
     p.add_argument("specs", nargs="*", help="spec files (JSON)")
@@ -594,22 +589,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int)
     p.add_argument("--max-pairs", type=int, metavar="N",
                    help="list at most N inverted pairs (all are still counted)")
-    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("pareto", help="frontier of quality versus one cost indicator")
     p.add_argument("records", help="records CSV")
-    p.add_argument("--quality", default="quality")
     p.add_argument("--cost", required=True)
     p.add_argument("--svg", help="write an SVG scatter to this path")
-    p.set_defaults(func=cmd_pareto)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # Looked up on each call, so a replaced cmd_<name> takes effect.
+        return globals()[f"cmd_{args.command}"](args)
     except CliError as exc:
         payload = {"error": str(exc), **exc.detail}
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)

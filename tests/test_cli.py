@@ -1,3 +1,4 @@
+import argparse
 import json
 import shutil
 import subprocess
@@ -13,7 +14,9 @@ from costlens import (
     count_params,
     record_from_profile,
 )
-from costlens.cli import format_fixed, main
+from costlens import cli
+from costlens.archlib import ARRANGEMENTS, BUILDER_ARGS
+from costlens.cli import build_parser, format_fixed, main
 
 from support import data_file
 
@@ -204,6 +207,33 @@ class TestProfile:
         # Bare names and explicit existing paths still resolve.
         for name in ("mine", "tpu_like", str(presets / "sub" / "nested.json")):
             assert run_cli(["profile", vit16, "--hw", name], capsys)[0] == 0, name
+
+    def test_spec_file_hardware_is_read_beside_the_spec_file(self, tmp_path,
+                                                             monkeypatch, capsys):
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        (sub / "hw.json").write_text(json.dumps({
+            "peak_flops_per_sec": 1e12, "mem_bandwidth_bytes_per_sec": 1e11,
+            "per_op_overhead_sec": 1e-6}))
+        builder = {"family": "vit", "patch": 16, "depth": 1, "model_dim": 64,
+                   "num_heads": 4, "ffn_dim": 128, "image": [32, 32, 3]}
+        for name, hardware in (("spec.json", "hw.json"), ("preset.json", "tpu_like")):
+            (sub / name).write_text(json.dumps(
+                {"schema_version": 1, "hardware": hardware, "builder": builder}))
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(["profile", "sub/spec.json", "--format", "json"], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["latency_sec"] > 0
+        # --hw stays relative to the working directory.
+        assert run_cli(["profile", "sub/spec.json", "--hw", "sub/hw.json",
+                        "--format", "json"], capsys)[:2] == (0, out)
+        code, out, err = run_cli(["profile", "sub/spec.json", "--hw", "hw.json"], capsys)
+        assert (code, out) == (2, "")
+        assert "no hardware preset or file named 'hw.json'" in json.loads(err)["error"]
+        # A bare preset name in a spec file still names a preset.
+        assert run_cli(["profile", "sub/preset.json", "--format", "json"], capsys)[:2] \
+            == run_cli(["profile", "sub/spec.json", "--hw", "tpu_like",
+                        "--format", "json"], capsys)[:2]
 
     @pytest.mark.parametrize("doc", [
         {"schema_version": 1, "name": 5, "builder": {
@@ -413,6 +443,23 @@ class TestCompare:
         assert "duplicate model name 'a'" in payload["error"]
         assert "line 2" in payload["error"]
 
+    @pytest.mark.parametrize("header, column", [
+        ("name,quality,params,params", "params"),
+        ("name,quality,params,", ""),
+    ])
+    def test_header_names_unique_and_non_empty(self, tmp_path, capsys, header, column):
+        p = tmp_path / "r.csv"
+        p.write_text(f"{header}\na,1.0,2,30\nb,2.0,3,40\n")
+        for argv in (["compare", "--records", str(p)],
+                     ["pareto", str(p), "--cost", "params"]):
+            code, out, err = run_cli(argv, capsys)
+            assert (code, out) == (2, "")
+            assert len(err.splitlines()) == 1
+            payload = json.loads(err)
+            assert (payload["file"], payload["line"], payload["column"]) \
+                == (str(p), 1, column)
+            assert f"got {column!r} in column 4" in payload["error"]
+
 
 class TestPareto:
     def test_frontier_listing(self, records_csv, capsys):
@@ -449,6 +496,52 @@ class TestPareto:
         assert svg.startswith("<?xml")
         assert svg.count("<circle") == 11
         assert "<polyline" in svg
+
+
+def builder_flags() -> dict:
+    """Option string -> action of each builder flag of ``costlens profile``."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    group = next(g for g in sub.choices["profile"]._action_groups
+                 if g.title.startswith("builder flags"))
+    return {a.option_strings[0]: a for a in group._group_actions}
+
+
+class TestParser:
+    def test_builder_flags_are_the_builder_arguments(self):
+        flags = builder_flags()
+        family = flags.pop("--family")
+        assert family.choices == list(BUILDER_ARGS)
+        assert {a.dest for a in flags.values()} \
+            == {name for args in BUILDER_ARGS.values() for name in args}
+        for flag, action in flags.items():
+            assert flag == ("--layers" if action.dest == "layers_per_stack"
+                            else "--" + action.dest.replace("_", "-"))
+        assert tuple(flags["--arrangement"].choices) == ARRANGEMENTS
+        # The spellings and their order are the command line's public surface.
+        assert list(flags) == [
+            "--patch", "--depth", "--model-dim", "--num-heads", "--ffn-dim",
+            "--image", "--classes", "--steps", "--num-experts",
+            "--experts-per-token", "--moe-every", "--arrangement", "--layers",
+            "--heads", "--vocab", "--input-len", "--output-len"]
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_commands_are_looked_up_at_call_time(self, vit16, monkeypatch, capsys):
+        assert run_cli(["profile", vit16], capsys)[0] == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_profile", lambda args: seen.append(args.spec) or 7)
+        assert main(["profile", vit16]) == 7
+        assert seen == [vit16]
+
+    def test_in_process_calls_repeat_byte_for_byte(self, vit16, capsys):
+        argv = ["profile", vit16, "--hw", "tpu_like", "--format", "json"]
+        first = run_cli(argv, capsys)
+        assert run_cli(["profile", "--family", "vit", "--patch", "16", "--depth", "1",
+                        "--model-dim", "64", "--num-heads", "4", "--ffn-dim", "128",
+                        "--batch", "7"], capsys)[0] == 0
+        assert run_cli(argv, capsys) == first
 
 
 class TestDeterminism:

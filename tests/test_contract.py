@@ -392,6 +392,8 @@ def records_text(draw):
 @example(text="name,quality,params\na,nan,1\nb,2.0,3\n", command="pareto")
 @example(text="name,quality,params\na,1,1e400\nb,2.0,3\n", command="compare")
 @example(text="name,quality,params\na,1.0,1_0\nb,2.0,3\n", command="compare")
+@example(text="name,quality,params,params\na,1.0,2,30\nb,2.0,3,4\n", command="compare")
+@example(text="name,quality,params,\na,1.0,2,\nb,2.0,3,\n", command="compare")
 def test_records_file_meets_contract(workdir, text, command):
     path = workdir / "records.csv"
     path.write_text(text)

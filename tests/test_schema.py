@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from costlens import ArchSpec, HardwareModel, Image, TokenSequence
+from costlens.archlib import BUILDER_ARGS
 from costlens.cli import _SPEC_FILE_KEYS
 
 from support import document_required_fields
@@ -39,3 +40,8 @@ def test_definition_matches_dataclass(definition, cls):
 def test_spec_file_keys_match_schema():
     assert SCHEMA["additionalProperties"] is False
     assert set(SCHEMA["properties"]) == _SPEC_FILE_KEYS
+
+
+def test_builder_families_match_schema():
+    assert SCHEMA["properties"]["builder"]["properties"]["family"]["enum"] \
+        == list(BUILDER_ARGS)
