@@ -16,9 +16,10 @@ and ``batch``; any other key is refused.
 Records file (CSV): header ``name,family,quality,<indicator columns...>``
 with unique, non-empty column names; one row per model, names unique;
 empty cells mean a missing indicator, other cells hold plain decimal or
-exponent notation. Canonical indicator columns are params, flops,
-latency, throughput, activation, mac, memory, carbon, cost; extra numeric
-columns are accepted and treated as lower-is-better.
+exponent notation, and indicator cells are >= 0. Canonical indicator
+columns are params, flops, latency, throughput, activation, mac, memory,
+carbon, cost; extra numeric columns are accepted and treated as
+lower-is-better.
 """
 
 from __future__ import annotations
@@ -196,20 +197,28 @@ def load_spec_file(path: str) -> tuple[ArchSpec, HardwareModel | None, int | Non
 
 
 def read_records_csv(path: str) -> list[ModelRecord]:
+    rows = []  # (physical line where the row starts, cells), blank rows skipped
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            rows = [row for row in reader if row]
+            start = 1
+            for row in reader:
+                if row:
+                    rows.append((start, row))
+                start = reader.line_num + 1
     except FileNotFoundError:
         raise CliError(f"no such file: {path}", file=path)
+    except (OSError, ValueError, csv.Error) as exc:
+        raise CliError(f"cannot read {path}: {exc}", file=path)
     if not rows:
         raise CliError(f"{path}: empty records file", file=path)
-    header = [h.strip() for h in rows[0]]
+    head_line, header = rows[0][0], [h.strip() for h in rows[0][1]]
     first = {}  # column name -> its first column number
     for i, col in enumerate(header, start=1):
         if not col or first.setdefault(col, i) != i:
-            raise CliError(f"{path}:1: column names must be unique and non-empty, "
-                           f"got {col!r} in column {i}", file=path, line=1, column=col)
+            raise CliError(f"{path}:{head_line}: column names must be unique and "
+                           f"non-empty, got {col!r} in column {i}",
+                           file=path, line=head_line, column=col)
     if "name" not in header or "quality" not in header:
         missing = [c for c in ("name", "quality") if c not in header]
         raise CliError(
@@ -220,7 +229,7 @@ def read_records_csv(path: str) -> list[ModelRecord]:
     number_cols = [c for c in header if c not in ("name", "family")]
     records = []
     first_line = {}
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if len(row) != len(header):
             raise CliError(
                 f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}",
@@ -252,6 +261,12 @@ def read_records_csv(path: str) -> list[ModelRecord]:
                 raise CliError(
                     f"{path}:{lineno}: cell {col!r} is not numeric: {text!r}",
                     file=path, line=lineno,
+                )
+            # A cost is never negative; quality is a score, not a cost.
+            if numbers[col] < 0 and col != "quality":
+                raise CliError(
+                    f"{path}:{lineno}: cell {col!r} is negative: {text!r}",
+                    file=path, line=lineno, column=col,
                 )
         quality = numbers.pop("quality")
         try:

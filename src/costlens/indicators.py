@@ -8,9 +8,9 @@ All accumulators are checked against the 64-bit unsigned range and raise
 :class:`OverflowError` beyond it, mirroring what a native implementation
 could actually hold.
 
-Each public indicator evaluates the spec once (:func:`costlens.trace.evaluate`);
-the ``*_of`` helpers fold an already evaluated step list, so one
-evaluation can serve several indicators.
+Each public indicator validates and evaluates the spec once
+(:func:`costlens.trace.evaluate`); the ``*_of`` helpers fold an already
+evaluated step list, so one evaluation can serve several indicators.
 """
 
 from __future__ import annotations
@@ -222,14 +222,16 @@ def training_memory(spec: ArchSpec, batch: int = 1,
     helps inference memory far more than training memory.
     """
     check_value("batch", batch)
-    return training_memory_of(evaluate(spec)[0], spec.element_bytes, batch,
+    steps, _ = evaluate(spec)
+    return training_memory_of(steps, params_of(steps), spec.element_bytes, batch,
                               optimizer)
 
 
-def training_memory_of(steps: list[Step], element_bytes: int, batch: int,
-                       optimizer: OptimizerKind) -> MemoryEstimate:
+def training_memory_of(steps: list[Step], params: ParamCount, element_bytes: int,
+                       batch: int, optimizer: OptimizerKind) -> MemoryEstimate:
+    """``params`` is :func:`params_of` of ``steps``."""
     eb = element_bytes
-    param_bytes = _checked(params_of(steps).total * eb, "parameter bytes")
+    param_bytes = _checked(params.total * eb, "parameter bytes")
     grad_bytes = param_bytes
     opt_bytes = OPTIMIZER_STATE_COPIES[optimizer] * param_bytes
     act_bytes = _checked(activation_of(steps, batch) * eb, "activation bytes")

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .archspec import ArchSpec, check_fields, check_value, from_document
+from .archspec import ArchSpec, check_fields, check_value, ensure_valid, from_document
 from .indicators import layer_mac_bytes
-from .trace import Step, evaluate
+from .trace import Step, _evaluate_valid
 
 
 @dataclass(frozen=True)
@@ -127,21 +127,39 @@ def estimate_latency(spec: ArchSpec, hw: HardwareModel, batch: int = 1) -> Speed
     (a spec without layers has no finite throughput).
     """
     check_value("batch", batch)
+    ensure_valid(spec)
+    _, latency, per_layer = _roofline(spec, hw, batch)
+    return _speed(latency, batch, per_layer)
+
+
+def _roofline(spec: ArchSpec, hw: HardwareModel, batch: int
+              ) -> tuple[list[Step], float, tuple[LayerTiming, ...]]:
+    """One fold of a valid spec at the hardware's padded length: the steps
+    it timed, the latency of a batch and the per-node timings."""
     timings: list[LayerTiming] = []
 
     def op_seconds(step: Step) -> float:
         flops = step.flops * batch
         mac_bytes = layer_mac_bytes(step, spec.element_bytes, batch)
-        compute = flops / (hw.peak_flops_per_sec * hw.num_devices)
-        memory = mac_bytes / hw.mem_bandwidth_bytes_per_sec
-        seconds = hw.per_op_overhead_sec + max(compute, memory)
         n = step.count
-        timings.append(LayerTiming(step.path, n * seconds,
+        try:
+            compute = flops / (hw.peak_flops_per_sec * hw.num_devices)
+            memory = mac_bytes / hw.mem_bandwidth_bytes_per_sec
+            seconds = hw.per_op_overhead_sec + max(compute, memory)
+            total = n * seconds
+        except OverflowError:  # past the float range: no finite latency
+            return math.inf
+        timings.append(LayerTiming(step.path, total,
                                    "compute" if compute >= memory else "memory",
                                    n * flops, n * mac_bytes))
         return seconds
 
-    _, latency = evaluate(spec, hw.length_pad_multiple, op_seconds)
+    steps, latency = _evaluate_valid(spec, hw.length_pad_multiple, op_seconds)
+    return steps, latency, tuple(timings)
+
+
+def _speed(latency: float, batch: int,
+           per_layer: tuple[LayerTiming, ...]) -> SpeedEstimate:
     throughput = batch / latency if latency > 0 else math.inf
     if not math.isfinite(throughput) or not math.isfinite(latency):
         raise OverflowError(
@@ -150,7 +168,7 @@ def estimate_latency(spec: ArchSpec, hw: HardwareModel, batch: int = 1) -> Speed
     return SpeedEstimate(
         latency_sec=latency,
         throughput_examples_per_sec=throughput,
-        per_layer=tuple(timings),
+        per_layer=per_layer,
     )
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .analysis import ModelRecord
-from .archspec import ArchSpec, check_value, to_document
+from .archspec import ArchSpec, check_value, ensure_valid, to_document
 from .footprint import (
     EnergyProfile,
     PricingProfile,
@@ -27,8 +27,8 @@ from .indicators import (
     traffic_of,
     training_memory_of,
 )
-from .latency import HardwareModel, estimate_throughput
-from .trace import evaluate
+from .latency import HardwareModel, _roofline, _speed
+from .trace import _evaluate_valid, _token_length
 
 
 @dataclass(frozen=True)
@@ -67,22 +67,25 @@ def compute_profile(spec: ArchSpec, batch: int = 1,
 
     Latency and throughput require ``hardware``; carbon and monetary cost
     require their respective profiles. Everything else is always computed.
-    The spec is evaluated once for the counts and, with ``hardware``, once
-    more at the hardware's padded length for latency.
+    The spec is validated once. It is folded once, for the counts and the
+    latency together, unless the hardware pads the sequence to a new
+    length: then once for the counts and once more at the padded length.
     """
     check_value("batch", batch)
-    steps, _ = evaluate(spec)
+    ensure_valid(spec)
+    pads = hardware is not None and (
+        _token_length(spec, hardware.length_pad_multiple) != _token_length(spec))
+    if hardware is None or pads:
+        steps, _ = _evaluate_valid(spec)
+    if hardware is not None:
+        timed, latency, per_layer = _roofline(spec, hardware, batch)
+        steps = steps if pads else timed
     eb = spec.element_bytes
     params = params_of(steps)
     flops = flops_of(steps, 1)
-    train = training_memory_of(steps, eb, batch, optimizer)
-
-    latency_sec = None
-    throughput = None
-    if hardware is not None:
-        speed = estimate_throughput(spec, hardware, batch)
-        latency_sec = speed.latency_sec
-        throughput = speed.throughput_examples_per_sec
+    train = training_memory_of(steps, params, eb, batch, optimizer)
+    # Checked after the counts, so a count past 64 bits is the error reported.
+    speed = None if hardware is None else _speed(latency, batch, per_layer)
 
     return CostProfile(
         name=spec.name,
@@ -100,8 +103,9 @@ def compute_profile(spec: ArchSpec, batch: int = 1,
         activation_bytes=train.activation_bytes,
         peak_training_bytes=train.peak_training_bytes,
         peak_inference_bytes=train.peak_inference_bytes,
-        latency_sec=latency_sec,
-        throughput_examples_per_sec=throughput,
+        latency_sec=None if speed is None else speed.latency_sec,
+        throughput_examples_per_sec=(None if speed is None
+                                     else speed.throughput_examples_per_sec),
         hardware=hardware.name if hardware is not None else None,
         carbon_kg_co2e=carbon_footprint(energy) if energy is not None else None,
         monetary_cost=monetary_cost(pricing) if pricing is not None else None,

@@ -7,7 +7,8 @@ times the node executes (the product of the enclosing ``Repeat.times``),
 and ``copies``, how many parameter sets it stores (the same product, with
 a ``share_params`` repeat contributing 1). Every indicator is a fold over
 these steps, so cost grows with the size of the spec, not with the number
-of layers it executes.
+of layers it executes. :func:`evaluate` validates the spec; the library's
+entry points validate once and fold through a private entry that does not.
 
 ``PatchEmbed`` is only valid as the first layer, so the sequence length is
 the same at every node and every iteration of a ``Repeat`` is identical:
@@ -216,11 +217,22 @@ def evaluate(spec: ArchSpec, pad_multiple: int | None = None,
     parallel block. Without ``seconds`` the time is ``None``.
     """
     ensure_valid(spec)
-    if isinstance(spec.input, TokenSequence):
-        L = _pad_length(spec.input.length, pad_multiple)
-    else:
-        # validate() guarantees a leading PatchEmbed for image inputs.
-        L = _pad_length(_patch_grid(spec.layers[0], spec)[1], pad_multiple)
+    return _evaluate_valid(spec, pad_multiple, seconds)
+
+
+def _evaluate_valid(spec: ArchSpec, pad_multiple: int | None = None,
+                    seconds: Callable[[Step], float] | None = None
+                    ) -> tuple[list[Step], float | None]:
+    """:func:`evaluate` of a spec the caller has already validated."""
     steps: list[Step] = []
-    total = _fold(spec.layers, "", L, spec, 1, 1, seconds, steps)
+    total = _fold(spec.layers, "", _token_length(spec, pad_multiple), spec, 1, 1,
+                  seconds, steps)
     return steps, (total if seconds is not None else None)
+
+
+def _token_length(spec: ArchSpec, pad_multiple: int | None = None) -> int:
+    """Token-stream length of a valid spec, padded to ``pad_multiple``."""
+    if isinstance(spec.input, TokenSequence):
+        return _pad_length(spec.input.length, pad_multiple)
+    # validate() guarantees a leading PatchEmbed for image inputs.
+    return _pad_length(_patch_grid(spec.layers[0], spec)[1], pad_multiple)

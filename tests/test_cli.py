@@ -372,6 +372,48 @@ class TestCompare:
         assert json.loads(err)["error"] \
             == f"{p}:2: cell {column!r} is not numeric: {cell!r}"
 
+    @pytest.mark.parametrize("content, reason", [
+        (b"name,quality,params\na,1.0,\xff\xfe\nb,2.0,3\n", "codec can't decode"),
+        (b"name,quality,params\na,1.0," + b"1" * 200_000 + b"\nb,2.0,3\n",
+         "field larger than field limit"),
+        (None, "Is a directory"),
+    ], ids=["not-utf8", "long-cell", "directory"])
+    def test_unreadable_records_exit_2(self, tmp_path, capsys, content, reason):
+        p = tmp_path / "r.csv"
+        if content is None:
+            p.mkdir()
+        else:
+            p.write_bytes(content)
+        code, out, err = run_cli(["compare", "--records", str(p)], capsys)
+        assert (code, out, len(err.splitlines())) == (2, "", 1)
+        error = json.loads(err)["error"]
+        assert error.startswith(f"cannot read {p}: ") and reason in error
+
+    def test_line_numbers_count_blank_lines(self, tmp_path, capsys):
+        p = tmp_path / "r.csv"
+        p.write_text("\nname,quality,params,params\n\na,1.0,2,3\n")
+        code, _, err = run_cli(["compare", "--records", str(p)], capsys)
+        assert code == 2
+        assert json.loads(err)["error"].startswith(f"{p}:2: column names")
+        p.write_text("name,quality,params\n\na,1.0,x\n\n\nb,2.0,3\nb,3.0,4\n")
+        code, _, err = run_cli(["compare", "--records", str(p)], capsys)
+        assert json.loads(err)["error"] == f"{p}:3: cell 'params' is not numeric: 'x'"
+        p.write_text("name,quality,params\n\na,1.0,2\n\n\nb,2.0,3\nb,3.0,4\n")
+        code, _, err = run_cli(["compare", "--records", str(p)], capsys)
+        assert json.loads(err)["error"] \
+            == f"{p}:7: duplicate model name 'b' (first on line 6)"
+
+    def test_negative_cost_cell_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "r.csv"
+        p.write_text("name,quality,params,flops\na,-1.0,2,-0.5\nb,2.0,3,1\n")
+        code, out, err = run_cli(["compare", "--records", str(p)], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": f"{p}:2: cell 'flops' is negative: '-0.5'",
+                                   "file": str(p), "line": 2, "column": "flops"}
+        # Quality is a score and may be negative; zero is a cost like any other.
+        p.write_text("name,quality,params,flops\na,-1.0,2,0\nb,2.0,3,-0\n")
+        assert run_cli(["compare", "--records", str(p)], capsys)[0] == 0
+
     def test_non_finite_cell_exits_2(self, tmp_path, capsys):
         p = tmp_path / "r.csv"
         p.write_text("name,quality,params\na,1.0,inf\nb,2.0,3\n")

@@ -394,9 +394,13 @@ def records_text(draw):
 @example(text="name,quality,params\na,1.0,1_0\nb,2.0,3\n", command="compare")
 @example(text="name,quality,params,params\na,1.0,2,30\nb,2.0,3,4\n", command="compare")
 @example(text="name,quality,params,\na,1.0,2,\nb,2.0,3,\n", command="compare")
+@example(text="name,quality,params\na,1.0,\udcff\udcfe\nb,2.0,3\n", command="compare")
+@example(text="name,quality,params\n\na,1.0,x\nb,2.0,3\n", command="compare")
+@example(text="name,quality,params\na,1.0,-2\nb,2.0,3\n", command="pareto")
 def test_records_file_meets_contract(workdir, text, command):
     path = workdir / "records.csv"
-    path.write_text(text)
+    # Lone surrogates stand for bytes that are not UTF-8.
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     argv = ["compare", "--records", str(path)] if command == "compare" \
         else ["pareto", str(path), "--cost", "params"]
     code, out, err = run(argv)

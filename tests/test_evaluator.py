@@ -11,6 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import costlens.archspec
+import costlens.cli
 import costlens.indicators
 import costlens.latency
 import costlens.profiles
@@ -47,6 +49,7 @@ from costlens import (
 from costlens.indicators import OPTIMIZER_STATE_COPIES
 
 from support import (
+    data_file,
     group_by_node,
     node_path,
     oracle_latency,
@@ -187,16 +190,33 @@ def test_matches_unrolled_walkers(spec, hw, batch, sparsity, optimizer):
 @pytest.fixture()
 def fold_calls(monkeypatch):
     """Positional pad multiple, if any, of each evaluation, whichever
-    module's binding calls the evaluator."""
+    module's binding calls the evaluator, public or private entry."""
     calls = []
-    real = costlens.trace.evaluate
+    for name in ("evaluate", "_evaluate_valid"):
+        real = getattr(costlens.trace, name)
 
-    def spy(*args, **kwargs):
-        calls.append(args[1:2])
-        return real(*args, **kwargs)
+        def spy(*args, real=real, **kwargs):
+            calls.append(args[1:2])
+            return real(*args, **kwargs)
 
-    for module in (costlens.indicators, costlens.latency, costlens.profiles):
-        monkeypatch.setattr(module, "evaluate", spy)
+        for module in (costlens.indicators, costlens.latency, costlens.profiles):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.fixture()
+def validate_calls(monkeypatch):
+    """One entry per ``validate`` call, through any module's binding."""
+    calls = []
+    real = costlens.archspec.validate
+
+    def spy(spec):
+        calls.append(spec)
+        return real(spec)
+
+    for module in (costlens.archspec, costlens.cli):
+        monkeypatch.setattr(module, "validate", spy)
     return calls
 
 
@@ -213,3 +233,90 @@ def test_one_evaluation_per_indicator_call(fold_calls):
     fold_calls.clear()
     compute_profile(spec, 8, hw)
     assert fold_calls == [(), (128,)]  # counts, then padded for latency
+
+
+def test_one_evaluation_per_profile_without_padding(fold_calls):
+    spec = vit_base(16, 224)  # 197 tokens
+    meets = HardwareModel(1e12, 1e11, 1e-6, length_pad_multiple=197, name="meets")
+    for hw in (load_hardware("default"), meets):
+        fold_calls.clear()
+        compute_profile(spec, 8, hw)
+        assert len(fold_calls) == 1
+
+
+def test_one_validation_per_public_call(validate_calls):
+    spec = vit_base(16, 224)
+    tpu, default = load_hardware("tpu_like"), load_hardware("default")
+    for call in (count_params, count_flops, backward_flops, activation_size,
+                 memory_access_cost, training_memory, inference_memory,
+                 lambda s: estimate_latency(s, tpu, 8),
+                 lambda s: estimate_throughput(s, tpu, 8),
+                 compute_profile,
+                 lambda s: compute_profile(s, 8, default),
+                 lambda s: compute_profile(s, 8, tpu)):
+        validate_calls.clear()
+        call(spec)
+        assert len(validate_calls) == 1
+    # The CLI checks the spec file's architecture, then profiles it.
+    with data_file("specs/vit_b16.json") as path:
+        validate_calls.clear()
+        assert costlens.cli.main(["profile", str(path), "--hw", "tpu_like"]) == 0
+    assert len(validate_calls) == 2
+
+
+def assert_profile_matches_public_calls(spec, hw, batch, optimizer):
+    """``compute_profile`` equals the separate public calls bit for bit."""
+    profile = compute_profile(spec, batch, hw, optimizer)
+    params, flops = count_params(spec), count_flops(spec, 1)
+    train = training_memory(spec, batch, optimizer)
+    assert (profile.params, profile.flops, profile.macs,
+            profile.activation_elements, profile.mac_bytes,
+            profile.parameter_bytes, profile.activation_bytes,
+            profile.peak_training_bytes, profile.peak_inference_bytes) == (
+        params.total, flops.flops, flops.macs, activation_size(spec, 1),
+        memory_access_cost(spec, 1), train.parameter_bytes,
+        train.activation_bytes, train.peak_training_bytes,
+        train.peak_inference_bytes)
+    speed = None if hw is None else estimate_throughput(spec, hw, batch)
+    assert (profile.latency_sec, profile.throughput_examples_per_sec) == (
+        (None, None) if speed is None
+        else (speed.latency_sec, speed.throughput_examples_per_sec))
+
+
+def profile_hardware(spec):
+    """No hardware, every preset, and two pads: one the length already
+    meets and one that lengthens the sequence."""
+    length = costlens.trace.evaluate(spec)[0][0].seq_len
+    return [None, *(load_hardware(name) for name in preset_names()),
+            HardwareModel(1e12, 1e11, 1e-6, length_pad_multiple=length, name="meets"),
+            HardwareModel(1e12, 1e11, 1e-6, length_pad_multiple=length + 1,
+                          name="pads")]
+
+
+@DIFFERENTIAL
+@given(spec=specs(), batch=st.sampled_from([1, 8, 64]),
+       optimizer=st.sampled_from(list(OptimizerKind)))
+def test_profile_matches_public_calls(spec, batch, optimizer):
+    for hw in profile_hardware(spec):
+        assert_profile_matches_public_calls(spec, hw, batch, optimizer)
+
+
+@pytest.mark.parametrize("name", ["vit_b8", "vit_b16", "vit_b32", "vit_b64"])
+def test_shipped_profile_matches_public_calls(name):
+    with data_file(f"specs/{name}.json") as path:
+        spec, _, _ = costlens.cli.load_spec_file(str(path))
+    for hw in profile_hardware(spec):
+        for batch in (1, 64):
+            assert_profile_matches_public_calls(spec, hw, batch, OptimizerKind.ADAM)
+
+
+def test_count_overflow_is_reported_before_latency():
+    layers = (Dense(8, 8),)
+    for _ in range(18):  # 2**1152 executions, past the float range
+        layers = (Repeat(layers, 2**64 - 1),)
+    spec = ArchSpec("deep", TokenSequence(8, 10), layers)
+    for hw in [None, *HARDWARE]:
+        with pytest.raises(OverflowError, match="64-bit unsigned range"):
+            compute_profile(spec, 1, hw)
+    with pytest.raises(OverflowError, match="no finite throughput"):
+        estimate_latency(spec, HARDWARE[0])
