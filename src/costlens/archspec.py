@@ -170,28 +170,22 @@ class Parallel:
         )
 
 
-LayerSpec = Union[
-    PatchEmbed,
-    Attention,
-    FeedForward,
-    LayerNorm,
-    Dense,
-    TokenEmbedding,
-    ClassifierHead,
-    MoE,
-    Repeat,
-    Parallel,
-]
+_LAYER_TAGS = {  # every layer kind: the ``kind`` tag of its JSON document
+    PatchEmbed: "patch_embed",
+    Attention: "attention",
+    FeedForward: "feed_forward",
+    LayerNorm: "layer_norm",
+    Dense: "dense",
+    TokenEmbedding: "token_embedding",
+    ClassifierHead: "classifier_head",
+    MoE: "moe",
+    Repeat: "repeat",
+    Parallel: "parallel",
+}
 
-LEAF_KINDS = (
-    PatchEmbed,
-    Attention,
-    FeedForward,
-    LayerNorm,
-    Dense,
-    TokenEmbedding,
-    ClassifierHead,
-)
+LayerSpec = Union[tuple(_LAYER_TAGS)]
+
+LEAF_KINDS = tuple(k for k in _LAYER_TAGS if k not in (MoE, Repeat, Parallel))
 
 
 @dataclass(frozen=True)
@@ -392,12 +386,10 @@ def validate(spec: ArchSpec) -> ValidationResult:
                         f"in_channels {layer.in_channels} does not match image "
                         f"channels {inp.channels}",
                     ))
-                if inp.height % layer.patch or inp.width % layer.patch:
-                    out.append(Violation(
-                        path,
-                        f"patch {layer.patch} does not divide input extent "
-                        f"{inp.height}x{inp.width}",
-                    ))
+                try:
+                    derive_sequence_length(inp, layer.patch, layer.add_cls_token)
+                except ValueError as exc:
+                    out.append(Violation(path, str(exc)))
 
     return ValidationResult(tuple(out))
 
@@ -444,18 +436,6 @@ def input_sequence_length(spec: ArchSpec) -> int:
 # ---------------------------------------------------------------------------
 # JSON documents: one reader and one writer for every input dataclass
 
-_LAYER_TAGS = {
-    PatchEmbed: "patch_embed",
-    Attention: "attention",
-    FeedForward: "feed_forward",
-    LayerNorm: "layer_norm",
-    Dense: "dense",
-    TokenEmbedding: "token_embedding",
-    ClassifierHead: "classifier_head",
-    MoE: "moe",
-    Repeat: "repeat",
-    Parallel: "parallel",
-}
 _INPUT_TAGS = {Image: "image", TokenSequence: "token_sequence"}
 _TAGS = {**_LAYER_TAGS, **_INPUT_TAGS}
 #: A union is read by the ``kind`` tag of its document: (what, {tag: class}).

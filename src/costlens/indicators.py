@@ -8,9 +8,9 @@ All accumulators are checked against the 64-bit unsigned range and raise
 :class:`OverflowError` beyond it, mirroring what a native implementation
 could actually hold.
 
-Each public indicator validates and evaluates the spec once
-(:func:`costlens.trace.evaluate`); the ``*_of`` helpers fold an already
-evaluated step list, so one evaluation can serve several indicators.
+Each public indicator validates the spec, then evaluates it once with
+:func:`costlens.trace.evaluate`, which trusts it; the ``*_of`` helpers fold
+an already evaluated step list, so one evaluation serves several indicators.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .archspec import ArchSpec, UINT64_MAX, check_value
+from .archspec import ArchSpec, UINT64_MAX, check_value, ensure_valid
 from .trace import Step, evaluate
 
 
@@ -26,6 +26,12 @@ def _checked(value: int, what: str) -> int:
     if value > UINT64_MAX:
         raise OverflowError(f"{what} exceeds the 64-bit unsigned range")
     return value
+
+
+def _steps(spec: ArchSpec) -> list[Step]:
+    """The steps of ``spec``, validated once and evaluated once."""
+    ensure_valid(spec)
+    return evaluate(spec)[0]
 
 
 @dataclass(frozen=True)
@@ -111,7 +117,7 @@ def patch_embed_weight_params(patch: int, in_channels: int, embed_dim: int) -> i
 
 def count_params(spec: ArchSpec) -> ParamCount:
     """Parameter count; bodies of parameter-shared repeats count once."""
-    return params_of(evaluate(spec)[0])
+    return params_of(_steps(spec))
 
 
 def params_of(steps: list[Step]) -> ParamCount:
@@ -142,7 +148,7 @@ def count_flops(spec: ArchSpec, batch: int = 1, *,
     check_value("batch", batch)
     if not 0.0 <= weight_sparsity < 1.0:
         raise ValueError("weight_sparsity must be in [0, 1)")
-    return flops_of(evaluate(spec)[0], batch, weight_sparsity)
+    return flops_of(_steps(spec), batch, weight_sparsity)
 
 
 def flops_of(steps: list[Step], batch: int, weight_sparsity: float = 0.0) -> FlopCount:
@@ -177,7 +183,7 @@ def backward_flops(spec: ArchSpec, batch: int = 1) -> int:
 def activation_size(spec: ArchSpec, batch: int = 1) -> int:
     """Total elements in every building-block output tensor, per batch."""
     check_value("batch", batch)
-    return activation_of(evaluate(spec)[0], batch)
+    return activation_of(_steps(spec), batch)
 
 
 def activation_of(steps: list[Step], batch: int) -> int:
@@ -195,7 +201,7 @@ def memory_access_cost(spec: ArchSpec, batch: int = 1) -> int:
     shared and unshared repeats.
     """
     check_value("batch", batch)
-    return traffic_of(evaluate(spec)[0], spec.element_bytes, batch)
+    return traffic_of(_steps(spec), spec.element_bytes, batch)
 
 
 def traffic_of(steps: list[Step], element_bytes: int, batch: int) -> int:
@@ -222,7 +228,7 @@ def training_memory(spec: ArchSpec, batch: int = 1,
     helps inference memory far more than training memory.
     """
     check_value("batch", batch)
-    steps, _ = evaluate(spec)
+    steps = _steps(spec)
     return training_memory_of(steps, params_of(steps), spec.element_bytes, batch,
                               optimizer)
 
@@ -252,7 +258,7 @@ def inference_memory(spec: ArchSpec, batch: int = 1) -> MemoryEstimate:
     single-layer output working set. Gradient and optimizer fields are
     zero by construction."""
     check_value("batch", batch)
-    steps, _ = evaluate(spec)
+    steps = _steps(spec)
     eb = spec.element_bytes
     param_bytes = _checked(params_of(steps).total * eb, "parameter bytes")
     working = _inference_peak(steps, eb, batch, param_bytes) - param_bytes

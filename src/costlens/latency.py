@@ -27,7 +27,7 @@ from pathlib import Path
 
 from .archspec import ArchSpec, check_fields, check_value, ensure_valid, from_document
 from .indicators import layer_mac_bytes
-from .trace import Step, _evaluate_valid
+from .trace import Step, evaluate
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,7 @@ def _roofline(spec: ArchSpec, hw: HardwareModel, batch: int
                                    n * flops, n * mac_bytes))
         return seconds
 
-    steps, latency = _evaluate_valid(spec, hw.length_pad_multiple, op_seconds)
+    steps, latency = evaluate(spec, hw.length_pad_multiple, op_seconds)
     return steps, latency, tuple(timings)
 
 

@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .analysis import ModelRecord
-from .archspec import ArchSpec, check_value, ensure_valid, to_document
+from .archspec import (
+    ArchSpec, check_value, ensure_valid, input_sequence_length, to_document
+)
 from .footprint import (
     EnergyProfile,
     PricingProfile,
@@ -28,7 +30,7 @@ from .indicators import (
     training_memory_of,
 )
 from .latency import HardwareModel, _roofline, _speed
-from .trace import _evaluate_valid, _token_length
+from .trace import _pad_length, evaluate
 
 
 @dataclass(frozen=True)
@@ -73,10 +75,11 @@ def compute_profile(spec: ArchSpec, batch: int = 1,
     """
     check_value("batch", batch)
     ensure_valid(spec)
+    length = input_sequence_length(spec)
     pads = hardware is not None and (
-        _token_length(spec, hardware.length_pad_multiple) != _token_length(spec))
+        _pad_length(length, hardware.length_pad_multiple) != length)
     if hardware is None or pads:
-        steps, _ = _evaluate_valid(spec)
+        steps, _ = evaluate(spec)
     if hardware is not None:
         timed, latency, per_layer = _roofline(spec, hardware, batch)
         steps = steps if pads else timed

@@ -7,8 +7,8 @@ times the node executes (the product of the enclosing ``Repeat.times``),
 and ``copies``, how many parameter sets it stores (the same product, with
 a ``share_params`` repeat contributing 1). Every indicator is a fold over
 these steps, so cost grows with the size of the spec, not with the number
-of layers it executes. :func:`evaluate` validates the spec; the library's
-entry points validate once and fold through a private entry that does not.
+of layers it executes. :func:`evaluate` trusts its spec: every public
+entry point of the library validates it once per call, before the fold.
 
 ``PatchEmbed`` is only valid as the first layer, so the sequence length is
 the same at every node and every iteration of a ``Repeat`` is identical:
@@ -45,8 +45,8 @@ from .archspec import (
     PatchEmbed,
     Repeat,
     TokenEmbedding,
-    TokenSequence,
-    ensure_valid,
+    derive_sequence_length,
+    input_sequence_length,
 )
 
 SOFTMAX_FLOPS_PER_ELEMENT = 5
@@ -83,20 +83,14 @@ def _pad_length(length: int, multiple: int | None) -> int:
     return -(-length // multiple) * multiple
 
 
-def _patch_grid(layer: PatchEmbed, spec: ArchSpec) -> tuple[int, int]:
-    """(patch count, real token count) of the leading patch embedding."""
-    inp = spec.input
-    patches = (inp.height // layer.patch) * (inp.width // layer.patch)
-    return patches, patches + (1 if layer.add_cls_token else 0)
-
-
 def _leaf_costs(layer, L: int, spec: ArchSpec):
     """(params, matmul_macs, flops, in_elements, out_elements) of one
     primitive layer at sequence length ``L``."""
     if isinstance(layer, PatchEmbed):
         # The positional table is sized by the real (unpadded) token count.
         inp = spec.input
-        patches, raw_len = _patch_grid(layer, spec)
+        raw_len = derive_sequence_length(inp, layer.patch, layer.add_cls_token)
+        patches = raw_len - (1 if layer.add_cls_token else 0)
         d = layer.embed_dim
         patch_in = layer.patch * layer.patch * layer.in_channels
         params = patch_in * d + d
@@ -207,7 +201,8 @@ def _fold(layers, prefix, L, spec, count, copies, seconds, out) -> float:
 def evaluate(spec: ArchSpec, pad_multiple: int | None = None,
              seconds: Callable[[Step], float] | None = None
              ) -> tuple[list[Step], float | None]:
-    """Steps of every leaf and ``MoE`` node, plus the folded time.
+    """Steps of every leaf and ``MoE`` node of a valid spec, plus the
+    folded time. The spec is not validated here; the caller has done it.
 
     ``pad_multiple`` rounds the token-stream length up to the next multiple
     before any shape-dependent cost (hardware length padding); parameter
@@ -216,23 +211,7 @@ def evaluate(spec: ArchSpec, pad_multiple: int | None = None,
     takes ``times`` x the body of a repeat and the slowest branch of a
     parallel block. Without ``seconds`` the time is ``None``.
     """
-    ensure_valid(spec)
-    return _evaluate_valid(spec, pad_multiple, seconds)
-
-
-def _evaluate_valid(spec: ArchSpec, pad_multiple: int | None = None,
-                    seconds: Callable[[Step], float] | None = None
-                    ) -> tuple[list[Step], float | None]:
-    """:func:`evaluate` of a spec the caller has already validated."""
     steps: list[Step] = []
-    total = _fold(spec.layers, "", _token_length(spec, pad_multiple), spec, 1, 1,
-                  seconds, steps)
+    length = _pad_length(input_sequence_length(spec), pad_multiple)
+    total = _fold(spec.layers, "", length, spec, 1, 1, seconds, steps)
     return steps, (total if seconds is not None else None)
-
-
-def _token_length(spec: ArchSpec, pad_multiple: int | None = None) -> int:
-    """Token-stream length of a valid spec, padded to ``pad_multiple``."""
-    if isinstance(spec.input, TokenSequence):
-        return _pad_length(spec.input.length, pad_multiple)
-    # validate() guarantees a leading PatchEmbed for image inputs.
-    return _pad_length(_patch_grid(spec.layers[0], spec)[1], pad_multiple)

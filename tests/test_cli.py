@@ -12,6 +12,7 @@ from costlens import (
     build_from_reference,
     count_flops,
     count_params,
+    preset_names,
     record_from_profile,
 )
 from costlens import cli
@@ -296,6 +297,26 @@ class TestProfile:
         lines = csv_text.strip().splitlines()
         assert len(lines) == 2
         assert len(lines[0].split(",")) == len(lines[1].split(","))
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    def test_golden_stdout(self, capsys, fmt):
+        assert profile_sweep(fmt, capsys) \
+            == (GOLDEN / f"profile_{fmt}.txt").read_text(encoding="utf-8")
+
+
+def profile_sweep(fmt: str, capsys) -> str:
+    """``profile`` stdout of every shipped spec, without hardware and on
+    each shipped preset, each run under a ``== <argv> ==`` line."""
+    out = []
+    for spec in ("vit_b8", "vit_b16", "vit_b32", "vit_b64"):
+        for hw in (None, *preset_names()):
+            argv = ["profile", f"specs/{spec}.json", "--format", fmt]
+            argv += [] if hw is None else ["--hw", hw]
+            with data_file(argv[1]) as path:
+                code, stdout, _ = run_cli([argv[0], path, *argv[2:]], capsys)
+            assert code == 0
+            out.append(f"== {' '.join(argv)} ==\n{stdout}")
+    return "".join(out)
 
 
 class TestCompare:

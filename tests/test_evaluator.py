@@ -192,7 +192,7 @@ def fold_calls(monkeypatch):
     """Positional pad multiple, if any, of each evaluation, whichever
     module's binding calls the evaluator, public or private entry."""
     calls = []
-    for name in ("evaluate", "_evaluate_valid"):
+    for name in ("evaluate",):
         real = getattr(costlens.trace, name)
 
         def spy(*args, real=real, **kwargs):
