@@ -3,7 +3,8 @@
 All commands are deterministic: the same inputs produce byte-identical
 output (no timestamps, sorted keys, fixed float formatting). Exit codes:
 0 success, 1 analysis-level insufficiency (e.g. too few comparable
-models), 2 malformed input.
+models), 2 malformed input, a usage error included, or an unwritable
+output path; an exit 2 prints one JSON line on stderr and nothing on stdout.
 
 File formats
 ------------
@@ -14,9 +15,9 @@ optional ``name``, ``notes``, ``hardware`` (preset name or inline object)
 and ``batch``; any other key is refused.
 
 Records file (CSV): header ``name,family,quality,<indicator columns...>``
-with unique, non-empty column names; one row per model, names unique;
-empty cells mean a missing indicator, other cells hold plain decimal or
-exponent notation, and indicator cells are >= 0. Canonical indicator
+with unique, non-empty column names; one row per model, names unique and
+non-empty; empty cells mean a missing indicator, other cells hold plain
+decimal or exponent notation, and indicator cells are >= 0. Canonical indicator
 columns are params, flops, latency, throughput, activation, mac, memory,
 carbon, cost; extra numeric columns are accepted and treated as
 lower-is-better.
@@ -32,6 +33,7 @@ import json
 import math
 import os
 import sys
+from xml.sax.saxutils import escape
 
 from .analysis import (
     AnalysisError,
@@ -237,6 +239,9 @@ def read_records_csv(path: str) -> list[ModelRecord]:
             )
         cells = dict(zip(header, (c.strip() for c in row)))
         name = cells["name"]
+        if not name:
+            raise CliError(f"{path}:{lineno}: name cell is empty",
+                           file=path, line=lineno)
         if name in first_line:
             raise CliError(
                 f"{path}:{lineno}: duplicate model name {name!r} "
@@ -320,10 +325,10 @@ def svg_scatter(records, cost_key: str, frontier_names, quality_label="quality",
         f'<line x1="{f(margin)}" y1="{f(margin)}" x2="{f(margin)}" '
         f'y2="{f(height - margin)}" stroke="black" stroke-width="1"/>',
         f'<text x="{f(width / 2)}" y="{f(height - margin / 4)}" font-size="13" '
-        f'text-anchor="middle">{cost_key}</text>',
+        f'text-anchor="middle">{escape(cost_key)}</text>',
         f'<text x="{f(margin / 4)}" y="{f(height / 2)}" font-size="13" '
         f'text-anchor="middle" transform="rotate(-90 {f(margin / 4)} '
-        f'{f(height / 2)})">{quality_label}</text>',
+        f'{f(height / 2)})">{escape(quality_label)}</text>',
         f'<text x="{f(margin)}" y="{f(height - margin / 2)}" font-size="11" '
         f'text-anchor="middle">{format_fixed(xmin)}</text>',
         f'<text x="{f(width - margin)}" y="{f(height - margin / 2)}" font-size="11" '
@@ -349,7 +354,7 @@ def svg_scatter(records, cost_key: str, frontier_names, quality_label="quality",
         parts.append(
             f'<circle cx="{f(sx(r.indicators[cost_key]))}" '
             f'cy="{f(sy(r.quality))}" r="4" fill="{fill}">'
-            f"<title>{r.name}</title></circle>"
+            f"<title>{escape(r.name)}</title></circle>"
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -563,11 +568,14 @@ def cmd_pareto(args) -> int:
     lines += _table(["name", "quality", args.cost], rows)
     dominated = [r.name for r in records if r.name not in names]
     lines.append("dominated: " + (", ".join(sorted(dominated)) if dominated else "none"))
-    sys.stdout.write("\n".join(lines) + "\n")
-    if args.svg is not None:
+    if args.svg is not None:  # before stdout, so a refused path prints nothing
         drawable = [r for r in records if args.cost in r.indicators]
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(svg_scatter(drawable, args.cost, names))
+        try:
+            with open(args.svg, "w", encoding="utf-8") as fh:
+                fh.write(svg_scatter(drawable, args.cost, names))
+        except OSError as exc:
+            raise CliError(f"cannot write {args.svg}: {exc}", file=args.svg)
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -575,10 +583,18 @@ def cmd_pareto(args) -> int:
 # Entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors, in every subcommand, exit 2
+    with one JSON line like any other malformed input."""
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command line parser, built once per process (parsing leaves it as is)."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="costlens",
         description="Analytical cost indicators and cross-indicator "
                     "disagreement analysis for neural architectures.",
@@ -613,8 +629,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # Looked up on each call, so a replaced cmd_<name> takes effect.
         return globals()[f"cmd_{args.command}"](args)
     except CliError as exc:

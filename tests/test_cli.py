@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from xml.dom import minidom
 
 import pytest
 
@@ -523,6 +524,19 @@ class TestCompare:
                 == (str(p), 1, column)
             assert f"got {column!r} in column 4" in payload["error"]
 
+    @pytest.mark.parametrize("name", ["", "   "])
+    def test_empty_model_name_exits_2(self, tmp_path, capsys, name):
+        p = tmp_path / "r.csv"
+        p.write_text(f"name,quality,params,flops\na,1.0,1,2\n{name},2.0,2,1\n")
+        for argv in (["compare", "--records", str(p)],
+                     ["pareto", str(p), "--cost", "params"]):
+            code, out, err = run_cli(argv, capsys)
+            assert (code, out) == (2, "")
+            assert len(err.splitlines()) == 1
+            payload = json.loads(err)
+            assert (payload["file"], payload["line"]) == (str(p), 3)
+            assert payload["error"] == f"{p}:3: name cell is empty"
+
 
 class TestPareto:
     def test_frontier_listing(self, records_csv, capsys):
@@ -560,6 +574,31 @@ class TestPareto:
         assert svg.count("<circle") == 11
         assert "<polyline" in svg
 
+    @pytest.mark.parametrize("name, column", [("R&D<1>", "flops"), ("m", "a<b")])
+    def test_svg_is_well_formed_xml(self, tmp_path, capsys, name, column):
+        p = tmp_path / "r.csv"
+        p.write_text(f"name,quality,{column}\n{name},1.0,2.0\nother,2.0,3.0\n")
+        svg_path = tmp_path / "scatter.svg"
+        code, _, _ = run_cli(["pareto", str(p), "--cost", column,
+                              "--svg", str(svg_path)], capsys)
+        assert code == 0
+        doc = minidom.parse(str(svg_path))
+        titles = [t.firstChild.data for t in doc.getElementsByTagName("title")]
+        texts = [t.firstChild.data for t in doc.getElementsByTagName("text")]
+        assert titles == [name, "other"]
+        assert column in texts
+
+    @pytest.mark.parametrize("where", ["missing/scatter.svg", "."])
+    def test_unwritable_svg_path_exits_2(self, records_csv, tmp_path, capsys, where):
+        target = str(tmp_path / where)
+        code, out, err = run_cli(
+            ["pareto", records_csv, "--cost", "flops", "--svg", target], capsys)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["file"] == target
+        assert payload["error"].startswith(f"cannot write {target}: ")
+
 
 def builder_flags() -> dict:
     """Option string -> action of each builder flag of ``costlens profile``."""
@@ -590,6 +629,25 @@ class TestParser:
 
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["profile", "--family", "vit", "--patch", "x"],
+         "costlens profile: argument --patch: invalid int value: 'x'"),
+        (["compare", "--max-pairs", "x"],
+         "costlens compare: argument --max-pairs: invalid int value: 'x'"),
+        ([], "costlens: the following arguments are required: command"),
+    ], ids=["profile-flag", "compare-flag", "no-command"])
+    def test_usage_errors_are_one_json_line(self, capsys, argv, message):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": message}
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: costlens profile")
 
     def test_commands_are_looked_up_at_call_time(self, vit16, monkeypatch, capsys):
         assert run_cli(["profile", vit16], capsys)[0] == 0
