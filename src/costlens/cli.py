@@ -33,7 +33,7 @@ import json
 import math
 import os
 import sys
-from xml.sax.saxutils import escape
+from html import escape
 
 from .analysis import (
     AnalysisError,
@@ -325,10 +325,10 @@ def svg_scatter(records, cost_key: str, frontier_names, quality_label="quality",
         f'<line x1="{f(margin)}" y1="{f(margin)}" x2="{f(margin)}" '
         f'y2="{f(height - margin)}" stroke="black" stroke-width="1"/>',
         f'<text x="{f(width / 2)}" y="{f(height - margin / 4)}" font-size="13" '
-        f'text-anchor="middle">{escape(cost_key)}</text>',
+        f'text-anchor="middle">{escape(cost_key, quote=False)}</text>',
         f'<text x="{f(margin / 4)}" y="{f(height / 2)}" font-size="13" '
         f'text-anchor="middle" transform="rotate(-90 {f(margin / 4)} '
-        f'{f(height / 2)})">{escape(quality_label)}</text>',
+        f'{f(height / 2)})">{escape(quality_label, quote=False)}</text>',
         f'<text x="{f(margin)}" y="{f(height - margin / 2)}" font-size="11" '
         f'text-anchor="middle">{format_fixed(xmin)}</text>',
         f'<text x="{f(width - margin)}" y="{f(height - margin / 2)}" font-size="11" '
@@ -354,7 +354,7 @@ def svg_scatter(records, cost_key: str, frontier_names, quality_label="quality",
         parts.append(
             f'<circle cx="{f(sx(r.indicators[cost_key]))}" '
             f'cy="{f(sy(r.quality))}" r="4" fill="{fill}">'
-            f"<title>{escape(r.name)}</title></circle>"
+            f"<title>{escape(r.name, quote=False)}</title></circle>"
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
