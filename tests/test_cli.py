@@ -461,6 +461,23 @@ class TestCompare:
         assert code == 0
         assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize("golden, extra", [
+        ("compare_tie_heavy.txt", []),
+        # 876 falls inside the row of m09 under flops vs memory, between a
+        # pair m09 leads and one it trails.
+        ("compare_tie_heavy_max_pairs_876.txt", ["--max-pairs", "876"]),
+        ("compare_tie_heavy_latency_params_energy.txt",
+         ["--indicators", "latency,params,energy"]),
+    ])
+    def test_tie_heavy_golden_stdout(self, capsys, golden, extra):
+        """60 rows x 6 quantised indicators with empty cells: 1,654
+        inverted pairs over 15 indicator pairs."""
+        code, out, _ = run_cli(
+            ["compare", "--records", str(GOLDEN / "compare_tie_heavy.csv"), *extra],
+            capsys)
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
     def test_max_pairs_truncates_listing(self, records_csv, capsys):
         full = (GOLDEN / "compare_depth_width_scaling.txt").read_text(
             encoding="utf-8").splitlines()
