@@ -7,6 +7,11 @@ the count of inverted pairs and a listing of them (all, or the first N),
 relative-tolerance matched groups, and a combined report of models that
 look efficient under one indicator and dominated under another.
 
+The inverted-pair listing is held compactly, as each record's discordant
+partners in one bitmask; ``inverted_pairs`` builds the ``InvertedPair``
+objects from it on first access, and the CLI formats its lines from the
+same bitmasks without building them.
+
 All indicator values are treated as lower-is-better; throughput is
 declared higher-is-better at ingestion and negated internally so the rule
 holds uniformly. Everything is deterministic and pure over the input
@@ -16,8 +21,9 @@ record list.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import compress, islice
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import compress
 from typing import NamedTuple
 
 #: Canonical indicator ids. CSV files may carry extra columns (treated as
@@ -150,13 +156,54 @@ class InvertedPair(NamedTuple):
     indicator_b: str
 
 
+class _Listing(NamedTuple):
+    """One indicator pair's listed inversions as bitmasks. ``rows`` holds
+    ``(i, partners, a_first, count)`` for each record ``i`` with listed
+    partners: bit ``k`` of ``partners`` is the discordant partner
+    ``i + 1 + k``, the same bit of ``a_first`` is set when that partner
+    costs more under ``indicator_a`` (so record ``i`` is ``model_a``), and
+    the first ``count`` partners are listed."""
+
+    indicator_a: str
+    indicator_b: str
+    names: tuple[str, ...]
+    rows: tuple[tuple[int, int, int, int], ...]
+
+
+#: ``bytes.translate`` table turning the digits of ``format(m, "b")``
+#: into 0/1 bytes, a selector for ``itertools.compress``.
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _listed_pairs(listing: _Listing):
+    """``(model_a, model_b)`` of each listed pair, in record order."""
+    names = listing.names
+    for i, partners, a_first, count in listing.rows:
+        me = names[i]
+        width = partners.bit_length()
+        picked = format(partners, "b")[::-1].encode().translate(_BIT_BYTES)
+        first = format(a_first, f"0{width}b")[::-1].encode().translate(_BIT_BYTES)
+        flags = bytes(compress(first, picked))[:count]
+        for other, me_first in zip(compress(names[i + 1:], picked), flags):
+            yield (me, other) if me_first else (other, me)
+
+
+def _inverted_pairs(listings) -> tuple[InvertedPair, ...]:
+    return tuple(InvertedPair(a, b, listing.indicator_a, listing.indicator_b)
+                 for listing in listings for a, b in _listed_pairs(listing))
+
+
 @dataclass(frozen=True)
 class RankDisagreement:
     kendall_tau: float
-    inverted_pairs: tuple[InvertedPair, ...]
     n_records: int
     n_concordant: int
     n_discordant: int
+    _listing: _Listing = field(repr=False)
+
+    @cached_property
+    def inverted_pairs(self) -> tuple[InvertedPair, ...]:
+        return _inverted_pairs((self._listing,))
 
 
 def _rank_masks(values):
@@ -178,11 +225,6 @@ def _rank_masks(values):
     return ranks, below, ties
 
 
-#: ``bytes.translate`` table turning the digits of ``format(m, "b")``
-#: into 0/1 bytes, a selector for ``itertools.compress``.
-_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-
-
 def rank_disagreement(records, indicator_a: str, indicator_b: str,
                       max_pairs: int | None = None) -> RankDisagreement:
     """Tie-corrected Kendall tau (tau-b) between two cost orderings.
@@ -198,8 +240,9 @@ def rank_disagreement(records, indicator_a: str, indicator_b: str,
     The counts come from rank bitmasks: for record ``i`` the records
     ranked below and above it under each indicator are integers used as
     bitsets, so each record's concordant and discordant partners are
-    found by a few whole-integer operations, and only listed pairs cost
-    a Python step each.
+    found by a few whole-integer operations. The listing keeps those
+    partner bitmasks, one row per record, and ``inverted_pairs`` is built
+    from them on first access.
     """
     if max_pairs is not None and max_pairs < 0:
         raise ValueError(f"max_pairs must be >= 0, got {max_pairs}")
@@ -211,16 +254,13 @@ def rank_disagreement(records, indicator_a: str, indicator_b: str,
             f"got {len(both)}"
         )
     n = len(both)
-    names = [r.name for r in both]
     ranks_a, below_a, ties_a = _rank_masks([r.cost_value(indicator_a) for r in both])
     ranks_b, below_b, ties_b = _rank_masks([r.cost_value(indicator_b) for r in both])
     everyone = below_a[-1]
     n0 = n * (n - 1) // 2
-    limit = n0 if max_pairs is None else max_pairs
+    room = n0 if max_pairs is None else max_pairs
     concordant = discordant = 0
-    inversions = []
-    append = inversions.append
-    pair = tuple.__new__      # InvertedPair without the keyword-argument wrapper
+    rows = []
     for i in range(n):
         x, y = ranks_a[i], ranks_b[i]
         lt_a, gt_a = below_a[x], everyone ^ below_a[x + 1]
@@ -230,17 +270,11 @@ def rank_disagreement(records, indicator_a: str, indicator_b: str,
         flipped = ((lt_a & gt_b) | (gt_a & lt_b)) >> (i + 1)
         if not flipped:
             continue
-        discordant += flipped.bit_count()
-        room = limit - len(inversions)
-        if room <= 0:
-            continue
-        me = names[i]
-        selector = format(flipped, "b")[::-1].encode().translate(_BIT_BYTES)
-        for j in islice(compress(range(i + 1, n), selector), room):
-            if ranks_a[j] > x:
-                append(pair(InvertedPair, (me, names[j], indicator_a, indicator_b)))
-            else:
-                append(pair(InvertedPair, (names[j], me, indicator_a, indicator_b)))
+        found = flipped.bit_count()
+        discordant += found
+        if room > 0:
+            rows.append((i, flipped, (gt_a >> (i + 1)) & flipped, min(found, room)))
+            room -= found
     denom = math.sqrt((n0 - ties_a) * (n0 - ties_b))
     if denom == 0:
         tau = 1.0 if discordant == 0 else 0.0
@@ -248,10 +282,11 @@ def rank_disagreement(records, indicator_a: str, indicator_b: str,
         tau = (concordant - discordant) / denom
     return RankDisagreement(
         kendall_tau=tau,
-        inverted_pairs=tuple(inversions),
         n_records=n,
         n_concordant=concordant,
         n_discordant=discordant,
+        _listing=_Listing(indicator_a, indicator_b,
+                          tuple(r.name for r in both), tuple(rows)),
     )
 
 
@@ -319,19 +354,23 @@ class MisnomerReport:
 
     indicator_pairs_examined: tuple[tuple[str, str], ...]
     kendall_tau: dict[tuple[str, str], float]
-    inverted_pairs: tuple[InvertedPair, ...]
     n_inverted_pairs: int
     pareto_instability: tuple[ParetoInstability, ...]
     coverage_warnings: tuple[CoverageWarning, ...]
+    _listings: tuple[_Listing, ...] = field(repr=False)
     frontier_analysis_ran: bool = True
+
+    @cached_property
+    def inverted_pairs(self) -> tuple[InvertedPair, ...]:
+        return _inverted_pairs(self._listings)
 
 
 def misnomer_report(records, max_pairs: int | None = None) -> MisnomerReport:
     """Run every pairwise rank comparison and per-indicator frontier.
 
     ``inverted_pairs`` concatenates each indicator pair's listing, cut to
-    the first ``max_pairs`` when that is given; ``n_inverted_pairs``
-    counts every discordant pair.
+    the first ``max_pairs`` when that is given, and is built on first
+    access; ``n_inverted_pairs`` counts every discordant pair.
     """
     if max_pairs is not None and max_pairs < 0:
         raise ValueError(f"max_pairs must be >= 0, got {max_pairs}")
@@ -347,18 +386,20 @@ def misnomer_report(records, max_pairs: int | None = None) -> MisnomerReport:
 
     pairs = []
     taus = {}
-    inversions = []
+    listings = []
+    room = max_pairs
     n_inverted = 0
     for i, ind_a in enumerate(present):
         for ind_b in present[i + 1:]:
-            room = None if max_pairs is None else max_pairs - len(inversions)
             try:
                 result = rank_disagreement(records, ind_a, ind_b, max_pairs=room)
             except InsufficientDataError:
                 continue
             pairs.append((ind_a, ind_b))
             taus[(ind_a, ind_b)] = result.kendall_tau
-            inversions.extend(result.inverted_pairs)
+            listings.append(result._listing)
+            if room is not None:
+                room = max(0, room - result.n_discordant)
             n_inverted += result.n_discordant
 
     have_quality = all(r.quality is not None for r in records)
@@ -385,9 +426,9 @@ def misnomer_report(records, max_pairs: int | None = None) -> MisnomerReport:
     return MisnomerReport(
         indicator_pairs_examined=tuple(pairs),
         kendall_tau=taus,
-        inverted_pairs=tuple(inversions),
         n_inverted_pairs=n_inverted,
         pareto_instability=tuple(instability),
         coverage_warnings=tuple(coverage),
+        _listings=tuple(listings),
         frontier_analysis_ran=have_quality,
     )

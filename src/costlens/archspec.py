@@ -333,10 +333,11 @@ def validate(spec: ArchSpec) -> ValidationResult:
     else:
         input_errors = [f"unknown input signature {type(inp).__name__}"]
         out.append(Violation("input", input_errors[0]))
-    # Image inputs must be tokenized by a leading patch embedding; the
-    # evaluator takes the sequence length from it.
-    if isinstance(inp, Image) and not (spec.layers and isinstance(spec.layers[0], PatchEmbed)):
-        out.append(Violation("layers[0]", "image input requires a leading PatchEmbed"))
+    if isinstance(inp, Image):
+        try:
+            _leading_patch_embed(spec)
+        except InvalidSpecError as exc:
+            out += exc.violations
 
     # Iterative walk: validate must not blow the interpreter stack on
     # adversarially deep trees.
@@ -421,15 +422,23 @@ def derive_sequence_length(inp: InputSignature, patch: int, add_cls: bool) -> in
     return (inp.height // patch) * (inp.width // patch) + (1 if add_cls else 0)
 
 
-def input_sequence_length(spec: ArchSpec) -> int:
-    """Sequence length entering the layer stack (after any patching)."""
-    if isinstance(spec.input, TokenSequence):
-        return spec.input.length
+def _leading_patch_embed(spec: ArchSpec) -> PatchEmbed:
+    """The PatchEmbed that tokenizes an image input: the first layer, or
+    :class:`InvalidSpecError` when the first layer is not one. The
+    evaluator takes the sequence length from it."""
     first = spec.layers[0] if spec.layers else None
     if not isinstance(first, PatchEmbed):
         raise InvalidSpecError(
             (Violation("layers[0]", "image input requires a leading PatchEmbed"),)
         )
+    return first
+
+
+def input_sequence_length(spec: ArchSpec) -> int:
+    """Sequence length entering the layer stack (after any patching)."""
+    if isinstance(spec.input, TokenSequence):
+        return spec.input.length
+    first = _leading_patch_embed(spec)
     return derive_sequence_length(spec.input, first.patch, first.add_cls_token)
 
 

@@ -14,6 +14,9 @@ architecture document) or ``builder`` (``{"family": ..., **kwargs}``),
 optional ``name``, ``notes``, ``hardware`` (preset name or inline object)
 and ``batch``; any other key is refused.
 
+``compare`` takes spec files or ``--records``, never both; ``--hw`` and
+``--batch`` profile spec files, so they are refused with ``--records``.
+
 Records file (CSV): header ``name,family,quality,<indicator columns...>``
 with unique, non-empty column names; one row per model, names unique and
 non-empty; empty cells mean a missing indicator, other cells hold plain
@@ -41,6 +44,7 @@ from .analysis import (
     InsufficientDataError,
     MisnomerReport,
     ModelRecord,
+    _listed_pairs,
     indicators_present,
     misnomer_report,
     pareto_frontier,
@@ -392,9 +396,12 @@ def _render_misnomer(report: MisnomerReport) -> list[str]:
         lines.append(f"  {pair[0]} vs {pair[1]}: tau = {format_fixed(tau)}")
     lines.append("inverted pairs (cheaper under the first indicator, "
                  "costlier under the second):")
-    lines += [f"  {a} < {b} on {ind_a} but {a} > {b} on {ind_b}"
-              for a, b, ind_a, ind_b in report.inverted_pairs]
-    shown = len(report.inverted_pairs)
+    start = len(lines)
+    for listing in report._listings:  # the pairs, never built as InvertedPair
+        ind_a, ind_b = listing.indicator_a, listing.indicator_b
+        lines += [f"  {a} < {b} on {ind_a} but {a} > {b} on {ind_b}"
+                  for a, b in _listed_pairs(listing)]
+    shown = len(lines) - start
     if shown < report.n_inverted_pairs:
         lines.append(f"  showing {shown} of {report.n_inverted_pairs} inverted pairs")
     elif not shown:
@@ -493,6 +500,11 @@ def cmd_compare(args) -> int:
     if args.max_pairs is not None and args.max_pairs < 0:
         raise CliError(f"--max-pairs must be >= 0, got {args.max_pairs}")
     if args.records is not None:
+        extra = [flag for flag, given in (("spec files", args.specs),
+                                          ("--hw", args.hw is not None),
+                                          ("--batch", args.batch is not None)) if given]
+        if extra:
+            raise CliError(f"--records cannot be combined with {', '.join(extra)}")
         records = read_records_csv(args.records)
     elif args.specs:
         records = _records_from_specs(args.specs, args.hw, args.batch)
@@ -501,8 +513,10 @@ def cmd_compare(args) -> int:
     if len(records) < 2:
         raise CliError("compare requires at least 2 models", code=1)
 
-    if args.indicators:
+    if args.indicators is not None:
         wanted = [s.strip() for s in args.indicators.split(",") if s.strip()]
+        if not wanted:
+            raise CliError(f"--indicators {args.indicators!r} names no indicator")
         present = indicators_present(records)
         unknown = [w for w in wanted if w not in present]
         if unknown:

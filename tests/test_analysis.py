@@ -1,6 +1,8 @@
+import dataclasses
 import random
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -15,7 +17,9 @@ from costlens import (
     pareto_frontier,
     rank_disagreement,
 )
+from costlens import cli
 from costlens.analysis import InvertedPair, indicators_present
+from costlens.cli import _render_misnomer
 
 from support import (
     TABLE2_ROWS,
@@ -333,6 +337,40 @@ def oracle_listing(records):
             if carrying_both(records, a, b) >= 2]
 
 
+LISTING_HEAD = ("inverted pairs (cheaper under the first indicator, "
+                "costlier under the second):")
+
+
+def assert_rendered_listing(report):
+    """The pair lines the CLI prints are the lines formatted from
+    ``report.inverted_pairs``, followed by the right closing line."""
+    expected = [f"  {a} < {b} on {ind_a} but {a} > {b} on {ind_b}"
+                for a, b, ind_a, ind_b in report.inverted_pairs]
+    lines = _render_misnomer(report)
+    start = lines.index(LISTING_HEAD) + 1
+    assert lines[start:start + len(expected)] == expected
+    after = lines[start + len(expected)]
+    if len(expected) < report.n_inverted_pairs:
+        assert after == (f"  showing {len(expected)} of "
+                         f"{report.n_inverted_pairs} inverted pairs")
+    elif not expected:
+        assert after == "  none"
+    else:
+        assert after.startswith("pareto instability")
+
+
+def mid_row_cut(report):
+    """A ``max_pairs`` that ends the listing between two partners of one
+    record, or None when no record has two listed partners."""
+    before = 0
+    for listing in report._listings:
+        for row in listing.rows:
+            if row[3] >= 2:
+                return before + 1
+            before += row[3]
+    return None
+
+
 class TestRankBitsetsDifferential:
     @DIFFERENTIAL
     @given(record_sets(), st.sampled_from(COLUMNS), st.sampled_from(COLUMNS),
@@ -369,6 +407,24 @@ class TestRankBitsetsDifferential:
         assert cut.n_inverted_pairs == len(full)
         assert cut.kendall_tau == report.kendall_tau
         assert cut.pareto_instability == report.pareto_instability
+
+    @DIFFERENTIAL
+    @given(record_sets(), st.integers(0, 60))
+    def test_rendered_listing_matches_inverted_pairs(self, records, k):
+        full = misnomer_report(records)
+        inside = mid_row_cut(full)
+        for cut in {None, k, *([] if inside is None else [inside])}:
+            assert_rendered_listing(misnomer_report(records, max_pairs=cut))
+
+    def test_rendered_listing_at_every_cut(self):
+        kept = ("params", "flops", "latency")
+        records = [ModelRecord(r.name, {k: r.indicators[k] for k in kept},
+                               quality=r.quality)
+                   for r in sweep_records(14, seed=5)]
+        total = misnomer_report(records).n_inverted_pairs
+        assert 50 < total < 500
+        for cut in range(total + 2):
+            assert_rendered_listing(misnomer_report(records, max_pairs=cut))
 
     def test_signed_zero_is_a_tie(self):
         records = [rec("a", 0, params=0.0, flops=1.0),
@@ -421,6 +477,45 @@ class TestSweepScale:
         # listing all ~0.7M pairs would hold them as tuples: tens of MB
         assert report.n_inverted_pairs > 500_000
         assert peak < 2_000_000
+
+
+class TestLazyListing:
+    def test_compare_never_builds_inverted_pairs(self, monkeypatch, capsys):
+        reports = []
+
+        def keep(records, **limit):
+            reports.append(misnomer_report(records, **limit))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "misnomer_report", keep)
+        path = Path(__file__).resolve().parent / "golden" / "compare_tie_heavy.csv"
+        assert cli.main(["compare", "--records", str(path)]) == 0
+        assert "showing" not in capsys.readouterr().out
+        (report,) = reports
+        assert report.n_inverted_pairs == 1654
+        assert "inverted_pairs" not in report.__dict__
+        assert len(report.inverted_pairs) == 1654
+        assert "inverted_pairs" in report.__dict__
+
+    def test_replace_keeps_the_listing(self):
+        report = misnomer_report(sweep_records(30), max_pairs=50)
+        shifted = dataclasses.replace(
+            report, kendall_tau={k: v - 1e-4 for k, v in report.kendall_tau.items()})
+        assert shifted.inverted_pairs == report.inverted_pairs
+        assert len(shifted.inverted_pairs) == 50
+        assert shifted.kendall_tau != report.kendall_tau
+
+    def test_unbounded_report_holds_no_pair_objects(self):
+        records = sweep_records(300)
+        tracemalloc.start()
+        try:
+            report = misnomer_report(records)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # ~0.7M pairs as InvertedPair objects took about 75 MB
+        assert report.n_inverted_pairs > 500_000
+        assert peak < 4_000_000
 
 
 class TestDuplicateRows:

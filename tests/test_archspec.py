@@ -19,7 +19,13 @@ from costlens import (
     to_json,
     validate,
 )
-from costlens.archspec import layer_from_dict, spec_from_dict
+from costlens.archspec import (
+    InvalidSpecError,
+    Violation,
+    input_sequence_length,
+    layer_from_dict,
+    spec_from_dict,
+)
 
 from support import vit_base
 
@@ -52,6 +58,16 @@ class TestValidate:
         result = validate(spec)
         assert not result.ok
         assert any("does not divide" in v.message for v in result.violations)
+
+    @pytest.mark.parametrize("layers", [(), (LayerNorm(128),)])
+    def test_image_without_leading_patch_embed(self, layers):
+        """validate and the sequence length refuse it with one violation."""
+        spec = ArchSpec("x", Image(224, 224, 3), layers)
+        expected = Violation("layers[0]", "image input requires a leading PatchEmbed")
+        assert validate(spec).violations[0] == expected
+        with pytest.raises(InvalidSpecError) as err:
+            input_sequence_length(spec)
+        assert err.value.violations == (expected,)
 
     def test_moe_k_exceeds_e(self):
         spec = ArchSpec("x", TokenSequence(4, 10), (

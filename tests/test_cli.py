@@ -373,6 +373,33 @@ class TestCompare:
             capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("selection", ["", ",", " , "])
+    def test_empty_indicator_selection_exits_2(self, records_csv, capsys, selection):
+        code, out, err = run_cli(
+            ["compare", "--records", records_csv, "--indicators", selection], capsys)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {
+            "error": f"--indicators {selection!r} names no indicator"}
+
+    @pytest.mark.parametrize("extra, named", [
+        (["vit16"], "spec files"),
+        (["--hw", "nope"], "--hw"),
+        (["--hw", "tpu_like"], "--hw"),
+        (["--batch", "8"], "--batch"),
+        (["vit16", "vit16", "--hw", "nope", "--batch", "8"],
+         "spec files, --hw, --batch"),
+    ])
+    def test_records_refuses_spec_inputs(self, records_csv, vit16, capsys,
+                                         extra, named):
+        extra = [vit16 if a == "vit16" else a for a in extra]
+        code, out, err = run_cli(["compare", "--records", records_csv, *extra],
+                                 capsys)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {
+            "error": f"--records cannot be combined with {named}"}
+
     def test_non_numeric_cell_exits_2(self, tmp_path, capsys):
         p = tmp_path / "r.csv"
         p.write_text("name,quality,params\na,1.0,fast\n")
