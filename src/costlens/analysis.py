@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
+from itertools import compress, islice
 from typing import NamedTuple
 
 #: Canonical indicator ids. CSV files may carry extra columns (treated as
@@ -180,11 +180,12 @@ def _listed_pairs(listing: _Listing):
     names = listing.names
     for i, partners, a_first, count in listing.rows:
         me = names[i]
-        width = partners.bit_length()
         picked = format(partners, "b")[::-1].encode().translate(_BIT_BYTES)
-        first = format(a_first, f"0{width}b")[::-1].encode().translate(_BIT_BYTES)
-        flags = bytes(compress(first, picked))[:count]
-        for other, me_first in zip(compress(names[i + 1:], picked), flags):
+        # a bit above the last partner pads a_first to the width of partners
+        first = format(a_first | (1 << partners.bit_length()), "b")[::-1]
+        row = zip(compress(names[i + 1:], picked),
+                  compress(first.encode().translate(_BIT_BYTES), picked))
+        for other, me_first in islice(row, count):
             yield (me, other) if me_first else (other, me)
 
 
