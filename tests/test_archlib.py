@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from costlens import (
@@ -14,7 +17,7 @@ from costlens import (
     depth_width_pair,
     validate,
 )
-from costlens.archspec import input_sequence_length
+from costlens.archspec import input_sequence_length, spec_from_dict, spec_to_dict
 
 from support import TABLE1, vit_base
 
@@ -173,3 +176,65 @@ class TestBuilderRegistry:
     def test_bad_arguments(self):
         with pytest.raises(ValueError, match="bad arguments"):
             build_from_reference("vit", {"patch": 16})
+
+
+SMALL = dict(patch=8, depth=3, model_dim=64, num_heads=4, ffn_dim=96,
+             image=(32, 48, 3), classes=10)
+LM = dict(layers_per_stack=3, model_dim=64, ffn_dim=256, heads=4, vocab=1000,
+          input_len=64, output_len=64)
+
+#: One builder call per label; ``tests/golden/builder_specs.json`` holds
+#: ``spec_to_dict`` of each output, and
+#: ``PYTHONPATH=src python tests/test_archlib.py`` rewrites it.
+BUILDER_CALLS = {
+    "vit/small": lambda: build_vit(VitConfig(**SMALL)),
+    "vit/base16": lambda: build_vit(VitConfig(**BASE)),
+    "universal_transformer/small_k5": lambda: build_universal_transformer(
+        VitConfig(**SMALL), 5),
+    "universal_transformer/base16_k12": lambda: build_universal_transformer(
+        VitConfig(**BASE), 12),
+    "moe/small_every1": lambda: build_moe_transformer(
+        VitConfig(**SMALL), 4, 1, moe_every=1),
+    "moe/small_every2_default": lambda: build_moe_transformer(
+        VitConfig(**{**SMALL, "depth": 4}), 8, 2),
+    "moe/small_every2_depth5": lambda: build_moe_transformer(
+        VitConfig(**{**SMALL, "depth": 5}), 8, 2, moe_every=2),
+    "moe/small_every3_depth7": lambda: build_moe_transformer(
+        VitConfig(**{**SMALL, "depth": 7}), 3, 3, moe_every=3),
+    "moe/base16_every3": lambda: build_moe_transformer(
+        VitConfig(**BASE), 16, 2, moe_every=3),
+    "lm/decoder_only": lambda: build_lm(LmConfig("decoder_only", **LM)),
+    "lm/encoder_decoder": lambda: build_lm(LmConfig("encoder_decoder", **LM)),
+    "depth_width_pair/deep": lambda: depth_width_pair()[0],
+    "depth_width_pair/wide": lambda: depth_width_pair()[1],
+    "depth_width_pair/p32_i160_deep": lambda: depth_width_pair(32, 160)[0],
+    "depth_width_pair/p32_i160_wide": lambda: depth_width_pair(32, 160)[1],
+}
+
+BUILDER_GOLDEN = Path(__file__).resolve().parent / "golden" / "builder_specs.json"
+
+
+def _builder_documents() -> dict:
+    # JSON round trip so tuples compare as the lists the golden holds.
+    return json.loads(json.dumps(
+        {label: spec_to_dict(call()) for label, call in BUILDER_CALLS.items()}))
+
+
+class TestBuilderGolden:
+    def test_specs_equal_golden(self):
+        golden = json.loads(BUILDER_GOLDEN.read_text(encoding="utf-8"))
+        assert golden.keys() == BUILDER_CALLS.keys()
+        documents = _builder_documents()
+        for label in BUILDER_CALLS:
+            assert documents[label] == golden[label], label
+
+    @pytest.mark.parametrize("label", sorted(BUILDER_CALLS))
+    def test_golden_round_trips_to_equal_spec(self, label):
+        golden = json.loads(BUILDER_GOLDEN.read_text(encoding="utf-8"))
+        assert spec_from_dict(golden[label]) == BUILDER_CALLS[label]()
+
+
+if __name__ == "__main__":
+    BUILDER_GOLDEN.write_text(
+        json.dumps(_builder_documents(), indent=1, sort_keys=True) + "\n",
+        encoding="utf-8")
