@@ -12,7 +12,7 @@ Every builder output passes :func:`costlens.archspec.validate`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import get_type_hints
 
 from .archspec import (
@@ -66,21 +66,27 @@ def _encoder_block(d: int, heads: int, ffn_dim: int, *,
     return tuple(block)
 
 
+def _vision_spec(cfg: VitConfig, name: str, blocks: tuple[LayerSpec, ...],
+                 metadata: dict[str, str]) -> ArchSpec:
+    """The vision stack: patch embedding, ``blocks``, norm, classifier."""
+    h, w, c = cfg.image
+    return ArchSpec(
+        name=name,
+        input=Image(h, w, c),
+        layers=(PatchEmbed(cfg.patch, c, cfg.model_dim), *blocks,
+                LayerNorm(cfg.model_dim), ClassifierHead(cfg.model_dim, cfg.classes)),
+        metadata=metadata,
+    )
+
+
 def build_vit(cfg: VitConfig) -> ArchSpec:
     """Patch embedding (CLS + learned positions), ``depth`` pre-norm
     encoder blocks, final norm, linear classifier over the CLS token."""
-    h, w, c = cfg.image
-    return ArchSpec(
-        name=f"vit_p{cfg.patch}_d{cfg.depth}_w{cfg.model_dim}",
-        input=Image(h, w, c),
-        layers=(
-            PatchEmbed(cfg.patch, c, cfg.model_dim),
-            Repeat(_encoder_block(cfg.model_dim, cfg.num_heads, cfg.ffn_dim),
-                   times=cfg.depth, share_params=False),
-            LayerNorm(cfg.model_dim),
-            ClassifierHead(cfg.model_dim, cfg.classes),
-        ),
-        metadata={"family": "vit", "patch": str(cfg.patch)},
+    return _vision_spec(
+        cfg, f"vit_p{cfg.patch}_d{cfg.depth}_w{cfg.model_dim}",
+        (Repeat(_encoder_block(cfg.model_dim, cfg.num_heads, cfg.ffn_dim),
+                times=cfg.depth, share_params=False),),
+        {"family": "vit", "patch": str(cfg.patch)},
     )
 
 
@@ -89,18 +95,11 @@ def build_universal_transformer(cfg: VitConfig, steps: int) -> ArchSpec:
     times with shared parameters: the parameter count of a depth-1 model
     with the compute of a depth-``steps`` model."""
     check_value("steps", steps)
-    h, w, c = cfg.image
-    return ArchSpec(
-        name=f"ut_p{cfg.patch}_k{steps}_w{cfg.model_dim}",
-        input=Image(h, w, c),
-        layers=(
-            PatchEmbed(cfg.patch, c, cfg.model_dim),
-            Repeat(_encoder_block(cfg.model_dim, cfg.num_heads, cfg.ffn_dim),
-                   times=steps, share_params=True),
-            LayerNorm(cfg.model_dim),
-            ClassifierHead(cfg.model_dim, cfg.classes),
-        ),
-        metadata={"family": "universal_transformer", "steps": str(steps)},
+    return _vision_spec(
+        cfg, f"ut_p{cfg.patch}_k{steps}_w{cfg.model_dim}",
+        (Repeat(_encoder_block(cfg.model_dim, cfg.num_heads, cfg.ffn_dim),
+                times=steps, share_params=True),),
+        {"family": "universal_transformer", "steps": str(steps)},
     )
 
 
@@ -122,27 +121,16 @@ def build_moe_transformer(cfg: VitConfig, num_experts: int,
     check_value("moe_every", moe_every)
     if experts_per_token > num_experts:
         raise ValueError("experts_per_token must be <= num_experts")
-    d = cfg.model_dim
-    h, w, c = cfg.image
-    layers: list[LayerSpec] = [PatchEmbed(cfg.patch, c, d)]
-    for i in range(cfg.depth):
-        layers += [LayerNorm(d), Attention(d, d, cfg.num_heads), LayerNorm(d)]
-        if (i + 1) % moe_every == 0:
-            layers.append(MoE(
-                expert=FeedForward(d, cfg.ffn_dim),
-                num_experts=num_experts,
-                experts_per_token=experts_per_token,
-                router_dim=d,
-            ))
-        else:
-            layers.append(FeedForward(d, cfg.ffn_dim))
-    layers += [LayerNorm(d), ClassifierHead(d, cfg.classes)]
-    return ArchSpec(
-        name=f"moe_p{cfg.patch}_d{cfg.depth}_e{num_experts}k{experts_per_token}",
-        input=Image(h, w, c),
-        layers=tuple(layers),
-        metadata={"family": "moe", "num_experts": str(num_experts),
-                  "experts_per_token": str(experts_per_token)},
+    block = _encoder_block(cfg.model_dim, cfg.num_heads, cfg.ffn_dim)
+    moe_block = block[:-1] + (MoE(expert=block[-1], num_experts=num_experts,
+                                  experts_per_token=experts_per_token,
+                                  router_dim=cfg.model_dim),)
+    return _vision_spec(
+        cfg, f"moe_p{cfg.patch}_d{cfg.depth}_e{num_experts}k{experts_per_token}",
+        tuple(layer for i in range(1, cfg.depth + 1)
+              for layer in (block if i % moe_every else moe_block)),
+        {"family": "moe", "num_experts": str(num_experts),
+         "experts_per_token": str(experts_per_token)},
     )
 
 
@@ -191,31 +179,22 @@ def build_lm(cfg: LmConfig) -> ArchSpec:
     blocks (causal self-attention plus cross-attention) over the shared
     stream length, with one tied embedding/logit matrix."""
     d, L = cfg.model_dim, cfg.layers_per_stack
+
+    def stack(times: int, **block) -> tuple[LayerSpec, ...]:
+        return (Repeat(_encoder_block(d, cfg.heads, cfg.ffn_dim, **block),
+                       times=times, share_params=False), LayerNorm(d))
+
     if cfg.arrangement == "decoder_only":
-        return ArchSpec(
-            name=f"lm_dec_{2 * L}x{d}",
-            input=TokenSequence(cfg.input_len + cfg.output_len, cfg.vocab),
-            layers=(
-                TokenEmbedding(cfg.vocab, d, tied_output=True),
-                Repeat(_encoder_block(d, cfg.heads, cfg.ffn_dim, causal=True),
-                       times=2 * L, share_params=False),
-                LayerNorm(d),
-            ),
-            metadata={"family": "lm", "arrangement": "decoder_only"},
-        )
+        name, length = f"lm_dec_{2 * L}x{d}", cfg.input_len + cfg.output_len
+        stacks = stack(2 * L, causal=True)
+    else:
+        name, length = f"lm_encdec_{L}+{L}x{d}", cfg.input_len
+        stacks = stack(L) + stack(L, causal=True, cross=True)
     return ArchSpec(
-        name=f"lm_encdec_{L}+{L}x{d}",
-        input=TokenSequence(cfg.input_len, cfg.vocab),
-        layers=(
-            TokenEmbedding(cfg.vocab, d, tied_output=True),
-            Repeat(_encoder_block(d, cfg.heads, cfg.ffn_dim),
-                   times=L, share_params=False),
-            LayerNorm(d),
-            Repeat(_encoder_block(d, cfg.heads, cfg.ffn_dim, causal=True, cross=True),
-                   times=L, share_params=False),
-            LayerNorm(d),
-        ),
-        metadata={"family": "lm", "arrangement": "encoder_decoder"},
+        name=name,
+        input=TokenSequence(length, cfg.vocab),
+        layers=(TokenEmbedding(cfg.vocab, d, tied_output=True), *stacks),
+        metadata={"family": "lm", "arrangement": cfg.arrangement},
     )
 
 
@@ -227,17 +206,14 @@ def depth_width_pair(patch: int = 16, image: int = 224) -> tuple[ArchSpec, ArchS
     total FLOPs agree to within about one percent while the deep model
     dispatches four times as many sequential ops.
     """
-    deep = build_vit(VitConfig(patch=patch, depth=48, model_dim=384,
-                               num_heads=6, ffn_dim=1440,
-                               image=(image, image, 3)))
-    wide = build_vit(VitConfig(patch=patch, depth=12, model_dim=768,
-                               num_heads=12, ffn_dim=3072,
-                               image=(image, image, 3)))
-    deep = ArchSpec("deep_48x384", deep.input, deep.layers,
-                    {**deep.metadata, "geometry": "deep"}, deep.element_bytes)
-    wide = ArchSpec("wide_12x768", wide.input, wide.layers,
-                    {**wide.metadata, "geometry": "wide"}, wide.element_bytes)
-    return deep, wide
+    def geometry(kind: str, depth: int, width: int, heads: int, ffn_dim: int) -> ArchSpec:
+        spec = build_vit(VitConfig(patch=patch, depth=depth, model_dim=width,
+                                   num_heads=heads, ffn_dim=ffn_dim,
+                                   image=(image, image, 3)))
+        return replace(spec, name=f"{kind}_{depth}x{width}",
+                       metadata={**spec.metadata, "geometry": kind})
+
+    return geometry("deep", 48, 384, 6, 1440), geometry("wide", 12, 768, 12, 3072)
 
 
 # ---------------------------------------------------------------------------

@@ -74,10 +74,6 @@ class CliError(Exception):
 
 def format_fixed(x, sig: int = 6) -> str:
     """Fixed-notation rendering with up to ``sig`` significant digits."""
-    if isinstance(x, bool):
-        return str(x)
-    if x is None:
-        return ""
     if isinstance(x, int):
         x = float(x)
     if x == 0:
@@ -513,6 +509,7 @@ def cmd_compare(args) -> int:
     if len(records) < 2:
         raise CliError("compare requires at least 2 models", code=1)
 
+    dropped = []
     if args.indicators is not None:
         wanted = [s.strip() for s in args.indicators.split(",") if s.strip()]
         if not wanted:
@@ -523,6 +520,7 @@ def cmd_compare(args) -> int:
             raise CliError(
                 f"indicator(s) not present in any record: {', '.join(unknown)}"
             )
+        dropped = [r.name for r in records if r.indicators.keys().isdisjoint(wanted)]
         records = [
             ModelRecord(
                 name=r.name,
@@ -531,7 +529,7 @@ def cmd_compare(args) -> int:
                 family=r.family,
             )
             for r in records
-            if any(k in r.indicators for k in wanted)
+            if not r.indicators.keys().isdisjoint(wanted)
         ]
         if len(records) < 2:
             raise CliError("fewer than 2 models carry the requested indicators",
@@ -560,6 +558,9 @@ def cmd_compare(args) -> int:
     except InsufficientDataError as exc:
         raise CliError(str(exc), code=1)
     lines += _render_misnomer(report)
+    if dropped:
+        print(f"warning: --indicators leaves out {', '.join(dropped)}, which "
+              "carry none of the requested indicators", file=sys.stderr)
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 

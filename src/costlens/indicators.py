@@ -28,8 +28,9 @@ def _checked(value: int, what: str) -> int:
     return value
 
 
-def _steps(spec: ArchSpec) -> list[Step]:
-    """The steps of ``spec``, validated once and evaluated once."""
+def _steps(spec: ArchSpec, batch: int = 1) -> list[Step]:
+    """Check ``batch``, then the steps of ``spec``, validated and evaluated once."""
+    check_value("batch", batch)
     ensure_valid(spec)
     return evaluate(spec)[0]
 
@@ -145,10 +146,10 @@ def count_flops(spec: ArchSpec, batch: int = 1, *,
     (the fraction of weights that are zero and skippable in principle);
     elementwise work is unaffected, and no speedup claim is implied.
     """
-    check_value("batch", batch)
+    steps = _steps(spec, batch)
     if not 0.0 <= weight_sparsity < 1.0:
         raise ValueError("weight_sparsity must be in [0, 1)")
-    return flops_of(_steps(spec), batch, weight_sparsity)
+    return flops_of(steps, batch, weight_sparsity)
 
 
 def flops_of(steps: list[Step], batch: int, weight_sparsity: float = 0.0) -> FlopCount:
@@ -182,8 +183,7 @@ def backward_flops(spec: ArchSpec, batch: int = 1) -> int:
 
 def activation_size(spec: ArchSpec, batch: int = 1) -> int:
     """Total elements in every building-block output tensor, per batch."""
-    check_value("batch", batch)
-    return activation_of(_steps(spec), batch)
+    return activation_of(_steps(spec, batch), batch)
 
 
 def activation_of(steps: list[Step], batch: int) -> int:
@@ -200,8 +200,7 @@ def memory_access_cost(spec: ArchSpec, batch: int = 1) -> int:
     accesses -- so the total is exactly linear in batch and identical for
     shared and unshared repeats.
     """
-    check_value("batch", batch)
-    return traffic_of(_steps(spec), spec.element_bytes, batch)
+    return traffic_of(_steps(spec, batch), spec.element_bytes, batch)
 
 
 def traffic_of(steps: list[Step], element_bytes: int, batch: int) -> int:
@@ -227,8 +226,7 @@ def training_memory(spec: ArchSpec, batch: int = 1,
     stores the same activations as its unshared twin, which is why sharing
     helps inference memory far more than training memory.
     """
-    check_value("batch", batch)
-    steps = _steps(spec)
+    steps = _steps(spec, batch)
     return training_memory_of(steps, params_of(steps), spec.element_bytes, batch,
                               optimizer)
 
@@ -257,8 +255,7 @@ def inference_memory(spec: ArchSpec, batch: int = 1) -> MemoryEstimate:
     """Peak device memory for a forward pass: weights plus the largest
     single-layer output working set. Gradient and optimizer fields are
     zero by construction."""
-    check_value("batch", batch)
-    steps = _steps(spec)
+    steps = _steps(spec, batch)
     eb = spec.element_bytes
     param_bytes = _checked(params_of(steps).total * eb, "parameter bytes")
     working = _inference_peak(steps, eb, batch, param_bytes) - param_bytes

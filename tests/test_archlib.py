@@ -225,13 +225,9 @@ class TestBuilderGolden:
         golden = json.loads(BUILDER_GOLDEN.read_text(encoding="utf-8"))
         assert golden.keys() == BUILDER_CALLS.keys()
         documents = _builder_documents()
-        for label in BUILDER_CALLS:
+        for label, call in BUILDER_CALLS.items():
             assert documents[label] == golden[label], label
-
-    @pytest.mark.parametrize("label", sorted(BUILDER_CALLS))
-    def test_golden_round_trips_to_equal_spec(self, label):
-        golden = json.loads(BUILDER_GOLDEN.read_text(encoding="utf-8"))
-        assert spec_from_dict(golden[label]) == BUILDER_CALLS[label]()
+            assert spec_from_dict(golden[label]) == call(), label
 
 
 if __name__ == "__main__":

@@ -582,6 +582,36 @@ class TestCompare:
             assert payload["error"] == f"{p}:3: name cell is empty"
 
 
+class TestCompareLeftOutModels:
+    CSV = "name,quality,params,flops\na,1,1,\nb,2,2,\nc,3,,3\nd,4,,4\n"
+
+    def test_left_out_models_named_on_stderr(self, tmp_path, capsys):
+        p = tmp_path / "r.csv"
+        p.write_text(self.CSV)
+        code, out, err = run_cli(
+            ["compare", "--records", str(p), "--indicators", "params"], capsys)
+        assert code == 0
+        assert [l.split()[0] for l in out.splitlines()[1:3]] == ["a", "b"]
+        assert err == ("warning: --indicators leaves out c, d, which carry "
+                       "none of the requested indicators\n")
+
+    def test_nothing_left_out_keeps_stderr_empty(self, tmp_path, capsys):
+        p = tmp_path / "r.csv"
+        p.write_text(self.CSV)
+        code, _, err = run_cli(
+            ["compare", "--records", str(p), "--indicators", "params,flops"], capsys)
+        assert (code, err) == (0, "")
+
+    def test_exit_1_writes_only_the_json_line(self, tmp_path, capsys):
+        p = tmp_path / "r.csv"
+        p.write_text("name,quality,params,flops\na,1,1,\nc,3,,3\nd,4,,4\n")
+        code, out, err = run_cli(
+            ["compare", "--records", str(p), "--indicators", "params"], capsys)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert "fewer than 2 models" in json.loads(err)["error"]
+
+
 class TestPareto:
     def test_frontier_listing(self, records_csv, capsys):
         code, out, _ = run_cli(
