@@ -11,12 +11,12 @@ Run: python demos/ranking_disagreements.py [output.svg]
 import sys
 from importlib import resources
 
-from costlens import misnomer_report, pareto_frontier
-from costlens.cli import read_records_csv, svg_scatter
+from costlens import misnomer_report, pareto_frontier, read_records
+from costlens.cli import svg_scatter
 
 csv_path = resources.files("costlens").joinpath(
     "data/records/depth_width_scaling.csv")
-records = read_records_csv(str(csv_path))
+records = read_records(str(csv_path))
 
 report = misnomer_report(records)
 print("pairwise rank agreement (kendall tau-b):")

@@ -67,10 +67,12 @@ from .analysis import (
     InsufficientDataError,
     MisnomerReport,
     ModelRecord,
+    RecordsFileError,
     matched_sets,
     misnomer_report,
     pareto_frontier,
     rank_disagreement,
+    read_records,
 )
 from .archlib import (
     LmConfig,

@@ -1,9 +1,10 @@
 """Cross-model, cross-indicator analysis.
 
-Given a set of (name, quality, indicator values) records, this module
-finds where the indicators disagree: Pareto frontiers per indicator,
-tie-corrected Kendall rank correlation between indicator orderings with
-the count of inverted pairs and a listing of them (all, or the first N),
+Given a set of (name, quality, indicator values) records, built in
+Python or read from a CSV file by ``read_records``, this module finds
+where the indicators disagree: Pareto frontiers per indicator,
+tie-corrected Kendall rank correlation between indicator orderings with the
+count of inverted pairs and a listing of them (all, or the first N),
 relative-tolerance matched groups, and a combined report of models that
 look efficient under one indicator and dominated under another.
 
@@ -20,11 +21,14 @@ record list.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, islice
 from typing import NamedTuple
+
+from .archspec import check_value
 
 #: Canonical indicator ids. CSV files may carry extra columns (treated as
 #: lower-is-better indicators); these are the ids with defined semantics.
@@ -65,7 +69,6 @@ class ModelRecord:
     name: str
     indicators: dict[str, float]
     quality: float | None = None
-    family: str | None = None
 
     def __post_init__(self):
         if self.quality is not None and not math.isfinite(self.quality):
@@ -82,6 +85,91 @@ class ModelRecord:
         """Lower-is-better view of one indicator."""
         v = self.indicators[indicator]
         return -v if indicator in HIGHER_BETTER else v
+
+
+class RecordsFileError(ValueError):
+    """A records file that cannot be read or breaks the format; ``detail``
+    holds the ``file`` and, where known, the ``line``, ``column`` and ``model``."""
+
+    def __init__(self, message: str, **detail):
+        super().__init__(message)
+        self.detail = detail
+
+
+def read_records(path: str) -> list[ModelRecord]:
+    """One record per data row of a records CSV file (format in
+    docs/file-formats.md). A ``family`` column is ignored, ``quality`` may be
+    any finite score, and each indicator cell obeys the ``float`` field rule
+    of ``check_value``. A file that breaks the format raises ``RecordsFileError``."""
+    def refuse(line: int, message: str, **detail) -> RecordsFileError:
+        return RecordsFileError(f"{path}:{line}: {message}", file=path, line=line, **detail)
+
+    rows = []  # (physical line where the row starts, cells), blank rows skipped
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            start = 1
+            for row in reader:
+                if row:
+                    rows.append((start, row))
+                start = reader.line_num + 1
+    except FileNotFoundError:
+        raise RecordsFileError(f"no such file: {path}", file=path)
+    except (OSError, ValueError, csv.Error) as exc:
+        raise RecordsFileError(f"cannot read {path}: {exc}", file=path)
+    if not rows:
+        raise RecordsFileError(f"{path}: empty records file", file=path)
+    head_line, header = rows[0][0], [h.strip() for h in rows[0][1]]
+    first = {}  # column name -> its first column number
+    for i, col in enumerate(header, start=1):
+        if not col or first.setdefault(col, i) != i:
+            raise refuse(head_line, f"column names must be unique and non-empty, "
+                                    f"got {col!r} in column {i}", column=col)
+    missing = [c for c in ("name", "quality") if c not in header]
+    if missing:
+        raise RecordsFileError(f"{path}: records header must contain 'name' and "
+                               f"'quality' (missing: {', '.join(missing)})", file=path)
+    if len(rows) == 1:
+        raise RecordsFileError(f"{path}: no data rows", file=path)
+    number_cols = [c for c in header if c not in ("name", "family")]
+    records = []
+    first_line = {}
+    for lineno, row in rows[1:]:
+        if len(row) != len(header):
+            raise refuse(lineno, f"expected {len(header)} cells, got {len(row)}")
+        cells = dict(zip(header, (c.strip() for c in row)))
+        name = cells["name"]
+        if not name:
+            raise refuse(lineno, "name cell is empty")
+        if name in first_line:
+            raise refuse(lineno, f"duplicate model name {name!r} "
+                                 f"(first on line {first_line[name]})", model=name)
+        first_line[name] = lineno
+        if cells["quality"] == "":
+            raise refuse(lineno, "quality cell is empty")
+        numbers = {}
+        for col in number_cols:
+            text = cells[col]
+            if text == "":
+                continue
+            # float() alone would also read 1_0 and non-ASCII digits.
+            try:
+                if "_" in text or not text.isascii():
+                    raise ValueError(text)
+                numbers[col] = float(text)
+            except ValueError:
+                raise refuse(lineno, f"cell {col!r} is not numeric: {text!r}")
+            if col != "quality":  # a score, not a cost: ModelRecord checks it
+                try:
+                    check_value(col, numbers[col], float)
+                except ValueError as exc:
+                    raise refuse(lineno, str(exc), column=col)
+        quality = numbers.pop("quality")
+        try:
+            records.append(ModelRecord(name, numbers, quality))
+        except ValueError as exc:
+            raise refuse(lineno, str(exc))
+    return records
 
 
 def indicators_present(records) -> list[str]:

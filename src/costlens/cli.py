@@ -3,8 +3,9 @@
 All commands are deterministic: the same inputs produce byte-identical
 output (no timestamps, sorted keys, fixed float formatting). Exit codes:
 0 success, 1 analysis-level insufficiency (e.g. too few comparable
-models), 2 malformed input, a usage error included, or an unwritable
-output path; an exit 2 prints one JSON line on stderr and nothing on stdout.
+models), 2 malformed input, a usage error included, or an output path
+or stdout that cannot be written (``cannot write stdout: <reason>``);
+an exit 2 prints one JSON line on stderr and nothing on stdout.
 
 File formats
 ------------
@@ -16,14 +17,7 @@ and ``batch``; any other key is refused.
 
 ``compare`` takes spec files or ``--records``, never both; ``--hw`` and
 ``--batch`` profile spec files, so they are refused with ``--records``.
-
-Records file (CSV): header ``name,family,quality,<indicator columns...>``
-with unique, non-empty column names; one row per model, names unique and
-non-empty; empty cells mean a missing indicator, other cells hold plain
-decimal or exponent notation, and indicator cells are >= 0. Canonical indicator
-columns are params, flops, latency, throughput, activation, mac, memory,
-carbon, cost; extra numeric columns are accepted and treated as
-lower-is-better.
+Records file (CSV): ``costlens.analysis.read_records`` reads it.
 """
 
 from __future__ import annotations
@@ -44,10 +38,12 @@ from .analysis import (
     InsufficientDataError,
     MisnomerReport,
     ModelRecord,
+    RecordsFileError,
     _listed_pairs,
     indicators_present,
     misnomer_report,
     pareto_frontier,
+    read_records,
 )
 from .archlib import ARRANGEMENTS, BUILDER_ARGS, build_from_reference
 from .archspec import (
@@ -198,104 +194,22 @@ def load_spec_file(path: str) -> tuple[ArchSpec, HardwareModel | None, int | Non
     return spec, None if hardware is None else _hardware(hardware), batch
 
 
-def read_records_csv(path: str) -> list[ModelRecord]:
-    rows = []  # (physical line where the row starts, cells), blank rows skipped
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            start = 1
-            for row in reader:
-                if row:
-                    rows.append((start, row))
-                start = reader.line_num + 1
-    except FileNotFoundError:
-        raise CliError(f"no such file: {path}", file=path)
-    except (OSError, ValueError, csv.Error) as exc:
-        raise CliError(f"cannot read {path}: {exc}", file=path)
-    if not rows:
-        raise CliError(f"{path}: empty records file", file=path)
-    head_line, header = rows[0][0], [h.strip() for h in rows[0][1]]
-    first = {}  # column name -> its first column number
-    for i, col in enumerate(header, start=1):
-        if not col or first.setdefault(col, i) != i:
-            raise CliError(f"{path}:{head_line}: column names must be unique and "
-                           f"non-empty, got {col!r} in column {i}",
-                           file=path, line=head_line, column=col)
-    if "name" not in header or "quality" not in header:
-        missing = [c for c in ("name", "quality") if c not in header]
-        raise CliError(
-            f"{path}: records header must contain 'name' and 'quality' "
-            f"(missing: {', '.join(missing)})",
-            file=path,
-        )
-    number_cols = [c for c in header if c not in ("name", "family")]
-    records = []
-    first_line = {}
-    for lineno, row in rows[1:]:
-        if len(row) != len(header):
-            raise CliError(
-                f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}",
-                file=path, line=lineno,
-            )
-        cells = dict(zip(header, (c.strip() for c in row)))
-        name = cells["name"]
-        if not name:
-            raise CliError(f"{path}:{lineno}: name cell is empty",
-                           file=path, line=lineno)
-        if name in first_line:
-            raise CliError(
-                f"{path}:{lineno}: duplicate model name {name!r} "
-                f"(first on line {first_line[name]})",
-                file=path, line=lineno, model=name,
-            )
-        first_line[name] = lineno
-        if cells["quality"] == "":
-            raise CliError(f"{path}:{lineno}: quality cell is empty",
-                           file=path, line=lineno)
-        numbers = {}
-        for col in number_cols:
-            text = cells[col]
-            if text == "":
-                continue
-            # float() alone would also read 1_0 and non-ASCII digits.
-            try:
-                if "_" in text or not text.isascii():
-                    raise ValueError(text)
-                numbers[col] = float(text)
-            except ValueError:
-                raise CliError(
-                    f"{path}:{lineno}: cell {col!r} is not numeric: {text!r}",
-                    file=path, line=lineno,
-                )
-            # A cost is never negative; quality is a score, not a cost.
-            if numbers[col] < 0 and col != "quality":
-                raise CliError(
-                    f"{path}:{lineno}: cell {col!r} is negative: {text!r}",
-                    file=path, line=lineno, column=col,
-                )
-        quality = numbers.pop("quality")
-        try:
-            record = ModelRecord(
-                name=name,
-                indicators=numbers,
-                quality=quality,
-                family=cells.get("family") or None,
-            )
-        except ValueError as exc:
-            raise CliError(f"{path}:{lineno}: {exc}", file=path, line=lineno)
-        records.append(record)
-    if not records:
-        raise CliError(f"{path}: no data rows", file=path)
-    return records
+# Kept: the commands call this name, the bench span cli.read_records_csv
+# wraps it and the acceptance tests import it.
+read_records_csv = read_records
 
 
 # ---------------------------------------------------------------------------
 # SVG scatter
 
 
-def svg_scatter(records, cost_key: str, frontier_names, quality_label="quality",
-                width=640, height=480) -> str:
+#: Size of the scatter in SVG user units, and the label of its y axis.
+SVG_WIDTH, SVG_HEIGHT, SVG_QUALITY_LABEL = 640, 480, "quality"
+
+
+def svg_scatter(records, cost_key: str, frontier_names) -> str:
     """Minimal deterministic SVG 1.1 scatter with a frontier polyline."""
+    width, height = SVG_WIDTH, SVG_HEIGHT
     margin = 56.0
     xs = [r.indicators[cost_key] for r in records]
     ys = [r.quality for r in records]
@@ -328,7 +242,7 @@ def svg_scatter(records, cost_key: str, frontier_names, quality_label="quality",
         f'text-anchor="middle">{escape(cost_key, quote=False)}</text>',
         f'<text x="{f(margin / 4)}" y="{f(height / 2)}" font-size="13" '
         f'text-anchor="middle" transform="rotate(-90 {f(margin / 4)} '
-        f'{f(height / 2)})">{escape(quality_label, quote=False)}</text>',
+        f'{f(height / 2)})">{SVG_QUALITY_LABEL}</text>',
         f'<text x="{f(margin)}" y="{f(height - margin / 2)}" font-size="11" '
         f'text-anchor="middle">{format_fixed(xmin)}</text>',
         f'<text x="{f(width - margin)}" y="{f(height - margin / 2)}" font-size="11" '
@@ -475,10 +389,11 @@ def cmd_profile(args) -> int:
     profile = _profile(spec, _batch(args.batch, batch), hardware,
                        optimizer=OptimizerKind(args.optimizer),
                        energy=energy, pricing=pricing)
+    sys.stdout.write(_profile_lines(profile.to_dict(), args.format))
+    sys.stdout.flush()  # so a stdout that fails exits 2 before any warning
     if hardware is None:
         print("warning: no hardware model given; latency and throughput "
               "are omitted", file=sys.stderr)
-    sys.stdout.write(_profile_lines(profile.to_dict(), args.format))
     return 0
 
 
@@ -521,16 +436,9 @@ def cmd_compare(args) -> int:
                 f"indicator(s) not present in any record: {', '.join(unknown)}"
             )
         dropped = [r.name for r in records if r.indicators.keys().isdisjoint(wanted)]
-        records = [
-            ModelRecord(
-                name=r.name,
-                indicators={k: v for k, v in r.indicators.items() if k in wanted},
-                quality=r.quality,
-                family=r.family,
-            )
-            for r in records
-            if not r.indicators.keys().isdisjoint(wanted)
-        ]
+        records = [ModelRecord(r.name, {k: v for k, v in r.indicators.items()
+                                        if k in wanted}, r.quality)
+                   for r in records if not r.indicators.keys().isdisjoint(wanted)]
         if len(records) < 2:
             raise CliError("fewer than 2 models carry the requested indicators",
                            code=1)
@@ -558,10 +466,11 @@ def cmd_compare(args) -> int:
     except InsufficientDataError as exc:
         raise CliError(str(exc), code=1)
     lines += _render_misnomer(report)
+    sys.stdout.write("\n".join(lines) + "\n")
+    sys.stdout.flush()  # so a stdout that fails exits 2 before any warning
     if dropped:
         print(f"warning: --indicators leaves out {', '.join(dropped)}, which "
               "carry none of the requested indicators", file=sys.stderr)
-    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -584,13 +493,13 @@ def cmd_pareto(args) -> int:
     dominated = [r.name for r in records if r.name not in names]
     lines.append("dominated: " + (", ".join(sorted(dominated)) if dominated else "none"))
     if args.svg is not None:  # before stdout, so a refused path prints nothing
-        drawable = [r for r in records if args.cost in r.indicators]
-        try:
+        try:  # pareto_frontier refused a record lacking the cost, so all are drawn
             with open(args.svg, "w", encoding="utf-8") as fh:
-                fh.write(svg_scatter(drawable, args.cost, names))
+                fh.write(svg_scatter(records, args.cost, names))
         except OSError as exc:
             raise CliError(f"cannot write {args.svg}: {exc}", file=args.svg)
     sys.stdout.write("\n".join(lines) + "\n")
+    sys.stdout.flush()
     return 0
 
 
@@ -649,12 +558,17 @@ def main(argv=None) -> int:
         # Looked up on each call, so a replaced cmd_<name> takes effect.
         return globals()[f"cmd_{args.command}"](args)
     except CliError as exc:
-        payload = {"error": str(exc), **exc.detail}
-        print(json.dumps(payload, sort_keys=True), file=sys.stderr)
-        return exc.code
+        code, error = exc.code, {"error": str(exc), **exc.detail}
+    except RecordsFileError as exc:
+        code, error = 2, {"error": str(exc), **exc.detail}
     except AnalysisError as exc:
-        print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
-        return 1
+        code, error = 1, {"error": str(exc)}
+    except OSError as exc:  # stdout: the commands guard every file they use
+        if sys.stdout is sys.__stdout__:  # so the flush at exit cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code, error = 2, {"error": f"cannot write stdout: {exc}"}
+    print(json.dumps(error, sort_keys=True), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

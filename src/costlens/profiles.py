@@ -138,9 +138,4 @@ def record_from_profile(profile_dict: dict) -> ModelRecord:
         value = profile_dict.get(field_name)
         if value is not None:
             indicators[indicator] = float(value)
-    return ModelRecord(
-        name=str(profile_dict["name"]),
-        indicators=indicators,
-        quality=None,
-        family=None,
-    )
+    return ModelRecord(name=str(profile_dict["name"]), indicators=indicators)

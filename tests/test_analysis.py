@@ -37,8 +37,7 @@ def rec(name, quality, **indicators):
 def table2_records():
     return [
         ModelRecord(name=name, quality=acc,
-                    indicators={"params": params, "flops": gflops, "latency": msec},
-                    family="depth" if name.startswith("D") else "width")
+                    indicators={"params": params, "flops": gflops, "latency": msec})
         for name, _, _, _, _, params, gflops, msec, acc in TABLE2_ROWS
     ]
 

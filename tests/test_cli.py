@@ -1,5 +1,7 @@
 import argparse
+import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -10,19 +12,22 @@ from xml.dom import minidom
 import pytest
 
 from costlens import (
+    RecordsFileError,
     build_from_reference,
     count_flops,
     count_params,
     preset_names,
+    read_records,
     record_from_profile,
 )
-from costlens import cli
+from costlens import analysis, cli
 from costlens.archlib import ARRANGEMENTS, BUILDER_ARGS
 from costlens.cli import build_parser, format_fixed, main
 
 from support import data_file
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(args, capsys):
@@ -457,8 +462,9 @@ class TestCompare:
         p.write_text("name,quality,params,flops\na,-1.0,2,-0.5\nb,2.0,3,1\n")
         code, out, err = run_cli(["compare", "--records", str(p)], capsys)
         assert (code, out) == (2, "")
-        assert json.loads(err) == {"error": f"{p}:2: cell 'flops' is negative: '-0.5'",
-                                   "file": str(p), "line": 2, "column": "flops"}
+        assert json.loads(err) == {
+            "error": f"{p}:2: flops must be finite, a number >= 0, got -0.5",
+            "file": str(p), "line": 2, "column": "flops"}
         # Quality is a score and may be negative; zero is a cost like any other.
         p.write_text("name,quality,params,flops\na,-1.0,2,0\nb,2.0,3,-0\n")
         assert run_cli(["compare", "--records", str(p)], capsys)[0] == 0
@@ -672,6 +678,65 @@ class TestPareto:
         payload = json.loads(err)
         assert payload["file"] == target
         assert payload["error"].startswith(f"cannot write {target}: ")
+
+
+class TestLibraryReader:
+    def test_cli_reads_records_with_the_library_reader(self):
+        assert cli.read_records_csv is analysis.read_records is read_records
+
+    @pytest.mark.parametrize("content", [
+        "name,quality,params,flops\na,-1.0,2,-0.5\nb,2.0,3,1\n",
+        "name,quality,params\na,1.0,nan\nb,2.0,3\n",
+        "name,quality,params\na,1.0,1e400\nb,2.0,3\n",
+        "name,quality,params\n\na,1.0,2\nb,2.0,3\na,3.0,4\n",
+        None,
+    ], ids=["negative", "nan", "overflow", "duplicate", "missing"])
+    def test_refusal_is_the_cli_payload(self, tmp_path, capsys, content):
+        p = tmp_path / "r.csv"
+        if content is not None:
+            p.write_text(content)
+        with pytest.raises(RecordsFileError) as info:
+            read_records(str(p))
+        assert isinstance(info.value, ValueError)
+        assert not isinstance(info.value, cli.CliError)
+        code, out, err = run_cli(["compare", "--records", str(p)], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": str(info.value), **info.value.detail}
+
+
+class TestUnwritableStdout:
+    """A stdout that refuses the output ends in exit 2 and one JSON line."""
+
+    @pytest.fixture(params=["profile", "compare", "pareto"])
+    def argv(self, request, vit16, records_csv):
+        # No hardware, so a run that succeeds also warns on stderr.
+        return {"profile": ["profile", vit16],
+                "compare": ["compare", "--records", records_csv],
+                "pareto": ["pareto", records_csv, "--cost", "flops"]}[request.param]
+
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    def test_broken_pipe_in_process(self, argv, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdout", self.ClosedPipe())
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert json.loads(err) == {"error": "cannot write stdout: [Errno 32] Broken pipe"}
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device(self, argv):
+        # Buffered, as by default: the write then fails only when flushed.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "costlens", *argv],
+                                  stdout=full, stderr=subprocess.PIPE, text=True,
+                                  env={**env, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert json.loads(proc.stderr) == {
+            "error": "cannot write stdout: [Errno 28] No space left on device"}
 
 
 def builder_flags() -> dict:

@@ -1,0 +1,24 @@
+"""Every demo runs to completion, as a script, against the source tree."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_demos_found():
+    assert DEMOS, "an empty list would leave test_demo_runs with nothing to run"
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(demo, tmp_path):
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout
