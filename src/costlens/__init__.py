@@ -64,6 +64,7 @@ from .footprint import (
 from .analysis import (
     AnalysisError,
     CoverageError,
+    InputFileError,
     InsufficientDataError,
     MisnomerReport,
     ModelRecord,
@@ -84,6 +85,6 @@ from .archlib import (
     build_vit,
     depth_width_pair,
 )
-from .profiles import CostProfile, compute_profile, record_from_profile
+from .profiles import CostProfile, compute_profile, read_spec_file, record_from_profile
 
 __version__ = "0.1.0"

@@ -87,22 +87,25 @@ class ModelRecord:
         return -v if indicator in HIGHER_BETTER else v
 
 
-class RecordsFileError(ValueError):
-    """A records file that cannot be read or breaks the format; ``detail``
-    holds the ``file`` and, where known, the ``line``, ``column`` and ``model``."""
+class InputFileError(ValueError):
+    """An input file that cannot be read or breaks its format; ``detail`` holds what is
+    known of the ``file``, ``line``, ``column``, ``model``, ``offset`` and ``violations``."""
 
     def __init__(self, message: str, **detail):
         super().__init__(message)
         self.detail = detail
 
 
+RecordsFileError = InputFileError  # the name read_records first raised
+
+
 def read_records(path: str) -> list[ModelRecord]:
     """One record per data row of a records CSV file (format in
     docs/file-formats.md). A ``family`` column is ignored, ``quality`` may be
     any finite score, and each indicator cell obeys the ``float`` field rule
-    of ``check_value``. A file that breaks the format raises ``RecordsFileError``."""
-    def refuse(line: int, message: str, **detail) -> RecordsFileError:
-        return RecordsFileError(f"{path}:{line}: {message}", file=path, line=line, **detail)
+    of ``check_value``. A file that breaks the format raises ``InputFileError``."""
+    def refuse(line: int, message: str, **detail) -> InputFileError:
+        return InputFileError(f"{path}:{line}: {message}", file=path, line=line, **detail)
 
     rows = []  # (physical line where the row starts, cells), blank rows skipped
     try:
@@ -114,11 +117,11 @@ def read_records(path: str) -> list[ModelRecord]:
                     rows.append((start, row))
                 start = reader.line_num + 1
     except FileNotFoundError:
-        raise RecordsFileError(f"no such file: {path}", file=path)
+        raise InputFileError(f"no such file: {path}", file=path)
     except (OSError, ValueError, csv.Error) as exc:
-        raise RecordsFileError(f"cannot read {path}: {exc}", file=path)
+        raise InputFileError(f"cannot read {path}: {exc}", file=path)
     if not rows:
-        raise RecordsFileError(f"{path}: empty records file", file=path)
+        raise InputFileError(f"{path}: empty records file", file=path)
     head_line, header = rows[0][0], [h.strip() for h in rows[0][1]]
     first = {}  # column name -> its first column number
     for i, col in enumerate(header, start=1):
@@ -127,10 +130,10 @@ def read_records(path: str) -> list[ModelRecord]:
                                     f"got {col!r} in column {i}", column=col)
     missing = [c for c in ("name", "quality") if c not in header]
     if missing:
-        raise RecordsFileError(f"{path}: records header must contain 'name' and "
+        raise InputFileError(f"{path}: records header must contain 'name' and "
                                f"'quality' (missing: {', '.join(missing)})", file=path)
     if len(rows) == 1:
-        raise RecordsFileError(f"{path}: no data rows", file=path)
+        raise InputFileError(f"{path}: no data rows", file=path)
     number_cols = [c for c in header if c not in ("name", "family")]
     records = []
     first_line = {}
@@ -158,7 +161,7 @@ def read_records(path: str) -> list[ModelRecord]:
                     raise ValueError(text)
                 numbers[col] = float(text)
             except ValueError:
-                raise refuse(lineno, f"cell {col!r} is not numeric: {text!r}")
+                raise refuse(lineno, f"cell {col!r} is not numeric: {text!r}", column=col)
             if col != "quality":  # a score, not a cost: ModelRecord checks it
                 try:
                     check_value(col, numbers[col], float)

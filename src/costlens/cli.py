@@ -4,26 +4,24 @@ All commands are deterministic: the same inputs produce byte-identical
 output (no timestamps, sorted keys, fixed float formatting). Exit codes:
 0 success, 1 analysis-level insufficiency (e.g. too few comparable
 models), 2 malformed input, a usage error included, or an output path
-or stdout that cannot be written (``cannot write stdout: <reason>``);
-an exit 2 prints one JSON line on stderr and nothing on stdout.
+or stdout that cannot be written or is closed (``cannot write stdout:
+<reason>``); an exit 2 prints one JSON line on stderr and nothing on
+stdout.
 
-File formats
-------------
-
-Spec file (JSON): ``schema_version``, exactly one of ``arch`` (an inline
-architecture document) or ``builder`` (``{"family": ..., **kwargs}``),
-optional ``name``, ``notes``, ``hardware`` (preset name or inline object)
-and ``batch``; any other key is refused.
-
+The CLI opens no input file itself. ``costlens.read_spec_file`` reads
+spec files and ``costlens.read_records`` records files (formats in
+docs/file-formats.md); ``costlens.profiles`` also reads the ``--hw``,
+``--energy`` and ``--pricing`` files. Every refused file raises
+``InputFileError``, whose message and ``detail`` make the error line.
 ``compare`` takes spec files or ``--records``, never both; ``--hw`` and
 ``--batch`` profile spec files, so they are refused with ``--records``.
-Records file (CSV): ``costlens.analysis.read_records`` reads it.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import functools
 import io
 import json
@@ -35,10 +33,9 @@ from html import escape
 from .analysis import (
     AnalysisError,
     CoverageError,
-    InsufficientDataError,
+    InputFileError,
     MisnomerReport,
     ModelRecord,
-    RecordsFileError,
     _listed_pairs,
     indicators_present,
     misnomer_report,
@@ -46,17 +43,10 @@ from .analysis import (
     read_records,
 )
 from .archlib import ARRANGEMENTS, BUILDER_ARGS, build_from_reference
-from .archspec import (
-    ArchSpec,
-    InvalidSpecError,
-    check_value,
-    spec_from_dict,
-    validate,
-)
+from .archspec import ArchSpec, validate  # validate: the bench tracer test reads cli.validate
 from .footprint import EnergyProfile, PricingProfile
 from .indicators import OptimizerKind
-from .latency import HardwareModel, load_hardware
-from .profiles import compute_profile, record_from_profile
+from .profiles import _hardware, _rates, compute_profile, read_spec_file, record_from_profile
 
 
 class CliError(Exception):
@@ -68,15 +58,19 @@ class CliError(Exception):
         self.detail = detail
 
 
-def format_fixed(x, sig: int = 6) -> str:
-    """Fixed-notation rendering with up to ``sig`` significant digits."""
+#: Significant digits of every number the CLI prints.
+SIG_DIGITS = 6
+
+
+def format_fixed(x) -> str:
+    """Fixed-notation rendering with up to ``SIG_DIGITS`` significant digits."""
     if isinstance(x, int):
         x = float(x)
     if x == 0:
         return "0"
     if not math.isfinite(x):
         return str(x)
-    digits = sig - 1 - math.floor(math.log10(abs(x)))
+    digits = SIG_DIGITS - 1 - math.floor(math.log10(abs(x)))
     y = round(x, digits)
     if digits <= 0:
         return str(int(y))
@@ -86,39 +80,6 @@ def format_fixed(x, sig: int = 6) -> str:
 
 # ---------------------------------------------------------------------------
 # Input loading
-
-
-def _load_json(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise CliError(f"no such file: {path}", file=path)
-    except json.JSONDecodeError as exc:
-        raise CliError(
-            f"malformed JSON in {path}: {exc.msg} (byte offset {exc.pos})",
-            file=path, offset=exc.pos,
-        )
-    except RecursionError:
-        raise CliError(f"{path}: JSON nested too deeply", file=path)
-    except (OSError, ValueError) as exc:
-        raise CliError(f"cannot read {path}: {exc}", file=path)
-
-
-def _hardware(hw) -> HardwareModel:
-    """A hardware preset name, a JSON path or an inline object."""
-    try:
-        return load_hardware(hw) if isinstance(hw, str) else HardwareModel.from_dict(hw)
-    except (OSError, ValueError, RecursionError) as exc:
-        raise CliError(f"bad hardware {hw!r}: {exc}")
-
-
-def _rates(cls, path: str, what: str):
-    """An energy or pricing profile read from a JSON file."""
-    try:
-        return cls.from_dict(_load_json(path))
-    except ValueError as exc:
-        raise CliError(f"{path}: bad {what}: {exc}")
 
 
 def _batch(flag: int | None, from_file: int | None) -> int:
@@ -131,71 +92,13 @@ def _batch(flag: int | None, from_file: int | None) -> int:
 def _profile(spec, batch, hardware, **extra):
     try:
         return compute_profile(spec, batch=batch, hardware=hardware, **extra)
-    except (InvalidSpecError, OverflowError, ValueError) as exc:
+    except (OverflowError, ValueError) as exc:
         raise CliError(str(exc))
 
 
-#: Keys of a spec file; anything else is refused.
-_SPEC_FILE_KEYS = {"schema_version", "name", "arch", "builder", "hardware", "batch", "notes"}
-
-
-def load_spec_file(path: str) -> tuple[ArchSpec, HardwareModel | None, int | None]:
-    """Parse a spec file into (architecture, optional hardware, batch)."""
-    doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise CliError(f"{path}: spec file must be a JSON object", file=path)
-    version = doc.get("schema_version")
-    if version != 1:
-        raise CliError(f"{path}: unsupported schema_version {version!r}", file=path)
-    has_arch = "arch" in doc
-    has_builder = "builder" in doc
-    if has_arch == has_builder:
-        raise CliError(
-            f"{path}: exactly one of 'arch' or 'builder' is required", file=path
-        )
-    unknown = sorted(doc.keys() - _SPEC_FILE_KEYS)
-    if unknown:
-        raise CliError(f"{path}: " + "; ".join(f"unknown field {k!r}" for k in unknown),
-                       file=path)
-    batch = doc.get("batch")
-    try:
-        if batch is not None:
-            check_value("batch", batch)
-        for key in ("name", "notes"):
-            if key in doc:
-                check_value(key, doc[key], str)
-        if has_arch:
-            spec = spec_from_dict(doc["arch"])
-        else:
-            builder = dict(doc["builder"])
-            family = builder.pop("family", None)
-            if family is None:
-                raise ValueError("builder reference requires a 'family' field")
-            spec = build_from_reference(family, builder)
-    except (ValueError, TypeError) as exc:
-        raise CliError(f"{path}: {exc}", file=path)
-    except RecursionError:
-        raise CliError(f"{path}: architecture nested too deeply", file=path)
-    result = validate(spec)
-    if not result.ok:
-        raise CliError(
-            f"{path}: invalid architecture: "
-            + "; ".join(f"{v.path}: {v.message}" for v in result.violations),
-            file=path,
-            violations=[[v.path, v.message] for v in result.violations],
-        )
-    if "name" in doc:
-        spec = ArchSpec(doc["name"], spec.input, spec.layers, spec.metadata,
-                        spec.element_bytes)
-    hardware = doc.get("hardware")
-    if isinstance(hardware, str):  # a file beside the spec file comes first
-        beside = os.path.join(os.path.dirname(path), hardware)
-        hardware = beside if os.path.isfile(beside) else hardware
-    return spec, None if hardware is None else _hardware(hardware), batch
-
-
-# Kept: the commands call this name, the bench span cli.read_records_csv
-# wraps it and the acceptance tests import it.
+# Kept: the bench spans cli.load_spec_file and cli.read_records_csv wrap
+# these names, and the tests call them.
+load_spec_file = read_spec_file
 read_records_csv = read_records
 
 
@@ -374,7 +277,7 @@ def cmd_profile(args) -> int:
     hardware = None
     batch = None
     if args.spec is not None:
-        spec, hardware, batch = load_spec_file(args.spec)
+        spec, hardware, batch = read_spec_file(args.spec)
     elif args.family is not None:
         spec = _spec_from_args(args)
     else:
@@ -401,7 +304,7 @@ def _records_from_specs(paths, hw_name, batch) -> list[ModelRecord]:
     hardware = None if hw_name is None else _hardware(hw_name)
     records = []
     for path in paths:
-        spec, file_hw, file_batch = load_spec_file(path)
+        spec, file_hw, file_batch = read_spec_file(path)
         profile = _profile(spec, _batch(batch, file_batch), hardware or file_hw)
         records.append(record_from_profile(profile.to_dict()))
     return records
@@ -416,7 +319,7 @@ def cmd_compare(args) -> int:
                                           ("--batch", args.batch is not None)) if given]
         if extra:
             raise CliError(f"--records cannot be combined with {', '.join(extra)}")
-        records = read_records_csv(args.records)
+        records = read_records(args.records)
     elif args.specs:
         records = _records_from_specs(args.specs, args.hw, args.batch)
     else:
@@ -461,11 +364,7 @@ def cmd_compare(args) -> int:
     # max_pairs is passed only when given, so a stand-in for
     # misnomer_report that takes just the records still fits.
     limit = {} if args.max_pairs is None else {"max_pairs": args.max_pairs}
-    try:
-        report = misnomer_report(records, **limit)
-    except InsufficientDataError as exc:
-        raise CliError(str(exc), code=1)
-    lines += _render_misnomer(report)
+    lines += _render_misnomer(misnomer_report(records, **limit))
     sys.stdout.write("\n".join(lines) + "\n")
     sys.stdout.flush()  # so a stdout that fails exits 2 before any warning
     if dropped:
@@ -475,13 +374,11 @@ def cmd_compare(args) -> int:
 
 
 def cmd_pareto(args) -> int:
-    records = read_records_csv(args.records)
+    records = read_records(args.records)
     try:
         frontier = pareto_frontier(records, "quality", args.cost)
     except CoverageError as exc:
         raise CliError(str(exc))
-    except InsufficientDataError as exc:
-        raise CliError(str(exc), code=1)
     names = {r.name for r in frontier}
     lines = [f"frontier (quality vs {args.cost}): "
              f"{len(frontier)} of {len(records)} records"]
@@ -555,16 +452,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if sys.stdout is None:  # closed before start-up: fail as a closed descriptor does
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         # Looked up on each call, so a replaced cmd_<name> takes effect.
         return globals()[f"cmd_{args.command}"](args)
-    except CliError as exc:
-        code, error = exc.code, {"error": str(exc), **exc.detail}
-    except RecordsFileError as exc:
-        code, error = 2, {"error": str(exc), **exc.detail}
+    except (CliError, InputFileError) as exc:
+        code, error = getattr(exc, "code", 2), {"error": str(exc), **exc.detail}
     except AnalysisError as exc:
         code, error = 1, {"error": str(exc)}
     except OSError as exc:  # stdout: the commands guard every file they use
-        if sys.stdout is sys.__stdout__:  # so the flush at exit cannot fail again
+        if sys.stdout is sys.__stdout__ is not None:  # so the exit flush cannot fail again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code, error = 2, {"error": f"cannot write stdout: {exc}"}
     print(json.dumps(error, sort_keys=True), file=sys.stderr)

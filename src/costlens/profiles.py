@@ -9,11 +9,15 @@ and throughput are reported at the requested batch size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+import os
+from dataclasses import dataclass, replace
 
-from .analysis import ModelRecord
+from .analysis import InputFileError, ModelRecord
+from .archlib import build_from_reference
 from .archspec import (
-    ArchSpec, check_value, ensure_valid, input_sequence_length, to_document
+    ArchSpec, InvalidSpecError, check_value, ensure_valid, input_sequence_length,
+    spec_from_dict, to_document,
 )
 from .footprint import (
     EnergyProfile,
@@ -29,7 +33,7 @@ from .indicators import (
     traffic_of,
     training_memory_of,
 )
-from .latency import HardwareModel, _roofline, _speed
+from .latency import HardwareModel, _roofline, _speed, load_hardware
 from .trace import _pad_length, evaluate
 
 
@@ -139,3 +143,96 @@ def record_from_profile(profile_dict: dict) -> ModelRecord:
         if value is not None:
             indicators[indicator] = float(value)
     return ModelRecord(name=str(profile_dict["name"]), indicators=indicators)
+
+
+def _load_json(path: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise InputFileError(f"no such file: {path}", file=path)
+    except json.JSONDecodeError as exc:
+        raise InputFileError(
+            f"malformed JSON in {path}: {exc.msg} (byte offset {exc.pos})",
+            file=path, offset=exc.pos,
+        )
+    except RecursionError:
+        raise InputFileError(f"{path}: JSON nested too deeply", file=path)
+    except (OSError, ValueError) as exc:
+        raise InputFileError(f"cannot read {path}: {exc}", file=path)
+
+
+def _hardware(hw) -> HardwareModel:
+    """A hardware preset name, a JSON path or an inline object."""
+    try:
+        return load_hardware(hw) if isinstance(hw, str) else HardwareModel.from_dict(hw)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise InputFileError(f"bad hardware {hw!r}: {exc}")
+
+
+def _rates(cls, path: str, what: str):
+    """An energy or pricing profile read from a JSON file."""
+    doc = _load_json(path)  # outside the try, so its refusal keeps file and offset
+    try:
+        return cls.from_dict(doc)
+    except ValueError as exc:
+        raise InputFileError(f"{path}: bad {what}: {exc}")
+
+
+#: Keys of a spec file; anything else is refused.
+_SPEC_FILE_KEYS = {"schema_version", "name", "arch", "builder", "hardware", "batch", "notes"}
+
+
+def read_spec_file(path: str) -> tuple[ArchSpec, HardwareModel | None, int | None]:
+    """Parse a spec file (format in docs/file-formats.md) into (validated
+    architecture, optional hardware, batch); a bad file raises ``InputFileError``."""
+    doc = _load_json(path)
+    if not isinstance(doc, dict):
+        raise InputFileError(f"{path}: spec file must be a JSON object", file=path)
+    version = doc.get("schema_version")
+    if version != 1:
+        raise InputFileError(f"{path}: unsupported schema_version {version!r}", file=path)
+    has_arch = "arch" in doc
+    has_builder = "builder" in doc
+    if has_arch == has_builder:
+        raise InputFileError(
+            f"{path}: exactly one of 'arch' or 'builder' is required", file=path
+        )
+    unknown = sorted(doc.keys() - _SPEC_FILE_KEYS)
+    if unknown:
+        raise InputFileError(
+            f"{path}: " + "; ".join(f"unknown field {k!r}" for k in unknown), file=path)
+    batch = doc.get("batch")
+    try:
+        if batch is not None:
+            check_value("batch", batch)
+        for key in ("name", "notes"):
+            if key in doc:
+                check_value(key, doc[key], str)
+        if has_arch:
+            spec = spec_from_dict(doc["arch"])
+        else:
+            builder = dict(doc["builder"])
+            family = builder.pop("family", None)
+            if family is None:
+                raise ValueError("builder reference requires a 'family' field")
+            spec = build_from_reference(family, builder)
+        ensure_valid(spec)
+    except InvalidSpecError as exc:
+        raise InputFileError(
+            f"{path}: invalid architecture: "
+            + "; ".join(f"{v.path}: {v.message}" for v in exc.violations),
+            file=path,
+            violations=[[v.path, v.message] for v in exc.violations],
+        )
+    except (ValueError, TypeError) as exc:
+        raise InputFileError(f"{path}: {exc}", file=path)
+    except RecursionError:
+        raise InputFileError(f"{path}: architecture nested too deeply", file=path)
+    if "name" in doc:  # after validation, so a bad name inside "arch" is still refused
+        spec = replace(spec, name=doc["name"])
+    hardware = doc.get("hardware")
+    if isinstance(hardware, str):  # a file beside the spec file comes first
+        beside = os.path.join(os.path.dirname(path), hardware)
+        hardware = beside if os.path.isfile(beside) else hardware
+    return spec, None if hardware is None else _hardware(hardware), batch

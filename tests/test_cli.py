@@ -2,6 +2,7 @@ import argparse
 import io
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -689,8 +690,9 @@ class TestLibraryReader:
         "name,quality,params\na,1.0,nan\nb,2.0,3\n",
         "name,quality,params\na,1.0,1e400\nb,2.0,3\n",
         "name,quality,params\n\na,1.0,2\nb,2.0,3\na,3.0,4\n",
+        "name,quality,params\na,1.0,fast\nb,2.0,3\n",
         None,
-    ], ids=["negative", "nan", "overflow", "duplicate", "missing"])
+    ], ids=["negative", "nan", "overflow", "duplicate", "not_numeric", "missing"])
     def test_refusal_is_the_cli_payload(self, tmp_path, capsys, content):
         p = tmp_path / "r.csv"
         if content is not None:
@@ -702,6 +704,13 @@ class TestLibraryReader:
         code, out, err = run_cli(["compare", "--records", str(p)], capsys)
         assert (code, out) == (2, "")
         assert json.loads(err) == {"error": str(info.value), **info.value.detail}
+
+    def test_every_bad_cell_names_its_column(self, tmp_path):
+        p = tmp_path / "r.csv"
+        p.write_text("name,quality,params\na,1.0,fast\nb,2.0,3\n")
+        with pytest.raises(RecordsFileError) as info:
+            read_records(str(p))
+        assert info.value.detail == {"file": str(p), "line": 2, "column": "params"}
 
 
 class TestUnwritableStdout:
@@ -737,6 +746,17 @@ class TestUnwritableStdout:
         assert len(proc.stderr.splitlines()) == 1
         assert json.loads(proc.stderr) == {
             "error": "cannot write stdout: [Errno 28] No space left on device"}
+
+    @pytest.mark.skipif(shutil.which("sh") is None, reason="needs a POSIX shell")
+    def test_closed_before_start_up(self, argv):
+        # Python then sets sys.stdout to None.
+        command = shlex.join([sys.executable, "-m", "costlens", *argv])
+        proc = subprocess.run(["sh", "-c", command + " >&-"], stderr=subprocess.PIPE,
+                              text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert json.loads(proc.stderr) == {
+            "error": "cannot write stdout: [Errno 9] Bad file descriptor"}
 
 
 def builder_flags() -> dict:

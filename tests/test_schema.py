@@ -13,7 +13,7 @@ import pytest
 
 from costlens import ArchSpec, HardwareModel, Image, TokenSequence
 from costlens.archlib import BUILDER_ARGS
-from costlens.cli import _SPEC_FILE_KEYS
+from costlens.profiles import _SPEC_FILE_KEYS
 
 from support import document_required_fields
 
