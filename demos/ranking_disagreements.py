@@ -33,7 +33,7 @@ for entry in report.pareto_instability:
     print(f"  {entry.name}: frontier under {', '.join(entry.frontier_under)}; "
           f"dominated under {', '.join(entry.dominated_under)}")
 
-frontier = pareto_frontier(records, "quality", "flops")
+frontier = pareto_frontier(records, "flops")
 print(f"\naccuracy-vs-GFLOPs frontier: "
       f"{', '.join(r.name for r in frontier)}")
 

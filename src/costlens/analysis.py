@@ -189,7 +189,7 @@ def indicators_present(records) -> list[str]:
 # Pareto frontier
 
 
-def pareto_frontier(records, quality_key: str = "quality", cost_key: str = "params"):
+def pareto_frontier(records, cost_key: str = "params"):
     """Records not strictly dominated in the (quality, cost) plane.
 
     A record is dominated when another has quality >= and cost <= with at
@@ -203,8 +203,6 @@ def pareto_frontier(records, quality_key: str = "quality", cost_key: str = "para
             f"records missing cost indicator {cost_key!r}: {', '.join(missing)}",
             offenders=tuple(missing),
         )
-    if quality_key != "quality":
-        raise ValueError(f"unsupported quality key {quality_key!r}")
     no_quality = [r.name for r in records if r.quality is None]
     if no_quality:
         raise CoverageError(
@@ -505,8 +503,7 @@ def misnomer_report(records, max_pairs: int | None = None) -> MisnomerReport:
         dominated_under = [[] for _ in records]
         for ind in present:
             carrying = [k for k, r in enumerate(records) if ind in r.indicators]
-            on = {id(r) for r in pareto_frontier(
-                [records[k] for k in carrying], "quality", ind)}
+            on = {id(r) for r in pareto_frontier([records[k] for k in carrying], ind)}
             for k in carrying:
                 (frontier_under if id(records[k]) in on else dominated_under)[k].append(ind)
         instability = [

@@ -1,12 +1,15 @@
 """Command line interface: profile, compare, pareto.
 
 All commands are deterministic: the same inputs produce byte-identical
-output (no timestamps, sorted keys, fixed float formatting). Exit codes:
-0 success, 1 analysis-level insufficiency (e.g. too few comparable
-models), 2 malformed input, a usage error included, or an output path
-or stdout that cannot be written or is closed (``cannot write stdout:
-<reason>``); an exit 2 prints one JSON line on stderr and nothing on
-stdout.
+output (no timestamps, sorted keys, fixed float formatting). The commands
+call the library unwrapped, and ``main`` alone maps an exception to an
+exit code: 0 success; 1 an ``AnalysisError`` (too few comparable models);
+2 malformed input, a ``ValueError`` or ``OverflowError`` (a refused file,
+flag or usage, or a count past its range) or ``pareto``'s ``CoverageError``
+(a record lacks the cost or quality), or an output path or stdout that
+cannot be written, is closed or cannot encode the output (``cannot write
+stdout: <reason>``). Exits 1 and 2 print one JSON line on stderr and
+nothing on stdout.
 
 The CLI opens no input file itself. ``costlens.read_spec_file`` reads
 spec files and ``costlens.read_records`` records files (formats in
@@ -33,7 +36,7 @@ from html import escape
 from .analysis import (
     AnalysisError,
     CoverageError,
-    InputFileError,
+    InsufficientDataError,
     MisnomerReport,
     ModelRecord,
     _listed_pairs,
@@ -49,12 +52,11 @@ from .indicators import OptimizerKind
 from .profiles import _hardware, _rates, compute_profile, read_spec_file, record_from_profile
 
 
-class CliError(Exception):
-    """Input-level failure; rendered as machine-readable JSON on stderr."""
+class CliError(ValueError):
+    """A command line the CLI itself refuses; ``detail`` joins the error line."""
 
-    def __init__(self, message: str, code: int = 2, **detail):
+    def __init__(self, message: str, **detail):
         super().__init__(message)
-        self.code = code
         self.detail = detail
 
 
@@ -89,13 +91,6 @@ def _batch(flag: int | None, from_file: int | None) -> int:
     return 1 if from_file is None else from_file
 
 
-def _profile(spec, batch, hardware, **extra):
-    try:
-        return compute_profile(spec, batch=batch, hardware=hardware, **extra)
-    except (OverflowError, ValueError) as exc:
-        raise CliError(str(exc))
-
-
 # Kept: the bench spans cli.load_spec_file and cli.read_records_csv wrap
 # these names, and the tests call them.
 load_spec_file = read_spec_file
@@ -110,6 +105,17 @@ read_records_csv = read_records
 SVG_WIDTH, SVG_HEIGHT, SVG_QUALITY_LABEL = 640, 480, "quality"
 
 
+def _axis(lo: float, hi: float, start: float, end: float):
+    """The linear map of ``[lo, hi]`` onto ``[start, end]``, or their midpoint
+    when ``lo == hi``. Every term is halved where ``hi - lo`` overflows, so any
+    finite value lands on the canvas; only there, as halving would round a
+    subnormal span to 0."""
+    if hi == lo:
+        return lambda v: (start + end) / 2.0
+    k = 0.5 if math.isinf(hi - lo) else 1.0
+    return lambda v: start + (v * k - lo * k) / (hi * k - lo * k) * (end - start)
+
+
 def svg_scatter(records, cost_key: str, frontier_names) -> str:
     """Minimal deterministic SVG 1.1 scatter with a frontier polyline."""
     width, height = SVG_WIDTH, SVG_HEIGHT
@@ -119,15 +125,8 @@ def svg_scatter(records, cost_key: str, frontier_names) -> str:
     xmin, xmax = min(xs), max(xs)
     ymin, ymax = min(ys), max(ys)
 
-    def sx(v):
-        if xmax == xmin:
-            return width / 2.0
-        return margin + (v - xmin) / (xmax - xmin) * (width - 2 * margin)
-
-    def sy(v):
-        if ymax == ymin:
-            return height / 2.0
-        return height - margin - (v - ymin) / (ymax - ymin) * (height - 2 * margin)
+    sx = _axis(xmin, xmax, margin, width - margin)
+    sy = _axis(ymin, ymax, height - margin, margin)
 
     def f(v):
         return f"{v:.2f}"
@@ -267,10 +266,7 @@ def _add_builder_flags(parser):
 def _spec_from_args(args) -> ArchSpec:
     kwargs = {name: getattr(args, name) for name in BUILDER_ARGS[args.family]
               if getattr(args, name) is not None}
-    try:
-        return build_from_reference(args.family, kwargs)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    return build_from_reference(args.family, kwargs)
 
 
 def cmd_profile(args) -> int:
@@ -289,9 +285,9 @@ def cmd_profile(args) -> int:
         energy = _rates(EnergyProfile, args.energy, "energy profile")
     if args.pricing is not None:
         pricing = _rates(PricingProfile, args.pricing, "pricing profile")
-    profile = _profile(spec, _batch(args.batch, batch), hardware,
-                       optimizer=OptimizerKind(args.optimizer),
-                       energy=energy, pricing=pricing)
+    profile = compute_profile(spec, _batch(args.batch, batch), hardware,
+                              optimizer=OptimizerKind(args.optimizer),
+                              energy=energy, pricing=pricing)
     sys.stdout.write(_profile_lines(profile.to_dict(), args.format))
     sys.stdout.flush()  # so a stdout that fails exits 2 before any warning
     if hardware is None:
@@ -305,7 +301,7 @@ def _records_from_specs(paths, hw_name, batch) -> list[ModelRecord]:
     records = []
     for path in paths:
         spec, file_hw, file_batch = read_spec_file(path)
-        profile = _profile(spec, _batch(batch, file_batch), hardware or file_hw)
+        profile = compute_profile(spec, _batch(batch, file_batch), hardware or file_hw)
         records.append(record_from_profile(profile.to_dict()))
     return records
 
@@ -325,7 +321,7 @@ def cmd_compare(args) -> int:
     else:
         raise CliError("compare requires spec files or --records")
     if len(records) < 2:
-        raise CliError("compare requires at least 2 models", code=1)
+        raise InsufficientDataError("compare requires at least 2 models")
 
     dropped = []
     if args.indicators is not None:
@@ -343,8 +339,7 @@ def cmd_compare(args) -> int:
                                         if k in wanted}, r.quality)
                    for r in records if not r.indicators.keys().isdisjoint(wanted)]
         if len(records) < 2:
-            raise CliError("fewer than 2 models carry the requested indicators",
-                           code=1)
+            raise InsufficientDataError("fewer than 2 models carry the requested indicators")
     columns = indicators_present(records)
     sort_key = columns[0]
     ordered = sorted(
@@ -375,10 +370,7 @@ def cmd_compare(args) -> int:
 
 def cmd_pareto(args) -> int:
     records = read_records(args.records)
-    try:
-        frontier = pareto_frontier(records, "quality", args.cost)
-    except CoverageError as exc:
-        raise CliError(str(exc))
+    frontier = pareto_frontier(records, args.cost)
     names = {r.name for r in frontier}
     lines = [f"frontier (quality vs {args.cost}): "
              f"{len(frontier)} of {len(records)} records"]
@@ -456,14 +448,17 @@ def main(argv=None) -> int:
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         # Looked up on each call, so a replaced cmd_<name> takes effect.
         return globals()[f"cmd_{args.command}"](args)
-    except (CliError, InputFileError) as exc:
-        code, error = getattr(exc, "code", 2), {"error": str(exc), **exc.detail}
-    except AnalysisError as exc:
-        code, error = 1, {"error": str(exc)}
-    except OSError as exc:  # stdout: the commands guard every file they use
+    # Stdout, as the commands guard every file they use; first, as
+    # UnicodeEncodeError is a ValueError.
+    except (OSError, UnicodeEncodeError) as exc:
         if sys.stdout is sys.__stdout__ is not None:  # so the exit flush cannot fail again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code, error = 2, {"error": f"cannot write stdout: {exc}"}
+    # Before AnalysisError: pareto's missing cost or quality is malformed input.
+    except (ValueError, OverflowError, CoverageError) as exc:
+        code, error = 2, {"error": str(exc), **getattr(exc, "detail", {})}
+    except AnalysisError as exc:
+        code, error = 1, {"error": str(exc)}
     print(json.dumps(error, sort_keys=True), file=sys.stderr)
     return code
 

@@ -78,4 +78,5 @@ def train_energy_kwh(device_watts: float, wall_clock_hours: float,
     check_value("device_watts", device_watts, float)
     check_value("wall_clock_hours", wall_clock_hours, float)
     check_value("num_devices", num_devices)
-    return device_watts * wall_clock_hours * num_devices / 1000.0
+    return _finite(device_watts * wall_clock_hours * num_devices / 1000.0,
+                   "train energy")

@@ -180,7 +180,8 @@ def estimate_throughput(spec: ArchSpec, hw: HardwareModel, batch: int = 1,
     if bubble is None:
         return est
     busy = bubble.steady_batches * est.latency_sec
-    scale = busy / (bubble.setup_sec + busy) if busy > 0 else 0.0
+    # Not busy / (setup + busy): an overflowing busy time would make that inf / inf.
+    scale = 1.0 / (1.0 + bubble.setup_sec / busy) if busy > 0 else 0.0
     return SpeedEstimate(
         latency_sec=est.latency_sec,
         throughput_examples_per_sec=est.throughput_examples_per_sec * scale,

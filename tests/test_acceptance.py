@@ -182,7 +182,7 @@ def test_criterion_10_pareto_against_brute_force():
     ok = True
     for _ in range(1000):
         records = random_records(rng, rng.randint(1, 50))
-        got = pareto_frontier(records, "quality", "flops")
+        got = pareto_frontier(records, "flops")
         got_names = {r.name for r in got}
         ok = ok and got_names == brute_force_frontier_names(records, "flops")
         costs = [r.indicators["flops"] for r in got]

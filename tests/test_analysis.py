@@ -45,33 +45,33 @@ def table2_records():
 class TestParetoFrontier:
     def test_three_point_example(self):
         records = [rec("a", 1, flops=1), rec("b", 2, flops=2), rec("c", 1.5, flops=3)]
-        assert [r.name for r in pareto_frontier(records, "quality", "flops")] == ["a", "b"]
+        assert [r.name for r in pareto_frontier(records, "flops")] == ["a", "b"]
 
     def test_single_record(self):
         records = [rec("only", 5, params=10)]
-        assert pareto_frontier(records, "quality", "params") == records
+        assert pareto_frontier(records, "params") == records
 
     def test_exact_ties_all_kept(self):
         records = [rec("a", 2, flops=1), rec("b", 2, flops=1), rec("c", 1, flops=2)]
-        assert {r.name for r in pareto_frontier(records, "quality", "flops")} == {"a", "b"}
+        assert {r.name for r in pareto_frontier(records, "flops")} == {"a", "b"}
 
     def test_missing_cost_raises_with_offenders(self):
         records = [rec("a", 1, flops=1), rec("b", 2, params=2)]
         with pytest.raises(CoverageError) as err:
-            pareto_frontier(records, "quality", "flops")
+            pareto_frontier(records, "flops")
         assert err.value.offenders == ("b",)
 
     def test_sorted_by_cost_ascending(self):
         records = [rec(f"m{i}", q, flops=c)
                    for i, (q, c) in enumerate([(5, 9), (1, 1), (3, 4), (6, 12)])]
         costs = [r.indicators["flops"] for r in
-                 pareto_frontier(records, "quality", "flops")]
+                 pareto_frontier(records, "flops")]
         assert costs == sorted(costs)
 
     def test_table2_frontier_matches_dominance_oracle(self):
         records = table2_records()
         expected = brute_force_frontier_names(records, "flops")
-        got = {r.name for r in pareto_frontier(records, "quality", "flops")}
+        got = {r.name for r in pareto_frontier(records, "flops")}
         assert got == expected
         assert {"W768", "W4096"} <= got         # cheapest and highest quality
         assert got == {"W768", "D6", "D8", "W1024", "D16", "D24", "D32", "D48", "W4096"}
@@ -80,14 +80,14 @@ class TestParetoFrontier:
         rng = random.Random(11)
         for _ in range(100):
             records = random_records(rng, rng.randint(1, 40))
-            got = {r.name for r in pareto_frontier(records, "quality", "flops")}
+            got = {r.name for r in pareto_frontier(records, "flops")}
             assert got == brute_force_frontier_names(records, "flops")
 
     def test_throughput_is_higher_better(self):
         # b has higher throughput (cheaper cost once negated) and higher
         # quality: a must be dominated
         records = [rec("a", 1, throughput=10), rec("b", 2, throughput=20)]
-        assert [r.name for r in pareto_frontier(records, "quality", "throughput")] == ["b"]
+        assert [r.name for r in pareto_frontier(records, "throughput")] == ["b"]
 
 
 class TestRankDisagreement:

@@ -669,6 +669,30 @@ class TestPareto:
         assert titles == [name, "other"]
         assert column in texts
 
+    @pytest.mark.parametrize("qualities, costs, mid", [
+        (("-1e308", "1e308", "0"), ("1", "2", "3"), "240.00"),
+        (("-1.7976931348623157e308", "1.7976931348623157e308", "0"),
+         ("0", "1.7976931348623157e308", "5e-324"), "240.00"),
+        (("0", "5e-324", "0"), ("0", "5e-324", "5e-324"), "424.00"),
+    ], ids=["quality_span_overflows", "both_spans_at_the_limit", "subnormal_spans"])
+    def test_svg_coordinates_stay_on_the_canvas(self, tmp_path, capsys, qualities,
+                                                costs, mid):
+        p = tmp_path / "r.csv"
+        p.write_text("name,quality,params\n" + "".join(
+            f"{n},{q},{c}\n" for n, q, c in zip("abc", qualities, costs)))
+        svg_path = tmp_path / "scatter.svg"
+        code, _, _ = run_cli(["pareto", str(p), "--cost", "params",
+                              "--svg", str(svg_path)], capsys)
+        assert code == 0
+        circles = minidom.parse(str(svg_path)).getElementsByTagName("circle")
+        xs = [float(c.getAttribute("cx")) for c in circles]
+        ys = [float(c.getAttribute("cy")) for c in circles]
+        margin = 56.0
+        assert all(margin <= x <= cli.SVG_WIDTH - margin for x in xs)
+        assert all(margin <= y <= cli.SVG_HEIGHT - margin for y in ys)
+        assert (min(ys), max(ys)) == (margin, cli.SVG_HEIGHT - margin)
+        assert circles[2].getAttribute("cy") == mid
+
     @pytest.mark.parametrize("where", ["missing/scatter.svg", "."])
     def test_unwritable_svg_path_exits_2(self, records_csv, tmp_path, capsys, where):
         target = str(tmp_path / where)
@@ -757,6 +781,42 @@ class TestUnwritableStdout:
         assert len(proc.stderr.splitlines()) == 1
         assert json.loads(proc.stderr) == {
             "error": "cannot write stdout: [Errno 9] Bad file descriptor"}
+
+
+class TestUnencodableStdout:
+    """Output that the stdout encoding cannot hold ends in exit 2, an empty
+    stdout and one JSON line, as any other stdout that refuses it."""
+
+    @pytest.fixture()
+    def inputs(self, tmp_path):
+        (tmp_path / "u.csv").write_text("name,quality,params\ncafé,1,1\nb,2,2\n",
+                                        encoding="utf-8")
+        with data_file("specs/vit_b16.json") as p:
+            doc = json.loads(Path(p).read_text(encoding="utf-8"))
+        (tmp_path / "cafe.json").write_text(json.dumps({**doc, "name": "café"}))
+        # a lone surrogate, legal as a JSON escape, encodes in no codec
+        (tmp_path / "surrogate.json").write_text(json.dumps({**doc, "name": "x\ud800"}))
+        return tmp_path
+
+    def run(self, argv, cwd, encoding):
+        env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONIOENCODING": encoding}
+        return subprocess.run([sys.executable, "-m", "costlens", *argv], cwd=cwd,
+                              capture_output=True, env=env)
+
+    @pytest.mark.parametrize("encoding, argv", [
+        ("ascii", ["compare", "--records", "u.csv"]),
+        ("ascii", ["pareto", "u.csv", "--cost", "params"]),
+        ("ascii", ["profile", "cafe.json"]),
+        ("utf-8", ["profile", "surrogate.json"]),
+        ("utf-8", ["profile", "surrogate.json", "--format", "csv"]),
+        ("utf-8", ["compare", "surrogate.json", "cafe.json"]),
+    ])
+    def test_exit_2_with_one_json_line(self, inputs, encoding, argv):
+        proc = self.run(argv, inputs, encoding)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        error = json.loads(proc.stderr)["error"]
+        assert len(proc.stderr.splitlines()) == 1
+        assert error.startswith(f"cannot write stdout: '{encoding}' codec can't encode")
 
 
 def builder_flags() -> dict:

@@ -83,6 +83,10 @@ class TestEnergyBridge:
         with pytest.raises(ValueError):
             train_energy_kwh(1, 1, 0)
 
+    def test_overflow_raises(self):
+        with pytest.raises(OverflowError, match="train energy"):
+            train_energy_kwh(1e308, 1e308)
+
 
 def dyadic(rng, scale=2**12, denom=16):
     """Random non-negative multiples of 1/16: exact in binary floating

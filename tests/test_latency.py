@@ -180,6 +180,15 @@ class TestThroughput:
             0.9 * base.throughput_examples_per_sec
         )
 
+    def test_bubble_past_the_float_range_stays_finite(self):
+        # busy time overflows to inf; the fraction tends to 0, never nan
+        spec = vit_base(16, 32)
+        hw = HardwareModel(1.0, 1.0, 0.0)
+        base = estimate_throughput(spec, hw, 1)
+        bubbled = estimate_throughput(spec, hw, 1, PipelineBubble(1.0, 10**305))
+        assert bubbled.pipeline_bubble_fraction == 0.0
+        assert bubbled.throughput_examples_per_sec == base.throughput_examples_per_sec
+
     def test_bubble_validation(self):
         with pytest.raises(ValueError):
             PipelineBubble(-1.0, 4)

@@ -1,4 +1,4 @@
-"""Refused spec, hardware, energy and pricing inputs, pinned byte for byte.
+"""Refused inputs and analysis-level refusals, pinned byte for byte.
 
 ``tests/golden/refusals.txt`` holds the exit code, stdout and stderr of
 ``costlens`` on each command line below, run from a directory holding the
@@ -75,7 +75,12 @@ FILES = {
     "energy_negative.json": json.dumps({"ee_train_kwh": -1, "ee_inference_kwh": 0,
                                         "queries": 0, "co2e_per_kwh": 0.4}),
     "pricing_missing_field.json": json.dumps({"total_train_hours": 1, "num_chips": 1}),
+    "two.csv": "name,quality,params,flops\na,1,1,\nb,2,,2\n",
+    "nocost.csv": "name,quality,params,flops\na,1,1,1\nb,2,2,\n",
 }
+
+#: A batch past the 64-bit range of the indicator arithmetic.
+_HUGE_BATCH = str(10 ** 30)
 
 COMMANDS = [
     *(["profile", name] for name in REFUSED_SPECS),
@@ -94,6 +99,12 @@ COMMANDS = [
     ["profile", "--family", "lm", "--layers", "2"],
     ["compare", "ok.json", "invalid.json"],
     ["compare", "ok.json", "ok.json", "--hw", "warp_drive"],
+    ["compare", "ok.json"],
+    ["compare", "--records", "two.csv", "--indicators", "params"],
+    ["pareto", "nocost.csv", "--cost", "flops"],
+    ["profile", "ok.json", "--batch", _HUGE_BATCH, "--hw", "tpu_like"],
+    ["compare", "ok.json", "ok.json", "--batch", _HUGE_BATCH],
+    ["profile", "--family", "moe", "--patch", "16"],
 ]
 
 
