@@ -38,7 +38,6 @@ print(f"\naccuracy-vs-GFLOPs frontier: "
       f"{', '.join(r.name for r in frontier)}")
 
 if len(sys.argv) > 1:
-    names = {r.name for r in frontier}
     with open(sys.argv[1], "w", encoding="utf-8") as fh:
-        fh.write(svg_scatter(records, "flops", names))
+        fh.write(svg_scatter(records, "flops", frontier))
     print(f"wrote scatter with frontier polyline to {sys.argv[1]}")

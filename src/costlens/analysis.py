@@ -25,17 +25,26 @@ import csv
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, islice
+from itertools import compress, groupby, islice
 from typing import NamedTuple
 
 from .archspec import check_value
 
-#: Canonical indicator ids. CSV files may carry extra columns (treated as
+#: The canonical indicator ids, in report order, each with the ``CostProfile``
+#: field it is read from. CSV files may carry extra columns (treated as
 #: lower-is-better indicators); these are the ids with defined semantics.
-INDICATOR_IDS = (
-    "params", "flops", "latency", "throughput", "activation", "mac",
-    "memory", "carbon", "cost",
-)
+PROFILE_FIELDS = {
+    "params": "params",
+    "flops": "flops",
+    "latency": "latency_sec",
+    "throughput": "throughput_examples_per_sec",
+    "activation": "activation_elements",
+    "mac": "mac_bytes",
+    "memory": "peak_training_bytes",
+    "carbon": "carbon_kg_co2e",
+    "cost": "monetary_cost",
+}
+INDICATOR_IDS = tuple(PROFILE_FIELDS)
 
 #: Indicators where larger raw values are better; negated internally.
 HIGHER_BETTER = frozenset({"throughput"})
@@ -210,25 +219,16 @@ def pareto_frontier(records, cost_key: str = "params"):
             offenders=tuple(no_quality),
         )
 
-    by_cost = sorted(enumerate(records), key=lambda ir: ir[1].cost_value(cost_key))
+    cost = lambda r: r.cost_value(cost_key)
     frontier = []
-    best_prev = -math.inf      # best quality among strictly cheaper records
-    i = 0
-    while i < len(by_cost):
-        j = i
-        cost = by_cost[i][1].cost_value(cost_key)
-        while j < len(by_cost) and by_cost[j][1].cost_value(cost_key) == cost:
-            j += 1
-        group = by_cost[i:j]
-        group_best = max(r.quality for _, r in group)
-        if group_best > best_prev:
-            frontier.extend(
-                (orig, r) for orig, r in group if r.quality == group_best
-            )
-        best_prev = max(best_prev, group_best)
-        i = j
-    frontier.sort(key=lambda ir: (ir[1].cost_value(cost_key), ir[0]))
-    return [r for _, r in frontier]
+    best = -math.inf  # best quality among strictly cheaper records
+    for _, group in groupby(sorted(records, key=cost), key=cost):
+        group = list(group)
+        top = max(r.quality for r in group)
+        if top > best:
+            frontier += [r for r in group if r.quality == top]
+            best = top
+    return frontier
 
 
 # ---------------------------------------------------------------------------

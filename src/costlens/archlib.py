@@ -251,7 +251,7 @@ BUILDER_ARGS = {
 def build_from_reference(family: str, args: dict) -> ArchSpec:
     """Construct a spec from a builder name plus keyword arguments, as
     used by spec files and CLI flags."""
-    builder = BUILDERS.get(family)
+    builder = BUILDERS.get(family) if isinstance(family, str) else None
     if builder is None:
         raise ValueError(
             f"unknown builder family {family!r} (known: {', '.join(sorted(BUILDERS))})"

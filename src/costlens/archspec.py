@@ -550,7 +550,7 @@ def spec_from_dict(d: dict) -> ArchSpec:
     if not isinstance(d, dict):
         raise ValueError("architecture document must be a JSON object")
     version = d.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:  # not true, not 1.0
         raise ValueError(f"unsupported schema_version {version!r}")
     return _build(ArchSpec, {k: v for k, v in d.items() if k != "schema_version"})
 

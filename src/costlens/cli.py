@@ -34,6 +34,7 @@ import sys
 from html import escape
 
 from .analysis import (
+    HIGHER_BETTER,
     AnalysisError,
     CoverageError,
     InsufficientDataError,
@@ -116,8 +117,8 @@ def _axis(lo: float, hi: float, start: float, end: float):
     return lambda v: start + (v * k - lo * k) / (hi * k - lo * k) * (end - start)
 
 
-def svg_scatter(records, cost_key: str, frontier_names) -> str:
-    """Minimal deterministic SVG 1.1 scatter with a frontier polyline."""
+def svg_scatter(records, cost_key: str, frontier) -> str:
+    """Minimal deterministic SVG 1.1 scatter; ``frontier`` is ``pareto_frontier``'s list."""
     width, height = SVG_WIDTH, SVG_HEIGHT
     margin = 56.0
     xs = [r.indicators[cost_key] for r in records]
@@ -154,19 +155,18 @@ def svg_scatter(records, cost_key: str, frontier_names) -> str:
         f'<text x="{f(margin / 2)}" y="{f(margin)}" font-size="11" '
         f'text-anchor="middle">{format_fixed(ymax)}</text>',
     ]
-    frontier = [r for r in records if r.name in frontier_names]
-    frontier.sort(key=lambda r: (r.indicators[cost_key], r.name))
     if len(frontier) >= 2:
+        line = frontier[::-1] if cost_key in HIGHER_BETTER else frontier  # left to right
         points = " ".join(
-            f"{f(sx(r.indicators[cost_key]))},{f(sy(r.quality))}" for r in frontier
+            f"{f(sx(r.indicators[cost_key]))},{f(sy(r.quality))}" for r in line
         )
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="#d62728" '
             f'stroke-width="1.5" stroke-dasharray="4 3"/>'
         )
+    on = {id(r) for r in frontier}
     for r in records:
-        on_frontier = r.name in frontier_names
-        fill = "#d62728" if on_frontier else "#1f77b4"
+        fill = "#d62728" if id(r) in on else "#1f77b4"
         parts.append(
             f'<circle cx="{f(sx(r.indicators[cost_key]))}" '
             f'cy="{f(sy(r.quality))}" r="4" fill="{fill}">'
@@ -382,10 +382,11 @@ def cmd_pareto(args) -> int:
     dominated = [r.name for r in records if r.name not in names]
     lines.append("dominated: " + (", ".join(sorted(dominated)) if dominated else "none"))
     if args.svg is not None:  # before stdout, so a refused path prints nothing
-        try:  # pareto_frontier refused a record lacking the cost, so all are drawn
+        svg = svg_scatter(records, args.cost, frontier)  # pareto_frontier checked every cost
+        try:  # ValueError: a path holding a null byte or a lone surrogate
             with open(args.svg, "w", encoding="utf-8") as fh:
-                fh.write(svg_scatter(records, args.cost, names))
-        except OSError as exc:
+                fh.write(svg)
+        except (OSError, ValueError) as exc:
             raise CliError(f"cannot write {args.svg}: {exc}", file=args.svg)
     sys.stdout.write("\n".join(lines) + "\n")
     sys.stdout.flush()

@@ -13,7 +13,7 @@ import json
 import os
 from dataclasses import dataclass, replace
 
-from .analysis import InputFileError, ModelRecord
+from .analysis import PROFILE_FIELDS, InputFileError, ModelRecord
 from .archlib import build_from_reference
 from .archspec import (
     ArchSpec, InvalidSpecError, check_value, ensure_valid, input_sequence_length,
@@ -122,27 +122,13 @@ def compute_profile(spec: ArchSpec, batch: int = 1,
 def record_from_profile(profile_dict: dict) -> ModelRecord:
     """Re-ingest an emitted profile as an analysis record.
 
-    The indicator values are taken verbatim from the profile fields, so a
-    JSON profile round-trips exactly. Quality is not part of a cost
-    profile; the record carries ``quality=None``.
+    The indicator values are taken verbatim from the fields ``PROFILE_FIELDS``
+    names, so a JSON profile round-trips exactly. Quality is not part of a
+    cost profile; the record carries ``quality=None``.
     """
-    mapping = {
-        "params": "params",
-        "flops": "flops",
-        "activation": "activation_elements",
-        "mac": "mac_bytes",
-        "memory": "peak_training_bytes",
-        "latency": "latency_sec",
-        "throughput": "throughput_examples_per_sec",
-        "carbon": "carbon_kg_co2e",
-        "cost": "monetary_cost",
-    }
-    indicators = {}
-    for indicator, field_name in mapping.items():
-        value = profile_dict.get(field_name)
-        if value is not None:
-            indicators[indicator] = float(value)
-    return ModelRecord(name=str(profile_dict["name"]), indicators=indicators)
+    return ModelRecord(name=str(profile_dict["name"]), indicators={
+        indicator: float(profile_dict[key]) for indicator, key in PROFILE_FIELDS.items()
+        if profile_dict.get(key) is not None})
 
 
 def _load_json(path: str):
@@ -190,7 +176,7 @@ def read_spec_file(path: str) -> tuple[ArchSpec, HardwareModel | None, int | Non
     if not isinstance(doc, dict):
         raise InputFileError(f"{path}: spec file must be a JSON object", file=path)
     version = doc.get("schema_version")
-    if version != 1:
+    if type(version) is not int or version != 1:  # not true, not 1.0
         raise InputFileError(f"{path}: unsupported schema_version {version!r}", file=path)
     has_arch = "arch" in doc
     has_builder = "builder" in doc
@@ -212,6 +198,7 @@ def read_spec_file(path: str) -> tuple[ArchSpec, HardwareModel | None, int | Non
         if has_arch:
             spec = spec_from_dict(doc["arch"])
         else:
+            check_value("builder", doc["builder"], dict)
             builder = dict(doc["builder"])
             family = builder.pop("family", None)
             if family is None:

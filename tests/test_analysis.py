@@ -370,6 +370,30 @@ def mid_row_cut(report):
     return None
 
 
+def oracle_frontier(records, indicator):
+    """Quadratic dominance scan on the lower-is-better cost, ordered by
+    (cost, input position)."""
+    cost = [r.cost_value(indicator) for r in records]
+    kept = [k for k, r in enumerate(records) if not any(
+        s.quality >= r.quality and cost[j] <= cost[k]
+        and (s.quality > r.quality or cost[j] < cost[k])
+        for j, s in enumerate(records))]
+    return [records[k] for k in sorted(kept, key=lambda k: (cost[k], k))]
+
+
+class TestParetoOrderDifferential:
+    @DIFFERENTIAL
+    @given(record_sets(), st.sampled_from(COLUMNS))
+    def test_ordered_frontier_matches_oracle(self, records, indicator):
+        """The frontier list itself, not only its set: signed zeros tie,
+        rows equal in cost and quality all stay, in input order, and
+        throughput is negated."""
+        carrying = [r for r in records if indicator in r.indicators]
+        got = pareto_frontier(carrying, indicator)
+        assert [id(r) for r in got] \
+            == [id(r) for r in oracle_frontier(carrying, indicator)]
+
+
 class TestRankBitsetsDifferential:
     @DIFFERENTIAL
     @given(record_sets(), st.sampled_from(COLUMNS), st.sampled_from(COLUMNS),

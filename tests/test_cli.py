@@ -283,6 +283,20 @@ class TestProfile:
         assert code == 2
         assert "exactly one" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("builder, message", [
+        ("ab", "builder must be an object, got 'ab'"),
+        (5, "builder must be an object, got 5"),
+        ({"family": [], "patch": 16}, "unknown builder family [] (known: "
+                                      "lm, moe, universal_transformer, vit)"),
+    ], ids=["string", "number", "list_family"])
+    def test_malformed_builder_is_refused_by_the_field_rule(self, tmp_path, capsys,
+                                                            builder, message):
+        p = tmp_path / "builder.json"
+        p.write_text(json.dumps({"schema_version": 1, "builder": builder}))
+        code, out, err = run_cli(["profile", str(p)], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": f"{p}: {message}", "file": str(p)}
+
     def test_invalid_architecture_exits_2(self, tmp_path, capsys):
         doc = {"schema_version": 1,
                "arch": {"input": {"kind": "image", "height": 224, "width": 224,
@@ -693,7 +707,41 @@ class TestPareto:
         assert (min(ys), max(ys)) == (margin, cli.SVG_HEIGHT - margin)
         assert circles[2].getAttribute("cy") == mid
 
-    @pytest.mark.parametrize("where", ["missing/scatter.svg", "."])
+    @pytest.mark.parametrize("source, cost", [
+        ("depth_width_scaling", "params"),
+        ("depth_width_scaling", "flops"),
+        ("depth_width_scaling", "latency"),
+        # the one column every tie-heavy row carries
+        ("tie_heavy", "energy"),
+        # equal-cost frontier rows out of name order (z before a, y before b),
+        # and under throughput a -0 and a 0 that tie
+        ("equal_cost", "params"),
+        ("equal_cost", "throughput"),
+    ])
+    def test_golden_stdout_and_svg(self, records_csv, tmp_path, capsys, source, cost):
+        path = {"depth_width_scaling": records_csv,
+                "tie_heavy": str(GOLDEN / "compare_tie_heavy.csv"),
+                "equal_cost": str(GOLDEN / "pareto_equal_cost.csv")}[source]
+        svg_path = tmp_path / "scatter.svg"
+        code, out, err = run_cli(
+            ["pareto", path, "--cost", cost, "--svg", str(svg_path)], capsys)
+        golden = GOLDEN / f"pareto_{source}_{cost}"
+        assert (code, out, err) == (
+            0, golden.with_suffix(".txt").read_text(encoding="utf-8"), "")
+        assert svg_path.read_bytes() == golden.with_suffix(".svg").read_bytes()
+
+    def test_tie_heavy_rows_without_the_cost_are_named(self, tmp_path, capsys):
+        svg_path = tmp_path / "scatter.svg"
+        code, out, err = run_cli(
+            ["pareto", str(GOLDEN / "compare_tie_heavy.csv"), "--cost", "params",
+             "--svg", str(svg_path)], capsys)
+        assert (code, out, err) == (
+            2, "", '{"error": "records missing cost indicator \'params\': m39, m46"}\n')
+        assert not svg_path.exists()
+
+    # A lone surrogate or a null byte reaches only a library caller of main.
+    @pytest.mark.parametrize("where", ["missing/scatter.svg", ".", "x\ud800.svg",
+                                       "x\x00.svg"])
     def test_unwritable_svg_path_exits_2(self, records_csv, tmp_path, capsys, where):
         target = str(tmp_path / where)
         code, out, err = run_cli(

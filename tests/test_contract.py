@@ -514,6 +514,12 @@ def test_named_document_inputs_are_refused(workdir):
          "'bais'"),
         ({**SPECS[0], "name": 5}, "name must be a string"),
         ({**SPECS[0], "hardwre": "tpu_like"}, "'hardwre'"),
+        ({**SPECS[0], "builder": [list(item) for item in _VIT.items()]},
+         "builder must be an object"),
+        ({**SPECS[0], "schema_version": True}, "unsupported schema_version True"),
+        ({**SPECS[0], "schema_version": 1.0}, "unsupported schema_version 1.0"),
+        ({**SPECS[4], "arch": {**SPECS[4]["arch"], "schema_version": True}},
+         "unsupported schema_version True"),
     ]:
         path = write_json(workdir / "named.json", doc)
         assert_refused(run(["profile", path]), key)
