@@ -46,7 +46,11 @@ class VitConfig:
     classes: int = 1000
 
     def __post_init__(self):
-        object.__setattr__(self, "image", tuple(self.image))
+        image = self.image
+        if not (type(image) in (tuple, list) and len(image) == 3
+                and all(type(v) is int and v >= 1 for v in image)):
+            raise ValueError(f"image must be three integers >= 1, got {image!r}")
+        object.__setattr__(self, "image", tuple(image))
         check_fields(self)
         if self.model_dim % self.num_heads:
             raise ValueError("num_heads must divide model_dim")
@@ -103,19 +107,12 @@ def build_universal_transformer(cfg: VitConfig, steps: int) -> ArchSpec:
     )
 
 
-#: The MoE builder lists every block instead of folding them into a
-#: ``Repeat``, so its spec grows with depth; deeper expert stacks are
-#: written as architecture documents with a repeat.
-MOE_MAX_DEPTH = 4096
-
-
 def build_moe_transformer(cfg: VitConfig, num_experts: int,
                           experts_per_token: int, moe_every: int = 2) -> ArchSpec:
     """Vision transformer with every ``moe_every``-th feed-forward block
     replaced by a mixture of ``num_experts`` expert blocks of the same
-    shape, ``experts_per_token`` of which run per token."""
-    if cfg.depth > MOE_MAX_DEPTH:
-        raise ValueError(f"moe depth must be <= {MOE_MAX_DEPTH}, got {cfg.depth}")
+    shape, ``experts_per_token`` of which run per token: block ``i``
+    (from 1) is an expert block exactly when ``i % moe_every == 0``."""
     check_value("num_experts", num_experts)
     check_value("experts_per_token", experts_per_token)
     check_value("moe_every", moe_every)
@@ -125,10 +122,11 @@ def build_moe_transformer(cfg: VitConfig, num_experts: int,
     moe_block = block[:-1] + (MoE(expert=block[-1], num_experts=num_experts,
                                   experts_per_token=experts_per_token,
                                   router_dim=cfg.model_dim),)
+    periods, rest = divmod(cfg.depth, moe_every)
+    period = moe_block if moe_every == 1 else (Repeat(block, times=moe_every - 1), *moe_block)
     return _vision_spec(
         cfg, f"moe_p{cfg.patch}_d{cfg.depth}_e{num_experts}k{experts_per_token}",
-        tuple(layer for i in range(1, cfg.depth + 1)
-              for layer in (block if i % moe_every else moe_block)),
+        tuple(Repeat(body, times=n) for body, n in ((period, periods), (block, rest)) if n),
         {"family": "moe", "num_experts": str(num_experts),
          "experts_per_token": str(experts_per_token)},
     )

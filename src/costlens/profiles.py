@@ -133,14 +133,15 @@ def record_from_profile(profile_dict: dict) -> ModelRecord:
 
 def _load_json(path: str):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise InputFileError(f"no such file: {path}", file=path)
     except json.JSONDecodeError as exc:
+        offset = len(exc.doc[:exc.pos].encode("utf-8"))
         raise InputFileError(
-            f"malformed JSON in {path}: {exc.msg} (byte offset {exc.pos})",
-            file=path, offset=exc.pos,
+            f"malformed JSON in {path}: {exc.msg} (byte offset {offset})",
+            file=path, offset=offset,
         )
     except RecursionError:
         raise InputFileError(f"{path}: JSON nested too deeply", file=path)
@@ -162,7 +163,7 @@ def _rates(cls, path: str, what: str):
     try:
         return cls.from_dict(doc)
     except ValueError as exc:
-        raise InputFileError(f"{path}: bad {what}: {exc}")
+        raise InputFileError(f"{path}: bad {what}: {exc}", file=path)
 
 
 #: Keys of a spec file; anything else is refused.
@@ -205,6 +206,12 @@ def read_spec_file(path: str) -> tuple[ArchSpec, HardwareModel | None, int | Non
                 raise ValueError("builder reference requires a 'family' field")
             spec = build_from_reference(family, builder)
         ensure_valid(spec)
+        hardware = doc.get("hardware")
+        if isinstance(hardware, str):  # a file beside the spec file comes first
+            beside = os.path.join(os.path.dirname(path), hardware)
+            hardware = beside if os.path.isfile(beside) else hardware
+        # Inside the try, so a refused hardware names the spec file.
+        hardware = None if hardware is None else _hardware(hardware)
     except InvalidSpecError as exc:
         raise InputFileError(
             f"{path}: invalid architecture: "
@@ -218,8 +225,4 @@ def read_spec_file(path: str) -> tuple[ArchSpec, HardwareModel | None, int | Non
         raise InputFileError(f"{path}: architecture nested too deeply", file=path)
     if "name" in doc:  # after validation, so a bad name inside "arch" is still refused
         spec = replace(spec, name=doc["name"])
-    hardware = doc.get("hardware")
-    if isinstance(hardware, str):  # a file beside the spec file comes first
-        beside = os.path.join(os.path.dirname(path), hardware)
-        hardware = beside if os.path.isfile(beside) else hardware
-    return spec, None if hardware is None else _hardware(hardware), batch
+    return spec, hardware, batch

@@ -1,23 +1,37 @@
+import itertools
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 from costlens import (
+    ArchSpec,
+    Attention,
+    ClassifierHead,
+    FeedForward,
+    HardwareModel,
+    Image,
+    LayerNorm,
     LmConfig,
     MoE,
+    PatchEmbed,
     VitConfig,
     build_from_reference,
     build_lm,
     build_moe_transformer,
     build_universal_transformer,
     build_vit,
+    compute_profile,
     count_flops,
     count_params,
     depth_width_pair,
+    load_hardware,
+    preset_names,
     validate,
 )
 from costlens.archspec import input_sequence_length, spec_from_dict, spec_to_dict
+from costlens.trace import evaluate
 
 from support import TABLE1, vit_base
 
@@ -49,6 +63,13 @@ class TestVitBuilder:
     def test_heads_must_divide_dim(self):
         with pytest.raises(ValueError, match="divide"):
             VitConfig(patch=16, depth=1, model_dim=100, num_heads=7, ffn_dim=64)
+
+    @pytest.mark.parametrize("image", ["abc", 5, [1, 2]])
+    def test_image_of_the_wrong_shape_rejected(self, image):
+        with pytest.raises(ValueError) as info:
+            VitConfig(patch=16, depth=1, model_dim=64, num_heads=4, ffn_dim=64,
+                      image=image)
+        assert str(info.value) == f"image must be three integers >= 1, got {image!r}"
 
     def test_patch_must_divide_image(self):
         with pytest.raises(ValueError, match="divide"):
@@ -100,12 +121,84 @@ class TestMoEBuilder:
     def test_moe_every_placement(self):
         spec = build_moe_transformer(VitConfig(**{**BASE, "depth": 6}), 4, 1,
                                      moe_every=3)
-        assert sum(isinstance(l, MoE) for l in spec.layers) == 2
+        steps, _ = evaluate(spec)
+        assert sum(s.count for s in steps if isinstance(s.layer, MoE)) == 2
 
     def test_k_bounded_by_e(self):
         with pytest.raises(ValueError):
             build_moe_transformer(VitConfig(**BASE), num_experts=2,
                                   experts_per_token=3)
+
+
+MOE_SMALL = dict(patch=8, model_dim=64, num_heads=4, ffn_dim=96, image=(32, 48, 3),
+                 classes=10)
+
+
+def listed_moe(depth: int, moe_every: int, num_experts: int = 4,
+               experts_per_token: int = 2) -> ArchSpec:
+    """The MoE vision transformer with every block written out, block ``i``
+    (from 1) an expert block exactly when ``i % moe_every == 0``."""
+    d, f = MOE_SMALL["model_dim"], MOE_SMALL["ffn_dim"]
+    head = (LayerNorm(d), Attention(d, d, MOE_SMALL["num_heads"]), LayerNorm(d))
+    block = head + (FeedForward(d, f),)
+    moe_block = head + (MoE(FeedForward(d, f), num_experts, experts_per_token,
+                            router_dim=d),)
+    h, w, c = MOE_SMALL["image"]
+    return ArchSpec(
+        name="listed", input=Image(h, w, c),
+        layers=(PatchEmbed(MOE_SMALL["patch"], c, d),
+                *(layer for i in range(1, depth + 1)
+                  for layer in (block if i % moe_every else moe_block)),
+                LayerNorm(d), ClassifierHead(d, MOE_SMALL["classes"])))
+
+
+def _profile_values(spec, batch, hardware):
+    values = compute_profile(spec, batch, hardware).to_dict()
+    del values["name"]
+    return values
+
+
+class TestMoEStackDifferential:
+    """The built MoE stack costs what the listed stack costs, under every
+    hardware the package ships and one that pads the 25-token stream."""
+
+    HARDWARE = [None, *(load_hardware(name) for name in preset_names()),
+                HardwareModel(1e12, 1e11, 1e-6, length_pad_multiple=8, name="pad8")]
+
+    @pytest.mark.parametrize("depth, moe_every", [
+        *itertools.product(range(1, 14), range(1, 6)), (12, 3), (48, 2)])
+    def test_costs_equal_the_listed_stack(self, depth, moe_every):
+        built = build_moe_transformer(VitConfig(depth=depth, **MOE_SMALL), 4, 2,
+                                      moe_every=moe_every)
+        oracle = listed_moe(depth, moe_every)
+        for hardware, batch in itertools.product(self.HARDWARE, (1, 8)):
+            got = _profile_values(built, batch, hardware)
+            want = _profile_values(oracle, batch, hardware)
+            assert got.keys() == want.keys()
+            for key, value in want.items():
+                if isinstance(value, float):
+                    assert math.isclose(got[key], value, rel_tol=1e-12), (key, hardware)
+                else:
+                    assert got[key] == value, (key, hardware)
+
+
+def _nodes(document) -> int:
+    if isinstance(document, dict):
+        return 1 + sum(_nodes(v) for v in document.values())
+    if isinstance(document, list):
+        return sum(_nodes(v) for v in document)
+    return 0
+
+
+@pytest.mark.parametrize("moe_every", [1, 2, 4])
+def test_moe_spec_size_does_not_grow_with_depth(moe_every):
+    # 12 and 10**6 leave the same remainder for each moe_every here.
+    def size(depth):
+        spec = build_moe_transformer(VitConfig(depth=depth, **MOE_SMALL), 4, 2,
+                                     moe_every=moe_every)
+        return _nodes(spec_to_dict(spec))
+
+    assert size(10**6) == size(12)
 
 
 class TestLmBuilder:

@@ -30,6 +30,7 @@ from costlens import (
     training_memory,
 )
 from costlens.indicators import patch_embed_weight_params
+from costlens.trace import evaluate
 
 from support import TABLE1, random_repeat_pair, vit_base
 
@@ -215,11 +216,11 @@ class TestMoE:
         f2 = count_flops(self.build(8, k=2)).flops
         spec = self.build(8, k=1)
         # the doubled part is exactly the expert applications
-        moe_layers = [l for l in spec.layers if isinstance(l, MoE)]
+        moe_steps = [s for s in evaluate(spec)[0] if isinstance(s.layer, MoE)]
         expert_flops = count_flops(
-            tokens(5, [moe_layers[0].expert])  # 5 tokens: 4 patches + CLS
+            tokens(5, [moe_steps[0].layer.expert])  # 5 tokens: 4 patches + CLS
         ).flops
-        assert f2 - f1 == len(moe_layers) * expert_flops
+        assert f2 - f1 == sum(s.count for s in moe_steps) * expert_flops
 
 
 class TestActivation:

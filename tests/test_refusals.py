@@ -40,6 +40,7 @@ def nested_repeats(depth: int) -> dict:
 REFUSED_SPECS = {
     "missing.json": None,
     "malformed_crlf.json": b'{"schema_version": 1,\r\n "name": }\r\n',
+    "malformed_utf8.json": '{"name": "\u00e9\u00e9\u00e9", "x": }',
     "nested_json.json": "[" * 100_000 + "]" * 100_000,
     "latin1.json": b'{"schema_version": 1, "name": "caf\xe9"}',
     "list.json": "[1, 2]",
@@ -52,6 +53,9 @@ REFUSED_SPECS = {
     "no_family.json": spec(builder={k: v for k, v in _VIT.items() if k != "family"}),
     "bad_family.json": spec(builder={**_VIT, "family": "resnet"}),
     "bad_argument.json": spec(builder={**_VIT, "depth": 0}),
+    "image_text.json": spec(builder={**_VIT, "image": "abc"}),
+    "image_int.json": spec(builder={**_VIT, "image": 5}),
+    "image_pair.json": spec(builder={**_VIT, "image": [1, 2]}),
     "bad_layer.json": spec(arch={"input": _TOKENS, "layers": [{"kind": "conv"}]}),
     "nested_arch.json": spec(arch=nested_repeats(400)),
     "invalid.json": spec(arch={
