@@ -22,6 +22,7 @@ record list.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -106,6 +107,25 @@ class InputFileError(ValueError):
 
 
 RecordsFileError = InputFileError  # the name read_records first raised
+
+
+def _load_json(path: str):
+    """The JSON document of an input file, or ``InputFileError`` naming it."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise InputFileError(f"no such file: {path}", file=path)
+    except json.JSONDecodeError as exc:
+        offset = len(exc.doc[:exc.pos].encode("utf-8"))
+        raise InputFileError(
+            f"malformed JSON in {path}: {exc.msg} (byte offset {offset})",
+            file=path, offset=offset,
+        )
+    except RecursionError:
+        raise InputFileError(f"{path}: JSON nested too deeply", file=path)
+    except (OSError, ValueError) as exc:
+        raise InputFileError(f"cannot read {path}: {exc}", file=path)
 
 
 def read_records(path: str) -> list[ModelRecord]:

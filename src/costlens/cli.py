@@ -181,9 +181,10 @@ def svg_scatter(records, cost_key: str, frontier) -> str:
 
 
 def _profile_lines(d: dict, fmt: str) -> str:
+    if fmt == "json":  # indent=2's bytes for a flat object, from the C encoder
+        text = json.dumps(d, sort_keys=True, separators=(",\n  ", ": "))
+        return "{\n  " + text[1:-1] + "\n}\n"
     keys = sorted(d)
-    if fmt == "json":
-        return json.dumps(d, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -23,8 +23,8 @@ import math
 import os
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 
+from .analysis import _load_json
 from .archspec import ArchSpec, check_fields, check_value, ensure_valid, from_document
 from .indicators import layer_mac_bytes
 from .trace import Step, evaluate
@@ -65,23 +65,35 @@ def preset_names() -> list[str]:
     )
 
 
+#: Shipped presets parsed so far, by name: each is parsed once per process.
+_SHIPPED: dict[str, HardwareModel] = {}
+
+
 def load_hardware(name_or_path: str) -> HardwareModel:
     """Load a hardware model by preset name or JSON file path.
 
     Lookup order: an existing file, then ``$COSTLENS_HW_DIR``, then the
     presets shipped with the package. Only a bare name (no path separator,
-    no ``..``) is looked up in those two directories.
+    no ``..``) is looked up in those two directories. Files and
+    ``$COSTLENS_HW_DIR`` are read on every call; a shipped preset is
+    parsed once per process. A file that cannot be read or parsed raises
+    ``InputFileError`` naming it.
     """
-    candidates = [Path(name_or_path)]
-    if os.path.basename(name_or_path) == name_or_path and ".." not in name_or_path:
-        env_dir = os.environ.get(HW_PRESET_DIR_ENV)
-        if env_dir:
-            candidates.append(Path(env_dir, name_or_path + ".json"))
-        candidates.append(resources.files("costlens").joinpath(
-            f"data/hardware/{name_or_path}.json"))
+    candidates = [name_or_path]
+    bare = os.path.basename(name_or_path) == name_or_path and ".." not in name_or_path
+    env_dir = os.environ.get(HW_PRESET_DIR_ENV)
+    if bare and env_dir:
+        candidates.append(os.path.join(env_dir, name_or_path + ".json"))
     for candidate in candidates:
-        if candidate.is_file():
-            return HardwareModel.from_dict(json.loads(candidate.read_text("utf-8")))
+        if os.path.isfile(candidate):
+            return HardwareModel.from_dict(_load_json(candidate))
+    if bare and name_or_path not in _SHIPPED:
+        shipped = resources.files("costlens").joinpath(f"data/hardware/{name_or_path}.json")
+        if shipped.is_file():  # known names only, so a typo never grows the cache
+            _SHIPPED[name_or_path] = HardwareModel.from_dict(
+                json.loads(shipped.read_text("utf-8")))
+    if name_or_path in _SHIPPED:
+        return _SHIPPED[name_or_path]
     raise FileNotFoundError(
         f"no hardware preset or file named {name_or_path!r} "
         f"(shipped presets: {', '.join(preset_names())})"

@@ -9,11 +9,10 @@ and throughput are reported at the requested batch size.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, replace
 
-from .analysis import PROFILE_FIELDS, InputFileError, ModelRecord
+from .analysis import PROFILE_FIELDS, InputFileError, ModelRecord, _load_json
 from .archlib import build_from_reference
 from .archspec import (
     ArchSpec, InvalidSpecError, check_value, ensure_valid, input_sequence_length,
@@ -73,12 +72,15 @@ def compute_profile(spec: ArchSpec, batch: int = 1,
 
     Latency and throughput require ``hardware``; carbon and monetary cost
     require their respective profiles. Everything else is always computed.
-    The spec is validated once. It is folded once, for the counts and the
-    latency together, unless the hardware pads the sequence to a new
-    length: then once for the counts and once more at the padded length.
+    The spec is validated once: here, unless it is the very object
+    ``read_spec_file`` returned last and validated (a copy is checked here).
+    It is folded once, for the counts and the latency together, unless
+    the hardware pads the sequence to a new length: then once for the
+    counts and once more at the padded length.
     """
     check_value("batch", batch)
-    ensure_valid(spec)
+    if spec is not _read_spec:
+        ensure_valid(spec)
     length = input_sequence_length(spec)
     pads = hardware is not None and (
         _pad_length(length, hardware.length_pad_multiple) != length)
@@ -131,30 +133,12 @@ def record_from_profile(profile_dict: dict) -> ModelRecord:
         if profile_dict.get(key) is not None})
 
 
-def _load_json(path: str):
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise InputFileError(f"no such file: {path}", file=path)
-    except json.JSONDecodeError as exc:
-        offset = len(exc.doc[:exc.pos].encode("utf-8"))
-        raise InputFileError(
-            f"malformed JSON in {path}: {exc.msg} (byte offset {offset})",
-            file=path, offset=offset,
-        )
-    except RecursionError:
-        raise InputFileError(f"{path}: JSON nested too deeply", file=path)
-    except (OSError, ValueError) as exc:
-        raise InputFileError(f"cannot read {path}: {exc}", file=path)
-
-
 def _hardware(hw) -> HardwareModel:
     """A hardware preset name, a JSON path or an inline object."""
     try:
         return load_hardware(hw) if isinstance(hw, str) else HardwareModel.from_dict(hw)
-    except (OSError, ValueError, RecursionError) as exc:
-        raise InputFileError(f"bad hardware {hw!r}: {exc}")
+    except (OSError, ValueError, RecursionError) as exc:  # keeps a file's name and offset
+        raise InputFileError(f"bad hardware {hw!r}: {exc}", **getattr(exc, "detail", {}))
 
 
 def _rates(cls, path: str, what: str):
@@ -169,10 +153,16 @@ def _rates(cls, path: str, what: str):
 #: Keys of a spec file; anything else is refused.
 _SPEC_FILE_KEYS = {"schema_version", "name", "arch", "builder", "hardware", "batch", "notes"}
 
+#: The spec ``read_spec_file`` returned last. Specs are immutable, so it is
+#: still valid, and ``compute_profile`` does not validate it again.
+_read_spec: ArchSpec | None = None
+
 
 def read_spec_file(path: str) -> tuple[ArchSpec, HardwareModel | None, int | None]:
     """Parse a spec file (format in docs/file-formats.md) into (validated
-    architecture, optional hardware, batch); a bad file raises ``InputFileError``."""
+    architecture, optional hardware, batch); a bad file raises ``InputFileError``.
+    ``compute_profile`` does not validate the returned object again."""
+    global _read_spec
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise InputFileError(f"{path}: spec file must be a JSON object", file=path)
@@ -225,4 +215,5 @@ def read_spec_file(path: str) -> tuple[ArchSpec, HardwareModel | None, int | Non
         raise InputFileError(f"{path}: architecture nested too deeply", file=path)
     if "name" in doc:  # after validation, so a bad name inside "arch" is still refused
         spec = replace(spec, name=doc["name"])
+    _read_spec = spec
     return spec, hardware, batch

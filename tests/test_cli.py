@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import io
 import json
 import os
@@ -13,12 +14,17 @@ from xml.dom import minidom
 import pytest
 
 from costlens import (
+    EnergyProfile,
+    PricingProfile,
     RecordsFileError,
     build_from_reference,
+    compute_profile,
     count_flops,
     count_params,
+    load_hardware,
     preset_names,
     read_records,
+    read_spec_file,
     record_from_profile,
 )
 from costlens import analysis, cli
@@ -323,6 +329,23 @@ class TestProfile:
     def test_golden_stdout(self, capsys, fmt):
         assert profile_sweep(fmt, capsys) \
             == (GOLDEN / f"profile_{fmt}.txt").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("spec", ["vit_b8", "vit_b16", "vit_b32", "vit_b64"])
+    def test_json_is_indented_json(self, spec):
+        """The flat profile renders to the bytes of ``indent=2``, with and
+        without each optional field and with a name that needs escapes."""
+        energy = EnergyProfile(100.0, 0.001, 1e6, 0.4)
+        pricing = PricingProfile(100.0, 64.0, 2.0)
+        with data_file(f"specs/{spec}.json") as path:
+            arch, _, _ = read_spec_file(path)
+        for name in (arch.name, 'caf\u00e9 "\\x"\n'):
+            arch = dataclasses.replace(arch, name=name)
+            for hw in (None, *map(load_hardware, preset_names())):
+                for extra in ({}, {"energy": energy}, {"pricing": pricing},
+                              {"energy": energy, "pricing": pricing}):
+                    d = compute_profile(arch, 8, hw, **extra).to_dict()
+                    assert cli._profile_lines(d, "json") \
+                        == json.dumps(d, indent=2, sort_keys=True) + "\n"
 
 
 def profile_sweep(fmt: str, capsys) -> str:

@@ -7,6 +7,8 @@ be equal; times may differ only by float rounding, because a repeat's time
 is ``times`` x its body instead of a running sum.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -25,6 +27,7 @@ from costlens import (
     FeedForward,
     HardwareModel,
     Image,
+    InvalidSpecError,
     LayerNorm,
     MoE,
     OptimizerKind,
@@ -257,11 +260,32 @@ def test_one_validation_per_public_call(validate_calls):
         validate_calls.clear()
         call(spec)
         assert len(validate_calls) == 1
-    # The CLI checks the spec file's architecture, then profiles it.
+    # The CLI checks the spec file's architecture, and profiles that very
+    # object without checking it again: once per spec file.
     with data_file("specs/vit_b16.json") as path:
         validate_calls.clear()
         assert costlens.cli.main(["profile", str(path), "--hw", "tpu_like"]) == 0
+    assert len(validate_calls) == 1
+    with data_file("specs/vit_b16.json") as a, data_file("specs/vit_b32.json") as b:
+        validate_calls.clear()
+        assert costlens.cli.main(["compare", a, b]) == 0
     assert len(validate_calls) == 2
+
+
+def test_copy_of_a_read_spec_is_validated(validate_calls):
+    """Only the object ``read_spec_file`` returned skips the second check;
+    a copy of it, equal or broken, is validated by ``compute_profile``."""
+    with data_file("specs/vit_b16.json") as path:
+        spec, _, _ = costlens.read_spec_file(path)
+    validate_calls.clear()
+    compute_profile(dataclasses.replace(spec))
+    assert len(validate_calls) == 1
+    broken = dataclasses.replace(spec, layers=(*spec.layers, Dense(in_dim=0, out_dim=8)))
+    with pytest.raises(InvalidSpecError, match="in_dim must be"):
+        compute_profile(broken)
+    validate_calls.clear()
+    compute_profile(spec, 8, load_hardware("tpu_like"))
+    assert validate_calls == []
 
 
 def assert_profile_matches_public_calls(spec, hw, batch, optimizer):

@@ -2,10 +2,12 @@ import math
 
 import pytest
 
+import costlens.latency
 from costlens import (
     ArchSpec,
     Dense,
     HardwareModel,
+    InputFileError,
     LayerNorm,
     Parallel,
     PipelineBubble,
@@ -83,6 +85,57 @@ class TestHardwareModel:
             HardwareModel.from_dict({"peak_flops_per_sec": "nan",
                                      "mem_bandwidth_bytes_per_sec": 1e9,
                                      "per_op_overhead_sec": 0})
+
+
+_HW = ('{{"peak_flops_per_sec": {peak}, "mem_bandwidth_bytes_per_sec": 1e11,'
+       ' "per_op_overhead_sec": 0, "name": "{name}"}}')
+
+
+class TestPresetCache:
+    """Shipped presets are parsed once per process; a file or an entry of
+    ``$COSTLENS_HW_DIR`` is read on every call and still comes first."""
+
+    def test_repeated_shipped_loads_are_equal(self):
+        for name in preset_names():
+            first = load_hardware(name)
+            assert load_hardware(name) == first
+            assert load_hardware(name).name == name
+
+    def test_working_directory_file_wins(self, tmp_path, monkeypatch):
+        shipped = load_hardware("tpu_like")
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "tpu_like").write_text(_HW.format(peak=3e12, name="local"))
+        assert load_hardware("tpu_like").name == "local"
+        (tmp_path / "tpu_like").unlink()
+        assert load_hardware("tpu_like") == shipped
+
+    def test_env_dir_shadows_and_is_reread(self, tmp_path, monkeypatch):
+        shipped = load_hardware("tpu_like")
+        monkeypatch.setenv("COSTLENS_HW_DIR", str(tmp_path))
+        entry = tmp_path / "tpu_like.json"
+        entry.write_text(_HW.format(peak=1e12, name="first"))
+        assert load_hardware("tpu_like").peak_flops_per_sec == 1e12
+        entry.write_text(_HW.format(peak=2e12, name="second"))
+        assert load_hardware("tpu_like").name == "second"
+        assert load_hardware("tpu_like").peak_flops_per_sec == 2e12
+        entry.unlink()
+        assert load_hardware("tpu_like") == shipped
+
+    def test_unknown_name_is_refused_and_not_cached(self):
+        message = ("no hardware preset or file named 'warp_drive' "
+                   f"(shipped presets: {', '.join(preset_names())})")
+        for _ in range(2):
+            with pytest.raises(FileNotFoundError) as info:
+                load_hardware("warp_drive")
+            assert str(info.value) == message
+        assert set(costlens.latency._SHIPPED) <= set(preset_names())
+
+    def test_malformed_file_names_itself(self, tmp_path):
+        path = tmp_path / "hw.json"
+        path.write_text('{"name": "x",')
+        with pytest.raises(InputFileError) as info:
+            load_hardware(str(path))
+        assert info.value.detail == {"file": str(path), "offset": 13}
 
 
 class TestLatency:
