@@ -8,10 +8,12 @@ count of inverted pairs and a listing of them (all, or the first N),
 relative-tolerance matched groups, and a combined report of models that
 look efficient under one indicator and dominated under another.
 
-The inverted-pair listing is held compactly, as each record's discordant
-partners in one bitmask; ``inverted_pairs`` builds the ``InvertedPair``
-objects from it on first access, and the CLI formats its lines from the
-same bitmasks without building them.
+A report ranks each indicator once, and each indicator pair masks those
+ranks with the records carrying both. The inverted-pair listing is held
+as each record's discordant partners in one bitmask and decoded a whole
+listing at once: ``inverted_pairs`` builds the ``InvertedPair`` objects
+from it on first access, and the CLI formats its lines from the same
+decoder without building them.
 
 All indicator values are treated as lower-is-better; throughput is
 declared higher-is-better at ingestion and negated internally so the rule
@@ -26,7 +28,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, groupby, islice
+from itertools import chain, compress, groupby, islice, repeat
 from typing import NamedTuple
 
 from .archspec import check_value
@@ -267,11 +269,12 @@ class InvertedPair(NamedTuple):
 
 class _Listing(NamedTuple):
     """One indicator pair's listed inversions as bitmasks. ``rows`` holds
-    ``(i, partners, a_first, count)`` for each record ``i`` with listed
-    partners: bit ``k`` of ``partners`` is the discordant partner
+    ``(i, partners, a_first, count)`` for each record position ``i`` with
+    listed partners: bit ``k`` of ``partners`` is the discordant partner
     ``i + 1 + k``, the same bit of ``a_first`` is set when that partner
     costs more under ``indicator_a`` (so record ``i`` is ``model_a``), and
-    the first ``count`` partners are listed."""
+    the first ``count`` partners are listed (only the last row is cut).
+    ``names`` holds every record's name, carrier or not."""
 
     indicator_a: str
     indicator_b: str
@@ -285,22 +288,27 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _listed_pairs(listing: _Listing):
-    """``(model_a, model_b)`` of each listed pair, in record order."""
-    names = listing.names
-    for i, partners, a_first, count in listing.rows:
-        me = names[i]
-        picked = format(partners, "b")[::-1].encode().translate(_BIT_BYTES)
-        # a bit above the last partner pads a_first to the width of partners
-        first = format(a_first | (1 << partners.bit_length()), "b")[::-1]
-        row = zip(compress(names[i + 1:], picked),
-                  compress(first.encode().translate(_BIT_BYTES), picked))
-        for other, me_first in islice(row, count):
-            yield (me, other) if me_first else (other, me)
+    """``(me, other, me_first)`` of each listed pair in record order: ``me`` is
+    the row's record, ``model_a`` when ``me_first``. A bitmask column is
+    decoded whole, row ``i`` padded to the ``n - 1 - i`` records after it."""
+    names, rows = listing.names, listing.rows
+    last = len(names) - 1
+
+    def selector(k):  # rows last to first, so one reversal orders every bit
+        bits = "".join([format(row[k], f"0{last - row[0]}b") for row in reversed(rows)])
+        return bits[::-1].encode().translate(_BIT_BYTES)
+
+    picked = selector(1)
+    me = chain.from_iterable([repeat(names[i], bits.bit_count()) for i, bits, *_ in rows])
+    other = compress(chain.from_iterable([names[i + 1:] for i, *_ in rows]), picked)
+    listed = sum(row[3] for row in rows)
+    return islice(zip(me, other, compress(selector(2), picked)), listed)
 
 
 def _inverted_pairs(listings) -> tuple[InvertedPair, ...]:
-    return tuple(InvertedPair(a, b, listing.indicator_a, listing.indicator_b)
-                 for listing in listings for a, b in _listed_pairs(listing))
+    return tuple(InvertedPair(*((me, other) if me_first else (other, me)),
+                              listing.indicator_a, listing.indicator_b)
+                 for listing in listings for me, other, me_first in _listed_pairs(listing))
 
 
 @dataclass(frozen=True)
@@ -316,23 +324,29 @@ class RankDisagreement:
         return _inverted_pairs((self._listing,))
 
 
-def _rank_masks(values):
-    """Dense ranks of ``values`` (exact float equality is a tie, so
-    ``0.0 == -0.0``), ``below[r]``, the bitmask of the positions ranked
-    under ``r`` (``below[-1]`` holds every position), and the number of
-    position pairs tied in value."""
-    index = {v: r for r, v in enumerate(sorted(set(values)))}
-    ranks = [index[v] for v in values]
+def _ranking(records, indicator: str):
+    """``indicator`` ranked over the record positions: each position's dense
+    rank (exact float equality ties, so ``0.0 == -0.0``) or None, each rank's
+    bitmask of positions, and the bitmask of the positions carrying it."""
+    values = [r.cost_value(indicator) if indicator in r.indicators else None for r in records]
+    index = {v: r for r, v in enumerate(sorted(set(values) - {None}))}
+    ranks = [index.get(v) for v in values]
     buckets = [0] * len(index)
     for pos, r in enumerate(ranks):
-        buckets[r] |= 1 << pos
-    below = [0]
-    ties = 0
+        if r is not None:
+            buckets[r] |= 1 << pos
+    return indicator, ranks, buckets, sum(buckets)
+
+
+def _below(buckets, carrying: int):
+    """``below[r]``, the ``carrying`` positions ranked under ``r`` as a bitmask
+    (``below[-1]`` holds them all), and the number of pairs of them tied."""
+    below, ties = [0], 0
     for bucket in buckets:
+        bucket &= carrying
         below.append(below[-1] | bucket)
-        size = bucket.bit_count()
-        ties += size * (size - 1) // 2
-    return ranks, below, ties
+        ties += math.comb(bucket.bit_count(), 2)
+    return below, ties
 
 
 def rank_disagreement(records, indicator_a: str, indicator_b: str,
@@ -347,32 +361,39 @@ def rank_disagreement(records, indicator_a: str, indicator_b: str,
     there are no discordant pairs (the orderings never actually disagree)
     and 0.0 otherwise.
 
-    The counts come from rank bitmasks: for record ``i`` the records
-    ranked below and above it under each indicator are integers used as
-    bitsets, so each record's concordant and discordant partners are
-    found by a few whole-integer operations. The listing keeps those
-    partner bitmasks, one row per record, and ``inverted_pairs`` is built
-    from them on first access.
+    The counts come from rank bitmasks: each indicator is ranked once over
+    the record positions (once per report in ``misnomer_report``) and masked
+    with the records carrying both. For record ``i`` the records ranked
+    below and above it are integers used as bitsets, so its concordant and
+    discordant partners take a few whole-integer operations. The listing
+    keeps those partner bitmasks, one row per record, and
+    ``inverted_pairs`` decodes them all at once on first access.
     """
     if max_pairs is not None and max_pairs < 0:
         raise ValueError(f"max_pairs must be >= 0, got {max_pairs}")
-    both = [r for r in records
-            if indicator_a in r.indicators and indicator_b in r.indicators]
-    if len(both) < 2:
-        raise InsufficientDataError(
-            f"need >= 2 records carrying both {indicator_a!r} and {indicator_b!r}, "
-            f"got {len(both)}"
-        )
-    n = len(both)
-    ranks_a, below_a, ties_a = _rank_masks([r.cost_value(indicator_a) for r in both])
-    ranks_b, below_b, ties_b = _rank_masks([r.cost_value(indicator_b) for r in both])
-    everyone = below_a[-1]
+    records = list(records)
+    return _disagreement(tuple(r.name for r in records), _ranking(records, indicator_a),
+                         _ranking(records, indicator_b), max_pairs)
+
+
+def _disagreement(names, ranking_a, ranking_b, max_pairs) -> RankDisagreement:
+    """``rank_disagreement`` from two ``_ranking`` results over ``names``."""
+    indicator_a, ranks_a, buckets_a, carrying_a = ranking_a
+    indicator_b, ranks_b, buckets_b, carrying_b = ranking_b
+    everyone = carrying_a & carrying_b
+    n = everyone.bit_count()
+    if n < 2:
+        raise InsufficientDataError(f"need >= 2 records carrying both {indicator_a!r} "
+                                    f"and {indicator_b!r}, got {n}")
+    below_a, ties_a = _below(buckets_a, everyone)
+    below_b, ties_b = _below(buckets_b, everyone)
     n0 = n * (n - 1) // 2
     room = n0 if max_pairs is None else max_pairs
     concordant = discordant = 0
     rows = []
-    for i in range(n):
-        x, y = ranks_a[i], ranks_b[i]
+    for i, (x, y) in enumerate(zip(ranks_a, ranks_b)):
+        if x is None or y is None:
+            continue
         lt_a, gt_a = below_a[x], everyone ^ below_a[x + 1]
         lt_b, gt_b = below_b[y], everyone ^ below_b[y + 1]
         # bit k of these is the partner j = i + 1 + k
@@ -395,8 +416,7 @@ def rank_disagreement(records, indicator_a: str, indicator_b: str,
         n_records=n,
         n_concordant=concordant,
         n_discordant=discordant,
-        _listing=_Listing(indicator_a, indicator_b,
-                          tuple(r.name for r in both), tuple(rows)),
+        _listing=_Listing(indicator_a, indicator_b, names, tuple(rows)),
     )
 
 
@@ -494,6 +514,8 @@ def misnomer_report(records, max_pairs: int | None = None) -> MisnomerReport:
         for r in records for ind in present if ind not in r.indicators
     ]
 
+    names = tuple(r.name for r in records)
+    rankings = {ind: _ranking(records, ind) for ind in present}
     pairs = []
     taus = {}
     listings = []
@@ -502,7 +524,7 @@ def misnomer_report(records, max_pairs: int | None = None) -> MisnomerReport:
     for i, ind_a in enumerate(present):
         for ind_b in present[i + 1:]:
             try:
-                result = rank_disagreement(records, ind_a, ind_b, max_pairs=room)
+                result = _disagreement(names, rankings[ind_a], rankings[ind_b], room)
             except InsufficientDataError:
                 continue
             pairs.append((ind_a, ind_b))

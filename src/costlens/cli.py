@@ -212,8 +212,9 @@ def _render_misnomer(report: MisnomerReport) -> list[str]:
     start = len(lines)
     for listing in report._listings:  # the pairs, never built as InvertedPair
         ind_a, ind_b = listing.indicator_a, listing.indicator_b
-        lines += [f"  {a} < {b} on {ind_a} but {a} > {b} on {ind_b}"
-                  for a, b in _listed_pairs(listing)]
+        lines += [f"  {me} < {other} on {ind_a} but {me} > {other} on {ind_b}" if me_first
+                  else f"  {other} < {me} on {ind_a} but {other} > {me} on {ind_b}"
+                  for me, other, me_first in _listed_pairs(listing)]
     shown = len(lines) - start
     if shown < report.n_inverted_pairs:
         lines.append(f"  showing {shown} of {report.n_inverted_pairs} inverted pairs")
@@ -347,16 +348,14 @@ def cmd_compare(args) -> int:
         records,
         key=lambda r: (r.indicators.get(sort_key, math.inf), r.name),
     )
-    header = ["name", "quality"] + columns
-    rows = []
-    for r in ordered:
-        cells = [r.name, "" if r.quality is None else format_fixed(r.quality)]
-        cells += [
-            format_fixed(r.indicators[c]) if c in r.indicators else ""
-            for c in columns
-        ]
-        rows.append(cells)
-    lines = _table(header, rows)
+    # Each distinct value formatted once: values equal as keys (1 and 1.0,
+    # 0.0 and -0.0) print alike, as format_fixed reads an int as a float.
+    values = {r.quality for r in records if r.quality is not None}
+    values.update(v for r in records for v in r.indicators.values())
+    text = {v: format_fixed(v) for v in values}
+    rows = [[r.name, text.get(r.quality, "")]
+            + [text.get(r.indicators.get(c), "") for c in columns] for r in ordered]
+    lines = _table(["name", "quality"] + columns, rows)
     # max_pairs is passed only when given, so a stand-in for
     # misnomer_report that takes just the records still fits.
     limit = {} if args.max_pairs is None else {"max_pairs": args.max_pairs}

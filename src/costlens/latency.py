@@ -24,7 +24,7 @@ import os
 from dataclasses import dataclass
 from importlib import resources
 
-from .analysis import _load_json
+from .analysis import InputFileError, _load_json
 from .archspec import ArchSpec, check_fields, check_value, ensure_valid, from_document
 from .indicators import layer_mac_bytes
 from .trace import Step, evaluate
@@ -76,8 +76,8 @@ def load_hardware(name_or_path: str) -> HardwareModel:
     presets shipped with the package. Only a bare name (no path separator,
     no ``..``) is looked up in those two directories. Files and
     ``$COSTLENS_HW_DIR`` are read on every call; a shipped preset is
-    parsed once per process. A file that cannot be read or parsed raises
-    ``InputFileError`` naming it.
+    parsed once per process. A file that cannot be read or parsed, or whose
+    fields are refused, raises ``InputFileError`` naming it.
     """
     candidates = [name_or_path]
     bare = os.path.basename(name_or_path) == name_or_path and ".." not in name_or_path
@@ -86,7 +86,11 @@ def load_hardware(name_or_path: str) -> HardwareModel:
         candidates.append(os.path.join(env_dir, name_or_path + ".json"))
     for candidate in candidates:
         if os.path.isfile(candidate):
-            return HardwareModel.from_dict(_load_json(candidate))
+            doc = _load_json(candidate)
+            try:
+                return HardwareModel.from_dict(doc)
+            except ValueError as exc:
+                raise InputFileError(str(exc), file=candidate)
     if bare and name_or_path not in _SHIPPED:
         shipped = resources.files("costlens").joinpath(f"data/hardware/{name_or_path}.json")
         if shipped.is_file():  # known names only, so a typo never grows the cache

@@ -17,14 +17,15 @@ from costlens import (
     pareto_frontier,
     rank_disagreement,
 )
-from costlens import cli
-from costlens.analysis import InvertedPair, indicators_present
+from costlens import analysis, cli
+from costlens.analysis import InvertedPair, indicators_present, read_records
 from costlens.cli import _render_misnomer
 
 from support import (
     TABLE2_ROWS,
     brute_force_frontier_names,
     brute_force_tau,
+    data_file,
     oracle_rank_disagreement,
     random_records,
 )
@@ -449,6 +450,63 @@ class TestRankBitsetsDifferential:
         for cut in range(total + 2):
             assert_rendered_listing(misnomer_report(records, max_pairs=cut))
 
+    def test_cut_on_a_row_boundary(self):
+        """A cut that ends exactly on the last partner of a row that has
+        several, with later rows left out."""
+        records = sweep_records(14, seed=5)
+        full = misnomer_report(records)
+        rows = full._listings[0].rows
+        end = next(k for k in range(len(rows) - 1) if rows[k][3] >= 2)
+        cut = sum(row[3] for row in rows[:end + 1])
+        report = misnomer_report(records, max_pairs=cut)
+        assert report._listings[0].rows[-1][3] == rows[end][3]
+        assert report.inverted_pairs == full.inverted_pairs[:cut]
+        assert_rendered_listing(report)
+
+    def test_cut_on_the_first_pair_of_the_second_listing(self):
+        records = sweep_records(14, seed=5)
+        full = misnomer_report(records)
+        first = sum(row[3] for row in full._listings[0].rows)
+        report = misnomer_report(records, max_pairs=first + 1)
+        assert [sum(row[3] for row in listing.rows) for listing in report._listings] \
+            == [first, 1] + [0] * (len(report._listings) - 2)
+        assert report.inverted_pairs == full.inverted_pairs[:first + 1]
+        assert report.inverted_pairs[-1][2:] == full.indicator_pairs_examined[1]
+        assert_rendered_listing(report)
+
+    def test_each_indicator_pair_carried_by_other_records(self):
+        """Record ``i`` lacks the ``i % 5``-th column (none when that is 4),
+        so every indicator pair is carried by a different subset. Ranks
+        taken once over all records and masked per pair must count and
+        list as ranking each pair's carriers afresh does."""
+        columns = ("params", "flops", "latency", "throughput")
+        pool = (0.0, -0.0, 1.0, 2.5, 2.5, -1.0, 1e-300, 7.25)
+        rng = random.Random(17)
+        records = [ModelRecord(f"m{i:02d}", {c: rng.choice(pool) for k, c
+                                             in enumerate(columns) if k != i % 5},
+                               quality=float(i % 3))
+                   for i in range(23)]
+        carriers = {(a, b): frozenset(k for k, r in enumerate(records)
+                                      if a in r.indicators and b in r.indicators)
+                    for i, a in enumerate(columns) for b in columns[i + 1:]}
+        assert len(set(carriers.values())) == len(carriers)
+        listing = oracle_listing(records)
+        report = misnomer_report(records)
+        assert report.indicator_pairs_examined == tuple(carriers)
+        for (a, b), ref in listing:
+            assert report.kendall_tau[(a, b)] == ref.kendall_tau
+            got = rank_disagreement(records, a, b)
+            assert (got.kendall_tau, got.n_concordant, got.n_discordant,
+                    got.n_records, got.inverted_pairs) == (
+                ref.kendall_tau, ref.n_concordant, ref.n_discordant,
+                len(carriers[(a, b)]), ref.inverted_pairs)
+        full = tuple(p for _, ref in listing for p in ref.inverted_pairs)
+        assert report.inverted_pairs == full
+        for cut in range(len(full) + 2):
+            cut_report = misnomer_report(records, max_pairs=cut)
+            assert cut_report.inverted_pairs == full[:cut]
+            assert_rendered_listing(cut_report)
+
     def test_signed_zero_is_a_tie(self):
         records = [rec("a", 0, params=0.0, flops=1.0),
                    rec("b", 0, params=-0.0, flops=2.0),
@@ -539,6 +597,116 @@ class TestLazyListing:
         # ~0.7M pairs as InvertedPair objects took about 75 MB
         assert report.n_inverted_pairs > 500_000
         assert peak < 4_000_000
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.fixture()
+def ranking_calls(monkeypatch):
+    """The indicator of each ranking the analysis makes."""
+    calls = []
+    real = analysis._ranking
+
+    def spy(records, indicator):
+        calls.append(indicator)
+        return real(records, indicator)
+
+    monkeypatch.setattr(analysis, "_ranking", spy)
+    return calls
+
+
+@pytest.fixture()
+def format_calls(monkeypatch):
+    """The value of each ``format_fixed`` call the CLI makes."""
+    calls = []
+    real = cli.format_fixed
+
+    def spy(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(cli, "format_fixed", spy)
+    return calls
+
+
+def test_one_ranking_per_indicator_per_report(ranking_calls):
+    records = sweep_records(30)
+    report = misnomer_report(records)
+    assert len(report.indicator_pairs_examined) == 36
+    assert sorted(ranking_calls) == sorted(indicators_present(records))
+    ranking_calls.clear()
+    misnomer_report(read_records(str(GOLDEN / "compare_tie_heavy.csv")), max_pairs=5)
+    assert len(ranking_calls) == len(set(ranking_calls)) == 6
+    ranking_calls.clear()
+    rank_disagreement(records, "params", "flops")
+    assert ranking_calls == ["params", "flops"]
+
+
+def test_one_format_per_distinct_table_value(format_calls, capsys):
+    path = str(GOLDEN / "compare_tie_heavy.csv")
+    assert cli.main(["compare", "--records", path]) == 0
+    records = read_records(path)
+    distinct = {r.quality for r in records}
+    distinct.update(v for r in records for v in r.indicators.values())
+    cells = sum(1 + len(r.indicators) for r in records)
+    taus = len(misnomer_report(records, max_pairs=0).kendall_tau)
+    assert len(format_calls) == len(distinct) + taus
+    assert len(distinct) < cells / 2
+
+
+def formatted_table(records):
+    """The ``compare`` table with ``format_fixed`` called on every cell."""
+    columns = indicators_present(records)
+    ordered = sorted(records, key=lambda r: (r.indicators.get(columns[0], float("inf")),
+                                             r.name))
+    return cli._table(["name", "quality"] + columns, [
+        [r.name, "" if r.quality is None else cli.format_fixed(r.quality)]
+        + [cli.format_fixed(r.indicators[c]) if c in r.indicators else "" for c in columns]
+        for r in ordered])
+
+
+class TestTableFormat:
+    def test_csv_cells_print_as_formatted_one_by_one(self, tmp_path, capsys):
+        path = tmp_path / "cells.csv"
+        path.write_text("name,quality,params,flops\n"
+                        "zero,1,0.0,7.25\nneg_zero,2,-0.0,7.25\none,1.0,1,\n"
+                        "one_f,-0.0,1.0,1e-300\ntiny,3,1e-300,7.25\nagain,3,7.25,0\n",
+                        encoding="utf-8")
+        assert cli.main(["compare", "--records", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        expected = formatted_table(read_records(str(path)))
+        assert lines[:len(expected)] == expected
+        assert len(expected) == 7
+
+    def test_ints_past_two_to_the_53_keep_their_own_cells(self, monkeypatch, capsys):
+        big = 2 ** 53
+        records = [rec("int_big", 1, params=big + 1, flops=3),
+                   rec("float_big", 2, params=float(big), flops=3.0),
+                   rec("int_huge", 3, params=10 ** 20 + 1, flops=-0.0),
+                   rec("float_huge", 4, params=1e20, flops=0),
+                   rec("int_small", 5, params=123456789, flops=3),
+                   rec("float_small", 6, params=123456789.0, flops=1e-300)]
+        monkeypatch.setattr(cli, "read_records", lambda path: records)
+        assert cli.main(["compare", "--records", "in-memory"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        expected = formatted_table(records)
+        assert lines[:len(expected)] == expected
+
+    def test_spec_file_records_print_as_formatted_one_by_one(self, monkeypatch, capsys):
+        kept = []
+        real = cli._records_from_specs
+
+        def keep(*args):
+            kept.extend(real(*args))
+            return kept
+
+        monkeypatch.setattr(cli, "_records_from_specs", keep)
+        with data_file("specs/vit_b16.json") as a, data_file("specs/vit_b32.json") as b:
+            assert cli.main(["compare", a, b, "--hw", "tpu_like"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        expected = formatted_table(kept)
+        assert lines[:len(expected)] == expected
 
 
 class TestDuplicateRows:

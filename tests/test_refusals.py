@@ -74,6 +74,8 @@ REFUSED_SPECS = {
 FILES = {
     "ok.json": spec(builder=_VIT),
     "hw_malformed.json": '{"name": "x",',
+    "hw_neg.json": json.dumps({"peak_flops_per_sec": -1, "mem_bandwidth_bytes_per_sec": 1e11,
+                               "per_op_overhead_sec": 1e-6, "num_devices": 1}),
     "energy_malformed.json": '{"ee_train_kwh": 1,\n',
     "energy_list.json": "[1]",
     "energy_negative.json": json.dumps({"ee_train_kwh": -1, "ee_inference_kwh": 0,
@@ -92,6 +94,7 @@ COMMANDS = [
     ["profile", "ok.json", "--batch", "0"],
     ["profile", "ok.json", "--hw", "warp_drive"],
     ["profile", "ok.json", "--hw", "hw_malformed.json"],
+    ["profile", "ok.json", "--hw", "hw_neg.json"],
     ["profile", "ok.json", "--energy", "energy_missing.json"],
     ["profile", "ok.json", "--energy", "energy_malformed.json"],
     ["profile", "ok.json", "--energy", "energy_list.json"],
