@@ -4,8 +4,8 @@ Build or load a declarative architecture spec, compute the full set of
 efficiency indicators (parameters, FLOPs/MACs, activation size, memory
 traffic, training/inference memory, roofline latency and throughput,
 carbon and monetary cost), and analyze where the indicators disagree
-across a model set (Pareto frontiers, rank correlations, matched
-comparison groups).
+across a model set (Pareto frontiers, rank correlations and the
+models that look efficient under one indicator but not another).
 """
 
 from .archspec import (
@@ -38,7 +38,6 @@ from .indicators import (
     OptimizerKind,
     ParamCount,
     activation_size,
-    backward_flops,
     count_flops,
     count_params,
     inference_memory,
@@ -47,10 +46,8 @@ from .indicators import (
 )
 from .latency import (
     HardwareModel,
-    PipelineBubble,
     SpeedEstimate,
     estimate_latency,
-    estimate_throughput,
     load_hardware,
     preset_names,
 )
@@ -69,7 +66,6 @@ from .analysis import (
     MisnomerReport,
     ModelRecord,
     RecordsFileError,
-    matched_sets,
     misnomer_report,
     pareto_frontier,
     rank_disagreement,

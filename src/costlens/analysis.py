@@ -5,8 +5,8 @@ Python or read from a CSV file by ``read_records``, this module finds
 where the indicators disagree: Pareto frontiers per indicator,
 tie-corrected Kendall rank correlation between indicator orderings with the
 count of inverted pairs and a listing of them (all, or the first N),
-relative-tolerance matched groups, and a combined report of models that
-look efficient under one indicator and dominated under another.
+and a combined report of models that look efficient under one indicator
+and dominated under another.
 
 A report ranks each indicator once, and each indicator pair masks those
 ranks with the records carrying both. The inverted-pair listing is held
@@ -418,39 +418,6 @@ def _disagreement(names, ranking_a, ranking_b, max_pairs) -> RankDisagreement:
         n_discordant=discordant,
         _listing=_Listing(indicator_a, indicator_b, names, tuple(rows)),
     )
-
-
-# ---------------------------------------------------------------------------
-# Matched comparison sets
-
-
-def matched_sets(records, indicator: str, rel_tolerance: float):
-    """Maximal groups whose ``indicator`` values all sit within
-    ``rel_tolerance`` of the group minimum; only groups of >= 2 records.
-
-    This is the set construction behind "parameter-matched" and
-    "compute-matched" comparisons: each group is a fair-comparison pool
-    under the chosen indicator.
-    """
-    if not 0.0 < rel_tolerance < 1.0:
-        raise ValueError(f"rel_tolerance must be in (0, 1), got {rel_tolerance}")
-    carrying = [r for r in records if indicator in r.indicators]
-    carrying.sort(key=lambda r: r.indicators[indicator])
-    values = [r.indicators[indicator] for r in carrying]
-    groups = []
-    prev_end = -1
-    for i, vmin in enumerate(values):
-        if vmin <= 0:
-            limit = vmin  # relative tolerance is meaningless at/below zero
-        else:
-            limit = vmin * (1.0 + rel_tolerance)
-        j = i
-        while j + 1 < len(values) and values[j + 1] <= limit:
-            j += 1
-        if j > i and j > prev_end:
-            groups.append(carrying[i:j + 1])
-            prev_end = j
-    return groups
 
 
 # ---------------------------------------------------------------------------

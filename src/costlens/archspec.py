@@ -538,10 +538,6 @@ def _to_json(value):
     return dict(value) if type(value) is dict else value
 
 
-def layer_from_dict(d: dict) -> LayerSpec:
-    return from_document(LayerSpec, d)
-
-
 def spec_to_dict(spec: ArchSpec) -> dict:
     return {"schema_version": SCHEMA_VERSION, **to_document(spec)}
 

@@ -46,7 +46,6 @@ class ParamCount:
     """
 
     total: int
-    trainable: int
     by_layer: tuple[tuple[str, int], ...]
     shared_savings: int
 
@@ -127,7 +126,6 @@ def params_of(steps: list[Step]) -> ParamCount:
     unrolled = _checked(sum(s.params * s.count for s in steps), "parameter count")
     return ParamCount(
         total=total,
-        trainable=total,
         by_layer=by_layer,
         shared_savings=unrolled - total,
     )
@@ -137,44 +135,22 @@ def params_of(steps: list[Step]) -> ParamCount:
 # FLOPs
 
 
-def count_flops(spec: ArchSpec, batch: int = 1, *,
-                weight_sparsity: float = 0.0) -> FlopCount:
+def count_flops(spec: ArchSpec, batch: int = 1) -> FlopCount:
     """Forward-pass FLOPs for one batch; exactly linear in ``batch``.
 
     Parameter sharing never changes FLOPs: a shared repeat runs its body
-    just as many times. ``weight_sparsity`` scales only the matmul terms
-    (the fraction of weights that are zero and skippable in principle);
-    elementwise work is unaffected, and no speedup claim is implied.
+    just as many times.
     """
-    steps = _steps(spec, batch)
-    if not 0.0 <= weight_sparsity < 1.0:
-        raise ValueError("weight_sparsity must be in [0, 1)")
-    return flops_of(steps, batch, weight_sparsity)
+    return flops_of(_steps(spec, batch), batch)
 
 
-def flops_of(steps: list[Step], batch: int, weight_sparsity: float = 0.0) -> FlopCount:
-    keep = 1.0 - weight_sparsity
-    total_flops = 0
-    total_macs = 0
-    breakdown = []
-    for s in steps:
-        # Every execution of a node is identical, so rounding once and
-        # multiplying by the count equals rounding each execution.
-        macs = s.matmul_macs if weight_sparsity == 0.0 else int(round(s.matmul_macs * keep))
-        flops = (2 * macs + (s.flops - 2 * s.matmul_macs)) * s.count
-        total_macs += macs * s.count
-        total_flops += flops
-        breakdown.append((s.path, flops * batch))
+def flops_of(steps: list[Step], batch: int) -> FlopCount:
+    by_layer = tuple((s.path, s.flops * s.count * batch) for s in steps)
     return FlopCount(
-        flops=_checked(total_flops * batch, "FLOP count"),
-        macs=_checked(total_macs * batch, "MAC count"),
-        by_layer=tuple(breakdown),
+        flops=_checked(sum(s.flops * s.count for s in steps) * batch, "FLOP count"),
+        macs=_checked(sum(s.matmul_macs * s.count for s in steps) * batch, "MAC count"),
+        by_layer=by_layer,
     )
-
-
-def backward_flops(spec: ArchSpec, batch: int = 1) -> int:
-    """Backward-pass FLOPs, modeled as twice the forward pass."""
-    return _checked(2 * count_flops(spec, batch).flops, "FLOP count")
 
 
 # ---------------------------------------------------------------------------

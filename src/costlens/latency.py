@@ -114,23 +114,10 @@ class LayerTiming:
 
 
 @dataclass(frozen=True)
-class PipelineBubble:
-    """Idle device time at batch boundaries: a fixed setup cost amortized
-    over a run of back-to-back batches."""
-
-    setup_sec: float
-    steady_batches: int
-
-    def __post_init__(self):
-        check_fields(self)
-
-
-@dataclass(frozen=True)
 class SpeedEstimate:
     latency_sec: float
     throughput_examples_per_sec: float
     per_layer: tuple[LayerTiming, ...]
-    pipeline_bubble_fraction: float | None = None
 
 
 def estimate_latency(spec: ArchSpec, hw: HardwareModel, batch: int = 1) -> SpeedEstimate:
@@ -185,22 +172,4 @@ def _speed(latency: float, batch: int,
         latency_sec=latency,
         throughput_examples_per_sec=throughput,
         per_layer=per_layer,
-    )
-
-
-def estimate_throughput(spec: ArchSpec, hw: HardwareModel, batch: int = 1,
-                        bubble: PipelineBubble | None = None) -> SpeedEstimate:
-    """Examples per second; ``throughput * latency == batch`` exactly
-    unless a pipeline bubble discounts the steady-state rate."""
-    est = estimate_latency(spec, hw, batch)
-    if bubble is None:
-        return est
-    busy = bubble.steady_batches * est.latency_sec
-    # Not busy / (setup + busy): an overflowing busy time would make that inf / inf.
-    scale = 1.0 / (1.0 + bubble.setup_sec / busy) if busy > 0 else 0.0
-    return SpeedEstimate(
-        latency_sec=est.latency_sec,
-        throughput_examples_per_sec=est.throughput_examples_per_sec * scale,
-        per_layer=est.per_layer,
-        pipeline_bubble_fraction=1.0 - scale,
     )

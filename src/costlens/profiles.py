@@ -124,13 +124,14 @@ def compute_profile(spec: ArchSpec, batch: int = 1,
 def record_from_profile(profile_dict: dict) -> ModelRecord:
     """Re-ingest an emitted profile as an analysis record.
 
-    The indicator values are taken verbatim from the fields ``PROFILE_FIELDS``
-    names, so a JSON profile round-trips exactly. Quality is not part of a
-    cost profile; the record carries ``quality=None``.
+    The indicator values are taken from the fields ``PROFILE_FIELDS`` names:
+    an ``int`` as it is and any other value through ``float``, so a JSON
+    profile round-trips exactly. Quality is not part of a cost profile;
+    the record carries ``quality=None``.
     """
     return ModelRecord(name=str(profile_dict["name"]), indicators={
-        indicator: float(profile_dict[key]) for indicator, key in PROFILE_FIELDS.items()
-        if profile_dict.get(key) is not None})
+        indicator: v if type(v := profile_dict[key]) is int else float(v)
+        for indicator, key in PROFILE_FIELDS.items() if profile_dict.get(key) is not None})
 
 
 def _hardware(hw) -> HardwareModel:

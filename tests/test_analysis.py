@@ -12,7 +12,6 @@ from costlens import (
     CoverageError,
     InsufficientDataError,
     ModelRecord,
-    matched_sets,
     misnomer_report,
     pareto_frontier,
     rank_disagreement,
@@ -175,44 +174,6 @@ class TestRankDisagreement:
             assert result.kendall_tau == oracle
 
 
-class TestMatchedSets:
-    def vit_param_records(self):
-        # the published patch-size sweep parameter counts, in millions
-        values = {"b8": 86.5, "b16": 86.6, "b32": 88.2, "b64": 95.3}
-        return [rec(k, 0, params=v) for k, v in values.items()]
-
-    def test_params_match_at_eleven_percent(self):
-        groups = matched_sets(self.vit_param_records(), "params", 0.11)
-        assert len(groups) == 1
-        assert {r.name for r in groups[0]} == {"b8", "b16", "b32", "b64"}
-
-    def test_params_split_at_ten_percent(self):
-        # 95.3 sits 10.2% above 86.5: the full sweep only groups at 11%
-        groups = matched_sets(self.vit_param_records(), "params", 0.10)
-        assert [{r.name for r in g} for g in groups] == [
-            {"b8", "b16", "b32"}, {"b32", "b64"},
-        ]
-
-    def test_flops_never_match(self):
-        records = [rec(n, 0, flops=v) for n, v in
-                   [("b8", 78.54), ("b16", 17.63), ("b32", 4.42), ("b64", 0.93)]]
-        assert matched_sets(records, "flops", 0.10) == []
-
-    def test_empty_input(self):
-        assert matched_sets([], "params", 0.1) == []
-
-    def test_tolerance_validation(self):
-        with pytest.raises(ValueError):
-            matched_sets([], "params", 0.0)
-        with pytest.raises(ValueError):
-            matched_sets([], "params", 1.0)
-
-    def test_groups_are_maximal(self):
-        records = [rec(f"m{v}", 0, params=float(v)) for v in (100, 105, 110, 200)]
-        groups = matched_sets(records, "params", 0.10)
-        assert [{r.name for r in g} for g in groups] == [{"m100", "m105", "m110"}]
-
-
 class TestMisnomerReport:
     def test_one_model_leads_everywhere(self):
         records = [rec("good", 2, params=1, flops=1, latency=1),
@@ -270,10 +231,6 @@ class TestMisnomerReport:
         assert base.kendall_tau == after.kendall_tau
         assert ({e.name for e in base.pareto_instability}
                 == {e.name for e in after.pareto_instability})
-        base_groups = matched_sets(records, "params", 0.25)
-        after_groups = matched_sets(scaled, "params", 0.25)
-        assert ([{r.name for r in g} for g in base_groups]
-                == [{r.name for r in g} for g in after_groups])
 
     def test_quality_free_records_skip_frontiers(self):
         records = [

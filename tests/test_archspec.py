@@ -21,9 +21,10 @@ from costlens import (
 )
 from costlens.archspec import (
     InvalidSpecError,
+    LayerSpec,
     Violation,
+    from_document,
     input_sequence_length,
-    layer_from_dict,
     spec_from_dict,
 )
 
@@ -160,11 +161,11 @@ class TestSerialization:
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown layer kind"):
-            layer_from_dict({"kind": "conv3x3"})
+            from_document(LayerSpec, {"kind": "conv3x3"})
 
     def test_bad_fields_rejected(self):
         with pytest.raises(ValueError, match="bad fields"):
-            layer_from_dict({"kind": "dense", "in_dim": 4})
+            from_document(LayerSpec, {"kind": "dense", "in_dim": 4})
 
     def test_unsupported_schema_version(self):
         with pytest.raises(ValueError, match="schema_version"):

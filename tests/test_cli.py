@@ -23,6 +23,7 @@ from costlens import (
     count_params,
     load_hardware,
     preset_names,
+    rank_disagreement,
     read_records,
     read_spec_file,
     record_from_profile,
@@ -172,6 +173,15 @@ class TestProfile:
         assert record.indicators["latency"] == doc["latency_sec"]
         assert record.indicators["throughput"] == doc["throughput_examples_per_sec"]
         assert record.indicators["memory"] == float(doc["peak_training_bytes"])
+
+    def test_record_keeps_integer_indicators_exact(self, vit16):
+        # as floats, two params counts past 2**53 would read as tied
+        a = record_from_profile({"name": "a", "params": 2**53, "flops": 1})
+        b = record_from_profile({"name": "b", "params": 2**53 + 1, "flops": 0})
+        assert rank_disagreement([a, b], "params", "flops").n_discordant == 1
+        profile = compute_profile(read_spec_file(vit16)[0])
+        params = record_from_profile(profile.to_dict()).indicators["params"]
+        assert type(params) is int and params == profile.params
 
     def test_energy_and_pricing(self, vit16, tmp_path, capsys):
         energy = tmp_path / "energy.json"

@@ -43,7 +43,6 @@ from costlens import (
     MoE,
     Parallel,
     PatchEmbed,
-    PipelineBubble,
     PricingProfile,
     Repeat,
     TokenEmbedding,
@@ -550,7 +549,6 @@ SPEC_NODES = [
 # Each as a valid, minimal instance.
 CHECKED_ON_BUILD = [
     HardwareModel(1e12, 1e11, 1e-6, length_pad_multiple=8),
-    PipelineBubble(0.5, 4),
     EnergyProfile(1.0, 0.1, 2.0, 0.5),
     PricingProfile(1.0, 2.0, 3.0),
     VitConfig(16, 2, 64, 4, 128, image=(64, 64, 3)),

@@ -22,3 +22,15 @@ def test_demo_runs(demo, tmp_path):
                           timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout
+
+
+def test_readme_library_tour_runs():
+    """README's library tour runs from the repo root, so it never names a
+    function the package no longer has."""
+    readme = (ROOT / "README.md").read_text("utf-8")
+    tour = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert "compute_profile" in tour and "to_json" in tour
+    proc = subprocess.run([sys.executable, "-c", tour], capture_output=True, text=True,
+                          cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")

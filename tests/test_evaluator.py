@@ -37,12 +37,10 @@ from costlens import (
     TokenEmbedding,
     TokenSequence,
     activation_size,
-    backward_flops,
     compute_profile,
     count_flops,
     count_params,
     estimate_latency,
-    estimate_throughput,
     inference_memory,
     load_hardware,
     memory_access_cost,
@@ -129,9 +127,8 @@ def close(a, b):
 @DIFFERENTIAL
 @given(spec=specs(), hw=st.sampled_from(HARDWARE),
        batch=st.sampled_from([1, 8, 64]),
-       sparsity=st.sampled_from([0.0, 0.3, 0.5]),
        optimizer=st.sampled_from(list(OptimizerKind)))
-def test_matches_unrolled_walkers(spec, hw, batch, sparsity, optimizer):
+def test_matches_unrolled_walkers(spec, hw, batch, optimizer):
     eb = spec.element_bytes
     steps = oracle_steps(spec)
 
@@ -140,15 +137,10 @@ def test_matches_unrolled_walkers(spec, hw, batch, sparsity, optimizer):
     assert (pc.total, pc.shared_savings) == (unique, unrolled - unique)
     assert list(pc.by_layer) == param_rows
 
-    keep = 1.0 - sparsity
-    flop_rows = []
-    for s in steps:
-        macs = s.matmul_macs if sparsity == 0.0 else int(round(s.matmul_macs * keep))
-        flop_rows.append((s.path, macs, 2 * macs + s.flops - 2 * s.matmul_macs))
-    fc = count_flops(spec, batch, weight_sparsity=sparsity)
-    assert fc.macs == sum(m for _, m, _ in flop_rows) * batch
-    assert fc.flops == sum(f for *_, f in flop_rows) * batch
-    assert list(fc.by_layer) == group_by_node((p, f * batch) for p, _, f in flop_rows)
+    fc = count_flops(spec, batch)
+    assert fc.macs == sum(s.matmul_macs for s in steps) * batch
+    assert fc.flops == sum(s.flops for s in steps) * batch
+    assert list(fc.by_layer) == group_by_node((s.path, s.flops * batch) for s in steps)
 
     activation = sum(s.out_elements for s in steps) * batch
     traffic = sum(s.params + s.in_elements + s.out_elements for s in steps) * eb * batch
@@ -226,10 +218,9 @@ def validate_calls(monkeypatch):
 def test_one_evaluation_per_indicator_call(fold_calls):
     spec = vit_base(16, 224)
     hw = load_hardware("tpu_like")
-    for call in (count_params, count_flops, backward_flops, activation_size,
+    for call in (count_params, count_flops, activation_size,
                  memory_access_cost, training_memory, inference_memory,
-                 lambda s: estimate_latency(s, hw, 8),
-                 lambda s: estimate_throughput(s, hw, 8)):
+                 lambda s: estimate_latency(s, hw, 8)):
         fold_calls.clear()
         call(spec)
         assert len(fold_calls) == 1
@@ -250,10 +241,9 @@ def test_one_evaluation_per_profile_without_padding(fold_calls):
 def test_one_validation_per_public_call(validate_calls):
     spec = vit_base(16, 224)
     tpu, default = load_hardware("tpu_like"), load_hardware("default")
-    for call in (count_params, count_flops, backward_flops, activation_size,
+    for call in (count_params, count_flops, activation_size,
                  memory_access_cost, training_memory, inference_memory,
                  lambda s: estimate_latency(s, tpu, 8),
-                 lambda s: estimate_throughput(s, tpu, 8),
                  compute_profile,
                  lambda s: compute_profile(s, 8, default),
                  lambda s: compute_profile(s, 8, tpu)):
@@ -301,7 +291,7 @@ def assert_profile_matches_public_calls(spec, hw, batch, optimizer):
         memory_access_cost(spec, 1), train.parameter_bytes,
         train.activation_bytes, train.peak_training_bytes,
         train.peak_inference_bytes)
-    speed = None if hw is None else estimate_throughput(spec, hw, batch)
+    speed = None if hw is None else estimate_latency(spec, hw, batch)
     assert (profile.latency_sec, profile.throughput_examples_per_sec) == (
         (None, None) if speed is None
         else (speed.latency_sec, speed.throughput_examples_per_sec))

@@ -10,12 +10,10 @@ from costlens import (
     InputFileError,
     LayerNorm,
     Parallel,
-    PipelineBubble,
     TokenSequence,
     count_flops,
     depth_width_pair,
     estimate_latency,
-    estimate_throughput,
     load_hardware,
     preset_names,
 )
@@ -216,43 +214,14 @@ class TestThroughput:
         spec = vit_base(32, 224)
         hw = load_hardware("default")
         for batch in (1, 7, 64):
-            est = estimate_throughput(spec, hw, batch)
+            est = estimate_latency(spec, hw, batch)
             assert est.throughput_examples_per_sec * est.latency_sec == pytest.approx(batch)
-            assert est.pipeline_bubble_fraction is None
-
-    def test_bubble_scales_throughput(self):
-        spec = vit_base(32, 224)
-        hw = load_hardware("default")
-        base = estimate_throughput(spec, hw, 8)
-        # setup equal to one batch, nine steady batches: 10% idle
-        bubbled = estimate_throughput(
-            spec, hw, 8, PipelineBubble(base.latency_sec, 9)
-        )
-        assert bubbled.pipeline_bubble_fraction == pytest.approx(0.1)
-        assert bubbled.throughput_examples_per_sec == pytest.approx(
-            0.9 * base.throughput_examples_per_sec
-        )
-
-    def test_bubble_past_the_float_range_stays_finite(self):
-        # busy time overflows to inf; the fraction tends to 0, never nan
-        spec = vit_base(16, 32)
-        hw = HardwareModel(1.0, 1.0, 0.0)
-        base = estimate_throughput(spec, hw, 1)
-        bubbled = estimate_throughput(spec, hw, 1, PipelineBubble(1.0, 10**305))
-        assert bubbled.pipeline_bubble_fraction == 0.0
-        assert bubbled.throughput_examples_per_sec == base.throughput_examples_per_sec
-
-    def test_bubble_validation(self):
-        with pytest.raises(ValueError):
-            PipelineBubble(-1.0, 4)
-        with pytest.raises(ValueError):
-            PipelineBubble(1.0, 0)
 
     def test_hundred_examples_in_one_second(self):
         # calibrated so one batch of 100 takes exactly 1 s: throughput 100/s
         spec = tokens(1, [Dense(10, 10, bias=False)])
         flops = count_flops(spec, 100).flops
         hw = HardwareModel(float(flops), 1e300, 0.0)
-        est = estimate_throughput(spec, hw, 100)
+        est = estimate_latency(spec, hw, 100)
         assert est.latency_sec == pytest.approx(1.0)
         assert est.throughput_examples_per_sec == pytest.approx(100.0)
