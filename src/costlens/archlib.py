@@ -13,6 +13,7 @@ Every builder output passes :func:`costlens.archspec.validate`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from inspect import signature
 from typing import get_type_hints
 
 from .archspec import (
@@ -234,27 +235,39 @@ BUILDERS = {
     "lm": lambda **cfg: build_lm(LmConfig(**cfg)),
 }
 
-_VIT_ARGS = get_type_hints(VitConfig)
-
-#: Keyword arguments each builder family accepts, with their annotated types
-#: (the adapters above annotate their extra arguments and nothing else).
-BUILDER_ARGS = {
-    "vit": _VIT_ARGS,
-    "universal_transformer": _VIT_ARGS | get_type_hints(_build_ut_args),
-    "moe": _VIT_ARGS | get_type_hints(_build_moe_args),
-    "lm": get_type_hints(LmConfig),
+#: The config class and, where the family has one, the adapter above whose
+#: arguments each builder family takes (an adapter annotates its own
+#: arguments and nothing else).
+_PARTS = {
+    "vit": (VitConfig,),
+    "universal_transformer": (VitConfig, _build_ut_args),
+    "moe": (VitConfig, _build_moe_args),
+    "lm": (LmConfig,),
 }
+
+#: Keyword arguments each builder family accepts, with their annotated types.
+BUILDER_ARGS = {family: {name: kind for part in parts
+                         for name, kind in get_type_hints(part).items()}
+                for family, parts in _PARTS.items()}
+
+#: The arguments without a default, per family, in declaration order.
+_REQUIRED = {family: [p.name for part in parts for p in signature(part).parameters.values()
+                      if p.default is p.empty and p.kind is not p.VAR_KEYWORD]
+             for family, parts in _PARTS.items()}
 
 
 def build_from_reference(family: str, args: dict) -> ArchSpec:
     """Construct a spec from a builder name plus keyword arguments, as
-    used by spec files and CLI flags."""
+    used by spec files and CLI flags. Unknown and missing arguments are
+    refused by name, as the document reader refuses fields."""
     builder = BUILDERS.get(family) if isinstance(family, str) else None
     if builder is None:
         raise ValueError(
             f"unknown builder family {family!r} (known: {', '.join(sorted(BUILDERS))})"
         )
-    try:
-        return builder(**args)
-    except TypeError as exc:
-        raise ValueError(f"bad arguments for builder {family!r}: {exc}") from exc
+    errors = [f"unknown field {k!r}"
+              for k in sorted(args.keys() - BUILDER_ARGS[family].keys(), key=str)]
+    errors += [f"missing field {k!r}" for k in _REQUIRED[family] if k not in args]
+    if errors:
+        raise ValueError(f"bad arguments for builder {family!r}: {'; '.join(errors)}")
+    return builder(**args)

@@ -18,6 +18,8 @@ docs/file-formats.md); ``costlens.profiles`` also reads the ``--hw``,
 ``InputFileError``, whose message and ``detail`` make the error line.
 ``compare`` takes spec files or ``--records``, never both; ``--hw`` and
 ``--batch`` profile spec files, so they are refused with ``--records``.
+``profile`` takes a spec file or builder flags, never both, and refuses a
+builder flag that ``--family`` does not take.
 """
 
 from __future__ import annotations
@@ -251,23 +253,34 @@ def _table(header: list[str], rows: list[list[str]]) -> list[str]:
 # Commands
 
 
+#: Every builder argument, with its annotated type, in declaration order.
+_ALL_BUILDER_ARGS = {n: kind for accepted in BUILDER_ARGS.values() for n, kind in accepted.items()}
+
+
+def _flag(name: str) -> str:
+    """The flag of a builder argument: its name with dashes, but
+    ``--layers`` for ``layers_per_stack``."""
+    return {"layers_per_stack": "--layers"}.get(name, "--" + name.replace("_", "-"))
+
+
 def _add_builder_flags(parser):
-    """One flag per builder argument, read from its annotation; the flag is
-    the argument name with dashes, but ``--layers`` for ``layers_per_stack``."""
+    """``--family`` and one flag per builder argument, read from its annotation."""
     settings = {int: {"type": int}, tuple[int, int, int]: {"type": int, "nargs": 3},
                 str: {"choices": ARRANGEMENTS}}
     group = parser.add_argument_group("builder flags (instead of a spec file)")
     group.add_argument("--family", choices=list(BUILDER_ARGS))
-    declared = {n: kind for accepted in BUILDER_ARGS.values() for n, kind in accepted.items()}
-    for name, kind in declared.items():
-        flag = {"layers_per_stack": "--layers"}.get(name, "--" + name.replace("_", "-"))
-        group.add_argument(flag, dest=name, **settings[kind], help=", ".join(
+    for name, kind in _ALL_BUILDER_ARGS.items():
+        group.add_argument(_flag(name), dest=name, **settings[kind], help=", ".join(
             f for f, accepted in BUILDER_ARGS.items() if name in accepted))
 
 
 def _spec_from_args(args) -> ArchSpec:
-    kwargs = {name: getattr(args, name) for name in BUILDER_ARGS[args.family]
-              if getattr(args, name) is not None}
+    kwargs = {name: value for name in _ALL_BUILDER_ARGS
+              if (value := getattr(args, name)) is not None}
+    extra = [_flag(name) for name in kwargs if name not in BUILDER_ARGS[args.family]]
+    if extra:
+        raise CliError(f"{', '.join(extra)} {'does' if len(extra) == 1 else 'do'} "
+                       f"not apply to builder {args.family!r}")
     return build_from_reference(args.family, kwargs)
 
 
@@ -275,6 +288,10 @@ def cmd_profile(args) -> int:
     hardware = None
     batch = None
     if args.spec is not None:
+        extra = [_flag(name) for name in ("family", *_ALL_BUILDER_ARGS)
+                 if getattr(args, name) is not None]
+        if extra:
+            raise CliError(f"a spec file cannot be combined with {', '.join(extra)}")
         spec, hardware, batch = read_spec_file(args.spec)
     elif args.family is not None:
         spec = _spec_from_args(args)

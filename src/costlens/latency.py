@@ -131,15 +131,17 @@ def estimate_latency(spec: ArchSpec, hw: HardwareModel, batch: int = 1) -> Speed
     """
     check_value("batch", batch)
     ensure_valid(spec)
-    _, latency, per_layer = _roofline(spec, hw, batch)
-    return _speed(latency, batch, per_layer)
+    per_layer: list[LayerTiming] = []
+    _, latency = _roofline(spec, hw, batch, per_layer)
+    return _speed(latency, batch, tuple(per_layer))
 
 
-def _roofline(spec: ArchSpec, hw: HardwareModel, batch: int
-              ) -> tuple[list[Step], float, tuple[LayerTiming, ...]]:
+def _roofline(spec: ArchSpec, hw: HardwareModel, batch: int,
+              timings: list[LayerTiming] | None = None) -> tuple[list[Step], float]:
     """One fold of a valid spec at the hardware's padded length: the steps
-    it timed, the latency of a batch and the per-node timings."""
-    timings: list[LayerTiming] = []
+    it timed and the latency of a batch. A :class:`LayerTiming` per node is
+    built only into ``timings``, when given: ``estimate_latency`` passes a
+    list, ``compute_profile`` none, so a profile builds no per-node timing."""
 
     def op_seconds(step: Step) -> float:
         flops = step.flops * batch
@@ -152,17 +154,17 @@ def _roofline(spec: ArchSpec, hw: HardwareModel, batch: int
             total = n * seconds
         except OverflowError:  # past the float range: no finite latency
             return math.inf
-        timings.append(LayerTiming(step.path, total,
-                                   "compute" if compute >= memory else "memory",
-                                   n * flops, n * mac_bytes))
+        if timings is not None:
+            timings.append(LayerTiming(step.path, total,
+                                       "compute" if compute >= memory else "memory",
+                                       n * flops, n * mac_bytes))
         return seconds
 
-    steps, latency = evaluate(spec, hw.length_pad_multiple, op_seconds)
-    return steps, latency, tuple(timings)
+    return evaluate(spec, hw.length_pad_multiple, op_seconds)
 
 
 def _speed(latency: float, batch: int,
-           per_layer: tuple[LayerTiming, ...]) -> SpeedEstimate:
+           per_layer: tuple[LayerTiming, ...] = ()) -> SpeedEstimate:
     throughput = batch / latency if latency > 0 else math.inf
     if not math.isfinite(throughput) or not math.isfinite(latency):
         raise OverflowError(

@@ -87,14 +87,14 @@ def compute_profile(spec: ArchSpec, batch: int = 1,
     if hardware is None or pads:
         steps, _ = evaluate(spec)
     if hardware is not None:
-        timed, latency, per_layer = _roofline(spec, hardware, batch)
+        timed, latency = _roofline(spec, hardware, batch)
         steps = steps if pads else timed
     eb = spec.element_bytes
     params = params_of(steps)
     flops = flops_of(steps, 1)
     train = training_memory_of(steps, params, eb, batch, optimizer)
     # Checked after the counts, so a count past 64 bits is the error reported.
-    speed = None if hardware is None else _speed(latency, batch, per_layer)
+    speed = None if hardware is None else _speed(latency, batch)
 
     return CostProfile(
         name=spec.name,

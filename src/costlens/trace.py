@@ -1,7 +1,8 @@
 """One-pass evaluator: per-node costs folded over the spec tree.
 
 :func:`evaluate` visits every *spec* node once and returns a :class:`Step`
-for every leaf layer and every ``MoE`` node, in spec order. A step holds
+for every leaf layer and every ``MoE`` node, in spec order; the step, a
+named tuple, is the only record it builds per node. A step holds
 the costs of one execution plus two multiplicities: ``count``, how many
 times the node executes (the product of the enclosing ``Repeat.times``),
 and ``copies``, how many parameter sets it stores (the same product, with
@@ -29,8 +30,7 @@ FLOP conventions (shared by everything downstream):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .archspec import (
     ArchSpec,
@@ -55,13 +55,13 @@ ACTIVATION_FLOPS_PER_ELEMENT = 4
 ADD_FLOPS_PER_ELEMENT = 1
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     """One leaf or ``MoE`` node: per-example costs of one execution.
 
     ``params`` are the weights one execution reads; ``unique_params`` the
     weights one copy stores. They differ only for an ``MoE`` whose expert
-    holds a shared repeat.
+    holds a shared repeat. A named tuple: immutable, and cheap to build,
+    as every fold builds one per node.
     """
 
     path: str

@@ -104,25 +104,23 @@ class TestProfile:
     @pytest.mark.parametrize("flags,family,args", [
         (["--arrangement", "encoder_decoder", "--layers", "2", "--heads", "4",
           "--model-dim", "64", "--ffn-dim", "128", "--vocab", "100",
-          "--input-len", "32", "--output-len", "32", "--patch", "16"],
+          "--input-len", "32", "--output-len", "32"],
          "lm", dict(arrangement="encoder_decoder", layers_per_stack=2, heads=4,
                     model_dim=64, ffn_dim=128, vocab=100, input_len=32,
                     output_len=32)),
         (["--patch", "16", "--depth", "2", "--model-dim", "64", "--num-heads",
-          "4", "--ffn-dim", "128", "--image", "32", "32", "3", "--steps", "5",
-          "--vocab", "7"],
+          "4", "--ffn-dim", "128", "--image", "32", "32", "3", "--steps", "5"],
          "universal_transformer", dict(patch=16, depth=2, model_dim=64,
                                        num_heads=4, ffn_dim=128,
                                        image=(32, 32, 3), steps=5)),
         (["--patch", "16", "--depth", "4", "--model-dim", "64", "--num-heads",
           "4", "--ffn-dim", "128", "--classes", "10", "--num-experts", "8",
-          "--experts-per-token", "2", "--moe-every", "1", "--layers", "9"],
+          "--experts-per-token", "2", "--moe-every", "1"],
          "moe", dict(patch=16, depth=4, model_dim=64, num_heads=4, ffn_dim=128,
                      classes=10, num_experts=8, experts_per_token=2,
                      moe_every=1)),
     ])
     def test_builder_flags_of_every_family(self, flags, family, args, capsys):
-        # Flags of other families (--patch for lm, --vocab, --layers) are ignored.
         code, out, _ = run_cli(["profile", "--family", family, *flags,
                                 "--format", "json"], capsys)
         assert code == 0

@@ -238,6 +238,40 @@ def test_one_evaluation_per_profile_without_padding(fold_calls):
         assert len(fold_calls) == 1
 
 
+@pytest.fixture()
+def timing_rows(monkeypatch):
+    """The path of each ``LayerTiming`` the latency module builds."""
+    rows = []
+    real = costlens.latency.LayerTiming
+
+    def spy(*args):
+        rows.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(costlens.latency, "LayerTiming", spy)
+    return rows
+
+
+def test_per_node_timings_only_for_estimate_latency(timing_rows):
+    spec = vit_base(16, 224)
+    tpu = load_hardware("tpu_like")  # pads 197 tokens to 256
+    for hw in (None, load_hardware("default"), tpu):
+        compute_profile(spec, 8, hw)
+    assert timing_rows == []
+    est = estimate_latency(spec, tpu, 8)
+    steps, _ = costlens.trace.evaluate(spec)
+    assert timing_rows == [t.path for t in est.per_layer] == [s.path for s in steps]
+
+
+def test_step_is_immutable_with_its_fields_in_order():
+    step = costlens.trace.evaluate(vit_base(16, 224))[0][0]
+    with pytest.raises(AttributeError):
+        step.flops = 0
+    assert costlens.trace.Step._fields == (
+        "path", "layer", "seq_len", "params", "unique_params", "matmul_macs",
+        "flops", "in_elements", "out_elements", "count", "copies")
+
+
 def test_one_validation_per_public_call(validate_calls):
     spec = vit_base(16, 224)
     tpu, default = load_hardware("tpu_like"), load_hardware("default")

@@ -53,6 +53,8 @@ REFUSED_SPECS = {
     "no_family.json": spec(builder={k: v for k, v in _VIT.items() if k != "family"}),
     "bad_family.json": spec(builder={**_VIT, "family": "resnet"}),
     "bad_argument.json": spec(builder={**_VIT, "depth": 0}),
+    "unknown_argument.json": spec(builder={**_VIT, "steps": 7, "moe_every": 2}),
+    "missing_argument.json": spec(builder={"family": "moe", "patch": 16, "steps": 7}),
     "image_text.json": spec(builder={**_VIT, "image": "abc"}),
     "image_int.json": spec(builder={**_VIT, "image": 5}),
     "image_pair.json": spec(builder={**_VIT, "image": [1, 2]}),
@@ -85,6 +87,10 @@ FILES = {
     "nocost.csv": "name,quality,params,flops\na,1,1,1\nb,2,2,\n",
 }
 
+#: A complete builder command line for the vit family.
+_VIT_FLAGS = ["profile", "--family", "vit", "--patch", "16", "--depth", "2",
+              "--model-dim", "64", "--num-heads", "4", "--ffn-dim", "128"]
+
 #: A batch past the 64-bit range of the indicator arithmetic.
 _HUGE_BATCH = str(10 ** 30)
 
@@ -112,6 +118,11 @@ COMMANDS = [
     ["profile", "ok.json", "--batch", _HUGE_BATCH, "--hw", "tpu_like"],
     ["compare", "ok.json", "ok.json", "--batch", _HUGE_BATCH],
     ["profile", "--family", "moe", "--patch", "16"],
+    ["profile", "ok.json", "--depth", "40"],
+    ["profile", "ok.json", "--family", "lm", "--layers", "2"],
+    [*_VIT_FLAGS, "--steps", "7"],
+    [*_VIT_FLAGS, "--num-experts", "4", "--steps", "7"],
+    ["profile", "--family", "universal_transformer", "--vocab", "7", "--layers", "9"],
 ]
 
 
