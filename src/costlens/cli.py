@@ -9,7 +9,8 @@ flag or usage, or a count past its range) or ``pareto``'s ``CoverageError``
 (a record lacks the cost or quality), or an output path or stdout that
 cannot be written, is closed or cannot encode the output (``cannot write
 stdout: <reason>``). Exits 1 and 2 print one JSON line on stderr and
-nothing on stdout.
+nothing on stdout. A stderr that cannot be written loses its lines and
+changes neither the exit code nor stdout.
 
 The CLI opens no input file itself. ``costlens.read_spec_file`` reads
 spec files and ``costlens.read_records`` records files (formats in
@@ -25,6 +26,7 @@ builder flag that ``--family`` does not take.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import errno
 import functools
@@ -310,8 +312,8 @@ def cmd_profile(args) -> int:
     sys.stdout.write(_profile_lines(profile.to_dict(), args.format))
     sys.stdout.flush()  # so a stdout that fails exits 2 before any warning
     if hardware is None:
-        print("warning: no hardware model given; latency and throughput "
-              "are omitted", file=sys.stderr)
+        _stderr_line("warning: no hardware model given; latency and throughput "
+                     "are omitted")
     return 0
 
 
@@ -380,8 +382,8 @@ def cmd_compare(args) -> int:
     sys.stdout.write("\n".join(lines) + "\n")
     sys.stdout.flush()  # so a stdout that fails exits 2 before any warning
     if dropped:
-        print(f"warning: --indicators leaves out {', '.join(dropped)}, which "
-              "carry none of the requested indicators", file=sys.stderr)
+        _stderr_line(f"warning: --indicators leaves out {', '.join(dropped)}, which "
+                     "carry none of the requested indicators")
     return 0
 
 
@@ -459,6 +461,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stderr_line(line: str) -> None:
+    """Print ``line`` on stderr; a stderr that refuses it is skipped."""
+    if sys.stderr is not None:  # closed before start-up: print would pick stdout
+        with contextlib.suppress(OSError):
+            print(line, file=sys.stderr)
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -477,7 +486,7 @@ def main(argv=None) -> int:
         code, error = 2, {"error": str(exc), **getattr(exc, "detail", {})}
     except AnalysisError as exc:
         code, error = 1, {"error": str(exc)}
-    print(json.dumps(error, sort_keys=True), file=sys.stderr)
+    _stderr_line(json.dumps(error, sort_keys=True))
     return code
 
 

@@ -8,15 +8,18 @@ All accumulators are checked against the 64-bit unsigned range and raise
 :class:`OverflowError` beyond it, mirroring what a native implementation
 could actually hold.
 
-Each public indicator validates the spec, then evaluates it once with
-:func:`costlens.trace.evaluate`, which trusts it; the ``*_of`` helpers fold
-an already evaluated step list, so one evaluation serves several indicators.
+Each public indicator validates the spec, evaluates it once with
+:func:`costlens.trace.evaluate`, which trusts it, and reads its totals from
+:func:`_sums`, one pass over the steps. ``compute_profile`` reads every
+total from that same pass, so each count has one summation path. Only
+:func:`count_params` and :func:`count_flops` build a per-node ``by_layer``.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .archspec import ArchSpec, UINT64_MAX, check_value, ensure_valid
 from .trace import Step, evaluate
@@ -33,6 +36,40 @@ def _steps(spec: ArchSpec, batch: int = 1) -> list[Step]:
     check_value("batch", batch)
     ensure_valid(spec)
     return evaluate(spec)[0]
+
+
+class _Sums(NamedTuple):
+    """Per-example totals of a step list, before any range check."""
+
+    params: int          # stored: unique params x copies
+    unrolled: int        # executed: params x count
+    flops: int
+    macs: int
+    out_elements: int    # every building-block output
+    moved_elements: int  # params and inputs read, outputs written
+    largest_out: int     # the largest single output
+
+
+def _sums(steps: list[Step]) -> _Sums:
+    """Every total of ``steps`` in one pass; callers check the range."""
+    params = unrolled = flops = macs = out = moved = largest = 0
+    for _, _, _, p, unique, m, f, n_in, n_out, n, copies in steps:
+        params += unique * copies
+        unrolled += p * n
+        flops += f * n
+        macs += m * n
+        out += n_out * n
+        moved += (p + n_in + n_out) * n
+        if n_out > largest:  # repetition does not change the largest output
+            largest = n_out
+    return _Sums(params, unrolled, flops, macs, out, moved, largest)
+
+
+def _params(sums: _Sums) -> int:
+    """The stored parameter count; the unrolled count is checked as well."""
+    total = _checked(sums.params, "parameter count")
+    _checked(sums.unrolled, "parameter count")
+    return total
 
 
 @dataclass(frozen=True)
@@ -117,18 +154,10 @@ def patch_embed_weight_params(patch: int, in_channels: int, embed_dim: int) -> i
 
 def count_params(spec: ArchSpec) -> ParamCount:
     """Parameter count; bodies of parameter-shared repeats count once."""
-    return params_of(_steps(spec))
-
-
-def params_of(steps: list[Step]) -> ParamCount:
-    by_layer = tuple((s.path, s.unique_params * s.copies) for s in steps)
-    total = _checked(sum(c for _, c in by_layer), "parameter count")
-    unrolled = _checked(sum(s.params * s.count for s in steps), "parameter count")
-    return ParamCount(
-        total=total,
-        by_layer=by_layer,
-        shared_savings=unrolled - total,
-    )
+    steps = _steps(spec)
+    total = _params(sums := _sums(steps))
+    return ParamCount(total, tuple((s.path, s.unique_params * s.copies) for s in steps),
+                      sums.unrolled - total)
 
 
 # ---------------------------------------------------------------------------
@@ -141,16 +170,11 @@ def count_flops(spec: ArchSpec, batch: int = 1) -> FlopCount:
     Parameter sharing never changes FLOPs: a shared repeat runs its body
     just as many times.
     """
-    return flops_of(_steps(spec, batch), batch)
-
-
-def flops_of(steps: list[Step], batch: int) -> FlopCount:
-    by_layer = tuple((s.path, s.flops * s.count * batch) for s in steps)
-    return FlopCount(
-        flops=_checked(sum(s.flops * s.count for s in steps) * batch, "FLOP count"),
-        macs=_checked(sum(s.matmul_macs * s.count for s in steps) * batch, "MAC count"),
-        by_layer=by_layer,
-    )
+    steps = _steps(spec, batch)
+    sums = _sums(steps)
+    return FlopCount(_checked(sums.flops * batch, "FLOP count"),
+                     _checked(sums.macs * batch, "MAC count"),
+                     tuple((s.path, s.flops * s.count * batch) for s in steps))
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +183,8 @@ def flops_of(steps: list[Step], batch: int) -> FlopCount:
 
 def activation_size(spec: ArchSpec, batch: int = 1) -> int:
     """Total elements in every building-block output tensor, per batch."""
-    return activation_of(_steps(spec, batch), batch)
-
-
-def activation_of(steps: list[Step], batch: int) -> int:
-    per_example = sum(s.out_elements * s.count for s in steps)
-    return _checked(per_example * batch, "activation element count")
+    return _checked(_sums(_steps(spec, batch)).out_elements * batch,
+                    "activation element count")
 
 
 def memory_access_cost(spec: ArchSpec, batch: int = 1) -> int:
@@ -176,16 +196,12 @@ def memory_access_cost(spec: ArchSpec, batch: int = 1) -> int:
     accesses -- so the total is exactly linear in batch and identical for
     shared and unshared repeats.
     """
-    return traffic_of(_steps(spec, batch), spec.element_bytes, batch)
-
-
-def traffic_of(steps: list[Step], element_bytes: int, batch: int) -> int:
-    total = sum(layer_mac_bytes(s, element_bytes, batch) * s.count for s in steps)
-    return _checked(total, "memory access volume")
+    moved = _sums(_steps(spec, batch)).moved_elements
+    return _checked(moved * spec.element_bytes * batch, "memory access volume")
 
 
 def layer_mac_bytes(step: Step, element_bytes: int, batch: int) -> int:
-    """Memory traffic of one execution of a step, same accounting as above."""
+    """Bytes one execution of a step moves, as :func:`memory_access_cost` counts them."""
     return (step.params + step.in_elements + step.out_elements) * element_bytes * batch
 
 
@@ -202,52 +218,30 @@ def training_memory(spec: ArchSpec, batch: int = 1,
     stores the same activations as its unshared twin, which is why sharing
     helps inference memory far more than training memory.
     """
-    steps = _steps(spec, batch)
-    return training_memory_of(steps, params_of(steps), spec.element_bytes, batch,
-                              optimizer)
+    sums = _sums(_steps(spec, batch))
+    return _memory(_params(sums), sums, spec.element_bytes, batch, optimizer)
 
 
-def training_memory_of(steps: list[Step], params: ParamCount, element_bytes: int,
-                       batch: int, optimizer: OptimizerKind) -> MemoryEstimate:
-    """``params`` is :func:`params_of` of ``steps``."""
-    eb = element_bytes
-    param_bytes = _checked(params.total * eb, "parameter bytes")
-    grad_bytes = param_bytes
+def _memory(params: int, sums: _Sums, eb: int, batch: int,
+            optimizer: OptimizerKind) -> MemoryEstimate:
+    """Training memory from the checked ``params`` and the other ``sums``."""
+    param_bytes = _checked(params * eb, "parameter bytes")
     opt_bytes = OPTIMIZER_STATE_COPIES[optimizer] * param_bytes
-    act_bytes = _checked(activation_of(steps, batch) * eb, "activation bytes")
-    peak_train = _checked(param_bytes + grad_bytes + opt_bytes + act_bytes,
-                          "peak training bytes")
-    return MemoryEstimate(
-        parameter_bytes=param_bytes,
-        gradient_bytes=grad_bytes,
-        optimizer_state_bytes=opt_bytes,
-        activation_bytes=act_bytes,
-        peak_training_bytes=peak_train,
-        peak_inference_bytes=_inference_peak(steps, eb, batch, param_bytes),
-    )
+    activations = _checked(sums.out_elements * batch, "activation element count")
+    act_bytes = _checked(activations * eb, "activation bytes")
+    peak_train = _checked(2 * param_bytes + opt_bytes + act_bytes, "peak training bytes")
+    peak_inference = _checked(param_bytes + sums.largest_out * eb * batch,
+                              "peak inference bytes")
+    return MemoryEstimate(param_bytes, param_bytes, opt_bytes, act_bytes, peak_train,
+                          peak_inference)
 
 
 def inference_memory(spec: ArchSpec, batch: int = 1) -> MemoryEstimate:
     """Peak device memory for a forward pass: weights plus the largest
     single-layer output working set. Gradient and optimizer fields are
     zero by construction."""
-    steps = _steps(spec, batch)
+    sums = _sums(_steps(spec, batch))
     eb = spec.element_bytes
-    param_bytes = _checked(params_of(steps).total * eb, "parameter bytes")
-    working = _inference_peak(steps, eb, batch, param_bytes) - param_bytes
-    return MemoryEstimate(
-        parameter_bytes=param_bytes,
-        gradient_bytes=0,
-        optimizer_state_bytes=0,
-        activation_bytes=working,
-        peak_training_bytes=param_bytes + working,
-        peak_inference_bytes=param_bytes + working,
-    )
-
-
-def _inference_peak(steps: list[Step], element_bytes: int, batch: int,
-                    param_bytes: int) -> int:
-    # Repetition does not change the largest single output.
-    largest = max((s.out_elements for s in steps), default=0)
-    return _checked(param_bytes + largest * element_bytes * batch,
-                    "peak inference bytes")
+    param_bytes = _checked(_params(sums) * eb, "parameter bytes")
+    peak = _checked(param_bytes + sums.largest_out * eb * batch, "peak inference bytes")
+    return MemoryEstimate(param_bytes, 0, 0, peak - param_bytes, peak, peak)

@@ -24,14 +24,7 @@ from .footprint import (
     carbon_footprint,
     monetary_cost,
 )
-from .indicators import (
-    OptimizerKind,
-    activation_of,
-    flops_of,
-    params_of,
-    traffic_of,
-    training_memory_of,
-)
+from .indicators import OptimizerKind, _checked, _memory, _params, _sums
 from .latency import HardwareModel, _roofline, _speed, load_hardware
 from .trace import _pad_length, evaluate
 
@@ -76,7 +69,8 @@ def compute_profile(spec: ArchSpec, batch: int = 1,
     ``read_spec_file`` returned last and validated (a copy is checked here).
     It is folded once, for the counts and the latency together, unless
     the hardware pads the sequence to a new length: then once for the
-    counts and once more at the padded length.
+    counts and once more at the padded length. Every count is read from
+    one pass over the count steps, and no per-node breakdown is built.
     """
     check_value("batch", batch)
     if spec is not _read_spec:
@@ -90,9 +84,11 @@ def compute_profile(spec: ArchSpec, batch: int = 1,
         timed, latency = _roofline(spec, hardware, batch)
         steps = steps if pads else timed
     eb = spec.element_bytes
-    params = params_of(steps)
-    flops = flops_of(steps, 1)
-    train = training_memory_of(steps, params, eb, batch, optimizer)
+    sums = _sums(steps)
+    params = _params(sums)
+    flops = _checked(sums.flops, "FLOP count")
+    macs = _checked(sums.macs, "MAC count")
+    train = _memory(params, sums, eb, batch, optimizer)
     # Checked after the counts, so a count past 64 bits is the error reported.
     speed = None if hardware is None else _speed(latency, batch)
 
@@ -101,13 +97,13 @@ def compute_profile(spec: ArchSpec, batch: int = 1,
         batch=batch,
         element_bytes=eb,
         optimizer=optimizer.value,
-        params=params.total,
-        params_million=params.millions,
-        flops=flops.flops,
-        macs=flops.macs,
-        gflops=flops.gflops,
-        activation_elements=activation_of(steps, 1),
-        mac_bytes=traffic_of(steps, eb, 1),
+        params=params,
+        params_million=params / 1e6,
+        flops=flops,
+        macs=macs,
+        gflops=macs / 1e9,
+        activation_elements=_checked(sums.out_elements, "activation element count"),
+        mac_bytes=_checked(sums.moved_elements * eb, "memory access volume"),
         parameter_bytes=train.parameter_bytes,
         activation_bytes=train.activation_bytes,
         peak_training_bytes=train.peak_training_bytes,

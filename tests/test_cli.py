@@ -862,6 +862,32 @@ class TestUnwritableStdout:
             "error": "cannot write stdout: [Errno 9] Bad file descriptor"}
 
 
+class TestUnwritableStderr:
+    """A stderr that cannot be written loses its lines; the run keeps its
+    exit code and its stdout."""
+
+    @pytest.fixture(params=["refusal", "warned_success", "too_few_models"])
+    def run(self, request, vit16, tmp_path):
+        """The arguments and exit code of a run that writes to stderr."""
+        return {"refusal": (["profile", str(tmp_path / "missing.json")], 2),
+                "warned_success": (["profile", vit16, "--format", "json"], 0),  # no hardware
+                "too_few_models": (["compare", vit16], 1)}[request.param]
+
+    @pytest.mark.skipif(shutil.which("sh") is None, reason="needs a POSIX shell")
+    # Closed before start-up, so Python sets sys.stderr to None; or open
+    # read-only, so every write fails.
+    @pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"])
+    def test_exit_code_and_stdout_kept(self, run, redirect, capsys):
+        argv, code = run
+        assert main(argv) == code
+        out = capsys.readouterr().out
+        command = shlex.join([sys.executable, "-m", "costlens", *argv])
+        proc = subprocess.run(["sh", "-c", f"{command} {redirect}"],
+                              stdout=subprocess.PIPE, text=True,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert (proc.returncode, proc.stdout) == (code, out)
+
+
 class TestUnencodableStdout:
     """Output that the stdout encoding cannot hold ends in exit 2, an empty
     stdout and one JSON line, as any other stdout that refuses it."""

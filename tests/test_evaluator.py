@@ -263,6 +263,35 @@ def test_per_node_timings_only_for_estimate_latency(timing_rows):
     assert timing_rows == [t.path for t in est.per_layer] == [s.path for s in steps]
 
 
+@pytest.fixture()
+def breakdowns(monkeypatch):
+    """The class name of each ``ParamCount`` and ``FlopCount`` built, through
+    any module's binding."""
+    built = []
+    for name in ("ParamCount", "FlopCount"):
+        real = getattr(costlens.indicators, name)
+
+        def spy(*args, real=real, **kwargs):
+            built.append(real.__name__)
+            return real(*args, **kwargs)
+
+        for module in (costlens.indicators, costlens.profiles):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, spy)
+    return built
+
+
+def test_breakdowns_only_for_count_params_and_count_flops(breakdowns):
+    spec = vit_base(16, 224)
+    for hw in (None, load_hardware("default"), load_hardware("tpu_like")):
+        compute_profile(spec, 8, hw)
+    assert breakdowns == []
+    count_params(spec)
+    assert breakdowns == ["ParamCount"]
+    count_flops(spec, 8)
+    assert breakdowns == ["ParamCount", "FlopCount"]
+
+
 def test_step_is_immutable_with_its_fields_in_order():
     step = costlens.trace.evaluate(vit_base(16, 224))[0][0]
     with pytest.raises(AttributeError):
@@ -368,3 +397,55 @@ def test_count_overflow_is_reported_before_latency():
             compute_profile(spec, 1, hw)
     with pytest.raises(OverflowError, match="no finite throughput"):
         estimate_latency(spec, HARDWARE[0])
+
+
+def tokens(length, layers, element_bytes=4):
+    return ArchSpec("t", TokenSequence(length, 100), tuple(layers),
+                    element_bytes=element_bytes)
+
+
+def shared(layer, times):
+    return Repeat((layer,), times, share_params=True)
+
+
+#: One spec per reachable range check: (spec, batch, the public call, the
+#: label ``compute_profile`` reports, the label the public call reports).
+#: ``MAC count`` is never first, as FLOPs are at least twice the MACs, and
+#: ``compute_profile`` never reports ``peak inference bytes``, as it checks
+#: the larger ``peak training bytes`` first.
+OVERFLOWS = {
+    "params": (tokens(2, [Dense(2**33, 2**32, bias=False)]), 1,
+               lambda spec, batch: count_params(spec),
+               "parameter count", "parameter count"),
+    "shared_params_unrolled": (
+        tokens(1, [shared(Dense(2**16, 2**16, bias=False), 2**40)]), 1,
+        lambda spec, batch: count_params(spec), "parameter count", "parameter count"),
+    "flops": (tokens(2**20, [shared(Dense(2**16, 2**16, bias=False), 2**12)]), 1,
+              count_flops, "FLOP count", "FLOP count"),
+    "huge_batch": (tokens(8, [Dense(8, 8)]), 10**30, activation_size,
+                   "activation element count", "activation element count"),
+    "parameter_bytes": (tokens(2, [Dense(8, 8)], 2**62), 1, training_memory,
+                        "parameter bytes", "parameter bytes"),
+    "parameter_bytes_inference": (tokens(2, [Dense(8, 8)], 2**62), 1, inference_memory,
+                                  "parameter bytes", "parameter bytes"),
+    "activation_bytes": (tokens(2**20, [LayerNorm(2**10)], 2**40), 1, training_memory,
+                         "activation bytes", "activation bytes"),
+    "peak_training": (tokens(1, [Dense(2**16, 2**16, bias=False)], 2**30), 1,
+                      training_memory, "peak training bytes", "peak training bytes"),
+    "peak_inference": (tokens(2**20, [LayerNorm(2**10)], 2**34), 1, inference_memory,
+                       "activation bytes", "peak inference bytes"),
+    "memory_access": (tokens(1, [shared(Dense(2**15, 2**15, bias=False), 2**31)], 8), 1,
+                      memory_access_cost, "memory access volume", "memory access volume"),
+}
+
+
+@pytest.mark.parametrize("case", OVERFLOWS.values(), ids=OVERFLOWS.keys())
+def test_every_overflow_label(case):
+    spec, batch, public, profile_label, public_label = case
+    for hw in (None, load_hardware("default"), load_hardware("tpu_like")):
+        with pytest.raises(OverflowError) as exc:
+            compute_profile(spec, batch, hw)
+        assert str(exc.value) == f"{profile_label} exceeds the 64-bit unsigned range"
+    with pytest.raises(OverflowError) as exc:
+        public(spec, batch)
+    assert str(exc.value) == f"{public_label} exceeds the 64-bit unsigned range"
