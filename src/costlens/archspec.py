@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import MISSING, dataclass, field, fields
-from typing import NamedTuple, Union, get_args, get_origin, get_type_hints
+from typing import Callable, NamedTuple, Union, get_args, get_origin, get_type_hints
 
 UINT64_MAX = 2**64 - 1
 
@@ -229,17 +229,21 @@ class ValidationResult:
 # from the field annotations: ``int`` is a count (an integer >= 1),
 # ``float`` a rate (a finite number >= 0, integers admitted), ``bool`` a
 # flag, ``str`` a name, ``dict`` an object; a bool is never a number and
-# a string never either. ``X | None`` also admits None.
+# a string never either. ``X | None`` also admits None. Each test is an
+# expression over ``v``, compiled into check_value's test and, as
+# dataclasses builds __init__, into one conjunction per class, so a clean
+# object costs one call and builds no list.
 _FLOAT_MAX = sys.float_info.max
-_RULES = {  # kind: (test, what the message asks for)
-    int: (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
-    float: (lambda v: (type(v) is float or type(v) is int) and 0 <= v <= _FLOAT_MAX,
+_RULES = {  # kind: (test of v, what the message asks for)
+    int: ("type(v) is int and v >= 1", "an integer >= 1"),
+    float: ("(type(v) is float or type(v) is int) and 0 <= v <= _FLOAT_MAX",
             "finite, a number >= 0"),
-    bool: (lambda v: type(v) is bool, "true or false"),
-    str: (lambda v: type(v) is str, "a string"),
-    dict: (lambda v: type(v) is dict, "an object"),
+    bool: ("type(v) is bool", "true or false"),
+    str: ("type(v) is str", "a string"),
+    dict: ("type(v) is dict", "an object"),
 }
 _OPTIONAL = {kind | None: kind for kind in _RULES}
+_TESTS = {kind: eval(f"lambda v: {test}") for kind, (test, _) in _RULES.items()}
 
 
 class _Reading(NamedTuple):
@@ -253,6 +257,7 @@ class _Reading(NamedTuple):
     required: frozenset     # fields a document must carry
     defaults: tuple         # (name, value) of each document_default field
     readers: tuple          # (name, read) of fields holding layers or an input
+    check: Callable         # compiled: True when field_errors(obj) is empty
 
 
 _READINGS: dict[type, _Reading] = {}
@@ -267,7 +272,7 @@ def _reading(cls: type) -> _Reading:
             hint = hints[f.name]
             kind = _OPTIONAL.get(hint, hint)
             if kind in _RULES:
-                rules.append((f.name, _RULES[kind][0], kind, kind is not hint))
+                rules.append((f.name, _TESTS[kind], kind, kind is not hint))
             if "document_default" in f.metadata:
                 defaults.append((f.name, f.metadata["document_default"]))
             elif f.default is MISSING and f.default_factory is MISSING:
@@ -275,9 +280,14 @@ def _reading(cls: type) -> _Reading:
             read = _value_reader(f.name, hint)
             if read is not None:
                 readers.append((f.name, read))
+        source = "def check(o):\n" + "".join(
+            f"    v = o.{name}\n    if not ({'v is None or ' if optional else ''}"
+            f"{_RULES[kind][0]}): return False\n" for name, _, kind, optional in rules)
+        scope: dict = {}
+        exec(source + "    return True\n", globals(), scope)
         reading = _READINGS[cls] = _Reading(
             dict.fromkeys(f.name for f in fields(cls)), tuple(rules),
-            frozenset(required), tuple(defaults), tuple(readers))
+            frozenset(required), tuple(defaults), tuple(readers), scope["check"])
     return reading
 
 
@@ -310,7 +320,7 @@ def check_fields(obj) -> None:
 
 def check_value(name: str, value, kind: type = int) -> None:
     """Raise ValueError unless ``value`` passes the field rule for ``kind``."""
-    if not _RULES[kind][0](value):
+    if not _TESTS[kind](value):
         raise ValueError(_wrong(name, kind, False, value))
 
 
@@ -328,71 +338,69 @@ def validate(spec: ArchSpec) -> ValidationResult:
 
     inp = spec.input
     if isinstance(inp, (Image, TokenSequence)):
-        input_errors = field_errors(inp)
-        out += [Violation("input", m) for m in input_errors]
+        out += [Violation("input", m) for m in field_errors(inp)]
     else:
-        input_errors = [f"unknown input signature {type(inp).__name__}"]
-        out.append(Violation("input", input_errors[0]))
+        out.append(Violation("input", f"unknown input signature {type(inp).__name__}"))
     if isinstance(inp, Image):
         try:
             _leading_patch_embed(spec)
         except InvalidSpecError as exc:
             out += exc.violations
 
-    # Iterative walk: validate must not blow the interpreter stack on
-    # adversarially deep trees.
-    stack: list[tuple[object, str, int]] = [
-        (layer, f"layers[{i}]", 0) for i, layer in reversed(list(enumerate(spec.layers)))
-    ]
-    while stack:
-        layer, path, depth = stack.pop()
-        if depth > MAX_NESTING:
-            out.append(Violation(path, f"nesting depth exceeds {MAX_NESTING}"))
+    _walk(spec.layers, "layers[{}]", 0, spec, out)
+    return ValidationResult(tuple(out))
+
+
+def _walk(layers, at: str, depth: int, spec: ArchSpec, out: list) -> None:
+    """Append the violations of ``layers`` at ``depth`` to ``out``. The path
+    ``at.format(i)`` of ``layers[i]`` is built only for a container or a
+    violation. Depth is checked on entry: at most MAX_NESTING + 2 frames."""
+    if depth > MAX_NESTING:
+        out += [Violation(at.format(i), f"nesting depth exceeds {MAX_NESTING}")
+                for i in range(len(layers))]
+        return
+    for i, layer in enumerate(layers):
+        kind = type(layer)
+        if kind not in _LAYER_TAGS:
+            out.append(Violation(at.format(i), f"unknown layer kind {kind.__name__}"))
             continue
-        if type(layer) not in _LAYER_TAGS:
-            out.append(Violation(path, f"unknown layer kind {type(layer).__name__}"))
-            continue
-        errors = field_errors(layer)
-        for message in errors:
-            out.append(Violation(path, message))
-        if isinstance(layer, Repeat):
+        clean = (_READINGS.get(kind) or _reading(kind)).check(layer)
+        if not clean:
+            out += [Violation(at.format(i), m) for m in field_errors(layer)]
+        if kind is Repeat:
+            path = at.format(i)
             if not layer.body:
                 out.append(Violation(path, "Repeat body is empty"))
-            for i, child in reversed(list(enumerate(layer.body))):
-                stack.append((child, f"{path}.body[{i}]", depth + 1))
-        elif isinstance(layer, Parallel):
+            _walk(layer.body, path + ".body[{}]", depth + 1, spec, out)
+        elif kind is Parallel:
+            path = at.format(i)
             if not layer.branches:
                 out.append(Violation(path, "Parallel has no branches"))
-            for b, branch in reversed(list(enumerate(layer.branches))):
-                if not branch:
-                    out.append(Violation(f"{path}.branches[{b}]", "Parallel branch is empty"))
-                for i, child in reversed(list(enumerate(branch))):
-                    stack.append((child, f"{path}.branches[{b}][{i}]", depth + 1))
-        elif isinstance(layer, MoE):
-            if not errors and layer.experts_per_token > layer.num_experts:
-                out.append(Violation(path, "experts_per_token must be <= num_experts"))
-            stack.append((layer.expert, f"{path}.expert", depth + 1))
-        elif isinstance(layer, Attention):
-            if not errors and layer.qkv_dim % layer.num_heads:
-                out.append(Violation(path, "num_heads must divide qkv_dim"))
-        elif isinstance(layer, PatchEmbed):
+            out += [Violation(f"{path}.branches[{b}]", "Parallel branch is empty")
+                    for b in reversed(range(len(layer.branches))) if not layer.branches[b]]
+            for b, branch in enumerate(layer.branches):
+                _walk(branch, f"{path}.branches[{b}][{{}}]", depth + 1, spec, out)
+        elif kind is MoE:
+            if clean and layer.experts_per_token > layer.num_experts:
+                out.append(Violation(at.format(i), "experts_per_token must be <= num_experts"))
+            _walk((layer.expert,), at.format(i) + ".expert", depth + 1, spec, out)
+        elif kind is Attention:
+            if clean and layer.qkv_dim % layer.num_heads:
+                out.append(Violation(at.format(i), "num_heads must divide qkv_dim"))
+        elif kind is PatchEmbed:
+            path, inp = at.format(i), spec.input
             if path != "layers[0]":
                 out.append(Violation(path, "PatchEmbed is only valid as the first layer"))
             elif not isinstance(inp, Image):
                 out.append(Violation(path, "PatchEmbed requires an image input"))
-            elif not errors and not input_errors:
+            elif clean and _reading(type(inp)).check(inp):
                 if layer.in_channels != inp.channels:
-                    out.append(Violation(
-                        path,
-                        f"in_channels {layer.in_channels} does not match image "
-                        f"channels {inp.channels}",
-                    ))
+                    out.append(Violation(path, f"in_channels {layer.in_channels} does not "
+                                               f"match image channels {inp.channels}"))
                 try:
                     derive_sequence_length(inp, layer.patch, layer.add_cls_token)
                 except ValueError as exc:
                     out.append(Violation(path, str(exc)))
-
-    return ValidationResult(tuple(out))
 
 
 def ensure_valid(spec: ArchSpec) -> None:

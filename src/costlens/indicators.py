@@ -225,6 +225,8 @@ def training_memory(spec: ArchSpec, batch: int = 1,
 def _memory(params: int, sums: _Sums, eb: int, batch: int,
             optimizer: OptimizerKind) -> MemoryEstimate:
     """Training memory from the checked ``params`` and the other ``sums``."""
+    if not isinstance(optimizer, OptimizerKind):
+        raise ValueError(f"optimizer must be an OptimizerKind, got {optimizer!r}")
     param_bytes = _checked(params * eb, "parameter bytes")
     opt_bytes = OPTIMIZER_STATE_COPIES[optimizer] * param_bytes
     activations = _checked(sums.out_elements * batch, "activation element count")

@@ -129,8 +129,6 @@ def estimate_latency(spec: ArchSpec, hw: HardwareModel, batch: int = 1) -> Speed
     Raises OverflowError unless latency and throughput are finite floats
     (a spec without layers has no finite throughput).
     """
-    check_value("batch", batch)
-    ensure_valid(spec)
     per_layer: list[LayerTiming] = []
     _, latency = _roofline(spec, hw, batch, per_layer)
     return _speed(latency, batch, tuple(per_layer))
@@ -138,10 +136,13 @@ def estimate_latency(spec: ArchSpec, hw: HardwareModel, batch: int = 1) -> Speed
 
 def _roofline(spec: ArchSpec, hw: HardwareModel, batch: int,
               timings: list[LayerTiming] | None = None) -> tuple[list[Step], float]:
-    """One fold of a valid spec at the hardware's padded length: the steps
-    it timed and the latency of a batch. A :class:`LayerTiming` per node is
-    built only into ``timings``, when given: ``estimate_latency`` passes a
-    list, ``compute_profile`` none, so a profile builds no per-node timing."""
+    """Check ``batch`` and the spec, then fold it once: its steps at the true
+    length and the latency of a batch at the hardware's padded length. A
+    :class:`LayerTiming` per node is built only into ``timings``, when given:
+    ``estimate_latency`` passes a list, ``compute_profile`` none, so a
+    profile builds no per-node timing."""
+    check_value("batch", batch)
+    ensure_valid(spec)
 
     def op_seconds(step: Step) -> float:
         flops = step.flops * batch
@@ -165,7 +166,8 @@ def _roofline(spec: ArchSpec, hw: HardwareModel, batch: int,
 
 def _speed(latency: float, batch: int,
            per_layer: tuple[LayerTiming, ...] = ()) -> SpeedEstimate:
-    throughput = batch / latency if latency > 0 else math.inf
+    # The latency is inf for a batch past the float range: batch / inf overflows.
+    throughput = batch / latency if 0 < latency < math.inf else math.inf
     if not math.isfinite(throughput) or not math.isfinite(latency):
         raise OverflowError(
             f"latency {latency!r} s at batch {batch} gives no finite throughput"

@@ -15,8 +15,7 @@ from dataclasses import dataclass, replace
 from .analysis import PROFILE_FIELDS, InputFileError, ModelRecord, _load_json
 from .archlib import build_from_reference
 from .archspec import (
-    ArchSpec, InvalidSpecError, check_value, ensure_valid, input_sequence_length,
-    spec_from_dict, to_document,
+    ArchSpec, InvalidSpecError, check_value, ensure_valid, spec_from_dict, to_document,
 )
 from .footprint import (
     EnergyProfile,
@@ -24,9 +23,8 @@ from .footprint import (
     carbon_footprint,
     monetary_cost,
 )
-from .indicators import OptimizerKind, _checked, _memory, _params, _sums
+from .indicators import OptimizerKind, _checked, _memory, _params, _steps, _sums
 from .latency import HardwareModel, _roofline, _speed, load_hardware
-from .trace import _pad_length, evaluate
 
 
 @dataclass(frozen=True)
@@ -65,24 +63,15 @@ def compute_profile(spec: ArchSpec, batch: int = 1,
 
     Latency and throughput require ``hardware``; carbon and monetary cost
     require their respective profiles. Everything else is always computed.
-    The spec is validated once: here, unless it is the very object
-    ``read_spec_file`` returned last and validated (a copy is checked here).
-    It is folded once, for the counts and the latency together, unless
-    the hardware pads the sequence to a new length: then once for the
-    counts and once more at the padded length. Every count is read from
-    one pass over the count steps, and no per-node breakdown is built.
+    The spec is validated on every call, then folded once, for the counts
+    and the latency together; hardware that pads the sequence is timed at
+    the padded length within that fold. Every count is read from one pass
+    over the steps, and no per-node breakdown is built.
     """
-    check_value("batch", batch)
-    if spec is not _read_spec:
-        ensure_valid(spec)
-    length = input_sequence_length(spec)
-    pads = hardware is not None and (
-        _pad_length(length, hardware.length_pad_multiple) != length)
-    if hardware is None or pads:
-        steps, _ = evaluate(spec)
-    if hardware is not None:
-        timed, latency = _roofline(spec, hardware, batch)
-        steps = steps if pads else timed
+    if hardware is None:
+        steps = _steps(spec, batch)
+    else:
+        steps, latency = _roofline(spec, hardware, batch)
     eb = spec.element_bytes
     sums = _sums(steps)
     params = _params(sums)
@@ -150,16 +139,11 @@ def _rates(cls, path: str, what: str):
 #: Keys of a spec file; anything else is refused.
 _SPEC_FILE_KEYS = {"schema_version", "name", "arch", "builder", "hardware", "batch", "notes"}
 
-#: The spec ``read_spec_file`` returned last. Specs are immutable, so it is
-#: still valid, and ``compute_profile`` does not validate it again.
-_read_spec: ArchSpec | None = None
-
 
 def read_spec_file(path: str) -> tuple[ArchSpec, HardwareModel | None, int | None]:
     """Parse a spec file (format in docs/file-formats.md) into (validated
-    architecture, optional hardware, batch); a bad file raises ``InputFileError``.
-    ``compute_profile`` does not validate the returned object again."""
-    global _read_spec
+    architecture, optional hardware, batch); a bad file raises ``InputFileError``,
+    which names every violation of an invalid architecture."""
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise InputFileError(f"{path}: spec file must be a JSON object", file=path)
@@ -212,5 +196,4 @@ def read_spec_file(path: str) -> tuple[ArchSpec, HardwareModel | None, int | Non
         raise InputFileError(f"{path}: architecture nested too deeply", file=path)
     if "name" in doc:  # after validation, so a bad name inside "arch" is still refused
         spec = replace(spec, name=doc["name"])
-    _read_spec = spec
     return spec, hardware, batch

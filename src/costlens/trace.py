@@ -14,7 +14,8 @@ entry point of the library validates it once per call, before the fold.
 ``PatchEmbed`` is only valid as the first layer, so the sequence length is
 the same at every node and every iteration of a ``Repeat`` is identical:
 a repeat costs ``times`` x its body, and a ``Parallel`` costs the sum of
-its branches for counts and the slowest branch for time.
+its branches for counts and the slowest branch for time. Steps are at
+the true length; a hardware pad changes only the steps ``seconds`` times.
 
 FLOP conventions (shared by everything downstream):
 
@@ -66,7 +67,7 @@ class Step(NamedTuple):
 
     path: str
     layer: LayerSpec
-    seq_len: int          # token count at this node (after any padding)
+    seq_len: int          # true token count; only ``seconds`` sees a padded one
     params: int
     unique_params: int
     matmul_macs: int      # per example
@@ -149,15 +150,16 @@ def _leaf_costs(layer, L: int, spec: ArchSpec):
     raise TypeError(f"unexpected layer type {type(layer).__name__}")
 
 
-def _fold(layers, prefix, L, spec, count, copies, seconds, out) -> float:
-    """Append a step per leaf and ``MoE`` node of ``layers`` to ``out``;
-    return the time of one pass over ``layers`` (0.0 without ``seconds``)."""
+def _fold(layers, prefix, L, P, spec, count, copies, seconds, out) -> float:
+    """Append a step per leaf and ``MoE`` node of ``layers`` at length ``L``
+    to ``out``; return the time of one pass over ``layers`` (0.0 without
+    ``seconds``), which ``seconds`` gives of each node's step at length ``P``."""
     total = 0.0
     for i, layer in enumerate(layers):
         path = f"{prefix}[{i}]" if prefix else f"layers[{i}]"
         if isinstance(layer, Repeat):
             n = layer.times
-            body = _fold(layer.body, f"{path}.body", L, spec, count * n,
+            body = _fold(layer.body, f"{path}.body", L, P, spec, count * n,
                          copies if layer.share_params else copies * n,
                          seconds, out)
             total += n * body
@@ -165,53 +167,56 @@ def _fold(layers, prefix, L, spec, count, copies, seconds, out) -> float:
         if isinstance(layer, Parallel):
             slowest = 0.0
             for b, branch in enumerate(layer.branches):
-                slowest = max(slowest, _fold(branch, f"{path}.branches[{b}]", L,
+                slowest = max(slowest, _fold(branch, f"{path}.branches[{b}]", L, P,
                                              spec, count, copies, seconds, out))
             total += slowest
             continue
-        if isinstance(layer, MoE):
-            # One composite op: the router plus K of E experts per token.
-            expert: list[Step] = []
-            _fold([layer.expert], f"{path}.expert", L, spec, 1, 1, None, expert)
-            dr, E, K = layer.router_dim, layer.num_experts, layer.experts_per_token
-            router_macs = L * dr * E
-            step = Step(
-                path, layer, L,
-                params=dr * E + E * sum(s.params * s.count for s in expert),
-                unique_params=dr * E + E * sum(s.unique_params * s.copies
-                                               for s in expert),
-                matmul_macs=router_macs + K * sum(s.matmul_macs * s.count
-                                                  for s in expert),
-                flops=(2 * router_macs + SOFTMAX_FLOPS_PER_ELEMENT * L * E
-                       + K * sum(s.flops * s.count for s in expert)),
-                in_elements=expert[0].in_elements,
-                out_elements=expert[-1].out_elements,
-                count=count, copies=copies,
-            )
-        else:
-            params, macs, flops, n_in, n_out = _leaf_costs(layer, L, spec)
-            step = Step(path, layer, L, params, params, macs, flops, n_in, n_out,
-                        count, copies)
+        step = _node_step(layer, path, L, spec, count, copies)
         out.append(step)
         if seconds is not None:
-            total += seconds(step)
+            total += seconds(step if P == L else
+                             _node_step(layer, path, P, spec, count, copies))
     return total
+
+
+def _node_step(layer, path, L, spec, count, copies) -> Step:
+    """The step of a leaf or ``MoE`` node at sequence length ``L``."""
+    if isinstance(layer, MoE):
+        # One composite op: the router plus K of E experts per token.
+        expert: list[Step] = []
+        _fold([layer.expert], f"{path}.expert", L, L, spec, 1, 1, None, expert)
+        dr, E, K = layer.router_dim, layer.num_experts, layer.experts_per_token
+        router_macs = L * dr * E
+        return Step(
+            path, layer, L,
+            params=dr * E + E * sum(s.params * s.count for s in expert),
+            unique_params=dr * E + E * sum(s.unique_params * s.copies for s in expert),
+            matmul_macs=router_macs + K * sum(s.matmul_macs * s.count for s in expert),
+            flops=(2 * router_macs + SOFTMAX_FLOPS_PER_ELEMENT * L * E
+                   + K * sum(s.flops * s.count for s in expert)),
+            in_elements=expert[0].in_elements,
+            out_elements=expert[-1].out_elements,
+            count=count, copies=copies,
+        )
+    params, macs, flops, n_in, n_out = _leaf_costs(layer, L, spec)
+    return Step(path, layer, L, params, params, macs, flops, n_in, n_out, count, copies)
 
 
 def evaluate(spec: ArchSpec, pad_multiple: int | None = None,
              seconds: Callable[[Step], float] | None = None
              ) -> tuple[list[Step], float | None]:
-    """Steps of every leaf and ``MoE`` node of a valid spec, plus the
-    folded time. The spec is not validated here; the caller has done it.
+    """Steps of every leaf and ``MoE`` node of a valid spec, at the true
+    sequence length, plus the folded time. The spec is not validated here.
 
-    ``pad_multiple`` rounds the token-stream length up to the next multiple
-    before any shape-dependent cost (hardware length padding); parameter
-    counts are never affected by padding. ``seconds`` gives the time of
-    one execution of a step; the returned time sums it over a sequence,
-    takes ``times`` x the body of a repeat and the slowest branch of a
-    parallel block. Without ``seconds`` the time is ``None``.
+    ``seconds`` gives the time of one execution of a step; the returned
+    time sums it over a sequence, takes ``times`` x the body of a repeat
+    and the slowest branch of a parallel block. Without ``seconds`` the
+    time is ``None``. ``pad_multiple`` (hardware length padding) rounds
+    the length ``seconds`` sees up to the next multiple: in the same fold,
+    each node is costed again at that length when padding changes it.
     """
     steps: list[Step] = []
-    length = _pad_length(input_sequence_length(spec), pad_multiple)
-    total = _fold(spec.layers, "", length, spec, 1, 1, seconds, steps)
+    length = input_sequence_length(spec)
+    total = _fold(spec.layers, "", length, _pad_length(length, pad_multiple), spec,
+                  1, 1, seconds, steps)
     return steps, (total if seconds is not None else None)

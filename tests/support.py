@@ -6,7 +6,8 @@ direct pair counting, the activation/traffic oracles are closed-form sums
 written from the layer shapes, the unrolled evaluator is a frozen copy of
 the walkers the one-pass evaluator replaced, and the pair-loop
 disagreement oracle is a frozen copy of the ``rank_disagreement`` the
-rank-bitset version replaced.
+rank-bitset version replaced, and the validation oracle is a frozen copy
+of the iterative ``validate`` walk the recursive one replaced.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from costlens import (
     ClassifierHead,
     Dense,
     FeedForward,
+    Image,
     LayerNorm,
     ModelRecord,
     MoE,
@@ -32,9 +34,12 @@ from costlens import (
     Repeat,
     TokenEmbedding,
     TokenSequence,
+    Violation,
     VitConfig,
     build_vit,
+    derive_sequence_length,
 )
+from costlens.archspec import LEAF_KINDS, MAX_NESTING, field_errors
 
 # Published reference numbers for the base-size patch sweep: patch ->
 # (image side used to build, million params, gflops, sequence length).
@@ -503,3 +508,80 @@ def group_by_node(rows):
         prior = grouped.get(key)
         grouped[key] = values if prior is None else [a + b for a, b in zip(prior, values)]
     return [(key, *values) for key, values in grouped.items()]
+
+
+# ---------------------------------------------------------------------------
+# Iterative validation walk (validation differential suite)
+#
+# A frozen copy of the stack-based walk ``validate`` used before the
+# recursive one: a node's own violations, then its descendants', in spec
+# order. Field messages come from ``field_errors``, the rule loop, not from
+# the compiled per-class checks.
+
+
+def oracle_validate(spec) -> tuple[Violation, ...]:
+    """Every violation of ``spec``, in the order the iterative walk found them."""
+    if not isinstance(spec, ArchSpec):
+        return (Violation("", "not an ArchSpec"),)
+    out = [Violation("spec", m) for m in field_errors(spec)]
+
+    inp = spec.input
+    if isinstance(inp, (Image, TokenSequence)):
+        input_errors = field_errors(inp)
+        out += [Violation("input", m) for m in input_errors]
+    else:
+        input_errors = [f"unknown input signature {type(inp).__name__}"]
+        out.append(Violation("input", input_errors[0]))
+    if isinstance(inp, Image) and not (spec.layers and isinstance(spec.layers[0], PatchEmbed)):
+        out.append(Violation("layers[0]", "image input requires a leading PatchEmbed"))
+
+    layer_kinds = set(LEAF_KINDS) | {MoE, Repeat, Parallel}
+    stack = [(layer, f"layers[{i}]", 0) for i, layer in reversed(list(enumerate(spec.layers)))]
+    while stack:
+        layer, path, depth = stack.pop()
+        if depth > MAX_NESTING:
+            out.append(Violation(path, f"nesting depth exceeds {MAX_NESTING}"))
+            continue
+        if type(layer) not in layer_kinds:
+            out.append(Violation(path, f"unknown layer kind {type(layer).__name__}"))
+            continue
+        errors = field_errors(layer)
+        for message in errors:
+            out.append(Violation(path, message))
+        if isinstance(layer, Repeat):
+            if not layer.body:
+                out.append(Violation(path, "Repeat body is empty"))
+            for i, child in reversed(list(enumerate(layer.body))):
+                stack.append((child, f"{path}.body[{i}]", depth + 1))
+        elif isinstance(layer, Parallel):
+            if not layer.branches:
+                out.append(Violation(path, "Parallel has no branches"))
+            for b, branch in reversed(list(enumerate(layer.branches))):
+                if not branch:
+                    out.append(Violation(f"{path}.branches[{b}]", "Parallel branch is empty"))
+                for i, child in reversed(list(enumerate(branch))):
+                    stack.append((child, f"{path}.branches[{b}][{i}]", depth + 1))
+        elif isinstance(layer, MoE):
+            if not errors and layer.experts_per_token > layer.num_experts:
+                out.append(Violation(path, "experts_per_token must be <= num_experts"))
+            stack.append((layer.expert, f"{path}.expert", depth + 1))
+        elif isinstance(layer, Attention):
+            if not errors and layer.qkv_dim % layer.num_heads:
+                out.append(Violation(path, "num_heads must divide qkv_dim"))
+        elif isinstance(layer, PatchEmbed):
+            if path != "layers[0]":
+                out.append(Violation(path, "PatchEmbed is only valid as the first layer"))
+            elif not isinstance(inp, Image):
+                out.append(Violation(path, "PatchEmbed requires an image input"))
+            elif not errors and not input_errors:
+                if layer.in_channels != inp.channels:
+                    out.append(Violation(
+                        path,
+                        f"in_channels {layer.in_channels} does not match image "
+                        f"channels {inp.channels}",
+                    ))
+                try:
+                    derive_sequence_length(inp, layer.patch, layer.add_cls_token)
+                except ValueError as exc:
+                    out.append(Violation(path, str(exc)))
+    return tuple(out)

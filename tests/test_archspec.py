@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from costlens import (
     ArchSpec,
@@ -20,6 +22,7 @@ from costlens import (
     validate,
 )
 from costlens.archspec import (
+    MAX_NESTING,
     InvalidSpecError,
     LayerSpec,
     Violation,
@@ -28,7 +31,7 @@ from costlens.archspec import (
     spec_from_dict,
 )
 
-from support import vit_base
+from support import oracle_validate, vit_base
 
 
 class TestSequenceLength:
@@ -126,6 +129,99 @@ class TestValidate:
 
     def test_empty_layer_list_token_input_ok(self):
         assert validate(ArchSpec("x", TokenSequence(4, 10), ())).ok
+
+
+# Fixed profile: the same examples on every run, so Tier-1 stays
+# deterministic.
+DIFFERENTIAL = settings(max_examples=300, derandomize=True, deadline=None,
+                        database=None,
+                        suppress_health_check=[HealthCheck.too_slow])
+
+#: Mostly valid counts, sometimes a value the field rule refuses.
+COUNTS = st.one_of(st.integers(1, 8), st.sampled_from([0, -2, True, None, 2.0, "4"]))
+FLAGS = st.one_of(st.booleans(), st.sampled_from([0, None]))
+
+
+class NotALayer:
+    pass
+
+
+class SubNorm(LayerNorm):
+    pass
+
+
+def broken_trees():
+    """Layer trees mixing every kind of violation ``validate`` reports."""
+    leaf = st.one_of(
+        st.builds(LayerNorm, COUNTS),
+        st.builds(Attention, COUNTS, st.sampled_from([4, 6, 8]), COUNTS,
+                  is_causal=FLAGS),
+        st.builds(FeedForward, COUNTS, COUNTS),
+        st.builds(Dense, COUNTS, COUNTS, bias=FLAGS),
+        st.builds(PatchEmbed, st.sampled_from([2, 3, 4]), st.sampled_from([1, 3]), COUNTS),
+        st.sampled_from([NotALayer(), SubNorm(4), Image(4, 4, 3), "dense"]),
+    )
+
+    def containers(children):
+        body = st.lists(children, max_size=3)
+        return st.one_of(
+            st.builds(Repeat, body, COUNTS, FLAGS),
+            st.builds(Parallel, st.lists(body, max_size=4)),
+            st.builds(MoE, children, COUNTS, COUNTS, COUNTS),
+        )
+
+    return st.recursive(leaf, containers, max_leaves=12)
+
+
+@st.composite
+def broken_specs(draw):
+    tree = broken_trees()
+    layers = draw(st.lists(tree, max_size=4))
+    if draw(st.booleans()):
+        inp = Image(draw(st.sampled_from([8, 12, 0])), 8, draw(st.sampled_from([1, 3])))
+        if draw(st.booleans()):
+            layers = [PatchEmbed(draw(st.sampled_from([2, 3, 4])), draw(st.sampled_from([1, 3])),
+                                 draw(COUNTS))] + layers
+    else:
+        inp = draw(st.sampled_from([TokenSequence(4, 10), TokenSequence(0, 10), "tokens"]))
+    return ArchSpec(draw(st.sampled_from(["x", 5])), inp, tuple(layers),
+                    element_bytes=draw(st.sampled_from([4, 0])))
+
+
+class TestValidateAgainstIterativeWalk:
+    """The recursive walk reports exactly what the frozen iterative one did,
+    in the same order."""
+
+    @DIFFERENTIAL
+    @given(spec=broken_specs())
+    def test_random_broken_trees(self, spec):
+        assert validate(spec).violations == oracle_validate(spec)
+
+    def test_empty_parallel_branches_in_reverse_before_children(self):
+        spec = ArchSpec("x", TokenSequence(4, 10), (
+            Parallel(((), (Dense(0, 4),), (), (LayerNorm(-1),), ())),))
+        violations = validate(spec).violations
+        assert violations == oracle_validate(spec)
+        assert [v.path for v in violations] == [
+            "layers[0].branches[4]", "layers[0].branches[2]", "layers[0].branches[0]",
+            "layers[0].branches[1][0]", "layers[0].branches[3][0]"]
+
+    @pytest.mark.parametrize("levels", [MAX_NESTING, MAX_NESTING + 1, 100_000])
+    @pytest.mark.parametrize("wrap", [
+        lambda child: Repeat((child, Dense(0, 4)), 2),
+        lambda child: Parallel(((child,), (), (LayerNorm(4),))),
+        lambda child: MoE(child, 2, 3, 4),
+    ], ids=["repeat", "parallel", "moe"])
+    def test_nesting_at_and_past_the_bound(self, levels, wrap):
+        layer = Dense(4, 0)
+        for _ in range(levels):
+            layer = wrap(layer)
+        spec = ArchSpec("deep", TokenSequence(2, 4), (layer, LayerNorm(0)))
+        violations = validate(spec).violations
+        assert violations == oracle_validate(spec)
+        # The innermost Dense(4, 0) is inspected only within the bound.
+        assert any("out_dim" in v.message for v in violations) == (levels <= MAX_NESTING)
+        assert any("nesting depth" in v.message for v in violations) == (levels > MAX_NESTING)
 
 
 class TestSerialization:

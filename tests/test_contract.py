@@ -50,10 +50,10 @@ from costlens import (
     VitConfig,
     validate,
 )
-from costlens.archspec import LEAF_KINDS, field_errors
+from costlens.archspec import LEAF_KINDS, _reading, field_errors
 from costlens.cli import main
 
-from support import document_required_fields
+from support import document_required_fields, oracle_validate
 
 # Fixed profile: the same examples on every run, so Tier-1 stays
 # deterministic.
@@ -595,8 +595,37 @@ def test_spec_number_and_flag_fields_follow_the_rule():
                 assert any(name in m for m in field_errors(broken)), (obj, name, bad)
                 result = validate(spec_of(broken))
                 assert any(name in v.message for v in result.violations), (obj, name, bad)
+                assert result.violations == oracle_validate(spec_of(broken))
                 checked += 1
     assert checked > 60
+
+
+class _Count(int):
+    pass
+
+
+#: Values at the edges of the field rule: None, a bool for an int, a float
+#: for an int, counts below 1, non-finite and signed-zero floats, an int
+#: past 64 bits and an int subclass.
+EDGE_VALUES = [None, True, 1, 0, -1, 1.0, math.nan, math.inf, -0.0, 2**64, _Count(3)]
+
+
+def test_compiled_check_agrees_with_field_errors():
+    """Each class's compiled pass/fail check says exactly what the rule
+    loop of ``field_errors`` says, field by field, on the edge values."""
+    holders = [*SPEC_NODES, *CHECKED_ON_BUILD, Image(8, 8, 3), TokenSequence(4, 10),
+               ArchSpec("x", TokenSequence(4, 10), ())]
+    checked = 0
+    for obj in holders:
+        check = _reading(type(obj)).check
+        assert check(obj) and not field_errors(obj), obj
+        for name, kind, optional in _ruled_fields(type(obj)):
+            for value in EDGE_VALUES + _wrong_values(kind, optional):
+                odd = copy.copy(obj)
+                object.__setattr__(odd, name, value)  # past any __post_init__ check
+                assert check(odd) == (not field_errors(odd)), (obj, name, value)
+                checked += 1
+    assert checked > 300
 
 
 def test_built_number_and_flag_fields_follow_the_rule():

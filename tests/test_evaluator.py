@@ -226,7 +226,7 @@ def test_one_evaluation_per_indicator_call(fold_calls):
         assert len(fold_calls) == 1
     fold_calls.clear()
     compute_profile(spec, 8, hw)
-    assert fold_calls == [(), (128,)]  # counts, then padded for latency
+    assert fold_calls == [(128,)]  # counts and padded latency in one fold
 
 
 def test_one_evaluation_per_profile_without_padding(fold_calls):
@@ -236,6 +236,22 @@ def test_one_evaluation_per_profile_without_padding(fold_calls):
         fold_calls.clear()
         compute_profile(spec, 8, hw)
         assert len(fold_calls) == 1
+
+
+def test_padded_moe_is_timed_padded_and_counted_true():
+    """An ``MoE`` whose expert holds a shared repeat, on a pad that
+    lengthens 10 tokens to 16: the one fold counts at the true length and
+    times the node, expert sub-fold included, at the padded length."""
+    expert = Repeat((Attention(16, 16, 2), FeedForward(16, 64)), 3, share_params=True)
+    spec = ArchSpec("moe", TokenSequence(10, 100),
+                    (LayerNorm(16), MoE(expert, 4, 2, 16), Dense(16, 8)))
+    hw = HardwareModel(1e12, 1e11, 1e-6, length_pad_multiple=8, name="pad8")
+    profile = compute_profile(spec, 8, hw)
+    assert dataclasses.replace(profile, latency_sec=None, hardware=None,
+                               throughput_examples_per_sec=None) == compute_profile(spec, 8)
+    assert close(profile.latency_sec, oracle_latency(spec, hw, 8)[0])
+    assert profile.latency_sec > estimate_latency(
+        spec, dataclasses.replace(hw, length_pad_multiple=None), 8).latency_sec
 
 
 @pytest.fixture()
@@ -313,32 +329,20 @@ def test_one_validation_per_public_call(validate_calls):
         validate_calls.clear()
         call(spec)
         assert len(validate_calls) == 1
-    # The CLI checks the spec file's architecture, and profiles that very
-    # object without checking it again: once per spec file.
+    # The CLI checks the spec file's architecture when it reads the file,
+    # and compute_profile checks it again: twice per spec file.
     with data_file("specs/vit_b16.json") as path:
         validate_calls.clear()
         assert costlens.cli.main(["profile", str(path), "--hw", "tpu_like"]) == 0
-    assert len(validate_calls) == 1
+    assert len(validate_calls) == 2
     with data_file("specs/vit_b16.json") as a, data_file("specs/vit_b32.json") as b:
         validate_calls.clear()
         assert costlens.cli.main(["compare", a, b]) == 0
-    assert len(validate_calls) == 2
-
-
-def test_copy_of_a_read_spec_is_validated(validate_calls):
-    """Only the object ``read_spec_file`` returned skips the second check;
-    a copy of it, equal or broken, is validated by ``compute_profile``."""
-    with data_file("specs/vit_b16.json") as path:
-        spec, _, _ = costlens.read_spec_file(path)
-    validate_calls.clear()
-    compute_profile(dataclasses.replace(spec))
-    assert len(validate_calls) == 1
+    assert len(validate_calls) == 4
     broken = dataclasses.replace(spec, layers=(*spec.layers, Dense(in_dim=0, out_dim=8)))
-    with pytest.raises(InvalidSpecError, match="in_dim must be"):
-        compute_profile(broken)
-    validate_calls.clear()
-    compute_profile(spec, 8, load_hardware("tpu_like"))
-    assert validate_calls == []
+    for call in (compute_profile, lambda s: compute_profile(s, 8, tpu)):
+        with pytest.raises(InvalidSpecError, match="in_dim must be"):
+            call(broken)
 
 
 def assert_profile_matches_public_calls(spec, hw, batch, optimizer):

@@ -21,6 +21,7 @@ from costlens import (
     activation_size,
     build_moe_transformer,
     build_universal_transformer,
+    compute_profile,
     count_flops,
     count_params,
     estimate_latency,
@@ -268,6 +269,14 @@ class TestTrainingMemory:
         spec = tokens(1, [Dense(999, 1000)])
         m = training_memory(spec, 1, OptimizerKind.SAM)
         assert m.optimizer_state_bytes == 8_000_000
+
+    def test_optimizer_must_be_an_optimizer_kind(self):
+        spec = vit_base(16, 224)
+        for call in (lambda: training_memory(spec, 1, "adam"),
+                     lambda: compute_profile(spec, 1, None, "adam")):
+            with pytest.raises(ValueError,
+                               match="^optimizer must be an OptimizerKind, got 'adam'$"):
+                call()
 
     def test_peak_is_sum_of_components(self):
         m = training_memory(vit_base(32, 224), 4)

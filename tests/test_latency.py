@@ -225,3 +225,8 @@ class TestThroughput:
         est = estimate_latency(spec, hw, 100)
         assert est.latency_sec == pytest.approx(1.0)
         assert est.throughput_examples_per_sec == pytest.approx(100.0)
+
+    def test_batch_past_the_float_range_is_refused_with_the_documented_text(self):
+        with pytest.raises(OverflowError,
+                           match=r"^latency inf s at batch 1000+ gives no finite throughput$"):
+            estimate_latency(vit_base(16, 224), load_hardware("default"), 10**400)
