@@ -83,15 +83,21 @@ class ModelRecord:
     quality: float | None = None
 
     def __post_init__(self):
-        if self.quality is not None and not math.isfinite(self.quality):
+        try:
+            finite = self.quality is None or math.isfinite(self.quality)
+        except TypeError:  # a string is not a number
+            finite = False
+        if not finite:
             raise ValueError(f"record {self.name!r}: quality must be finite")
         if not self.indicators:
             raise ValueError(f"record {self.name!r}: at least one indicator required")
         for key, value in self.indicators.items():
-            if not math.isfinite(value):
-                raise ValueError(
-                    f"record {self.name!r}: indicator {key!r} must be finite"
-                )
+            try:
+                if math.isfinite(value):
+                    continue
+            except TypeError:
+                pass
+            raise ValueError(f"record {self.name!r}: indicator {key!r} must be finite")
 
     def cost_value(self, indicator: str) -> float:
         """Lower-is-better view of one indicator."""

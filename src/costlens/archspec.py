@@ -310,10 +310,10 @@ def field_errors(obj) -> list[str]:
 def check_fields(obj) -> None:
     """Raise ValueError with the first of ``field_errors(obj)``; store the
     integer values of ``float`` fields as floats."""
-    errors = field_errors(obj)
-    if errors:
-        raise ValueError(errors[0])
-    for name, _, kind, _ in _reading(type(obj)).rules:
+    reading = _reading(type(obj))
+    if not reading.check(obj):
+        raise ValueError(field_errors(obj)[0])
+    for name, _, kind, _ in reading.rules:
         if kind is float and type(getattr(obj, name)) is int:
             object.__setattr__(obj, name, float(getattr(obj, name)))
 
@@ -334,11 +334,13 @@ def validate(spec: ArchSpec) -> ValidationResult:
 
     if not isinstance(spec, ArchSpec):
         return ValidationResult((Violation("", "not an ArchSpec"),))
-    out = [Violation("spec", m) for m in field_errors(spec)]
+    out = [] if _reading(ArchSpec).check(spec) else [
+        Violation("spec", m) for m in field_errors(spec)]
 
     inp = spec.input
     if isinstance(inp, (Image, TokenSequence)):
-        out += [Violation("input", m) for m in field_errors(inp)]
+        if not _reading(type(inp)).check(inp):
+            out += [Violation("input", m) for m in field_errors(inp)]
     else:
         out.append(Violation("input", f"unknown input signature {type(inp).__name__}"))
     if isinstance(inp, Image):

@@ -11,8 +11,8 @@ could actually hold.
 Each public indicator validates the spec, evaluates it once with
 :func:`costlens.trace.evaluate`, which trusts it, and reads its totals from
 :func:`_sums`, one pass over the steps. ``compute_profile`` reads every
-total from that same pass, so each count has one summation path. Only
-:func:`count_params` and :func:`count_flops` build a per-node ``by_layer``.
+total from that same pass, so each count has one summation path. The
+steps are the only per-node record: an indicator returns totals only.
 """
 
 from __future__ import annotations
@@ -74,8 +74,7 @@ def _params(sums: _Sums) -> int:
 
 @dataclass(frozen=True)
 class ParamCount:
-    """Parameter totals with a per-node breakdown (stored parameters of
-    every leaf and ``MoE`` node, times its stored copies).
+    """Parameter totals.
 
     ``total`` counts each shared parameter group once; ``shared_savings``
     is how many parameters sharing avoided relative to the same stack with
@@ -83,7 +82,6 @@ class ParamCount:
     """
 
     total: int
-    by_layer: tuple[tuple[str, int], ...]
     shared_savings: int
 
     @property
@@ -98,13 +96,11 @@ class FlopCount:
     ``flops`` counts multiplies and adds separately (one fused
     multiply-add = 2 FLOPs) and includes elementwise work; ``macs`` is the
     exact multiply-accumulate count of the matmul terms, which is the
-    quantity most published "GFLOPs" tables actually report. ``by_layer``
-    has one entry per leaf and ``MoE`` node, summed over its executions.
+    quantity most published "GFLOPs" tables actually report.
     """
 
     flops: int
     macs: int
-    by_layer: tuple[tuple[str, int], ...]
 
     @property
     def gflops(self) -> float:
@@ -154,10 +150,8 @@ def patch_embed_weight_params(patch: int, in_channels: int, embed_dim: int) -> i
 
 def count_params(spec: ArchSpec) -> ParamCount:
     """Parameter count; bodies of parameter-shared repeats count once."""
-    steps = _steps(spec)
-    total = _params(sums := _sums(steps))
-    return ParamCount(total, tuple((s.path, s.unique_params * s.copies) for s in steps),
-                      sums.unrolled - total)
+    total = _params(sums := _sums(_steps(spec)))
+    return ParamCount(total, sums.unrolled - total)
 
 
 # ---------------------------------------------------------------------------
@@ -170,11 +164,9 @@ def count_flops(spec: ArchSpec, batch: int = 1) -> FlopCount:
     Parameter sharing never changes FLOPs: a shared repeat runs its body
     just as many times.
     """
-    steps = _steps(spec, batch)
-    sums = _sums(steps)
+    sums = _sums(_steps(spec, batch))
     return FlopCount(_checked(sums.flops * batch, "FLOP count"),
-                     _checked(sums.macs * batch, "MAC count"),
-                     tuple((s.path, s.flops * s.count * batch) for s in steps))
+                     _checked(sums.macs * batch, "MAC count"))
 
 
 # ---------------------------------------------------------------------------

@@ -105,75 +105,49 @@ def load_hardware(name_or_path: str) -> HardwareModel:
 
 
 @dataclass(frozen=True)
-class LayerTiming:
-    path: str
-    seconds: float
-    bound: str          # "compute" or "memory"
-    flops: int
-    mac_bytes: int
-
-
-@dataclass(frozen=True)
 class SpeedEstimate:
     latency_sec: float
     throughput_examples_per_sec: float
-    per_layer: tuple[LayerTiming, ...]
 
 
 def estimate_latency(spec: ArchSpec, hw: HardwareModel, batch: int = 1) -> SpeedEstimate:
     """Forward-pass time for one batch under the roofline model.
 
     With ``length_pad_multiple`` set on the hardware, all shape-dependent
-    costs are evaluated at the padded sequence length. ``per_layer`` has
-    one entry per leaf or ``MoE`` node, summed over its executions.
+    costs are evaluated at the padded sequence length. The per-node costs
+    behind the total are the steps of :func:`costlens.trace.evaluate`.
     Raises OverflowError unless latency and throughput are finite floats
     (a spec without layers has no finite throughput).
     """
-    per_layer: list[LayerTiming] = []
-    _, latency = _roofline(spec, hw, batch, per_layer)
-    return _speed(latency, batch, tuple(per_layer))
+    return _speed(_roofline(spec, hw, batch)[1], batch)
 
 
-def _roofline(spec: ArchSpec, hw: HardwareModel, batch: int,
-              timings: list[LayerTiming] | None = None) -> tuple[list[Step], float]:
-    """Check ``batch`` and the spec, then fold it once: its steps at the true
-    length and the latency of a batch at the hardware's padded length. A
-    :class:`LayerTiming` per node is built only into ``timings``, when given:
-    ``estimate_latency`` passes a list, ``compute_profile`` none, so a
-    profile builds no per-node timing."""
+def _roofline(spec: ArchSpec, hw: HardwareModel, batch: int) -> tuple[list[Step], float]:
+    """Check ``hw``, ``batch`` and the spec, then fold it once: its steps at
+    the true length, the only per-node record, and the latency of a batch at
+    the hardware's padded length, which every latency figure reads."""
+    if not isinstance(hw, HardwareModel):
+        raise ValueError(f"hardware must be a HardwareModel, got {hw!r}")
     check_value("batch", batch)
     ensure_valid(spec)
 
     def op_seconds(step: Step) -> float:
-        flops = step.flops * batch
         mac_bytes = layer_mac_bytes(step, spec.element_bytes, batch)
-        n = step.count
         try:
-            compute = flops / (hw.peak_flops_per_sec * hw.num_devices)
+            compute = step.flops * batch / (hw.peak_flops_per_sec * hw.num_devices)
             memory = mac_bytes / hw.mem_bandwidth_bytes_per_sec
-            seconds = hw.per_op_overhead_sec + max(compute, memory)
-            total = n * seconds
+            return hw.per_op_overhead_sec + max(compute, memory)
         except OverflowError:  # past the float range: no finite latency
             return math.inf
-        if timings is not None:
-            timings.append(LayerTiming(step.path, total,
-                                       "compute" if compute >= memory else "memory",
-                                       n * flops, n * mac_bytes))
-        return seconds
 
     return evaluate(spec, hw.length_pad_multiple, op_seconds)
 
 
-def _speed(latency: float, batch: int,
-           per_layer: tuple[LayerTiming, ...] = ()) -> SpeedEstimate:
+def _speed(latency: float, batch: int) -> SpeedEstimate:
     # The latency is inf for a batch past the float range: batch / inf overflows.
     throughput = batch / latency if 0 < latency < math.inf else math.inf
     if not math.isfinite(throughput) or not math.isfinite(latency):
         raise OverflowError(
             f"latency {latency!r} s at batch {batch} gives no finite throughput"
         )
-    return SpeedEstimate(
-        latency_sec=latency,
-        throughput_examples_per_sec=throughput,
-        per_layer=per_layer,
-    )
+    return SpeedEstimate(latency_sec=latency, throughput_examples_per_sec=throughput)

@@ -66,7 +66,7 @@ def compute_profile(spec: ArchSpec, batch: int = 1,
     The spec is validated on every call, then folded once, for the counts
     and the latency together; hardware that pads the sequence is timed at
     the padded length within that fold. Every count is read from one pass
-    over the steps, and no per-node breakdown is built.
+    over the steps.
     """
     if hardware is None:
         steps = _steps(spec, batch)

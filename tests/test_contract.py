@@ -11,7 +11,9 @@ ended in a traceback, is an explicit example.
 
 The drift guard at the end sets every number and flag field of every
 input dataclass to a value of the wrong kind and expects a refusal, so a
-field added later cannot bypass the field rule.
+field added later cannot bypass the field rule. A library caller is held
+to the same rule: an argument of the wrong kind is a ``ValueError`` that
+names it, never Python's own ``AttributeError`` or ``TypeError``.
 """
 
 import contextlib
@@ -41,6 +43,7 @@ from costlens import (
     LayerNorm,
     LmConfig,
     MoE,
+    ModelRecord,
     Parallel,
     PatchEmbed,
     PricingProfile,
@@ -48,6 +51,11 @@ from costlens import (
     TokenEmbedding,
     TokenSequence,
     VitConfig,
+    carbon_footprint,
+    compute_profile,
+    estimate_latency,
+    load_hardware,
+    monetary_cost,
     validate,
 )
 from costlens.archspec import LEAF_KINDS, _reading, field_errors
@@ -651,3 +659,28 @@ def test_integers_are_stored_as_floats_and_huge_ones_refused():
         HardwareModel.from_dict({"peak_flops_per_sec": "1e12",
                                  "mem_bandwidth_bytes_per_sec": 1e11,
                                  "per_op_overhead_sec": 0})
+
+
+_SMALL = ArchSpec("t", TokenSequence(4, 10), (Dense(8, 8),))
+_HW_DOC = {"peak_flops_per_sec": 1}  # a document, not a HardwareModel
+
+#: Library calls with one argument of the wrong kind: (call, the name the
+#: refusal must carry).
+LIBRARY_LEAKS = {
+    "profile_hardware": (lambda: compute_profile(_SMALL, 1, _HW_DOC), "hardware"),
+    "latency_hardware": (lambda: estimate_latency(_SMALL, _HW_DOC), "hardware"),
+    "profile_energy": (lambda: compute_profile(_SMALL, 1, load_hardware("default"),
+                                               energy={}), "energy"),
+    "profile_pricing": (lambda: compute_profile(_SMALL, 1, pricing={}), "pricing"),
+    "carbon_energy": (lambda: carbon_footprint({}), "energy"),
+    "monetary_pricing": (lambda: monetary_cost({}), "pricing"),
+    "profile_optimizer": (lambda: compute_profile(_SMALL, 1, None, "adam"), "optimizer"),
+    "record_quality": (lambda: ModelRecord("a", {"params": 1.0}, quality="x"), "quality"),
+    "record_indicator": (lambda: ModelRecord("a", {"params": "1"}), "'params'"),
+}
+
+
+@pytest.mark.parametrize("call, name", LIBRARY_LEAKS.values(), ids=LIBRARY_LEAKS.keys())
+def test_library_refuses_arguments_of_the_wrong_kind(call, name):
+    with pytest.raises(ValueError, match=re.escape(name)):
+        call()

@@ -2,7 +2,7 @@
 
 Random valid specs (image and token inputs, nested shared and unshared
 repeats, parallel blocks, experts that are leaves, repeats or parallel
-blocks) are costed both ways. Integer totals and per-node breakdowns must
+blocks) are costed both ways. Integer totals and per-node steps must
 be equal; times may differ only by float rounding, because a repeat's time
 is ``times`` x its body instead of a running sum.
 """
@@ -47,12 +47,11 @@ from costlens import (
     preset_names,
     training_memory,
 )
-from costlens.indicators import OPTIMIZER_STATE_COPIES
+from costlens.indicators import OPTIMIZER_STATE_COPIES, layer_mac_bytes
 
 from support import (
     data_file,
     group_by_node,
-    node_path,
     oracle_latency,
     oracle_params,
     oracle_steps,
@@ -135,12 +134,14 @@ def test_matches_unrolled_walkers(spec, hw, batch, optimizer):
     unique, unrolled, param_rows = oracle_params(spec)
     pc = count_params(spec)
     assert (pc.total, pc.shared_savings) == (unique, unrolled - unique)
-    assert list(pc.by_layer) == param_rows
+    nodes = costlens.trace.evaluate(spec)[0]
+    assert [(s.path, s.unique_params * s.copies) for s in nodes] == param_rows
 
     fc = count_flops(spec, batch)
     assert fc.macs == sum(s.matmul_macs for s in steps) * batch
     assert fc.flops == sum(s.flops for s in steps) * batch
-    assert list(fc.by_layer) == group_by_node((s.path, s.flops * batch) for s in steps)
+    assert [(s.path, s.flops * s.count * batch) for s in nodes] == group_by_node(
+        (s.path, s.flops * batch) for s in steps)
 
     activation = sum(s.out_elements for s in steps) * batch
     traffic = sum(s.params + s.in_elements + s.out_elements for s in steps) * eb * batch
@@ -161,14 +162,12 @@ def test_matches_unrolled_walkers(spec, hw, batch, optimizer):
     est = estimate_latency(spec, hw, batch)
     assert close(est.latency_sec, latency)
     assert close(est.throughput_examples_per_sec, batch / latency)
-    per_node = group_by_node((path, seconds, flops, mac_bytes)
-                             for path, seconds, _, flops, mac_bytes in timings)
-    bounds = {node_path(path): bound for path, _, bound, _, _ in timings}
-    assert len(est.per_layer) == len(per_node)
-    for t, (path, seconds, flops, mac_bytes) in zip(est.per_layer, per_node):
-        assert (t.path, t.bound, t.flops, t.mac_bytes) == (
-            path, bounds[path], flops, mac_bytes)
-        assert close(t.seconds, seconds)
+    padded = []  # each node's step as the roofline times it, at the padded length
+    costlens.trace.evaluate(spec, hw.length_pad_multiple,
+                            seconds=lambda step: padded.append(step) or 0.0)
+    assert [(s.path, s.flops * s.count * batch,
+             layer_mac_bytes(s, eb, batch) * s.count) for s in padded] == group_by_node(
+        (path, flops, mac_bytes) for path, _, _, flops, mac_bytes in timings)
 
     profile = compute_profile(spec, batch, hw, optimizer)
     assert (profile.params, profile.flops, profile.macs,
@@ -255,31 +254,6 @@ def test_padded_moe_is_timed_padded_and_counted_true():
 
 
 @pytest.fixture()
-def timing_rows(monkeypatch):
-    """The path of each ``LayerTiming`` the latency module builds."""
-    rows = []
-    real = costlens.latency.LayerTiming
-
-    def spy(*args):
-        rows.append(args[0])
-        return real(*args)
-
-    monkeypatch.setattr(costlens.latency, "LayerTiming", spy)
-    return rows
-
-
-def test_per_node_timings_only_for_estimate_latency(timing_rows):
-    spec = vit_base(16, 224)
-    tpu = load_hardware("tpu_like")  # pads 197 tokens to 256
-    for hw in (None, load_hardware("default"), tpu):
-        compute_profile(spec, 8, hw)
-    assert timing_rows == []
-    est = estimate_latency(spec, tpu, 8)
-    steps, _ = costlens.trace.evaluate(spec)
-    assert timing_rows == [t.path for t in est.per_layer] == [s.path for s in steps]
-
-
-@pytest.fixture()
 def breakdowns(monkeypatch):
     """The class name of each ``ParamCount`` and ``FlopCount`` built, through
     any module's binding."""
@@ -315,6 +289,33 @@ def test_step_is_immutable_with_its_fields_in_order():
     assert costlens.trace.Step._fields == (
         "path", "layer", "seq_len", "params", "unique_params", "matmul_macs",
         "flops", "in_elements", "out_elements", "count", "copies")
+
+
+@pytest.fixture()
+def rule_loops(monkeypatch):
+    """One entry per ``field_errors`` call: the rule loop that runs only
+    when a class's compiled check fails."""
+    calls = []
+    real = costlens.archspec.field_errors
+
+    def spy(obj):
+        calls.append(obj)
+        return real(obj)
+
+    monkeypatch.setattr(costlens.archspec, "field_errors", spy)
+    return calls
+
+
+def test_clean_inputs_run_no_rule_loop(rule_loops):
+    spec = vit_base(16, 224)
+    for hw in (None, load_hardware("default"), load_hardware("tpu_like")):
+        compute_profile(spec, 8, hw)
+    HardwareModel(1e12, 1e11, 1e-6)
+    assert rule_loops == []
+    broken = dataclasses.replace(spec, input=Image(224, 224, 0))
+    with pytest.raises(InvalidSpecError, match="channels must be"):
+        compute_profile(broken)
+    assert rule_loops == [broken.input]
 
 
 def test_one_validation_per_public_call(validate_calls):

@@ -7,7 +7,6 @@ from costlens import (
     Attention,
     Dense,
     FeedForward,
-    HardwareModel,
     Image,
     LayerNorm,
     MoE,
@@ -24,12 +23,11 @@ from costlens import (
     compute_profile,
     count_flops,
     count_params,
-    estimate_latency,
     inference_memory,
     memory_access_cost,
     training_memory,
 )
-from costlens.indicators import patch_embed_weight_params
+from costlens.indicators import layer_mac_bytes, patch_embed_weight_params
 from costlens.trace import evaluate
 
 from support import TABLE1, random_repeat_pair, vit_base
@@ -39,7 +37,7 @@ def tokens(length=8, layers=()):
     return ArchSpec("t", TokenSequence(length, 100), tuple(layers))
 
 
-# One spec per tree shape the breakdowns fold over: plain and shared
+# One spec per tree shape the steps fold over: plain and shared
 # repeats, nested repeats, parallel branches, experts holding a shared
 # repeat.
 BREAKDOWN_SPECS = [
@@ -89,15 +87,13 @@ class TestParams:
         assert pc.shared_savings == 3 * one
 
     def test_breakdown_sums_to_total(self):
-        hw = HardwareModel(1e12, 1e11, 1e-6)  # no length padding
         for spec in BREAKDOWN_SPECS:
-            pc = count_params(spec)
-            assert sum(c for _, c in pc.by_layer) == pc.total
-            fc = count_flops(spec, 8)
-            assert sum(f for _, f in fc.by_layer) == fc.flops
-            est = estimate_latency(spec, hw, 8)
-            assert sum(t.flops for t in est.per_layer) == count_flops(spec, 8).flops
-            assert sum(t.mac_bytes for t in est.per_layer) == memory_access_cost(spec, 8)
+            steps = evaluate(spec)[0]
+            eb = spec.element_bytes
+            assert sum(s.unique_params * s.copies for s in steps) == count_params(spec).total
+            assert sum(s.flops * s.count * 8 for s in steps) == count_flops(spec, 8).flops
+            assert sum(layer_mac_bytes(s, eb, 8) * s.count
+                       for s in steps) == memory_access_cost(spec, 8)
 
     def test_untied_embedding_adds_output_matrix(self):
         tied = tokens(8, [TokenEmbedding(100, 16, tied_output=True)])
