@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, groupby, islice, repeat
@@ -83,8 +84,9 @@ class ModelRecord:
     quality: float | None = None
 
     def __post_init__(self):
+        q = self.quality  # a bool is not a number, though Python compares it as one
         try:
-            finite = self.quality is None or math.isfinite(self.quality)
+            finite = q is None or q is not True and q is not False and math.isfinite(q)
         except TypeError:  # a string is not a number
             finite = False
         if not finite:
@@ -93,7 +95,7 @@ class ModelRecord:
             raise ValueError(f"record {self.name!r}: at least one indicator required")
         for key, value in self.indicators.items():
             try:
-                if math.isfinite(value):
+                if value is not True and value is not False and math.isfinite(value):
                     continue
             except TypeError:
                 pass
@@ -144,6 +146,7 @@ def read_records(path: str) -> list[ModelRecord]:
     def refuse(line: int, message: str, **detail) -> InputFileError:
         return InputFileError(f"{path}:{line}: {message}", file=path, line=line, **detail)
 
+    check_value("path", path, (str, os.PathLike))  # open() reads an int as a descriptor
     rows = []  # (physical line where the row starts, cells), blank rows skipped
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:

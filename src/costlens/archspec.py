@@ -291,8 +291,11 @@ def _reading(cls: type) -> _Reading:
     return reading
 
 
-def _wrong(name: str, kind: type, optional: bool, value) -> str:
-    return f"{name} must be {_RULES[kind][1]}{' or null' if optional else ''}, got {value!r}"
+def _wrong(name: str, kind, optional: bool, value) -> str:
+    what = _RULES[kind][1] if kind in _RULES else " or ".join(
+        f"{'an' if k.__name__[0] in 'AEIOU' else 'a'} {k.__name__}"
+        for k in (kind if isinstance(kind, tuple) else (kind,)))
+    return f"{name} must be {what}{' or null' if optional else ''}, got {value!r}"
 
 
 def field_errors(obj) -> list[str]:
@@ -318,9 +321,14 @@ def check_fields(obj) -> None:
             object.__setattr__(obj, name, float(getattr(obj, name)))
 
 
-def check_value(name: str, value, kind: type = int) -> None:
-    """Raise ValueError unless ``value`` passes the field rule for ``kind``."""
-    if not _TESTS[kind](value):
+def check_value(name: str, value, kind=int) -> None:
+    """Raise ValueError unless ``value`` passes the field rule for ``kind``; a
+    class with no rule, or a tuple of classes, admits its instances."""
+    try:  # one lookup: read_records checks each CSV cell, compute_profile its optimizer
+        admits = _TESTS[kind]
+    except KeyError:  # a class kind's test is made once, as each rule kind's is
+        admits = _TESTS[kind] = lambda v: isinstance(v, kind)
+    if not admits(value):
         raise ValueError(_wrong(name, kind, False, value))
 
 

@@ -58,16 +58,14 @@ def _finite(value: float, what: str) -> float:
 
 def carbon_footprint(e: EnergyProfile) -> float:
     """kg CO2e: (train energy + queries * per-query energy) * grid factor."""
-    if not isinstance(e, EnergyProfile):
-        raise ValueError(f"energy must be an EnergyProfile, got {e!r}")
+    check_value("energy", e, EnergyProfile)
     return _finite((e.ee_train_kwh + e.queries * e.ee_inference_kwh) * e.co2e_per_kwh,
                    "carbon footprint")
 
 
 def monetary_cost(p: PricingProfile) -> float:
     """Currency units: train hours * chips * price per chip-hour."""
-    if not isinstance(p, PricingProfile):
-        raise ValueError(f"pricing must be a PricingProfile, got {p!r}")
+    check_value("pricing", p, PricingProfile)
     return _finite(p.total_train_hours * p.num_chips * p.price_per_chip_hour,
                    "monetary cost")
 

@@ -8,9 +8,9 @@ All accumulators are checked against the 64-bit unsigned range and raise
 :class:`OverflowError` beyond it, mirroring what a native implementation
 could actually hold.
 
-Each public indicator validates the spec, evaluates it once with
-:func:`costlens.trace.evaluate`, which trusts it, and reads its totals from
-:func:`_sums`, one pass over the steps. ``compute_profile`` reads every
+Each public indicator checks ``batch`` and evaluates the spec once with
+:func:`costlens.trace.evaluate`, which validates it, and reads its totals
+from :func:`_sums`, one pass over the steps. ``compute_profile`` reads every
 total from that same pass, so each count has one summation path. The
 steps are the only per-node record: an indicator returns totals only.
 """
@@ -21,7 +21,7 @@ import enum
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .archspec import ArchSpec, UINT64_MAX, check_value, ensure_valid
+from .archspec import ArchSpec, UINT64_MAX, check_value
 from .trace import Step, evaluate
 
 
@@ -31,11 +31,11 @@ def _checked(value: int, what: str) -> int:
     return value
 
 
-def _steps(spec: ArchSpec, batch: int = 1) -> list[Step]:
-    """Check ``batch``, then the steps of ``spec``, validated and evaluated once."""
+def _steps(spec: ArchSpec, batch: int = 1, pad_multiple: int | None = None,
+           seconds=None) -> tuple[list[Step], float | None]:
+    """Check ``batch``, the one batch check before a fold, then :func:`evaluate`."""
     check_value("batch", batch)
-    ensure_valid(spec)
-    return evaluate(spec)[0]
+    return evaluate(spec, pad_multiple, seconds)
 
 
 class _Sums(NamedTuple):
@@ -150,7 +150,7 @@ def patch_embed_weight_params(patch: int, in_channels: int, embed_dim: int) -> i
 
 def count_params(spec: ArchSpec) -> ParamCount:
     """Parameter count; bodies of parameter-shared repeats count once."""
-    total = _params(sums := _sums(_steps(spec)))
+    total = _params(sums := _sums(_steps(spec)[0]))
     return ParamCount(total, sums.unrolled - total)
 
 
@@ -164,7 +164,7 @@ def count_flops(spec: ArchSpec, batch: int = 1) -> FlopCount:
     Parameter sharing never changes FLOPs: a shared repeat runs its body
     just as many times.
     """
-    sums = _sums(_steps(spec, batch))
+    sums = _sums(_steps(spec, batch)[0])
     return FlopCount(_checked(sums.flops * batch, "FLOP count"),
                      _checked(sums.macs * batch, "MAC count"))
 
@@ -175,7 +175,7 @@ def count_flops(spec: ArchSpec, batch: int = 1) -> FlopCount:
 
 def activation_size(spec: ArchSpec, batch: int = 1) -> int:
     """Total elements in every building-block output tensor, per batch."""
-    return _checked(_sums(_steps(spec, batch)).out_elements * batch,
+    return _checked(_sums(_steps(spec, batch)[0]).out_elements * batch,
                     "activation element count")
 
 
@@ -188,7 +188,7 @@ def memory_access_cost(spec: ArchSpec, batch: int = 1) -> int:
     accesses -- so the total is exactly linear in batch and identical for
     shared and unshared repeats.
     """
-    moved = _sums(_steps(spec, batch)).moved_elements
+    moved = _sums(_steps(spec, batch)[0]).moved_elements
     return _checked(moved * spec.element_bytes * batch, "memory access volume")
 
 
@@ -210,15 +210,14 @@ def training_memory(spec: ArchSpec, batch: int = 1,
     stores the same activations as its unshared twin, which is why sharing
     helps inference memory far more than training memory.
     """
-    sums = _sums(_steps(spec, batch))
+    sums = _sums(_steps(spec, batch)[0])
     return _memory(_params(sums), sums, spec.element_bytes, batch, optimizer)
 
 
 def _memory(params: int, sums: _Sums, eb: int, batch: int,
             optimizer: OptimizerKind) -> MemoryEstimate:
     """Training memory from the checked ``params`` and the other ``sums``."""
-    if not isinstance(optimizer, OptimizerKind):
-        raise ValueError(f"optimizer must be an OptimizerKind, got {optimizer!r}")
+    check_value("optimizer", optimizer, OptimizerKind)
     param_bytes = _checked(params * eb, "parameter bytes")
     opt_bytes = OPTIMIZER_STATE_COPIES[optimizer] * param_bytes
     activations = _checked(sums.out_elements * batch, "activation element count")
@@ -234,7 +233,7 @@ def inference_memory(spec: ArchSpec, batch: int = 1) -> MemoryEstimate:
     """Peak device memory for a forward pass: weights plus the largest
     single-layer output working set. Gradient and optimizer fields are
     zero by construction."""
-    sums = _sums(_steps(spec, batch))
+    sums = _sums(_steps(spec, batch)[0])
     eb = spec.element_bytes
     param_bytes = _checked(_params(sums) * eb, "parameter bytes")
     peak = _checked(param_bytes + sums.largest_out * eb * batch, "peak inference bytes")

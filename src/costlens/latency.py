@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .analysis import InputFileError, _load_json
-from .archspec import ArchSpec, check_fields, check_value, ensure_valid, from_document
-from .indicators import layer_mac_bytes
-from .trace import Step, evaluate
+from .archspec import ArchSpec, check_fields, check_value, from_document
+from .indicators import _steps, layer_mac_bytes
+from .trace import Step
 
 
 @dataclass(frozen=True)
@@ -79,6 +79,7 @@ def load_hardware(name_or_path: str) -> HardwareModel:
     parsed once per process. A file that cannot be read or parsed, or whose
     fields are refused, raises ``InputFileError`` naming it.
     """
+    check_value("name_or_path", name_or_path, (str, os.PathLike))
     candidates = [name_or_path]
     bare = os.path.basename(name_or_path) == name_or_path and ".." not in name_or_path
     env_dir = os.environ.get(HW_PRESET_DIR_ENV)
@@ -123,13 +124,10 @@ def estimate_latency(spec: ArchSpec, hw: HardwareModel, batch: int = 1) -> Speed
 
 
 def _roofline(spec: ArchSpec, hw: HardwareModel, batch: int) -> tuple[list[Step], float]:
-    """Check ``hw``, ``batch`` and the spec, then fold it once: its steps at
-    the true length, the only per-node record, and the latency of a batch at
-    the hardware's padded length, which every latency figure reads."""
-    if not isinstance(hw, HardwareModel):
-        raise ValueError(f"hardware must be a HardwareModel, got {hw!r}")
-    check_value("batch", batch)
-    ensure_valid(spec)
+    """Check ``hw``, then fold the spec once with ``indicators._steps``: its
+    steps at the true length, the only per-node record, and the latency of a
+    batch at the hardware's padded length, which every latency figure reads."""
+    check_value("hardware", hw, HardwareModel)
 
     def op_seconds(step: Step) -> float:
         mac_bytes = layer_mac_bytes(step, spec.element_bytes, batch)
@@ -140,7 +138,7 @@ def _roofline(spec: ArchSpec, hw: HardwareModel, batch: int) -> tuple[list[Step]
         except OverflowError:  # past the float range: no finite latency
             return math.inf
 
-    return evaluate(spec, hw.length_pad_multiple, op_seconds)
+    return _steps(spec, batch, hw.length_pad_multiple, op_seconds)
 
 
 def _speed(latency: float, batch: int) -> SpeedEstimate:

@@ -63,15 +63,13 @@ def compute_profile(spec: ArchSpec, batch: int = 1,
 
     Latency and throughput require ``hardware``; carbon and monetary cost
     require their respective profiles. Everything else is always computed.
-    The spec is validated on every call, then folded once, for the counts
-    and the latency together; hardware that pads the sequence is timed at
-    the padded length within that fold. Every count is read from one pass
-    over the steps.
+    The spec is folded once, for the counts and the latency together;
+    :func:`costlens.trace.evaluate` validates it first, and hardware that
+    pads the sequence is timed at the padded length within that fold.
+    Every count is read from one pass over the steps.
     """
-    if hardware is None:
-        steps = _steps(spec, batch)
-    else:
-        steps, latency = _roofline(spec, hardware, batch)
+    steps, latency = (_steps(spec, batch) if hardware is None
+                      else _roofline(spec, hardware, batch))
     eb = spec.element_bytes
     sums = _sums(steps)
     params = _params(sums)
@@ -79,7 +77,7 @@ def compute_profile(spec: ArchSpec, batch: int = 1,
     macs = _checked(sums.macs, "MAC count")
     train = _memory(params, sums, eb, batch, optimizer)
     # Checked after the counts, so a count past 64 bits is the error reported.
-    speed = None if hardware is None else _speed(latency, batch)
+    speed = None if latency is None else _speed(latency, batch)
 
     return CostProfile(
         name=spec.name,
@@ -144,6 +142,7 @@ def read_spec_file(path: str) -> tuple[ArchSpec, HardwareModel | None, int | Non
     """Parse a spec file (format in docs/file-formats.md) into (validated
     architecture, optional hardware, batch); a bad file raises ``InputFileError``,
     which names every violation of an invalid architecture."""
+    check_value("path", path, (str, os.PathLike))
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise InputFileError(f"{path}: spec file must be a JSON object", file=path)

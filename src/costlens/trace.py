@@ -8,8 +8,8 @@ times the node executes (the product of the enclosing ``Repeat.times``),
 and ``copies``, how many parameter sets it stores (the same product, with
 a ``share_params`` repeat contributing 1). Every indicator is a fold over
 these steps, so cost grows with the size of the spec, not with the number
-of layers it executes. :func:`evaluate` trusts its spec: every public
-entry point of the library validates it once per call, before the fold.
+of layers it executes. :func:`evaluate` validates its spec first: it is
+the one spec check between a spec and its steps.
 
 ``PatchEmbed`` is only valid as the first layer, so the sequence length is
 the same at every node and every iteration of a ``Repeat`` is identical:
@@ -46,7 +46,7 @@ from .archspec import (
     PatchEmbed,
     Repeat,
     TokenEmbedding,
-    derive_sequence_length,
+    ensure_valid,
     input_sequence_length,
 )
 
@@ -78,20 +78,12 @@ class Step(NamedTuple):
     copies: int           # stored parameter sets
 
 
-def _pad_length(length: int, multiple: int | None) -> int:
-    if multiple is None or multiple <= 1:
-        return length
-    return -(-length // multiple) * multiple
-
-
-def _leaf_costs(layer, L: int, spec: ArchSpec):
+def _leaf_costs(layer, L: int, tokens: int):
     """(params, matmul_macs, flops, in_elements, out_elements) of one
-    primitive layer at sequence length ``L``."""
+    primitive layer at sequence length ``L`` of ``tokens`` true tokens."""
     if isinstance(layer, PatchEmbed):
-        # The positional table is sized by the real (unpadded) token count.
-        inp = spec.input
-        raw_len = derive_sequence_length(inp, layer.patch, layer.add_cls_token)
-        patches = raw_len - (1 if layer.add_cls_token else 0)
+        # The patches, their input and the positional table are unpadded.
+        patches = tokens - (1 if layer.add_cls_token else 0)
         d = layer.embed_dim
         patch_in = layer.patch * layer.patch * layer.in_channels
         params = patch_in * d + d
@@ -100,9 +92,9 @@ def _leaf_costs(layer, L: int, spec: ArchSpec):
         macs = patches * patch_in * d
         flops = 2 * macs + patches * d * ADD_FLOPS_PER_ELEMENT  # projection bias
         if layer.positional:
-            params += raw_len * d
+            params += tokens * d
             flops += L * d * ADD_FLOPS_PER_ELEMENT
-        return params, macs, flops, inp.height * inp.width * inp.channels, L * d
+        return params, macs, flops, patches * patch_in, L * d
 
     if isinstance(layer, Attention):
         d, dq = layer.model_dim, layer.qkv_dim
@@ -150,7 +142,7 @@ def _leaf_costs(layer, L: int, spec: ArchSpec):
     raise TypeError(f"unexpected layer type {type(layer).__name__}")
 
 
-def _fold(layers, prefix, L, P, spec, count, copies, seconds, out) -> float:
+def _fold(layers, prefix, L, P, count, copies, seconds, out) -> float:
     """Append a step per leaf and ``MoE`` node of ``layers`` at length ``L``
     to ``out``; return the time of one pass over ``layers`` (0.0 without
     ``seconds``), which ``seconds`` gives of each node's step at length ``P``."""
@@ -159,7 +151,7 @@ def _fold(layers, prefix, L, P, spec, count, copies, seconds, out) -> float:
         path = f"{prefix}[{i}]" if prefix else f"layers[{i}]"
         if isinstance(layer, Repeat):
             n = layer.times
-            body = _fold(layer.body, f"{path}.body", L, P, spec, count * n,
+            body = _fold(layer.body, f"{path}.body", L, P, count * n,
                          copies if layer.share_params else copies * n,
                          seconds, out)
             total += n * body
@@ -168,23 +160,23 @@ def _fold(layers, prefix, L, P, spec, count, copies, seconds, out) -> float:
             slowest = 0.0
             for b, branch in enumerate(layer.branches):
                 slowest = max(slowest, _fold(branch, f"{path}.branches[{b}]", L, P,
-                                             spec, count, copies, seconds, out))
+                                             count, copies, seconds, out))
             total += slowest
             continue
-        step = _node_step(layer, path, L, spec, count, copies)
+        step = _node_step(layer, path, L, L, count, copies)
         out.append(step)
         if seconds is not None:
             total += seconds(step if P == L else
-                             _node_step(layer, path, P, spec, count, copies))
+                             _node_step(layer, path, P, L, count, copies))
     return total
 
 
-def _node_step(layer, path, L, spec, count, copies) -> Step:
-    """The step of a leaf or ``MoE`` node at sequence length ``L``."""
+def _node_step(layer, path, L, tokens, count, copies) -> Step:
+    """The step of a leaf or ``MoE`` node at length ``L`` of ``tokens`` true tokens."""
     if isinstance(layer, MoE):
         # One composite op: the router plus K of E experts per token.
         expert: list[Step] = []
-        _fold([layer.expert], f"{path}.expert", L, L, spec, 1, 1, None, expert)
+        _fold([layer.expert], f"{path}.expert", L, L, 1, 1, None, expert)
         dr, E, K = layer.router_dim, layer.num_experts, layer.experts_per_token
         router_macs = L * dr * E
         return Step(
@@ -198,15 +190,15 @@ def _node_step(layer, path, L, spec, count, copies) -> Step:
             out_elements=expert[-1].out_elements,
             count=count, copies=copies,
         )
-    params, macs, flops, n_in, n_out = _leaf_costs(layer, L, spec)
+    params, macs, flops, n_in, n_out = _leaf_costs(layer, L, tokens)
     return Step(path, layer, L, params, params, macs, flops, n_in, n_out, count, copies)
 
 
 def evaluate(spec: ArchSpec, pad_multiple: int | None = None,
              seconds: Callable[[Step], float] | None = None
              ) -> tuple[list[Step], float | None]:
-    """Steps of every leaf and ``MoE`` node of a valid spec, at the true
-    sequence length, plus the folded time. The spec is not validated here.
+    """Steps of every leaf and ``MoE`` node of ``spec``, validated first, at
+    the true sequence length, plus the folded time.
 
     ``seconds`` gives the time of one execution of a step; the returned
     time sums it over a sequence, takes ``times`` x the body of a repeat
@@ -215,8 +207,9 @@ def evaluate(spec: ArchSpec, pad_multiple: int | None = None,
     the length ``seconds`` sees up to the next multiple: in the same fold,
     each node is costed again at that length when padding changes it.
     """
+    ensure_valid(spec)
     steps: list[Step] = []
     length = input_sequence_length(spec)
-    total = _fold(spec.layers, "", length, _pad_length(length, pad_multiple), spec,
-                  1, 1, seconds, steps)
+    pad = pad_multiple if pad_multiple and pad_multiple > 1 else 1
+    total = _fold(spec.layers, "", length, -(-length // pad) * pad, 1, 1, seconds, steps)
     return steps, (total if seconds is not None else None)

@@ -22,6 +22,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
 import time
 import typing
@@ -56,6 +57,8 @@ from costlens import (
     estimate_latency,
     load_hardware,
     monetary_cost,
+    read_records,
+    read_spec_file,
     validate,
 )
 from costlens.archspec import LEAF_KINDS, _reading, field_errors
@@ -664,19 +667,28 @@ def test_integers_are_stored_as_floats_and_huge_ones_refused():
 _SMALL = ArchSpec("t", TokenSequence(4, 10), (Dense(8, 8),))
 _HW_DOC = {"peak_flops_per_sec": 1}  # a document, not a HardwareModel
 
-#: Library calls with one argument of the wrong kind: (call, the name the
-#: refusal must carry).
+#: Library calls with one argument of the wrong kind: (call, the name, or
+#: the whole message, the refusal must carry).
 LIBRARY_LEAKS = {
-    "profile_hardware": (lambda: compute_profile(_SMALL, 1, _HW_DOC), "hardware"),
-    "latency_hardware": (lambda: estimate_latency(_SMALL, _HW_DOC), "hardware"),
+    "profile_hardware": (lambda: compute_profile(_SMALL, 1, _HW_DOC),
+                         "hardware must be a HardwareModel, got {'peak_flops_per_sec': 1}"),
+    "latency_hardware": (lambda: estimate_latency(_SMALL, _HW_DOC),
+                         "hardware must be a HardwareModel, got {'peak_flops_per_sec': 1}"),
     "profile_energy": (lambda: compute_profile(_SMALL, 1, load_hardware("default"),
-                                               energy={}), "energy"),
-    "profile_pricing": (lambda: compute_profile(_SMALL, 1, pricing={}), "pricing"),
-    "carbon_energy": (lambda: carbon_footprint({}), "energy"),
-    "monetary_pricing": (lambda: monetary_cost({}), "pricing"),
-    "profile_optimizer": (lambda: compute_profile(_SMALL, 1, None, "adam"), "optimizer"),
+                                               energy={}),
+                       "energy must be an EnergyProfile, got {}"),
+    "profile_pricing": (lambda: compute_profile(_SMALL, 1, pricing={}),
+                        "pricing must be a PricingProfile, got {}"),
+    "carbon_energy": (lambda: carbon_footprint({}), "energy must be an EnergyProfile, got {}"),
+    "monetary_pricing": (lambda: monetary_cost({}), "pricing must be a PricingProfile, got {}"),
+    "profile_optimizer": (lambda: compute_profile(_SMALL, 1, None, "adam"),
+                          "optimizer must be an OptimizerKind, got 'adam'"),
     "record_quality": (lambda: ModelRecord("a", {"params": 1.0}, quality="x"), "quality"),
     "record_indicator": (lambda: ModelRecord("a", {"params": "1"}), "'params'"),
+    "record_bool_quality": (lambda: ModelRecord("a", {"params": 1.0}, quality=False),
+                            "record 'a': quality must be finite"),
+    "record_bool_indicator": (lambda: ModelRecord("a", {"params": True}),
+                              "record 'a': indicator 'params' must be finite"),
 }
 
 
@@ -684,3 +696,22 @@ LIBRARY_LEAKS = {
 def test_library_refuses_arguments_of_the_wrong_kind(call, name):
     with pytest.raises(ValueError, match=re.escape(name)):
         call()
+
+
+def test_file_readers_refuse_what_is_not_a_path(tmp_path):
+    """An integer or a bool would be opened as a file descriptor, and closed."""
+    fd = os.open(tmp_path / "held", os.O_RDONLY | os.O_CREAT)
+    try:
+        for reader, name in ((read_records, "path"), (read_spec_file, "path"),
+                             (load_hardware, "name_or_path")):
+            for value in (fd, True, None):
+                with pytest.raises(ValueError, match=f"^{name} must be a str or a "
+                                                     f"PathLike, got {value!r}$"):
+                    reader(value)
+        os.fstat(fd)
+    finally:
+        os.close(fd)
+    doc = {"peak_flops_per_sec": 1e12, "mem_bandwidth_bytes_per_sec": 1e11,
+           "per_op_overhead_sec": 0, "name": "file"}
+    (tmp_path / "hw.json").write_text(json.dumps(doc))
+    assert load_hardware(tmp_path / "hw.json").name == "file"

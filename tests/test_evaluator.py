@@ -326,7 +326,8 @@ def test_one_validation_per_public_call(validate_calls):
                  lambda s: estimate_latency(s, tpu, 8),
                  compute_profile,
                  lambda s: compute_profile(s, 8, default),
-                 lambda s: compute_profile(s, 8, tpu)):
+                 lambda s: compute_profile(s, 8, tpu),
+                 costlens.trace.evaluate):
         validate_calls.clear()
         call(spec)
         assert len(validate_calls) == 1
@@ -344,6 +345,50 @@ def test_one_validation_per_public_call(validate_calls):
     for call in (compute_profile, lambda s: compute_profile(s, 8, tpu)):
         with pytest.raises(InvalidSpecError, match="in_dim must be"):
             call(broken)
+
+
+#: Specs ``evaluate`` once folded into an answer: a non-number as a
+#: dimension, an empty repeat, heads that do not divide ``qkv_dim``, and
+#: something that is not a spec.
+INVALID = {
+    "dense_fields": ArchSpec("x", TokenSequence(4, 10), (Dense(0, "a"),)),
+    "empty_repeat": ArchSpec("x", TokenSequence(4, 10), (Repeat((), times=3),)),
+    "heads": ArchSpec("x", TokenSequence(4, 10), (Attention(8, 9, 2),)),
+    "not_a_spec": "x",
+}
+
+
+@pytest.mark.parametrize("spec", INVALID.values(), ids=INVALID.keys())
+def test_evaluate_refuses_an_invalid_spec(spec):
+    with pytest.raises(InvalidSpecError) as exc:
+        costlens.trace.evaluate(spec)
+    assert exc.value.violations == costlens.archspec.validate(spec).violations
+
+
+@pytest.fixture()
+def length_calls(monkeypatch):
+    """One entry per ``derive_sequence_length`` call, through any module's binding."""
+    calls = []
+    real = costlens.archspec.derive_sequence_length
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (costlens.archspec, costlens.trace):
+        if getattr(module, "derive_sequence_length", None) is real:
+            monkeypatch.setattr(module, "derive_sequence_length", spy)
+    return calls
+
+
+def test_two_sequence_lengths_per_image_profile(length_calls):
+    """Validation derives the length once and the fold once; the PatchEmbed
+    step reads its sizes from the fold's token count, padded or not."""
+    spec = vit_base(16, 224)
+    for hw in (None, load_hardware("default"), load_hardware("tpu_like")):
+        length_calls.clear()
+        compute_profile(spec, 8, hw)
+        assert len(length_calls) == 2
 
 
 def assert_profile_matches_public_calls(spec, hw, batch, optimizer):
