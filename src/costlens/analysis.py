@@ -358,6 +358,12 @@ def _below(buckets, carrying: int):
     return below, ties
 
 
+def _check_max_pairs(max_pairs) -> None:
+    """Refuse a listing bound that is not None or an integer >= 0."""
+    if max_pairs is not None and (type(max_pairs) is not int or max_pairs < 0):
+        raise ValueError(f"max_pairs must be an integer >= 0, got {max_pairs!r}")
+
+
 def rank_disagreement(records, indicator_a: str, indicator_b: str,
                       max_pairs: int | None = None) -> RankDisagreement:
     """Tie-corrected Kendall tau (tau-b) between two cost orderings.
@@ -378,8 +384,7 @@ def rank_disagreement(records, indicator_a: str, indicator_b: str,
     keeps those partner bitmasks, one row per record, and
     ``inverted_pairs`` decodes them all at once on first access.
     """
-    if max_pairs is not None and max_pairs < 0:
-        raise ValueError(f"max_pairs must be >= 0, got {max_pairs}")
+    _check_max_pairs(max_pairs)
     records = list(records)
     return _disagreement(tuple(r.name for r in records), _ranking(records, indicator_a),
                          _ranking(records, indicator_b), max_pairs)
@@ -478,8 +483,7 @@ def misnomer_report(records, max_pairs: int | None = None) -> MisnomerReport:
     the first ``max_pairs`` when that is given, and is built on first
     access; ``n_inverted_pairs`` counts every discordant pair.
     """
-    if max_pairs is not None and max_pairs < 0:
-        raise ValueError(f"max_pairs must be >= 0, got {max_pairs}")
+    _check_max_pairs(max_pairs)
     records = list(records)
     if len(records) < 2:
         raise InsufficientDataError(f"need >= 2 records, got {len(records)}")

@@ -13,7 +13,6 @@ Every builder output passes :func:`costlens.archspec.validate`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from inspect import signature
 from typing import get_type_hints
 
 from .archspec import (
@@ -31,6 +30,7 @@ from .archspec import (
     TokenSequence,
     check_fields,
     check_value,
+    from_document,
 )
 
 
@@ -219,55 +219,38 @@ def depth_width_pair(patch: int = 16, image: int = 224) -> tuple[ArchSpec, ArchS
 # Builder registry (spec files and the command line address builders by name)
 
 
-def _build_ut_args(steps: int, **cfg):
-    return build_universal_transformer(VitConfig(**cfg), steps)
+@dataclass(frozen=True, kw_only=True)
+class UtConfig(VitConfig):  # the arguments of build_universal_transformer
+    steps: int
 
 
-def _build_moe_args(num_experts: int, experts_per_token: int, moe_every: int = 2, **cfg):
-    return build_moe_transformer(VitConfig(**cfg), num_experts,
-                                 experts_per_token, moe_every)
+@dataclass(frozen=True, kw_only=True)
+class MoeConfig(VitConfig):  # the arguments of build_moe_transformer
+    num_experts: int
+    experts_per_token: int
+    moe_every: int = 2
 
 
+#: Each builder family: the config dataclass whose fields are its
+#: arguments, and the builder that takes one.
 BUILDERS = {
-    "vit": lambda **cfg: build_vit(VitConfig(**cfg)),
-    "universal_transformer": _build_ut_args,
-    "moe": _build_moe_args,
-    "lm": lambda **cfg: build_lm(LmConfig(**cfg)),
-}
-
-#: The config class and, where the family has one, the adapter above whose
-#: arguments each builder family takes (an adapter annotates its own
-#: arguments and nothing else).
-_PARTS = {
-    "vit": (VitConfig,),
-    "universal_transformer": (VitConfig, _build_ut_args),
-    "moe": (VitConfig, _build_moe_args),
-    "lm": (LmConfig,),
+    "vit": (VitConfig, build_vit),
+    "universal_transformer": (UtConfig, lambda c: build_universal_transformer(c, c.steps)),
+    "moe": (MoeConfig, lambda c: build_moe_transformer(
+        c, c.num_experts, c.experts_per_token, c.moe_every)),
+    "lm": (LmConfig, build_lm),
 }
 
 #: Keyword arguments each builder family accepts, with their annotated types.
-BUILDER_ARGS = {family: {name: kind for part in parts
-                         for name, kind in get_type_hints(part).items()}
-                for family, parts in _PARTS.items()}
-
-#: The arguments without a default, per family, in declaration order.
-_REQUIRED = {family: [p.name for part in parts for p in signature(part).parameters.values()
-                      if p.default is p.empty and p.kind is not p.VAR_KEYWORD]
-             for family, parts in _PARTS.items()}
+BUILDER_ARGS = {family: get_type_hints(config) for family, (config, _) in BUILDERS.items()}
 
 
 def build_from_reference(family: str, args: dict) -> ArchSpec:
-    """Construct a spec from a builder name plus keyword arguments, as
-    used by spec files and CLI flags. Unknown and missing arguments are
-    refused by name, as the document reader refuses fields."""
-    builder = BUILDERS.get(family) if isinstance(family, str) else None
-    if builder is None:
-        raise ValueError(
-            f"unknown builder family {family!r} (known: {', '.join(sorted(BUILDERS))})"
-        )
-    errors = [f"unknown field {k!r}"
-              for k in sorted(args.keys() - BUILDER_ARGS[family].keys(), key=str)]
-    errors += [f"missing field {k!r}" for k in _REQUIRED[family] if k not in args]
-    if errors:
-        raise ValueError(f"bad arguments for builder {family!r}: {'; '.join(errors)}")
-    return builder(**args)
+    """Construct a spec from a builder name plus keyword arguments, as used
+    by spec files and CLI flags. :func:`~costlens.archspec.from_document`
+    reads the arguments as a document of the family's config."""
+    if not isinstance(family, str) or family not in BUILDERS:
+        raise ValueError(f"unknown builder family {family!r} "
+                         f"(known: {', '.join(sorted(BUILDERS))})")
+    config, builder = BUILDERS[family]
+    return builder(from_document(config, args, f"bad arguments for builder {family!r}: "))

@@ -465,11 +465,12 @@ def input_sequence_length(spec: ArchSpec) -> int:
 
 _INPUT_TAGS = {Image: "image", TokenSequence: "token_sequence"}
 _TAGS = {**_LAYER_TAGS, **_INPUT_TAGS}
-#: A union is read by the ``kind`` tag of its document: (what, {tag: class}).
-_UNIONS = {
-    LayerSpec: ("layer", {tag: cls for cls, tag in _LAYER_TAGS.items()}),
-    InputSignature: ("input", {tag: cls for cls, tag in _INPUT_TAGS.items()}),
-}
+#: A union is read by the ``kind`` tag of its document:
+#: (what, {tag: (class, the prefix of its field errors)}).
+_UNIONS = {union: (what, {tag: (cls, f"bad fields for {what} kind {tag!r}: ")
+                          for cls, tag in tags.items()})
+           for union, what, tags in ((LayerSpec, "layer", _LAYER_TAGS),
+                                     (InputSignature, "input", _INPUT_TAGS))}
 
 
 def _value_reader(name: str, hint):
@@ -491,20 +492,20 @@ def _value_reader(name: str, hint):
     return None
 
 
-def from_document(cls, value):
+def from_document(cls, value, prefix: str = ""):
     """Build the dataclass ``cls`` (or the member of the union ``cls``
     that the document's ``kind`` names) from the JSON value.
 
-    A key that is not a field is refused, as is a missing field that has
+    A key that is not a field is refused, as is a field left out that has
     no default; fields holding layers or an input are read recursively.
     Values are not coerced: the field rule and :func:`validate` judge them.
-    """
+    A refusal of the document's keys or type starts with ``prefix``."""
     union = _UNIONS.get(cls)
     if union is not None:
         return _read_tagged(union, value)
     if type(value) is not dict:
-        raise ValueError(f"expected a JSON object, got {type(value).__name__}")
-    return _build(cls, dict(value))
+        raise ValueError(f"{prefix}expected a JSON object, got {type(value).__name__}")
+    return _build(cls, dict(value), prefix)
 
 
 def _read_tagged(union, value):
@@ -512,21 +513,21 @@ def _read_tagged(union, value):
     kind = value.get("kind") if type(value) is dict else None
     if kind is None:
         raise ValueError(f"{what} must be a JSON object with a 'kind' field")
-    cls = classes.get(kind) if type(kind) is str else None
-    if cls is None:
+    tagged = classes.get(kind) if type(kind) is str else None
+    if tagged is None:
         raise ValueError(f"unknown {what} kind {kind!r}")
+    cls, prefix = tagged
     args = dict(value)
     del args["kind"]
-    return _build(cls, args, what, kind)
+    return _build(cls, args, prefix)
 
 
-def _build(cls, args: dict, what: str | None = None, kind=None):
+def _build(cls, args: dict, prefix: str = ""):
     reading = _READINGS.get(cls) or _reading(cls)
     if not (reading.names.keys() >= args.keys() >= reading.required):
         errors = [f"unknown field {k!r}" for k in sorted(args.keys() - reading.names, key=str)]
         errors += [f"missing field {k!r}" for k in reading.names
                    if k in reading.required and k not in args]
-        prefix = "" if what is None else f"bad fields for {what} kind {kind!r}: "
         raise ValueError(prefix + "; ".join(errors))
     for name, default in reading.defaults:
         args.setdefault(name, default)

@@ -46,6 +46,7 @@ from .archspec import (
     PatchEmbed,
     Repeat,
     TokenEmbedding,
+    check_value,
     ensure_valid,
     input_sequence_length,
 )
@@ -203,13 +204,14 @@ def evaluate(spec: ArchSpec, pad_multiple: int | None = None,
     ``seconds`` gives the time of one execution of a step; the returned
     time sums it over a sequence, takes ``times`` x the body of a repeat
     and the slowest branch of a parallel block. Without ``seconds`` the
-    time is ``None``. ``pad_multiple`` (hardware length padding) rounds
-    the length ``seconds`` sees up to the next multiple: in the same fold,
-    each node is costed again at that length when padding changes it.
-    """
+    time is ``None``. ``pad_multiple`` (hardware length padding: None or
+    an integer >= 1) rounds the length ``seconds`` sees up to the next
+    multiple; in the same fold, a node it changes is costed again there."""
     ensure_valid(spec)
+    if pad_multiple is not None:
+        check_value("pad_multiple", pad_multiple)
     steps: list[Step] = []
     length = input_sequence_length(spec)
-    pad = pad_multiple if pad_multiple and pad_multiple > 1 else 1
+    pad = pad_multiple or 1
     total = _fold(spec.layers, "", length, -(-length // pad) * pad, 1, 1, seconds, steps)
     return steps, (total if seconds is not None else None)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -30,10 +31,11 @@ from costlens import (
     preset_names,
     validate,
 )
+from costlens.archlib import BUILDERS
 from costlens.archspec import input_sequence_length, spec_from_dict, spec_to_dict
 from costlens.trace import evaluate
 
-from support import TABLE1, vit_base
+from support import TABLE1, document_required_fields, vit_base
 
 
 BASE = dict(patch=16, depth=12, model_dim=768, num_heads=12, ffn_dim=3072)
@@ -269,6 +271,31 @@ class TestBuilderRegistry:
     def test_bad_arguments(self):
         with pytest.raises(ValueError, match="bad arguments"):
             build_from_reference("vit", {"patch": 16})
+
+    @pytest.mark.parametrize("family", list(BUILDERS))
+    def test_empty_reference_names_the_required_fields(self, family):
+        """A reference is read as a document of the family's config, so an
+        empty one names each field a document must carry, in declaration
+        order."""
+        config = BUILDERS[family][0]
+        required = document_required_fields(config)
+        missing = "; ".join(f"missing field {f.name!r}" for f in dataclasses.fields(config)
+                            if f.name in required)
+        with pytest.raises(ValueError) as exc:
+            build_from_reference(family, {})
+        assert str(exc.value) == f"bad arguments for builder {family!r}: {missing}"
+
+    @pytest.mark.parametrize("family, extra, message", [
+        ("universal_transformer", {"steps": 0}, "steps must be an integer >= 1, got 0"),
+        ("moe", {"num_experts": 0, "experts_per_token": 1},
+         "num_experts must be an integer >= 1, got 0"),
+    ])
+    def test_family_fields_are_ruled_with_the_config_fields(self, family, extra, message):
+        """A family's own field is a config field, so the field rule refuses
+        it before ``num_heads`` is found not to divide ``model_dim``."""
+        with pytest.raises(ValueError) as exc:
+            build_from_reference(family, {**BASE, "num_heads": 5, **extra})
+        assert str(exc.value) == message
 
 
 SMALL = dict(patch=8, depth=3, model_dim=64, num_heads=4, ffn_dim=96,

@@ -55,14 +55,19 @@ from costlens import (
     carbon_footprint,
     compute_profile,
     estimate_latency,
+    build_from_reference,
     load_hardware,
+    misnomer_report,
     monetary_cost,
+    rank_disagreement,
     read_records,
     read_spec_file,
     validate,
 )
+from costlens.archlib import MoeConfig, UtConfig
 from costlens.archspec import LEAF_KINDS, _reading, field_errors
 from costlens.cli import main
+from costlens.trace import evaluate
 
 from support import document_required_fields, oracle_validate
 
@@ -564,6 +569,8 @@ CHECKED_ON_BUILD = [
     PricingProfile(1.0, 2.0, 3.0),
     VitConfig(16, 2, 64, 4, 128, image=(64, 64, 3)),
     LmConfig("decoder_only", 2, 64, 128, 4, 100),
+    UtConfig(16, 2, 64, 4, 128, image=(64, 64, 3), steps=3),
+    MoeConfig(16, 2, 64, 4, 128, image=(64, 64, 3), num_experts=4, experts_per_token=2),
 ]
 RULED = {int: int, float: float, bool: bool, str: str,
          int | None: int, float | None: float, bool | None: bool, str | None: str}
@@ -666,6 +673,8 @@ def test_integers_are_stored_as_floats_and_huge_ones_refused():
 
 _SMALL = ArchSpec("t", TokenSequence(4, 10), (Dense(8, 8),))
 _HW_DOC = {"peak_flops_per_sec": 1}  # a document, not a HardwareModel
+_RECORDS = [ModelRecord("a", {"params": 1.0, "flops": 2.0}),
+            ModelRecord("b", {"params": 2.0, "flops": 1.0})]
 
 #: Library calls with one argument of the wrong kind: (call, the name, or
 #: the whole message, the refusal must carry).
@@ -689,6 +698,22 @@ LIBRARY_LEAKS = {
                             "record 'a': quality must be finite"),
     "record_bool_indicator": (lambda: ModelRecord("a", {"params": True}),
                               "record 'a': indicator 'params' must be finite"),
+    "reference_not_object": (lambda: build_from_reference("vit", 5),
+                             "bad arguments for builder 'vit': expected a JSON object, got int"),
+    "evaluate_pad_str": (lambda: evaluate(_SMALL, "x"),
+                         "pad_multiple must be an integer >= 1, got 'x'"),
+    "evaluate_pad_fraction": (lambda: evaluate(_SMALL, 2.5, lambda s: s.seq_len),
+                              "pad_multiple must be an integer >= 1, got 2.5"),
+    "evaluate_pad_bool": (lambda: evaluate(_SMALL, True),
+                          "pad_multiple must be an integer >= 1, got True"),
+    "evaluate_pad_zero": (lambda: evaluate(_SMALL, 0),
+                          "pad_multiple must be an integer >= 1, got 0"),
+    "disagreement_max_pairs": (lambda: rank_disagreement(_RECORDS, "params", "flops", "x"),
+                               "max_pairs must be an integer >= 0, got 'x'"),
+    "report_max_pairs": (lambda: misnomer_report(_RECORDS, max_pairs="x"),
+                         "max_pairs must be an integer >= 0, got 'x'"),
+    "report_bool_max_pairs": (lambda: misnomer_report(_RECORDS, max_pairs=True),
+                              "max_pairs must be an integer >= 0, got True"),
 }
 
 

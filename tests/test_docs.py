@@ -1,4 +1,5 @@
-"""The names the documents cite exist in the package.
+"""The names the documents cite exist in the package, and the builder
+table lists the builder arguments.
 
 Every backticked dotted name in ``README.md`` and ``docs/file-formats.md``
 that starts with ``costlens.`` or with a name ``costlens`` exports must
@@ -10,6 +11,7 @@ package's and is skipped, and so are fenced code blocks, which
 
 import dataclasses
 import importlib
+import json
 import re
 import types
 from pathlib import Path
@@ -17,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import costlens
+from costlens.archlib import BUILDER_ARGS, BUILDERS
 
 ROOT = Path(__file__).resolve().parent.parent
 DOCS = ["README.md", "docs/file-formats.md"]
@@ -61,3 +64,20 @@ def test_cited_names_resolve(doc):
     names = cited_names((ROOT / doc).read_text("utf-8"))
     assert names, f"{doc} cites no name of the package"
     assert [name for name in names if not resolves(name)] == []
+
+
+def test_builder_table_lists_each_config():
+    """Each row of the "Builder families and arguments" table in
+    ``docs/file-formats.md`` names the family's ``BUILDER_ARGS`` in order,
+    each default written as its config's JSON value."""
+    text = (ROOT / "docs/file-formats.md").read_text("utf-8")
+    table = text.split("Builder families and arguments:\n\n", 1)[1].split("\n\n", 1)[0]
+    rows = dict(re.findall(r"^\| `(\w+)` \| `?([^`|]*)", table, flags=re.MULTILINE))
+    expected = {}
+    for family, (config, _) in BUILDERS.items():
+        assert [f.name for f in dataclasses.fields(config)] == list(BUILDER_ARGS[family])
+        expected[family] = ", ".join(
+            f.name if f.default is dataclasses.MISSING
+            else f"{f.name}={json.dumps(f.default, separators=(',', ':'))}"
+            for f in dataclasses.fields(config))
+    assert rows == expected
