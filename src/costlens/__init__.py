@@ -65,7 +65,6 @@ from .analysis import (
     InsufficientDataError,
     MisnomerReport,
     ModelRecord,
-    RecordsFileError,
     misnomer_report,
     pareto_frontier,
     rank_disagreement,

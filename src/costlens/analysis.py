@@ -32,7 +32,7 @@ from functools import cached_property
 from itertools import chain, compress, groupby, islice, repeat
 from typing import NamedTuple
 
-from .archspec import check_value
+from .archspec import check_value, from_document
 
 #: The canonical indicator ids, in report order, each with the ``CostProfile``
 #: field it is read from. CSV files may carry extra columns (treated as
@@ -87,17 +87,21 @@ class ModelRecord:
         q = self.quality  # a bool is not a number, though Python compares it as one
         try:
             finite = q is None or q is not True and q is not False and math.isfinite(q)
-        except TypeError:  # a string is not a number
+        except (TypeError, OverflowError):  # a string, or an int past the float range
             finite = False
         if not finite:
             raise ValueError(f"record {self.name!r}: quality must be finite")
+        check_value("indicators", self.indicators, dict)
         if not self.indicators:
             raise ValueError(f"record {self.name!r}: at least one indicator required")
         for key, value in self.indicators.items():
+            if type(key) is not str:  # reports sort the names
+                raise ValueError(f"record {self.name!r}: indicator name must be a string, "
+                                 f"got {key!r}")
             try:
                 if value is not True and value is not False and math.isfinite(value):
                     continue
-            except TypeError:
+            except (TypeError, OverflowError):
                 pass
             raise ValueError(f"record {self.name!r}: indicator {key!r} must be finite")
 
@@ -114,9 +118,6 @@ class InputFileError(ValueError):
     def __init__(self, message: str, **detail):
         super().__init__(message)
         self.detail = detail
-
-
-RecordsFileError = InputFileError  # the name read_records first raised
 
 
 def _load_json(path: str):
@@ -136,6 +137,19 @@ def _load_json(path: str):
         raise InputFileError(f"{path}: JSON nested too deeply", file=path)
     except (OSError, ValueError) as exc:
         raise InputFileError(f"cannot read {path}: {exc}", file=path)
+
+
+def _read_document(cls, path: str, prefix: str = ""):
+    """The dataclass ``cls`` read by ``from_document`` from the JSON file
+    ``path``; a refusal is an ``InputFileError`` naming the file, and a
+    refusal of the document's keys or values starts with ``prefix``."""
+    doc = _load_json(path)  # outside the try, so its refusal keeps file and offset
+    try:
+        return from_document(cls, doc)
+    except ValueError as exc:
+        raise InputFileError(prefix + str(exc), file=path)
+    except RecursionError:  # from the repr of a refused, deeply nested value
+        raise InputFileError(f"{path}: JSON nested too deeply", file=path)
 
 
 def read_records(path: str) -> list[ModelRecord]:

@@ -561,12 +561,16 @@ def spec_to_dict(spec: ArchSpec) -> dict:
     return {"schema_version": SCHEMA_VERSION, **to_document(spec)}
 
 
+def check_schema_version(version) -> None:
+    """Raise ValueError unless ``version`` is the integer SCHEMA_VERSION."""
+    if type(version) is not int or version != SCHEMA_VERSION:  # not true, not 1.0
+        raise ValueError(f"unsupported schema_version {version!r}")
+
+
 def spec_from_dict(d: dict) -> ArchSpec:
     if not isinstance(d, dict):
         raise ValueError("architecture document must be a JSON object")
-    version = d.get("schema_version", SCHEMA_VERSION)
-    if type(version) is not int or version != SCHEMA_VERSION:  # not true, not 1.0
-        raise ValueError(f"unsupported schema_version {version!r}")
+    check_schema_version(d.get("schema_version", SCHEMA_VERSION))
     return _build(ArchSpec, {k: v for k, v in d.items() if k != "schema_version"})
 
 

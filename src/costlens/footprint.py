@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .archspec import check_fields, check_value, from_document
+from .archspec import check_fields, check_value
 
 
 @dataclass(frozen=True)
@@ -31,10 +31,6 @@ class EnergyProfile:
     def __post_init__(self):
         check_fields(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "EnergyProfile":
-        return from_document(cls, d)
-
 
 @dataclass(frozen=True)
 class PricingProfile:
@@ -44,10 +40,6 @@ class PricingProfile:
 
     def __post_init__(self):
         check_fields(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PricingProfile":
-        return from_document(cls, d)
 
 
 def _finite(value: float, what: str) -> float:

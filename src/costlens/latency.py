@@ -24,7 +24,7 @@ import os
 from dataclasses import dataclass
 from importlib import resources
 
-from .analysis import InputFileError, _load_json
+from .analysis import _read_document
 from .archspec import ArchSpec, check_fields, check_value, from_document
 from .indicators import _steps, layer_mac_bytes
 from .trace import Step
@@ -47,10 +47,6 @@ class HardwareModel:
         for name in ("peak_flops_per_sec", "mem_bandwidth_bytes_per_sec"):
             if getattr(self, name) == 0:
                 raise ValueError(f"{name} must be > 0")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "HardwareModel":
-        return from_document(cls, d)
 
 
 #: Environment variable naming a directory of extra hardware preset JSONs.
@@ -87,16 +83,12 @@ def load_hardware(name_or_path: str) -> HardwareModel:
         candidates.append(os.path.join(env_dir, name_or_path + ".json"))
     for candidate in candidates:
         if os.path.isfile(candidate):
-            doc = _load_json(candidate)
-            try:
-                return HardwareModel.from_dict(doc)
-            except ValueError as exc:
-                raise InputFileError(str(exc), file=candidate)
+            return _read_document(HardwareModel, candidate)
     if bare and name_or_path not in _SHIPPED:
         shipped = resources.files("costlens").joinpath(f"data/hardware/{name_or_path}.json")
         if shipped.is_file():  # known names only, so a typo never grows the cache
-            _SHIPPED[name_or_path] = HardwareModel.from_dict(
-                json.loads(shipped.read_text("utf-8")))
+            _SHIPPED[name_or_path] = from_document(
+                HardwareModel, json.loads(shipped.read_text("utf-8")))
     if name_or_path in _SHIPPED:
         return _SHIPPED[name_or_path]
     raise FileNotFoundError(

@@ -12,10 +12,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 
-from .analysis import PROFILE_FIELDS, InputFileError, ModelRecord, _load_json
+from .analysis import PROFILE_FIELDS, InputFileError, ModelRecord, _load_json, _read_document
 from .archlib import build_from_reference
 from .archspec import (
-    ArchSpec, InvalidSpecError, check_value, ensure_valid, spec_from_dict, to_document,
+    ArchSpec, InvalidSpecError, check_schema_version, check_value, ensure_valid,
+    from_document, spec_from_dict, to_document,
 )
 from .footprint import (
     EnergyProfile,
@@ -120,18 +121,14 @@ def record_from_profile(profile_dict: dict) -> ModelRecord:
 def _hardware(hw) -> HardwareModel:
     """A hardware preset name, a JSON path or an inline object."""
     try:
-        return load_hardware(hw) if isinstance(hw, str) else HardwareModel.from_dict(hw)
+        return load_hardware(hw) if isinstance(hw, str) else from_document(HardwareModel, hw)
     except (OSError, ValueError, RecursionError) as exc:  # keeps a file's name and offset
         raise InputFileError(f"bad hardware {hw!r}: {exc}", **getattr(exc, "detail", {}))
 
 
 def _rates(cls, path: str, what: str):
     """An energy or pricing profile read from a JSON file."""
-    doc = _load_json(path)  # outside the try, so its refusal keeps file and offset
-    try:
-        return cls.from_dict(doc)
-    except ValueError as exc:
-        raise InputFileError(f"{path}: bad {what}: {exc}", file=path)
+    return _read_document(cls, path, f"{path}: bad {what}: ")
 
 
 #: Keys of a spec file; anything else is refused.
@@ -144,29 +141,20 @@ def read_spec_file(path: str) -> tuple[ArchSpec, HardwareModel | None, int | Non
     which names every violation of an invalid architecture."""
     check_value("path", path, (str, os.PathLike))
     doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise InputFileError(f"{path}: spec file must be a JSON object", file=path)
-    version = doc.get("schema_version")
-    if type(version) is not int or version != 1:  # not true, not 1.0
-        raise InputFileError(f"{path}: unsupported schema_version {version!r}", file=path)
-    has_arch = "arch" in doc
-    has_builder = "builder" in doc
-    if has_arch == has_builder:
-        raise InputFileError(
-            f"{path}: exactly one of 'arch' or 'builder' is required", file=path
-        )
-    unknown = sorted(doc.keys() - _SPEC_FILE_KEYS)
-    if unknown:
-        raise InputFileError(
-            f"{path}: " + "; ".join(f"unknown field {k!r}" for k in unknown), file=path)
-    batch = doc.get("batch")
     try:
-        if batch is not None:
-            check_value("batch", batch)
-        for key in ("name", "notes"):
-            if key in doc:
-                check_value(key, doc[key], str)
-        if has_arch:
+        if not isinstance(doc, dict):
+            raise ValueError("spec file must be a JSON object")
+        check_schema_version(doc.get("schema_version"))
+        if ("arch" in doc) == ("builder" in doc):
+            raise ValueError("exactly one of 'arch' or 'builder' is required")
+        unknown = sorted(doc.keys() - _SPEC_FILE_KEYS)
+        if unknown:
+            raise ValueError("; ".join(f"unknown field {k!r}" for k in unknown))
+        batch = doc.get("batch")
+        for key, kind in (("batch", int), ("name", str), ("notes", str)):
+            if key in doc:  # so a null is refused, not read as the key left out
+                check_value(key, doc[key], kind)
+        if "arch" in doc:
             spec = spec_from_dict(doc["arch"])
         else:
             check_value("builder", doc["builder"], dict)
@@ -181,7 +169,7 @@ def read_spec_file(path: str) -> tuple[ArchSpec, HardwareModel | None, int | Non
             beside = os.path.join(os.path.dirname(path), hardware)
             hardware = beside if os.path.isfile(beside) else hardware
         # Inside the try, so a refused hardware names the spec file.
-        hardware = None if hardware is None else _hardware(hardware)
+        hardware = _hardware(hardware) if "hardware" in doc else None
     except InvalidSpecError as exc:
         raise InputFileError(
             f"{path}: invalid architecture: "

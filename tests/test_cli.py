@@ -15,8 +15,8 @@ import pytest
 
 from costlens import (
     EnergyProfile,
+    InputFileError,
     PricingProfile,
-    RecordsFileError,
     build_from_reference,
     compute_profile,
     count_flops,
@@ -800,7 +800,7 @@ class TestLibraryReader:
         p = tmp_path / "r.csv"
         if content is not None:
             p.write_text(content)
-        with pytest.raises(RecordsFileError) as info:
+        with pytest.raises(InputFileError) as info:
             read_records(str(p))
         assert isinstance(info.value, ValueError)
         assert not isinstance(info.value, cli.CliError)
@@ -811,7 +811,7 @@ class TestLibraryReader:
     def test_every_bad_cell_names_its_column(self, tmp_path):
         p = tmp_path / "r.csv"
         p.write_text("name,quality,params\na,1.0,fast\nb,2.0,3\n")
-        with pytest.raises(RecordsFileError) as info:
+        with pytest.raises(InputFileError) as info:
             read_records(str(p))
         assert info.value.detail == {"file": str(p), "line": 2, "column": "params"}
 

@@ -24,6 +24,7 @@ import json
 import math
 import os
 import re
+import sys
 import time
 import typing
 
@@ -65,7 +66,7 @@ from costlens import (
     validate,
 )
 from costlens.archlib import MoeConfig, UtConfig
-from costlens.archspec import LEAF_KINDS, _reading, field_errors
+from costlens.archspec import LEAF_KINDS, _reading, field_errors, from_document
 from costlens.cli import main
 from costlens.trace import evaluate
 
@@ -369,6 +370,27 @@ def test_named_rate_inputs_are_refused(workdir):
         assert run(["profile", spec, f"--{flag}", path])[0] == 2, (flag, doc)
 
 
+@pytest.mark.parametrize("flag, doc, field", [("hw", _HW, "peak_flops_per_sec"),
+                                              ("energy", ENERGY, "ee_train_kwh"),
+                                              ("pricing", PRICING, "total_train_hours")],
+                         ids=["hw", "energy", "pricing"])
+def test_deeply_nested_rate_value_is_refused(workdir, flag, doc, field):
+    """A value nested just short of the parser's limit is read, and the repr
+    in its refusal once ran out of stack: a traceback, or an error naming
+    no file. Each depth around the recursion limit names the file."""
+    spec = write_json(workdir / "rates_spec.json", SPECS[0])
+    template = json.dumps({**doc, field: "@"})
+    limit = sys.getrecursionlimit()
+    for depth in range(limit - 150, limit + 11):
+        path = write_json(workdir / f"nested_{flag}.json",
+                          template.replace('"@"', "[" * depth + "]" * depth))
+        code, out, err = run(["profile", spec, f"--{flag}", path])
+        assert_contract(code, out, err)
+        error = json.loads(err)
+        assert code == 2 and error["file"] == path, depth
+        assert "recursion" not in error["error"], depth
+
+
 # ---------------------------------------------------------------------------
 # Records CSV
 
@@ -589,13 +611,20 @@ def _wrong_values(kind, optional):
     return values if optional else values + [None]
 
 
+#: Exported dataclasses that are results, never read from a document; a
+#: ``ModelRecord`` checks its own values (``LIBRARY_LEAKS``).
+NOT_DOCUMENTS = {"CostProfile", "FlopCount", "MemoryEstimate", "MisnomerReport",
+                 "ModelRecord", "ParamCount", "SpeedEstimate", "ValidationResult",
+                 "Violation"}
+
+
 def test_every_input_class_is_guarded():
     guarded = {type(n) for n in SPEC_NODES} | {type(o) for o in CHECKED_ON_BUILD}
     guarded |= {Image, TokenSequence, ArchSpec}
     assert set(LEAF_KINDS) | {MoE, Repeat, Parallel} <= guarded
-    exported = {obj for obj in vars(costlens).values()
-                if isinstance(obj, type) and hasattr(obj, "from_dict")}
-    assert exported <= guarded
+    exported = {obj for name, obj in vars(costlens).items() if isinstance(obj, type)
+                and dataclasses.is_dataclass(obj) and name not in NOT_DOCUMENTS}
+    assert {EnergyProfile, HardwareModel, PricingProfile, VitConfig} <= exported <= guarded
 
 
 def test_spec_number_and_flag_fields_follow_the_rule():
@@ -657,18 +686,18 @@ def test_built_number_and_flag_fields_follow_the_rule():
 
 
 def test_integers_are_stored_as_floats_and_huge_ones_refused():
-    hw = HardwareModel.from_dict({"peak_flops_per_sec": 10**12,
-                                  "mem_bandwidth_bytes_per_sec": 10**11,
-                                  "per_op_overhead_sec": 0})
+    hw = from_document(HardwareModel, {"peak_flops_per_sec": 10**12,
+                                       "mem_bandwidth_bytes_per_sec": 10**11,
+                                       "per_op_overhead_sec": 0})
     assert [type(v) for v in (hw.peak_flops_per_sec, hw.per_op_overhead_sec)] \
         == [float, float]
     assert str(PricingProfile(168, 64, 2).num_chips) == "64.0"
     with pytest.raises(ValueError, match="finite"):
         PricingProfile(10**400, 1, 1)
     with pytest.raises(ValueError, match="finite"):
-        HardwareModel.from_dict({"peak_flops_per_sec": "1e12",
-                                 "mem_bandwidth_bytes_per_sec": 1e11,
-                                 "per_op_overhead_sec": 0})
+        from_document(HardwareModel, {"peak_flops_per_sec": "1e12",
+                                      "mem_bandwidth_bytes_per_sec": 1e11,
+                                      "per_op_overhead_sec": 0})
 
 
 _SMALL = ArchSpec("t", TokenSequence(4, 10), (Dense(8, 8),))
@@ -698,6 +727,14 @@ LIBRARY_LEAKS = {
                             "record 'a': quality must be finite"),
     "record_bool_indicator": (lambda: ModelRecord("a", {"params": True}),
                               "record 'a': indicator 'params' must be finite"),
+    "record_huge_quality": (lambda: ModelRecord("a", {"params": 1.0}, quality=10**400),
+                            "record 'a': quality must be finite"),
+    "record_huge_indicator": (lambda: ModelRecord("a", {"params": 10**400}),
+                              "record 'a': indicator 'params' must be finite"),
+    "record_indicators_str": (lambda: ModelRecord("a", "params"),
+                              "indicators must be an object, got 'params'"),
+    "record_indicator_name": (lambda: ModelRecord("a", {1: 1.0}),
+                              "record 'a': indicator name must be a string, got 1"),
     "reference_not_object": (lambda: build_from_reference("vit", 5),
                              "bad arguments for builder 'vit': expected a JSON object, got int"),
     "evaluate_pad_str": (lambda: evaluate(_SMALL, "x"),

@@ -18,6 +18,7 @@ from costlens import (
     memory_access_cost,
     preset_names,
 )
+from costlens.archspec import from_document
 from costlens.trace import evaluate
 
 from support import vit_base
@@ -82,9 +83,9 @@ class TestHardwareModel:
             with pytest.raises(ValueError, match="finite"):
                 HardwareModel(*args)
         with pytest.raises(ValueError, match="finite"):
-            HardwareModel.from_dict({"peak_flops_per_sec": "nan",
-                                     "mem_bandwidth_bytes_per_sec": 1e9,
-                                     "per_op_overhead_sec": 0})
+            from_document(HardwareModel, {"peak_flops_per_sec": "nan",
+                                          "mem_bandwidth_bytes_per_sec": 1e9,
+                                          "per_op_overhead_sec": 0})
 
 
 _HW = ('{{"peak_flops_per_sec": {peak}, "mem_bandwidth_bytes_per_sec": 1e11,'

@@ -49,6 +49,7 @@ REFUSED_SPECS = {
     "neither.json": spec(name="n"),
     "unknown_keys.json": spec(builder=_VIT, hw="tpu_like", extra=1),
     "batch.json": spec(builder=_VIT, batch=0),
+    "batch_null.json": spec(builder=_VIT, batch=None),
     "name.json": spec(builder=_VIT, name=5),
     "no_family.json": spec(builder={k: v for k, v in _VIT.items() if k != "family"}),
     "bad_family.json": spec(builder={**_VIT, "family": "resnet"}),
@@ -70,6 +71,7 @@ REFUSED_SPECS = {
         "peak_flops_per_sec": -1, "mem_bandwidth_bytes_per_sec": 1e11,
         "per_op_overhead_sec": 1e-6, "num_devices": 1}),
     "beside_hw.json": spec(builder=_VIT, hardware="hw_malformed.json"),
+    "hardware_null.json": spec(builder=_VIT, hardware=None),
 }
 
 #: The other files the command lines read.
@@ -171,7 +173,3 @@ def test_library_reader_reads_shipped_specs(name):
     builder = dict(doc["builder"])
     built = costlens.build_from_reference(builder.pop("family"), builder)
     assert read == (dataclasses.replace(built, name=doc["name"]), None, None)
-
-
-def test_records_error_is_the_input_file_error():
-    assert costlens.RecordsFileError is costlens.InputFileError

@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from costlens import ArchSpec, HardwareModel, Image, TokenSequence
+from costlens import (
+    ArchSpec, HardwareModel, Image, InputFileError, TokenSequence, read_spec_file,
+)
 from costlens.archlib import BUILDER_ARGS
 from costlens.profiles import _SPEC_FILE_KEYS
 
@@ -40,6 +42,24 @@ def test_definition_matches_dataclass(definition, cls):
 def test_spec_file_keys_match_schema():
     assert SCHEMA["additionalProperties"] is False
     assert set(SCHEMA["properties"]) == _SPEC_FILE_KEYS
+
+
+@pytest.mark.parametrize("key", sorted(_SPEC_FILE_KEYS))
+def test_null_is_refused_under_every_spec_file_key(tmp_path, key):
+    """No top-level key of the schema admits null, so a null is refused,
+    never read as the key left out."""
+    doc = {"schema_version": 1}
+    if key not in ("arch", "builder"):
+        doc["builder"] = {"family": "vit", "patch": 16, "depth": 1, "model_dim": 64,
+                          "num_heads": 4, "ffn_dim": 128, "image": [32, 32, 3]}
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        read_spec_file(str(path))
+    path = tmp_path / "null.json"
+    path.write_text(json.dumps({**doc, key: None}), encoding="utf-8")
+    with pytest.raises(InputFileError) as info:
+        read_spec_file(str(path))
+    assert info.value.detail == {"file": str(path)}
 
 
 def test_builder_families_match_schema():
