@@ -112,8 +112,9 @@ class ModelRecord:
 
 
 class InputFileError(ValueError):
-    """An input file that cannot be read or breaks its format; ``detail`` holds what is
-    known of the ``file``, ``line``, ``column``, ``model``, ``offset`` and ``violations``."""
+    """A file that cannot be read or written, or an input file that breaks its
+    format; ``detail`` holds what is known of the ``file``, ``line``, ``column``,
+    ``model``, ``offset`` and ``violations``."""
 
     def __init__(self, message: str, **detail):
         super().__init__(message)

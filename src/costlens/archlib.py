@@ -87,6 +87,7 @@ def _vision_spec(cfg: VitConfig, name: str, blocks: tuple[LayerSpec, ...],
 def build_vit(cfg: VitConfig) -> ArchSpec:
     """Patch embedding (CLS + learned positions), ``depth`` pre-norm
     encoder blocks, final norm, linear classifier over the CLS token."""
+    check_value("cfg", cfg, VitConfig)
     return _vision_spec(
         cfg, f"vit_p{cfg.patch}_d{cfg.depth}_w{cfg.model_dim}",
         (Repeat(_encoder_block(cfg.model_dim, cfg.num_heads, cfg.ffn_dim),
@@ -99,6 +100,7 @@ def build_universal_transformer(cfg: VitConfig, steps: int) -> ArchSpec:
     """Same stack as :func:`build_vit` but one block reused ``steps``
     times with shared parameters: the parameter count of a depth-1 model
     with the compute of a depth-``steps`` model."""
+    check_value("cfg", cfg, VitConfig)
     check_value("steps", steps)
     return _vision_spec(
         cfg, f"ut_p{cfg.patch}_k{steps}_w{cfg.model_dim}",
@@ -114,6 +116,7 @@ def build_moe_transformer(cfg: VitConfig, num_experts: int,
     replaced by a mixture of ``num_experts`` expert blocks of the same
     shape, ``experts_per_token`` of which run per token: block ``i``
     (from 1) is an expert block exactly when ``i % moe_every == 0``."""
+    check_value("cfg", cfg, VitConfig)
     check_value("num_experts", num_experts)
     check_value("experts_per_token", experts_per_token)
     check_value("moe_every", moe_every)
@@ -177,6 +180,7 @@ def build_lm(cfg: LmConfig) -> ArchSpec:
     input+output length. Encoder-decoder: L encoder blocks then L decoder
     blocks (causal self-attention plus cross-attention) over the shared
     stream length, with one tied embedding/logit matrix."""
+    check_value("cfg", cfg, LmConfig)
     d, L = cfg.model_dim, cfg.layers_per_stack
 
     def stack(times: int, **block) -> tuple[LayerSpec, ...]:

@@ -27,12 +27,14 @@ SCHEMA_VERSION = 1
 
 
 class InvalidSpecError(ValueError):
-    """Raised by cost operations when handed a spec that fails validation."""
+    """Raised by cost operations when handed a spec that fails validation;
+    ``detail`` holds its ``violations`` as ``[path, message]`` lists."""
 
     def __init__(self, violations):
         self.violations = tuple(violations)
-        lines = "; ".join(f"{v.path}: {v.message}" for v in self.violations)
-        super().__init__(f"invalid architecture spec: {lines}")
+        pairs = [[v.path, v.message] for v in self.violations]
+        super().__init__("invalid architecture: " + "; ".join(f"{p}: {m}" for p, m in pairs))
+        self.detail = {"violations": pairs}
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +186,6 @@ _LAYER_TAGS = {  # every layer kind: the ``kind`` tag of its JSON document
 }
 
 LayerSpec = Union[tuple(_LAYER_TAGS)]
-
-LEAF_KINDS = tuple(k for k in _LAYER_TAGS if k not in (MoE, Repeat, Parallel))
 
 
 @dataclass(frozen=True)
@@ -430,6 +430,7 @@ def derive_sequence_length(inp: InputSignature, patch: int, add_cls: bool) -> in
     Returns ``(H/patch) * (W/patch) + 1`` when a CLS token is appended.
     The patch size must divide both spatial extents exactly.
     """
+    check_value("inp", inp, (Image, TokenSequence))
     if isinstance(inp, TokenSequence):
         return inp.length
     check_value("patch", patch)
@@ -558,6 +559,7 @@ def _to_json(value):
 
 
 def spec_to_dict(spec: ArchSpec) -> dict:
+    check_value("spec", spec, ArchSpec)
     return {"schema_version": SCHEMA_VERSION, **to_document(spec)}
 
 
@@ -580,4 +582,5 @@ def to_json(spec: ArchSpec) -> str:
 
 
 def from_json(text: str) -> ArchSpec:
+    check_value("text", text, (str, bytes, bytearray))
     return spec_from_dict(json.loads(text))

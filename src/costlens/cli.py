@@ -15,8 +15,10 @@ changes neither the exit code nor stdout.
 The CLI opens no input file itself. ``costlens.read_spec_file`` reads
 spec files and ``costlens.read_records`` records files (formats in
 docs/file-formats.md); ``costlens.profiles`` also reads the ``--hw``,
-``--energy`` and ``--pricing`` files. Every refused file raises
-``InputFileError``, whose message and ``detail`` make the error line.
+``--energy`` and ``--pricing`` files. A refused file, read or written,
+raises ``InputFileError`` and an invalid architecture ``InvalidSpecError``;
+the message and ``detail`` of either make the error line. A usage error is
+a plain ``ValueError``, whose message alone makes it.
 ``compare`` takes spec files or ``--records``, never both; ``--hw`` and
 ``--batch`` profile spec files, so they are refused with ``--records``.
 ``profile`` takes a spec file or builder flags, never both, and refuses a
@@ -41,6 +43,7 @@ from .analysis import (
     HIGHER_BETTER,
     AnalysisError,
     CoverageError,
+    InputFileError,
     InsufficientDataError,
     MisnomerReport,
     ModelRecord,
@@ -55,14 +58,6 @@ from .archspec import ArchSpec, validate  # validate: the bench tracer test read
 from .footprint import EnergyProfile, PricingProfile
 from .indicators import OptimizerKind
 from .profiles import _hardware, _rates, compute_profile, read_spec_file, record_from_profile
-
-
-class CliError(ValueError):
-    """A command line the CLI itself refuses; ``detail`` joins the error line."""
-
-    def __init__(self, message: str, **detail):
-        super().__init__(message)
-        self.detail = detail
 
 
 #: Significant digits of every number the CLI prints.
@@ -281,8 +276,8 @@ def _spec_from_args(args) -> ArchSpec:
               if (value := getattr(args, name)) is not None}
     extra = [_flag(name) for name in kwargs if name not in BUILDER_ARGS[args.family]]
     if extra:
-        raise CliError(f"{', '.join(extra)} {'does' if len(extra) == 1 else 'do'} "
-                       f"not apply to builder {args.family!r}")
+        raise ValueError(f"{', '.join(extra)} {'does' if len(extra) == 1 else 'do'} "
+                         f"not apply to builder {args.family!r}")
     return build_from_reference(args.family, kwargs)
 
 
@@ -293,12 +288,12 @@ def cmd_profile(args) -> int:
         extra = [_flag(name) for name in ("family", *_ALL_BUILDER_ARGS)
                  if getattr(args, name) is not None]
         if extra:
-            raise CliError(f"a spec file cannot be combined with {', '.join(extra)}")
+            raise ValueError(f"a spec file cannot be combined with {', '.join(extra)}")
         spec, hardware, batch = read_spec_file(args.spec)
     elif args.family is not None:
         spec = _spec_from_args(args)
     else:
-        raise CliError("profile requires a spec file or --family")
+        raise ValueError("profile requires a spec file or --family")
     if args.hw is not None:
         hardware = _hardware(args.hw)
     energy = pricing = None
@@ -329,18 +324,18 @@ def _records_from_specs(paths, hw_name, batch) -> list[ModelRecord]:
 
 def cmd_compare(args) -> int:
     if args.max_pairs is not None and args.max_pairs < 0:
-        raise CliError(f"--max-pairs must be >= 0, got {args.max_pairs}")
+        raise ValueError(f"--max-pairs must be >= 0, got {args.max_pairs}")
     if args.records is not None:
         extra = [flag for flag, given in (("spec files", args.specs),
                                           ("--hw", args.hw is not None),
                                           ("--batch", args.batch is not None)) if given]
         if extra:
-            raise CliError(f"--records cannot be combined with {', '.join(extra)}")
+            raise ValueError(f"--records cannot be combined with {', '.join(extra)}")
         records = read_records(args.records)
     elif args.specs:
         records = _records_from_specs(args.specs, args.hw, args.batch)
     else:
-        raise CliError("compare requires spec files or --records")
+        raise ValueError("compare requires spec files or --records")
     if len(records) < 2:
         raise InsufficientDataError("compare requires at least 2 models")
 
@@ -348,13 +343,11 @@ def cmd_compare(args) -> int:
     if args.indicators is not None:
         wanted = [s.strip() for s in args.indicators.split(",") if s.strip()]
         if not wanted:
-            raise CliError(f"--indicators {args.indicators!r} names no indicator")
+            raise ValueError(f"--indicators {args.indicators!r} names no indicator")
         present = indicators_present(records)
         unknown = [w for w in wanted if w not in present]
         if unknown:
-            raise CliError(
-                f"indicator(s) not present in any record: {', '.join(unknown)}"
-            )
+            raise ValueError(f"indicator(s) not present in any record: {', '.join(unknown)}")
         dropped = [r.name for r in records if r.indicators.keys().isdisjoint(wanted)]
         records = [ModelRecord(r.name, {k: v for k, v in r.indicators.items()
                                         if k in wanted}, r.quality)
@@ -406,7 +399,7 @@ def cmd_pareto(args) -> int:
             with open(args.svg, "w", encoding="utf-8") as fh:
                 fh.write(svg)
         except (OSError, ValueError) as exc:
-            raise CliError(f"cannot write {args.svg}: {exc}", file=args.svg)
+            raise InputFileError(f"cannot write {args.svg}: {exc}", file=args.svg)
     sys.stdout.write("\n".join(lines) + "\n")
     sys.stdout.flush()
     return 0
@@ -421,7 +414,7 @@ class _Parser(argparse.ArgumentParser):
     with one JSON line like any other malformed input."""
 
     def error(self, message):
-        raise CliError(f"{self.prog}: {message}")
+        raise ValueError(f"{self.prog}: {message}")
 
 
 @functools.cache

@@ -113,17 +113,20 @@ def record_from_profile(profile_dict: dict) -> ModelRecord:
     profile round-trips exactly. Quality is not part of a cost profile;
     the record carries ``quality=None``.
     """
+    check_value("profile_dict", profile_dict, dict)
     return ModelRecord(name=str(profile_dict["name"]), indicators={
         indicator: v if type(v := profile_dict[key]) is int else float(v)
         for indicator, key in PROFILE_FIELDS.items() if profile_dict.get(key) is not None})
 
 
 def _hardware(hw) -> HardwareModel:
-    """A hardware preset name, a JSON path or an inline object."""
+    """A hardware preset name, a JSON path or an inline object, which no refusal echoes."""
     try:
         return load_hardware(hw) if isinstance(hw, str) else from_document(HardwareModel, hw)
     except (OSError, ValueError, RecursionError) as exc:  # keeps a file's name and offset
-        raise InputFileError(f"bad hardware {hw!r}: {exc}", **getattr(exc, "detail", {}))
+        what = f"hardware {hw!r}" if isinstance(hw, str) else "inline hardware"
+        reason = "JSON nested too deeply" if isinstance(exc, RecursionError) else exc
+        raise InputFileError(f"bad {what}: {reason}", **getattr(exc, "detail", {}))
 
 
 def _rates(cls, path: str, what: str):
@@ -171,12 +174,7 @@ def read_spec_file(path: str) -> tuple[ArchSpec, HardwareModel | None, int | Non
         # Inside the try, so a refused hardware names the spec file.
         hardware = _hardware(hardware) if "hardware" in doc else None
     except InvalidSpecError as exc:
-        raise InputFileError(
-            f"{path}: invalid architecture: "
-            + "; ".join(f"{v.path}: {v.message}" for v in exc.violations),
-            file=path,
-            violations=[[v.path, v.message] for v in exc.violations],
-        )
+        raise InputFileError(f"{path}: {exc}", file=path, **exc.detail)
     except (ValueError, TypeError) as exc:
         raise InputFileError(f"{path}: {exc}", file=path)
     except RecursionError:

@@ -39,7 +39,12 @@ from costlens import (
     build_vit,
     derive_sequence_length,
 )
-from costlens.archspec import LEAF_KINDS, MAX_NESTING, field_errors
+from costlens.archspec import MAX_NESTING, field_errors
+
+#: Every layer kind that holds no other layer, written out apart from the
+#: library's own tag table.
+LEAF_KINDS = (PatchEmbed, Attention, FeedForward, LayerNorm, Dense, TokenEmbedding,
+              ClassifierHead)
 
 # Published reference numbers for the base-size patch sweep: patch ->
 # (image side used to build, million params, gflops, sequence length).

@@ -1,8 +1,10 @@
 import argparse
 import dataclasses
+import importlib
 import io
 import json
 import os
+import pkgutil
 import shlex
 import shutil
 import subprocess
@@ -13,10 +15,15 @@ from xml.dom import minidom
 
 import pytest
 
+import costlens
 from costlens import (
+    ArchSpec,
     EnergyProfile,
     InputFileError,
+    InvalidSpecError,
     PricingProfile,
+    Repeat,
+    TokenSequence,
     build_from_reference,
     compute_profile,
     count_flops,
@@ -30,6 +37,7 @@ from costlens import (
 )
 from costlens import analysis, cli
 from costlens.archlib import ARRANGEMENTS, BUILDER_ARGS
+from costlens.archspec import ensure_valid
 from costlens.cli import build_parser, format_fixed, main
 
 from support import data_file
@@ -803,7 +811,6 @@ class TestLibraryReader:
         with pytest.raises(InputFileError) as info:
             read_records(str(p))
         assert isinstance(info.value, ValueError)
-        assert not isinstance(info.value, cli.CliError)
         code, out, err = run_cli(["compare", "--records", str(p)], capsys)
         assert (code, out) == (2, "")
         assert json.loads(err) == {"error": str(info.value), **info.value.detail}
@@ -987,6 +994,32 @@ class TestParser:
                         "--model-dim", "64", "--num-heads", "4", "--ffn-dim", "128",
                         "--batch", "7"], capsys)[0] == 0
         assert run_cli(argv, capsys) == first
+
+
+class TestErrorLine:
+    """The error line is ``str(exc)`` joined by ``exc.detail``, which only
+    ``InputFileError`` and ``InvalidSpecError`` carry."""
+
+    def test_invalid_spec_error_prints_its_violations(self, monkeypatch, capsys):
+        def refuse(args):
+            ensure_valid(ArchSpec("x", TokenSequence(4, 10), (Repeat((), times=2),)))
+
+        monkeypatch.setattr(cli, "cmd_profile", refuse)
+        code, out, err = run_cli(["profile", "x.json"], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "invalid architecture: layers[0]: Repeat body is empty",
+            "violations": [["layers[0]", "Repeat body is empty"]]}
+
+    def test_value_errors_are_the_two_refusals(self):
+        found = set()
+        for info in pkgutil.iter_modules(costlens.__path__, "costlens."):
+            if info.name == "costlens.__main__":  # runs main() when imported
+                continue
+            module = importlib.import_module(info.name)
+            found |= {obj for obj in vars(module).values() if isinstance(obj, type)
+                      and issubclass(obj, ValueError) and obj.__module__ == info.name}
+        assert found == {InputFileError, InvalidSpecError}
 
 
 class TestDeterminism:

@@ -55,22 +55,31 @@ from costlens import (
     VitConfig,
     carbon_footprint,
     compute_profile,
+    derive_sequence_length,
     estimate_latency,
     build_from_reference,
+    build_lm,
+    build_moe_transformer,
+    build_universal_transformer,
+    build_vit,
+    from_json,
     load_hardware,
     misnomer_report,
     monetary_cost,
     rank_disagreement,
     read_records,
     read_spec_file,
+    record_from_profile,
+    spec_to_dict,
+    to_json,
     validate,
 )
 from costlens.archlib import MoeConfig, UtConfig
-from costlens.archspec import LEAF_KINDS, _reading, field_errors, from_document
+from costlens.archspec import _reading, field_errors, from_document
 from costlens.cli import main
 from costlens.trace import evaluate
 
-from support import document_required_fields, oracle_validate
+from support import LEAF_KINDS, document_required_fields, oracle_validate
 
 # Fixed profile: the same examples on every run, so Tier-1 stays
 # deterministic.
@@ -372,23 +381,30 @@ def test_named_rate_inputs_are_refused(workdir):
 
 @pytest.mark.parametrize("flag, doc, field", [("hw", _HW, "peak_flops_per_sec"),
                                               ("energy", ENERGY, "ee_train_kwh"),
-                                              ("pricing", PRICING, "total_train_hours")],
-                         ids=["hw", "energy", "pricing"])
+                                              ("pricing", PRICING, "total_train_hours"),
+                                              ("inline", _HW, "peak_flops_per_sec")],
+                         ids=["hw", "energy", "pricing", "inline_hw"])
 def test_deeply_nested_rate_value_is_refused(workdir, flag, doc, field):
     """A value nested just short of the parser's limit is read, and the repr
     in its refusal once ran out of stack: a traceback, or an error naming
-    no file. Each depth around the recursion limit names the file."""
+    no file. Each depth around the recursion limit names the file and
+    echoes the value at most once; an inline hardware object (``inline``:
+    the spec file's own ``hardware``) is named, not echoed."""
     spec = write_json(workdir / "rates_spec.json", SPECS[0])
     template = json.dumps({**doc, field: "@"})
+    if flag == "inline":
+        template = json.dumps({**SPECS[0], "hardware": "@"}).replace('"@"', template)
     limit = sys.getrecursionlimit()
     for depth in range(limit - 150, limit + 11):
         path = write_json(workdir / f"nested_{flag}.json",
                           template.replace('"@"', "[" * depth + "]" * depth))
-        code, out, err = run(["profile", spec, f"--{flag}", path])
+        argv = ["profile", path] if flag == "inline" else ["profile", spec, f"--{flag}", path]
+        code, out, err = run(argv)
         assert_contract(code, out, err)
         error = json.loads(err)
         assert code == 2 and error["file"] == path, depth
         assert "recursion" not in error["error"], depth
+        assert error["error"].count("[" * depth) <= 1, depth
 
 
 # ---------------------------------------------------------------------------
@@ -735,6 +751,19 @@ LIBRARY_LEAKS = {
                               "indicators must be an object, got 'params'"),
     "record_indicator_name": (lambda: ModelRecord("a", {1: 1.0}),
                               "record 'a': indicator name must be a string, got 1"),
+    "build_vit_cfg": (lambda: build_vit({}), "cfg must be a VitConfig, got {}"),
+    "build_ut_cfg": (lambda: build_universal_transformer({}, 3),
+                     "cfg must be a VitConfig, got {}"),
+    "build_moe_cfg": (lambda: build_moe_transformer(None, 4, 2),
+                      "cfg must be a VitConfig, got None"),
+    "build_lm_cfg": (lambda: build_lm({}), "cfg must be a LmConfig, got {}"),
+    "sequence_length_input": (lambda: derive_sequence_length({}, 16, True),
+                              "inp must be an Image or a TokenSequence, got {}"),
+    "spec_to_dict_spec": (lambda: spec_to_dict(5), "spec must be an ArchSpec, got 5"),
+    "to_json_spec": (lambda: to_json(5), "spec must be an ArchSpec, got 5"),
+    "from_json_text": (lambda: from_json(5), "text must be a str"),
+    "record_from_profile_dict": (lambda: record_from_profile(5),
+                                 "profile_dict must be an object, got 5"),
     "reference_not_object": (lambda: build_from_reference("vit", 5),
                              "bad arguments for builder 'vit': expected a JSON object, got int"),
     "evaluate_pad_str": (lambda: evaluate(_SMALL, "x"),

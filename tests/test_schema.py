@@ -12,9 +12,11 @@ from pathlib import Path
 import pytest
 
 from costlens import (
-    ArchSpec, HardwareModel, Image, InputFileError, TokenSequence, read_spec_file,
+    ArchSpec, HardwareModel, Image, InputFileError, MoE, Parallel, Repeat, TokenSequence,
+    read_spec_file,
 )
 from costlens.archlib import BUILDER_ARGS
+from costlens.archspec import _LAYER_TAGS
 from costlens.profiles import _SPEC_FILE_KEYS
 
 from support import document_required_fields
@@ -37,6 +39,21 @@ def test_definition_matches_dataclass(definition, cls):
     assert set(schema["properties"]) - NOT_FIELDS \
         == {f.name for f in dataclasses.fields(cls)}
     assert set(schema["required"]) - NOT_FIELDS == document_required_fields(cls)
+
+
+def test_layer_kinds_match_schema():
+    assert SCHEMA["definitions"]["layer"]["properties"]["kind"]["enum"] \
+        == list(_LAYER_TAGS.values())
+
+
+@pytest.mark.parametrize("cls", [Repeat, Parallel, MoE], ids=["repeat", "parallel", "moe"])
+def test_container_layer_matches_dataclass(cls):
+    """Each container kind's branch of the layer definition lists exactly
+    the fields of its dataclass and requires exactly those a document must carry."""
+    branch, = [case["then"] for case in SCHEMA["definitions"]["layer"]["allOf"]
+               if case["if"]["properties"]["kind"]["const"] == _LAYER_TAGS[cls]]
+    assert set(branch["properties"]) == {f.name for f in dataclasses.fields(cls)}
+    assert set(branch["required"]) == document_required_fields(cls)
 
 
 def test_spec_file_keys_match_schema():
