@@ -9,11 +9,12 @@ and a combined report of models that look efficient under one indicator
 and dominated under another.
 
 A report ranks each indicator once, and each indicator pair masks those
-ranks with the records carrying both. The inverted-pair listing is held
+ranks with the records carrying both; each indicator's frontier is read
+from the same ranking. The inverted-pair listing is held
 as each record's discordant partners in one bitmask and decoded a whole
 listing at once: ``inverted_pairs`` builds the ``InvertedPair`` objects
 from it on first access, and the CLI formats its lines from the same
-decoder without building them.
+decoder, in bounded slices, without building them.
 
 All indicator values are treated as lower-is-better; throughput is
 declared higher-is-better at ingestion and negated internally so the rule
@@ -30,6 +31,7 @@ import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, groupby, islice, repeat
+from operator import attrgetter
 from typing import NamedTuple
 
 from .archspec import check_value, from_document
@@ -266,15 +268,23 @@ def pareto_frontier(records, cost_key: str = "params"):
         )
 
     cost = lambda r: r.cost_value(cost_key)
-    frontier = []
-    best = -math.inf  # best quality among strictly cheaper records
-    for _, group in groupby(sorted(records, key=cost), key=cost):
+    return _undominated(groupby(sorted(records, key=cost), key=cost), attrgetter("quality"))
+
+
+def _undominated(groups, quality) -> list:
+    """The members of ``groups`` that no other member dominates. ``groups``
+    yields ``(cost, members)`` runs of equal cost in ascending cost, as
+    ``groupby`` does; a member is kept when its ``quality`` is the best of
+    its run and beats every cheaper run's."""
+    kept = []
+    best = -math.inf  # best quality among strictly cheaper members
+    for _, group in groups:
         group = list(group)
-        top = max(r.quality for r in group)
+        top = max(map(quality, group))
         if top > best:
-            frontier += [r for r in group if r.quality == top]
+            kept += [m for m in group if quality(m) == top]
             best = top
-    return frontier
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -532,17 +542,19 @@ def misnomer_report(records, max_pairs: int | None = None) -> MisnomerReport:
     have_quality = all(r.quality is not None for r in records)
     instability = []
     if have_quality:
-        # Keyed by position, so rows sharing a name stay apart. Frontier
-        # membership is by identity: one record object listed twice has
-        # equal cost and quality in both places, so it is on or off the
-        # frontier in both.
+        # Keyed by position, so rows sharing a name stay apart. Each
+        # frontier is read from the ranking: the carrying positions in
+        # ascending rank, input order breaking ties, as pareto_frontier sorts.
+        quality = [r.quality for r in records]
         frontier_under = [[] for _ in records]
         dominated_under = [[] for _ in records]
         for ind in present:
-            carrying = [k for k, r in enumerate(records) if ind in r.indicators]
-            on = {id(r) for r in pareto_frontier([records[k] for k in carrying], ind)}
+            ranks = rankings[ind][1]
+            rank = ranks.__getitem__
+            carrying = sorted([k for k, r in enumerate(ranks) if r is not None], key=rank)
+            on = set(_undominated(groupby(carrying, key=rank), quality.__getitem__))
             for k in carrying:
-                (frontier_under if id(records[k]) in on else dominated_under)[k].append(ind)
+                (frontier_under if k in on else dominated_under)[k].append(ind)
         instability = [
             ParetoInstability(r.name, tuple(front), tuple(dominated))
             for r, front, dominated in zip(records, frontier_under, dominated_under)

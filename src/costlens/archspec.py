@@ -583,4 +583,8 @@ def to_json(spec: ArchSpec) -> str:
 
 def from_json(text: str) -> ArchSpec:
     check_value("text", text, (str, bytes, bytearray))
-    return spec_from_dict(json.loads(text))
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+    return spec_from_dict(doc)

@@ -8,9 +8,12 @@ exit code: 0 success; 1 an ``AnalysisError`` (too few comparable models);
 flag or usage, or a count past its range) or ``pareto``'s ``CoverageError``
 (a record lacks the cost or quality), or an output path or stdout that
 cannot be written, is closed or cannot encode the output (``cannot write
-stdout: <reason>``). Exits 1 and 2 print one JSON line on stderr and
-nothing on stdout. A stderr that cannot be written loses its lines and
-changes neither the exit code nor stdout.
+stdout: <reason>``). Exits 1 and 2 print one JSON line on stderr. A
+refused input prints nothing on stdout, as every refusal is decided before
+the first write; a stdout that fails partway may hold a prefix of the
+output, as ``compare`` writes its report in bounded slices. A stderr that
+cannot be written loses its lines and changes neither the exit code nor
+stdout.
 
 The CLI opens no input file itself. ``costlens.read_spec_file`` reads
 spec files and ``costlens.read_records`` records files (formats in
@@ -38,6 +41,7 @@ import math
 import os
 import sys
 from html import escape
+from itertools import islice
 
 from .analysis import (
     HIGHER_BETTER,
@@ -199,7 +203,15 @@ def _profile_lines(d: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_misnomer(report: MisnomerReport) -> list[str]:
+#: Inverted-pair lines ``compare`` renders per stdout write, so that its
+#: memory follows the records, not the pairs it lists.
+LISTING_SLICE = 4096
+
+
+def _render_misnomer(report: MisnomerReport):
+    """The report's text as chunks to write in order, each of whole lines:
+    the tau lines and the listing header, each listing in slices of at most
+    ``LISTING_SLICE`` lines, then the tail sections."""
     lines = ["", "rank agreement (kendall tau-b, tie-corrected):"]
     if not report.indicator_pairs_examined:
         lines.append("  (no indicator pair carried by >= 2 models)")
@@ -208,13 +220,18 @@ def _render_misnomer(report: MisnomerReport) -> list[str]:
         lines.append(f"  {pair[0]} vs {pair[1]}: tau = {format_fixed(tau)}")
     lines.append("inverted pairs (cheaper under the first indicator, "
                  "costlier under the second):")
-    start = len(lines)
+    yield "\n".join(lines) + "\n"
+    shown = 0
     for listing in report._listings:  # the pairs, never built as InvertedPair
         ind_a, ind_b = listing.indicator_a, listing.indicator_b
-        lines += [f"  {me} < {other} on {ind_a} but {me} > {other} on {ind_b}" if me_first
-                  else f"  {other} < {me} on {ind_a} but {other} > {me} on {ind_b}"
-                  for me, other, me_first in _listed_pairs(listing)]
-    shown = len(lines) - start
+        pairs = _listed_pairs(listing)
+        while chunk := [f"  {me} < {other} on {ind_a} but {me} > {other} on {ind_b}\n"
+                        if me_first else
+                        f"  {other} < {me} on {ind_a} but {other} > {me} on {ind_b}\n"
+                        for me, other, me_first in islice(pairs, LISTING_SLICE)]:
+            shown += len(chunk)
+            yield "".join(chunk)
+    lines = []
     if shown < report.n_inverted_pairs:
         lines.append(f"  showing {shown} of {report.n_inverted_pairs} inverted pairs")
     elif not shown:
@@ -236,7 +253,7 @@ def _render_misnomer(report: MisnomerReport) -> list[str]:
         lines.append("coverage warnings:")
         for w in report.coverage_warnings:
             lines.append(f"  {w.name} is missing {w.indicator}")
-    return lines
+    yield "\n".join(lines) + "\n"
 
 
 def _table(header: list[str], rows: list[list[str]]) -> list[str]:
@@ -367,12 +384,17 @@ def cmd_compare(args) -> int:
     text = {v: format_fixed(v) for v in values}
     rows = [[r.name, text.get(r.quality, "")]
             + [text.get(r.indicators.get(c), "") for c in columns] for r in ordered]
-    lines = _table(["name", "quality"] + columns, rows)
+    table = "\n".join(_table(["name", "quality"] + columns, rows)) + "\n"
     # max_pairs is passed only when given, so a stand-in for
     # misnomer_report that takes just the records still fits.
     limit = {} if args.max_pairs is None else {"max_pairs": args.max_pairs}
-    lines += _render_misnomer(misnomer_report(records, **limit))
-    sys.stdout.write("\n".join(lines) + "\n")
+    chunks = _render_misnomer(misnomer_report(records, **limit))
+    # Every refusal is decided before this first write, so a refused input
+    # prints nothing. The table names every record and indicator a later
+    # line holds, so a stdout that cannot encode them fails here, empty.
+    sys.stdout.write(table + next(chunks))
+    for chunk in chunks:
+        sys.stdout.write(chunk)
     sys.stdout.flush()  # so a stdout that fails exits 2 before any warning
     if dropped:
         _stderr_line(f"warning: --indicators leaves out {', '.join(dropped)}, which "

@@ -114,6 +114,8 @@ def record_from_profile(profile_dict: dict) -> ModelRecord:
     the record carries ``quality=None``.
     """
     check_value("profile_dict", profile_dict, dict)
+    if "name" not in profile_dict:
+        raise ValueError("profile_dict: missing field 'name'")
     return ModelRecord(name=str(profile_dict["name"]), indicators={
         indicator: v if type(v := profile_dict[key]) is int else float(v)
         for indicator, key in PROFILE_FIELDS.items() if profile_dict.get(key) is not None})

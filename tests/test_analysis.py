@@ -300,10 +300,13 @@ LISTING_HEAD = ("inverted pairs (cheaper under the first indicator, "
 
 def assert_rendered_listing(report):
     """The pair lines the CLI prints are the lines formatted from
-    ``report.inverted_pairs``, followed by the right closing line."""
+    ``report.inverted_pairs``, followed by the right closing line. The
+    renderer's chunks are joined: each holds whole lines."""
     expected = [f"  {a} < {b} on {ind_a} but {a} > {b} on {ind_b}"
                 for a, b, ind_a, ind_b in report.inverted_pairs]
-    lines = _render_misnomer(report)
+    chunks = list(_render_misnomer(report))
+    assert all(chunk.endswith("\n") for chunk in chunks)
+    lines = "".join(chunks).split("\n")
     start = lines.index(LISTING_HEAD) + 1
     assert lines[start:start + len(expected)] == expected
     after = lines[start + len(expected)]

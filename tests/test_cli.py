@@ -5,6 +5,7 @@ import io
 import json
 import os
 import pkgutil
+import random
 import shlex
 import shutil
 import subprocess
@@ -929,6 +930,131 @@ class TestUnencodableStdout:
         error = json.loads(proc.stderr)["error"]
         assert len(proc.stderr.splitlines()) == 1
         assert error.startswith(f"cannot write stdout: '{encoding}' codec can't encode")
+
+
+INDICATORS = ("params", "flops", "latency", "throughput", "activation", "mac",
+              "memory", "carbon", "cost")
+
+
+def distinct_records_csv(path: Path, n: int) -> str:
+    """``n`` records whose nine indicator columns are independent
+    permutations of 1..n, so about half of all pairs are inverted under
+    every indicator pair."""
+    rng = random.Random(n)
+    columns = [rng.sample(range(1, n + 1), n) for _ in INDICATORS]
+    path.write_text("name,quality," + ",".join(INDICATORS) + "\n" + "".join(
+        f"m{i:04d},{i % 7},{','.join(str(c[i]) for c in columns)}\n" for i in range(n)))
+    return str(path)
+
+
+#: Runs the command line on its arguments and prints its own peak RSS
+#: (VmHWM, in kB) on stderr. The child reads it itself because a child's
+#: ``ru_maxrss`` also counts the parent's pages it held until ``exec``.
+PEAK_RSS_CHILD = """
+import sys
+from costlens.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    print(next(l.split()[1] for l in fh if l.startswith("VmHWM:")), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+class TestStreamedCompare:
+    """``compare`` writes its report in slices; a stdout cut short ends
+    in exit 2 and one JSON line, and memory follows the records."""
+
+    class PipeClosedAfter(io.StringIO):
+        """A stdout that takes ``accepted`` writes, then refuses every one."""
+
+        def __init__(self, accepted):
+            super().__init__()
+            self.accepted = accepted
+
+        def write(self, text):
+            if self.accepted == 0:
+                raise BrokenPipeError(32, "Broken pipe")
+            self.accepted -= 1
+            return super().write(text)
+
+    def test_any_slice_size_writes_the_same_bytes(self, tmp_path, monkeypatch, capsys):
+        path = distinct_records_csv(tmp_path / "r.csv", 30)
+
+        def compare(*flags):
+            code, out, err = run_cli(["compare", "--records", path, *flags], capsys)
+            assert (code, err) == (0, "")
+            return out
+
+        cuts = [(), ("--max-pairs", "0"), ("--max-pairs", "3"), ("--max-pairs", "1000")]
+        expected = [compare(*cut) for cut in cuts]
+        for size in (1, 2, 7, 215):  # 215: the first listing ends on a slice boundary
+            monkeypatch.setattr(cli, "LISTING_SLICE", size)
+            assert [compare(*cut) for cut in cuts] == expected
+
+    def test_writes_are_bounded_slices(self, tmp_path, monkeypatch):
+        path = distinct_records_csv(tmp_path / "r.csv", 40)
+        monkeypatch.setattr(cli, "LISTING_SLICE", 50)
+        writes = []
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        monkeypatch.setattr(sys.stdout, "write", writes.append)
+        assert main(["compare", "--records", path]) == 0
+        head, *listing, tail = writes
+        assert head.startswith("name ") and head.endswith("costlier under the second):\n")
+        assert listing and all(0 < len(w.splitlines()) <= 50 for w in listing)
+        assert tail.startswith("pareto instability")
+        assert all(w.endswith("\n") for w in writes)
+
+    def test_broken_pipe_after_some_writes(self, tmp_path, monkeypatch, capsys):
+        path = distinct_records_csv(tmp_path / "r.csv", 60)
+        code, full, _ = run_cli(["compare", "--records", path], capsys)
+        assert code == 0
+        stdout = self.PipeClosedAfter(3)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = main(["compare", "--records", path])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": "cannot write stdout: [Errno 32] Broken pipe"}
+        assert 0 < len(stdout.getvalue()) < len(full)
+        assert full.startswith(stdout.getvalue())
+
+    def test_reader_closes_early(self, tmp_path):
+        path = distinct_records_csv(tmp_path / "r.csv", 120)  # about 5 MB of stdout
+        proc = subprocess.Popen([sys.executable, "-m", "costlens", "compare", "--records",
+                                 path], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env={**os.environ, "PYTHONPATH": str(SRC)})
+        try:
+            assert proc.stdout.read(4096).startswith(b"name ")
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+        finally:
+            proc.stderr.close()
+            code = proc.wait(timeout=60)
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": "cannot write stdout: [Errno 32] Broken pipe"}
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+    def test_memory_follows_records_not_pairs(self, tmp_path):
+        """600 records list about 3.2M inverted pairs, 176 MB of text; the
+        report held whole took about 730 MB of peak RSS."""
+        path = distinct_records_csv(tmp_path / "r.csv", 600)
+        out = tmp_path / "out.txt"
+        try:
+            with open(out, "wb") as fh:
+                proc = subprocess.run([sys.executable, "-c", PEAK_RSS_CHILD, "compare",
+                                       "--records", path], stdout=fh, stderr=subprocess.PIPE,
+                                      text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+            assert proc.returncode == 0
+            assert out.stat().st_size > 150e6
+            with open(out, "rb") as fh:
+                assert fh.read(5) == b"name "
+                fh.seek(-65536, os.SEEK_END)
+                tail = fh.read()
+            assert tail.endswith(b"\n") and b"\npareto instability (" in tail
+        finally:
+            out.unlink(missing_ok=True)
+        assert int(proc.stderr) < 64 * 1024  # kB: the child's peak RSS under 64 MB
 
 
 def builder_flags() -> dict:

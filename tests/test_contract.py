@@ -764,6 +764,10 @@ LIBRARY_LEAKS = {
     "from_json_text": (lambda: from_json(5), "text must be a str"),
     "record_from_profile_dict": (lambda: record_from_profile(5),
                                  "profile_dict must be an object, got 5"),
+    "record_from_profile_no_name": (lambda: record_from_profile({}),
+                                    "profile_dict: missing field 'name'"),
+    "from_json_too_deep": (lambda: from_json("[" * 100000 + "]" * 100000),
+                           "JSON nested too deeply"),
     "reference_not_object": (lambda: build_from_reference("vit", 5),
                              "bad arguments for builder 'vit': expected a JSON object, got int"),
     "evaluate_pad_str": (lambda: evaluate(_SMALL, "x"),
