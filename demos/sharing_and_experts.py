@@ -14,7 +14,9 @@ Run: python demos/sharing_and_experts.py
 """
 
 from costlens import (
+    MoeConfig,
     OptimizerKind,
+    UtConfig,
     VitConfig,
     build_moe_transformer,
     build_universal_transformer,
@@ -25,11 +27,11 @@ from costlens import (
     training_memory,
 )
 
-cfg = VitConfig(patch=16, depth=12, model_dim=768, num_heads=12, ffn_dim=3072)
+shape = dict(patch=16, depth=12, model_dim=768, num_heads=12, ffn_dim=3072)
 
 print("-- depth-wise parameter sharing ------------------------------")
-vanilla = build_vit(cfg)
-shared = build_universal_transformer(cfg, steps=12)
+vanilla = build_vit(VitConfig(**shape))
+shared = build_universal_transformer(UtConfig(**shape, steps=12))
 for name, spec in [("vanilla 12-block", vanilla), ("shared block x12", shared)]:
     p = count_params(spec)
     f = count_flops(spec)
@@ -46,7 +48,7 @@ print()
 print("-- expert routing (K=1 active) -------------------------------")
 print(f"{'experts':>8} {'params (M)':>11} {'GFLOPs':>8}")
 for experts in (1, 8, 32, 128):
-    moe = build_moe_transformer(cfg, num_experts=experts, experts_per_token=1)
+    moe = build_moe_transformer(MoeConfig(**shape, num_experts=experts, experts_per_token=1))
     print(f"{experts:>8} {count_params(moe).millions:>11.1f} "
           f"{count_flops(moe).gflops:>8.2f}")
 print("Parameters grow ~linearly in E; compute is flat. Judging this model")

@@ -72,6 +72,8 @@ from .analysis import (
 )
 from .archlib import (
     LmConfig,
+    MoeConfig,
+    UtConfig,
     VitConfig,
     build_from_reference,
     build_lm,

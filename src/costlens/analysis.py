@@ -113,6 +113,18 @@ class ModelRecord:
         return -v if indicator in HIGHER_BETTER else v
 
 
+def _record_list(records) -> list[ModelRecord]:
+    """``records`` as a list; ValueError unless it is an iterable of ModelRecord."""
+    try:
+        records = list(records)
+        ok = all(isinstance(r, ModelRecord) for r in records)
+    except TypeError:  # not iterable
+        ok = False
+    if not ok:
+        raise ValueError("records must be an iterable of ModelRecord")
+    return records
+
+
 class InputFileError(ValueError):
     """A file that cannot be read or written, or an input file that breaks its
     format; ``detail`` holds what is known of the ``file``, ``line``, ``column``,
@@ -253,7 +265,7 @@ def pareto_frontier(records, cost_key: str = "params"):
     least one strict; exact ties in both coordinates are all kept. Output
     is ordered by cost ascending (input order breaks ties).
     """
-    records = list(records)
+    records = _record_list(records)
     missing = [r.name for r in records if cost_key not in r.indicators]
     if missing:
         raise CoverageError(
@@ -410,7 +422,7 @@ def rank_disagreement(records, indicator_a: str, indicator_b: str,
     ``inverted_pairs`` decodes them all at once on first access.
     """
     _check_max_pairs(max_pairs)
-    records = list(records)
+    records = _record_list(records)
     return _disagreement(tuple(r.name for r in records), _ranking(records, indicator_a),
                          _ranking(records, indicator_b), max_pairs)
 
@@ -509,7 +521,7 @@ def misnomer_report(records, max_pairs: int | None = None) -> MisnomerReport:
     access; ``n_inverted_pairs`` counts every discordant pair.
     """
     _check_max_pairs(max_pairs)
-    records = list(records)
+    records = _record_list(records)
     if len(records) < 2:
         raise InsufficientDataError(f"need >= 2 records, got {len(records)}")
     present = indicators_present(records)

@@ -96,43 +96,54 @@ def build_vit(cfg: VitConfig) -> ArchSpec:
     )
 
 
-def build_universal_transformer(cfg: VitConfig, steps: int) -> ArchSpec:
+@dataclass(frozen=True, kw_only=True)
+class UtConfig(VitConfig):  # depth is required but unused: the one block runs steps times
+    steps: int
+
+
+def build_universal_transformer(cfg: UtConfig) -> ArchSpec:
     """Same stack as :func:`build_vit` but one block reused ``steps``
     times with shared parameters: the parameter count of a depth-1 model
     with the compute of a depth-``steps`` model."""
-    check_value("cfg", cfg, VitConfig)
-    check_value("steps", steps)
+    check_value("cfg", cfg, UtConfig)
     return _vision_spec(
-        cfg, f"ut_p{cfg.patch}_k{steps}_w{cfg.model_dim}",
+        cfg, f"ut_p{cfg.patch}_k{cfg.steps}_w{cfg.model_dim}",
         (Repeat(_encoder_block(cfg.model_dim, cfg.num_heads, cfg.ffn_dim),
-                times=steps, share_params=True),),
-        {"family": "universal_transformer", "steps": str(steps)},
+                times=cfg.steps, share_params=True),),
+        {"family": "universal_transformer", "steps": str(cfg.steps)},
     )
 
 
-def build_moe_transformer(cfg: VitConfig, num_experts: int,
-                          experts_per_token: int, moe_every: int = 2) -> ArchSpec:
+@dataclass(frozen=True, kw_only=True)
+class MoeConfig(VitConfig):
+    num_experts: int
+    experts_per_token: int
+    moe_every: int = 2
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.experts_per_token > self.num_experts:
+            raise ValueError("experts_per_token must be <= num_experts")
+
+
+def build_moe_transformer(cfg: MoeConfig) -> ArchSpec:
     """Vision transformer with every ``moe_every``-th feed-forward block
     replaced by a mixture of ``num_experts`` expert blocks of the same
     shape, ``experts_per_token`` of which run per token: block ``i``
     (from 1) is an expert block exactly when ``i % moe_every == 0``."""
-    check_value("cfg", cfg, VitConfig)
-    check_value("num_experts", num_experts)
-    check_value("experts_per_token", experts_per_token)
-    check_value("moe_every", moe_every)
-    if experts_per_token > num_experts:
-        raise ValueError("experts_per_token must be <= num_experts")
+    check_value("cfg", cfg, MoeConfig)
     block = _encoder_block(cfg.model_dim, cfg.num_heads, cfg.ffn_dim)
-    moe_block = block[:-1] + (MoE(expert=block[-1], num_experts=num_experts,
-                                  experts_per_token=experts_per_token,
+    moe_block = block[:-1] + (MoE(expert=block[-1], num_experts=cfg.num_experts,
+                                  experts_per_token=cfg.experts_per_token,
                                   router_dim=cfg.model_dim),)
-    periods, rest = divmod(cfg.depth, moe_every)
-    period = moe_block if moe_every == 1 else (Repeat(block, times=moe_every - 1), *moe_block)
+    every = cfg.moe_every
+    periods, rest = divmod(cfg.depth, every)
+    period = moe_block if every == 1 else (Repeat(block, times=every - 1), *moe_block)
     return _vision_spec(
-        cfg, f"moe_p{cfg.patch}_d{cfg.depth}_e{num_experts}k{experts_per_token}",
+        cfg, f"moe_p{cfg.patch}_d{cfg.depth}_e{cfg.num_experts}k{cfg.experts_per_token}",
         tuple(Repeat(body, times=n) for body, n in ((period, periods), (block, rest)) if n),
-        {"family": "moe", "num_experts": str(num_experts),
-         "experts_per_token": str(experts_per_token)},
+        {"family": "moe", "num_experts": str(cfg.num_experts),
+         "experts_per_token": str(cfg.experts_per_token)},
     )
 
 
@@ -223,25 +234,12 @@ def depth_width_pair(patch: int = 16, image: int = 224) -> tuple[ArchSpec, ArchS
 # Builder registry (spec files and the command line address builders by name)
 
 
-@dataclass(frozen=True, kw_only=True)
-class UtConfig(VitConfig):  # the arguments of build_universal_transformer
-    steps: int
-
-
-@dataclass(frozen=True, kw_only=True)
-class MoeConfig(VitConfig):  # the arguments of build_moe_transformer
-    num_experts: int
-    experts_per_token: int
-    moe_every: int = 2
-
-
 #: Each builder family: the config dataclass whose fields are its
 #: arguments, and the builder that takes one.
 BUILDERS = {
     "vit": (VitConfig, build_vit),
-    "universal_transformer": (UtConfig, lambda c: build_universal_transformer(c, c.steps)),
-    "moe": (MoeConfig, lambda c: build_moe_transformer(
-        c, c.num_experts, c.experts_per_token, c.moe_every)),
+    "universal_transformer": (UtConfig, build_universal_transformer),
+    "moe": (MoeConfig, build_moe_transformer),
     "lm": (LmConfig, build_lm),
 }
 

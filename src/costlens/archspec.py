@@ -291,11 +291,20 @@ def _reading(cls: type) -> _Reading:
     return reading
 
 
+_ECHO_CHARS = 100  # of a refused value's repr: an error line stays short for any input
+
+
+def _echo(value) -> str:
+    """The repr of a refused value, cut after ``_ECHO_CHARS`` characters."""
+    text = repr(value)
+    return text if len(text) <= _ECHO_CHARS else text[:_ECHO_CHARS] + "..."
+
+
 def _wrong(name: str, kind, optional: bool, value) -> str:
     what = _RULES[kind][1] if kind in _RULES else " or ".join(
         f"{'an' if k.__name__[0] in 'AEIOU' else 'a'} {k.__name__}"
         for k in (kind if isinstance(kind, tuple) else (kind,)))
-    return f"{name} must be {what}{' or null' if optional else ''}, got {value!r}"
+    return f"{name} must be {what}{' or null' if optional else ''}, got {_echo(value)}"
 
 
 def field_errors(obj) -> list[str]:
@@ -566,7 +575,7 @@ def spec_to_dict(spec: ArchSpec) -> dict:
 def check_schema_version(version) -> None:
     """Raise ValueError unless ``version`` is the integer SCHEMA_VERSION."""
     if type(version) is not int or version != SCHEMA_VERSION:  # not true, not 1.0
-        raise ValueError(f"unsupported schema_version {version!r}")
+        raise ValueError(f"unsupported schema_version {_echo(version)}")
 
 
 def spec_from_dict(d: dict) -> ArchSpec:

@@ -31,7 +31,7 @@ from costlens import (
     rank_disagreement,
     training_memory,
 )
-from costlens.archlib import VitConfig
+from costlens.archlib import MoeConfig
 from costlens.cli import read_records_csv
 from costlens.indicators import patch_embed_weight_params
 
@@ -109,11 +109,12 @@ def test_criterion_05_sharing_invariants():
 
 
 def test_criterion_06_moe_decoupling():
-    cfg = VitConfig(patch=16, depth=12, model_dim=768, num_heads=12, ffn_dim=3072)
+    cfg = dict(patch=16, depth=12, model_dim=768, num_heads=12, ffn_dim=3072)
     results = []
     for e in (8, 32, 64):
-        base = build_moe_transformer(cfg, e, 1)
-        doubled = build_moe_transformer(cfg, 2 * e, 1)
+        base = build_moe_transformer(MoeConfig(**cfg, num_experts=e, experts_per_token=1))
+        doubled = build_moe_transformer(MoeConfig(**cfg, num_experts=2 * e,
+                                                  experts_per_token=1))
         flop_change = abs(count_flops(doubled).flops - count_flops(base).flops) \
             / count_flops(base).flops
         # each added expert brings its own feed-forward block plus one

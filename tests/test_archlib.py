@@ -16,7 +16,9 @@ from costlens import (
     LayerNorm,
     LmConfig,
     MoE,
+    MoeConfig,
     PatchEmbed,
+    UtConfig,
     VitConfig,
     build_from_reference,
     build_lm,
@@ -31,8 +33,9 @@ from costlens import (
     preset_names,
     validate,
 )
+from costlens import archlib
 from costlens.archlib import BUILDERS
-from costlens.archspec import input_sequence_length, spec_from_dict, spec_to_dict
+from costlens.archspec import check_value, input_sequence_length, spec_from_dict, spec_to_dict
 from costlens.trace import evaluate
 
 from support import TABLE1, document_required_fields, vit_base
@@ -81,22 +84,19 @@ class TestVitBuilder:
 
 class TestUniversalTransformer:
     def test_params_equal_depth_one(self):
-        cfg = VitConfig(**BASE)
-        ut = build_universal_transformer(cfg, steps=12)
+        ut = build_universal_transformer(UtConfig(**BASE, steps=12))
         one = build_vit(VitConfig(**{**BASE, "depth": 1}))
         assert count_params(ut).total == count_params(one).total
 
     def test_flops_equal_full_depth(self):
-        cfg = VitConfig(**BASE)
-        ut = build_universal_transformer(cfg, steps=12)
-        assert count_flops(ut) == count_flops(build_vit(cfg))
+        ut = build_universal_transformer(UtConfig(**BASE, steps=12))
+        assert count_flops(ut) == count_flops(build_vit(VitConfig(**BASE)))
 
     def test_single_step_matches_vanilla_everywhere(self):
         from costlens import activation_size, inference_memory, memory_access_cost
 
-        cfg = VitConfig(**{**BASE, "depth": 1})
-        ut = build_universal_transformer(cfg, steps=1)
-        vanilla = build_vit(cfg)
+        ut = build_universal_transformer(UtConfig(**{**BASE, "depth": 1}, steps=1))
+        vanilla = build_vit(VitConfig(**{**BASE, "depth": 1}))
         assert count_params(ut).total == count_params(vanilla).total
         assert count_flops(ut).flops == count_flops(vanilla).flops
         assert activation_size(ut) == activation_size(vanilla)
@@ -106,30 +106,39 @@ class TestUniversalTransformer:
 
     def test_steps_validated(self):
         with pytest.raises(ValueError):
-            build_universal_transformer(VitConfig(**BASE), steps=0)
+            build_universal_transformer(UtConfig(**BASE, steps=0))
 
 
 class TestMoEBuilder:
     def test_output_validates(self):
-        assert validate(build_moe_transformer(VitConfig(**BASE), 8, 2)).ok
+        assert validate(build_moe_transformer(
+            MoeConfig(**BASE, num_experts=8, experts_per_token=2))).ok
 
     def test_degenerate_single_expert_matches_vanilla_within_router(self):
-        cfg = VitConfig(**BASE)
-        moe = build_moe_transformer(cfg, num_experts=1, experts_per_token=1)
-        vanilla = build_vit(cfg)
+        moe = build_moe_transformer(MoeConfig(**BASE, num_experts=1, experts_per_token=1))
+        vanilla = build_vit(VitConfig(**BASE))
         router = 6 * 768 * 1  # 6 converted layers, one router row each
         assert count_params(moe).total - count_params(vanilla).total == router
 
     def test_moe_every_placement(self):
-        spec = build_moe_transformer(VitConfig(**{**BASE, "depth": 6}), 4, 1,
-                                     moe_every=3)
+        spec = build_moe_transformer(MoeConfig(**{**BASE, "depth": 6}, num_experts=4,
+                                               experts_per_token=1, moe_every=3))
         steps, _ = evaluate(spec)
         assert sum(s.count for s in steps if isinstance(s.layer, MoE)) == 2
 
     def test_k_bounded_by_e(self):
         with pytest.raises(ValueError):
-            build_moe_transformer(VitConfig(**BASE), num_experts=2,
-                                  experts_per_token=3)
+            build_moe_transformer(MoeConfig(**BASE, num_experts=2,
+                                            experts_per_token=3))
+
+    def test_k_above_e_is_refused_by_the_config(self):
+        """The rule is the config's, so a reference is refused while its
+        arguments are read, with the same message."""
+        args = {**BASE, "num_experts": 2, "experts_per_token": 3}
+        for make in (lambda: MoeConfig(**args), lambda: build_from_reference("moe", args)):
+            with pytest.raises(ValueError) as exc:
+                make()
+            assert str(exc.value) == "experts_per_token must be <= num_experts"
 
 
 MOE_SMALL = dict(patch=8, model_dim=64, num_heads=4, ffn_dim=96, image=(32, 48, 3),
@@ -170,8 +179,8 @@ class TestMoEStackDifferential:
     @pytest.mark.parametrize("depth, moe_every", [
         *itertools.product(range(1, 14), range(1, 6)), (12, 3), (48, 2)])
     def test_costs_equal_the_listed_stack(self, depth, moe_every):
-        built = build_moe_transformer(VitConfig(depth=depth, **MOE_SMALL), 4, 2,
-                                      moe_every=moe_every)
+        built = build_moe_transformer(MoeConfig(depth=depth, **MOE_SMALL, num_experts=4,
+                                                experts_per_token=2, moe_every=moe_every))
         oracle = listed_moe(depth, moe_every)
         for hardware, batch in itertools.product(self.HARDWARE, (1, 8)):
             got = _profile_values(built, batch, hardware)
@@ -196,8 +205,8 @@ def _nodes(document) -> int:
 def test_moe_spec_size_does_not_grow_with_depth(moe_every):
     # 12 and 10**6 leave the same remainder for each moe_every here.
     def size(depth):
-        spec = build_moe_transformer(VitConfig(depth=depth, **MOE_SMALL), 4, 2,
-                                     moe_every=moe_every)
+        spec = build_moe_transformer(MoeConfig(depth=depth, **MOE_SMALL, num_experts=4,
+                                               experts_per_token=2, moe_every=moe_every))
         return _nodes(spec_to_dict(spec))
 
     assert size(10**6) == size(12)
@@ -297,6 +306,23 @@ class TestBuilderRegistry:
             build_from_reference(family, {**BASE, "num_heads": 5, **extra})
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("family, extra", [
+        ("universal_transformer", {"steps": 3}),
+        ("moe", {"num_experts": 4, "experts_per_token": 2}),
+    ])
+    def test_builder_checks_only_its_config(self, monkeypatch, family, extra):
+        """The config rules every argument as it is read, so the builder
+        checks nothing but that it was handed its config."""
+        checked = []
+
+        def spy(name, value, kind=int):
+            checked.append(name)
+            check_value(name, value, kind)
+
+        monkeypatch.setattr(archlib, "check_value", spy)
+        build_from_reference(family, {**BASE, **extra})
+        assert checked == ["cfg"]
+
 
 SMALL = dict(patch=8, depth=3, model_dim=64, num_heads=4, ffn_dim=96,
              image=(32, 48, 3), classes=10)
@@ -310,19 +336,19 @@ BUILDER_CALLS = {
     "vit/small": lambda: build_vit(VitConfig(**SMALL)),
     "vit/base16": lambda: build_vit(VitConfig(**BASE)),
     "universal_transformer/small_k5": lambda: build_universal_transformer(
-        VitConfig(**SMALL), 5),
+        UtConfig(**SMALL, steps=5)),
     "universal_transformer/base16_k12": lambda: build_universal_transformer(
-        VitConfig(**BASE), 12),
+        UtConfig(**BASE, steps=12)),
     "moe/small_every1": lambda: build_moe_transformer(
-        VitConfig(**SMALL), 4, 1, moe_every=1),
+        MoeConfig(**SMALL, num_experts=4, experts_per_token=1, moe_every=1)),
     "moe/small_every2_default": lambda: build_moe_transformer(
-        VitConfig(**{**SMALL, "depth": 4}), 8, 2),
+        MoeConfig(**{**SMALL, "depth": 4}, num_experts=8, experts_per_token=2)),
     "moe/small_every2_depth5": lambda: build_moe_transformer(
-        VitConfig(**{**SMALL, "depth": 5}), 8, 2, moe_every=2),
+        MoeConfig(**{**SMALL, "depth": 5}, num_experts=8, experts_per_token=2, moe_every=2)),
     "moe/small_every3_depth7": lambda: build_moe_transformer(
-        VitConfig(**{**SMALL, "depth": 7}), 3, 3, moe_every=3),
+        MoeConfig(**{**SMALL, "depth": 7}, num_experts=3, experts_per_token=3, moe_every=3)),
     "moe/base16_every3": lambda: build_moe_transformer(
-        VitConfig(**BASE), 16, 2, moe_every=3),
+        MoeConfig(**BASE, num_experts=16, experts_per_token=2, moe_every=3)),
     "lm/decoder_only": lambda: build_lm(LmConfig("decoder_only", **LM)),
     "lm/encoder_decoder": lambda: build_lm(LmConfig("encoder_decoder", **LM)),
     "depth_width_pair/deep": lambda: depth_width_pair()[0],

@@ -66,6 +66,7 @@ from costlens import (
     load_hardware,
     misnomer_report,
     monetary_cost,
+    pareto_frontier,
     rank_disagreement,
     read_records,
     read_spec_file,
@@ -585,6 +586,46 @@ def test_named_document_inputs_are_refused(workdir):
 
 
 # ---------------------------------------------------------------------------
+# Bounded refusals: a refused value is echoed cut short
+
+#: A 1 MB refused value: one byte per character, and characters that the
+#: JSON error line escapes to 12 bytes each.
+HUGE_VALUES = ["x" * 10**6, "\U0001F600" * 250_000]
+
+#: Where the value goes: (the spec file, or the flag and its document, holding
+#: it; the field its refusal names).
+ECHOED = {
+    "spec_batch": (lambda v: {**SPECS[0], "batch": v}, None, "batch"),
+    "spec_schema_version": (lambda v: {**SPECS[0], "schema_version": v}, None,
+                            "schema_version"),
+    "builder_depth": (lambda v: {**SPECS[0], "builder": {**_VIT, "depth": v}}, None,
+                      "depth"),
+    "dense_in_dim": (lambda v: tokens([{**_DENSE, "in_dim": v}]), None, "in_dim"),
+    "hardware": (lambda v: {**_HW, "peak_flops_per_sec": v}, "--hw", "peak_flops_per_sec"),
+    "energy": (lambda v: {**ENERGY, "ee_train_kwh": v}, "--energy", "ee_train_kwh"),
+    "pricing": (lambda v: {**PRICING, "total_train_hours": v}, "--pricing",
+                "total_train_hours"),
+}
+
+
+@pytest.mark.parametrize("value", HUGE_VALUES, ids=["ascii", "escaped"])
+@pytest.mark.parametrize("place", ECHOED)
+def test_huge_refused_value_gives_a_short_error_line(workdir, place, value):
+    """Each refusal once echoed the whole value: a 1 MB string gave an
+    error line of 1 MB or more (2 MB for a layer field, which is in
+    ``error`` and in ``violations``)."""
+    make, flag, name = ECHOED[place]
+    argv = ["profile", write_json(workdir / "huge.json", make(value))]
+    if flag is not None:
+        argv[1:] = [write_json(workdir / "huge_spec.json", SPECS[0]), flag, argv[1]]
+    code, out, err = run(argv)
+    error = assert_refused((code, out, err), name)
+    assert len(err.encode()) < 4096, len(err.encode())
+    assert error.endswith("...")
+    assert all(name in message for _, message in json.loads(err).get("violations", []))
+
+
+# ---------------------------------------------------------------------------
 # Drift guard: every number and flag field of every input dataclass
 
 
@@ -752,10 +793,10 @@ LIBRARY_LEAKS = {
     "record_indicator_name": (lambda: ModelRecord("a", {1: 1.0}),
                               "record 'a': indicator name must be a string, got 1"),
     "build_vit_cfg": (lambda: build_vit({}), "cfg must be a VitConfig, got {}"),
-    "build_ut_cfg": (lambda: build_universal_transformer({}, 3),
-                     "cfg must be a VitConfig, got {}"),
-    "build_moe_cfg": (lambda: build_moe_transformer(None, 4, 2),
-                      "cfg must be a VitConfig, got None"),
+    "build_ut_cfg": (lambda: build_universal_transformer({}),
+                     "cfg must be an UtConfig, got {}"),
+    "build_moe_cfg": (lambda: build_moe_transformer(None),
+                      "cfg must be a MoeConfig, got None"),
     "build_lm_cfg": (lambda: build_lm({}), "cfg must be a LmConfig, got {}"),
     "sequence_length_input": (lambda: derive_sequence_length({}, 16, True),
                               "inp must be an Image or a TokenSequence, got {}"),
@@ -784,6 +825,16 @@ LIBRARY_LEAKS = {
                          "max_pairs must be an integer >= 0, got 'x'"),
     "report_bool_max_pairs": (lambda: misnomer_report(_RECORDS, max_pairs=True),
                               "max_pairs must be an integer >= 0, got True"),
+    "report_records_int": (lambda: misnomer_report(5),
+                           "records must be an iterable of ModelRecord"),
+    "report_records_ints": (lambda: misnomer_report([1, 2]),
+                            "records must be an iterable of ModelRecord"),
+    "disagreement_records_int": (lambda: rank_disagreement(5, "a", "b"),
+                                 "records must be an iterable of ModelRecord"),
+    "frontier_records_int": (lambda: pareto_frontier(5),
+                             "records must be an iterable of ModelRecord"),
+    "frontier_records_ints": (lambda: pareto_frontier([1]),
+                              "records must be an iterable of ModelRecord"),
 }
 
 

@@ -10,13 +10,14 @@ from costlens import (
     Image,
     LayerNorm,
     MoE,
+    MoeConfig,
     OptimizerKind,
     Parallel,
     PatchEmbed,
     Repeat,
     TokenEmbedding,
     TokenSequence,
-    VitConfig,
+    UtConfig,
     activation_size,
     build_moe_transformer,
     build_universal_transformer,
@@ -42,8 +43,9 @@ def tokens(length=8, layers=()):
 # repeat.
 BREAKDOWN_SPECS = [
     vit_base(16, 224),
-    build_universal_transformer(VitConfig(32, 6, 64, 4, 128, image=(64, 64, 3)), 6),
-    build_moe_transformer(VitConfig(32, 4, 64, 4, 128, image=(64, 64, 3)), 8, 2),
+    build_universal_transformer(UtConfig(32, 6, 64, 4, 128, image=(64, 64, 3), steps=6)),
+    build_moe_transformer(MoeConfig(32, 4, 64, 4, 128, image=(64, 64, 3), num_experts=8,
+                                    experts_per_token=2)),
     tokens(8, [
         Repeat((Repeat((FeedForward(16, 32),), 3, share_params=True),
                 Attention(16, 16, 2)), 4),
@@ -170,9 +172,8 @@ class TestMoE:
                     image=(64, 64, 3), classes=10)
 
     def build(self, num_experts, k=1, every=2):
-        from costlens import VitConfig, build_moe_transformer
-
-        return build_moe_transformer(VitConfig(**self.cfg()), num_experts, k, every)
+        return build_moe_transformer(MoeConfig(**self.cfg(), num_experts=num_experts,
+                                               experts_per_token=k, moe_every=every))
 
     def test_flops_nearly_constant_in_experts(self):
         f1 = count_flops(self.build(8)).flops
