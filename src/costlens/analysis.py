@@ -34,7 +34,7 @@ from itertools import chain, compress, groupby, islice, repeat
 from operator import attrgetter
 from typing import NamedTuple
 
-from .archspec import check_value, from_document
+from .archspec import _echo, check_value, from_document
 
 #: The canonical indicator ids, in report order, each with the ``CostProfile``
 #: field it is read from. CSV files may carry extra columns (treated as
@@ -86,31 +86,32 @@ class ModelRecord:
     quality: float | None = None
 
     def __post_init__(self):
-        q = self.quality  # a bool is not a number, though Python compares it as one
-        try:
-            finite = q is None or q is not True and q is not False and math.isfinite(q)
-        except (TypeError, OverflowError):  # a string, or an int past the float range
-            finite = False
-        if not finite:
-            raise ValueError(f"record {self.name!r}: quality must be finite")
+        check_value("name", self.name, str)
+        if self.quality is not None and not _finite(self.quality):
+            raise ValueError(f"record {_echo(self.name)}: quality must be finite")
         check_value("indicators", self.indicators, dict)
         if not self.indicators:
-            raise ValueError(f"record {self.name!r}: at least one indicator required")
+            raise ValueError(f"record {_echo(self.name)}: at least one indicator required")
         for key, value in self.indicators.items():
             if type(key) is not str:  # reports sort the names
-                raise ValueError(f"record {self.name!r}: indicator name must be a string, "
-                                 f"got {key!r}")
-            try:
-                if value is not True and value is not False and math.isfinite(value):
-                    continue
-            except (TypeError, OverflowError):
-                pass
-            raise ValueError(f"record {self.name!r}: indicator {key!r} must be finite")
+                raise ValueError(f"record {_echo(self.name)}: indicator name must be a "
+                                 f"string, got {_echo(key)}")
+            if not _finite(value):
+                raise ValueError(f"record {_echo(self.name)}: indicator {_echo(key)} "
+                                 f"must be finite")
 
     def cost_value(self, indicator: str) -> float:
         """Lower-is-better view of one indicator."""
         v = self.indicators[indicator]
         return -v if indicator in HIGHER_BETTER else v
+
+
+def _finite(value) -> bool:
+    """True for a finite number; a bool is not one, though Python compares it as one."""
+    try:
+        return value is not True and value is not False and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int past the float range
+        return False
 
 
 def _record_list(records) -> list[ModelRecord]:
@@ -163,8 +164,6 @@ def _read_document(cls, path: str, prefix: str = ""):
         return from_document(cls, doc)
     except ValueError as exc:
         raise InputFileError(prefix + str(exc), file=path)
-    except RecursionError:  # from the repr of a refused, deeply nested value
-        raise InputFileError(f"{path}: JSON nested too deeply", file=path)
 
 
 def read_records(path: str) -> list[ModelRecord]:
@@ -196,7 +195,7 @@ def read_records(path: str) -> list[ModelRecord]:
     for i, col in enumerate(header, start=1):
         if not col or first.setdefault(col, i) != i:
             raise refuse(head_line, f"column names must be unique and non-empty, "
-                                    f"got {col!r} in column {i}", column=col)
+                                    f"got {_echo(col)} in column {i}", column=col)
     missing = [c for c in ("name", "quality") if c not in header]
     if missing:
         raise InputFileError(f"{path}: records header must contain 'name' and "
@@ -214,7 +213,7 @@ def read_records(path: str) -> list[ModelRecord]:
         if not name:
             raise refuse(lineno, "name cell is empty")
         if name in first_line:
-            raise refuse(lineno, f"duplicate model name {name!r} "
+            raise refuse(lineno, f"duplicate model name {_echo(name)} "
                                  f"(first on line {first_line[name]})", model=name)
         first_line[name] = lineno
         if cells["quality"] == "":
@@ -230,7 +229,8 @@ def read_records(path: str) -> list[ModelRecord]:
                     raise ValueError(text)
                 numbers[col] = float(text)
             except ValueError:
-                raise refuse(lineno, f"cell {col!r} is not numeric: {text!r}", column=col)
+                raise refuse(lineno, f"cell {_echo(col)} is not numeric: {_echo(text)}",
+                             column=col)
             if col != "quality":  # a score, not a cost: ModelRecord checks it
                 try:
                     check_value(col, numbers[col], float)
@@ -265,11 +265,12 @@ def pareto_frontier(records, cost_key: str = "params"):
     least one strict; exact ties in both coordinates are all kept. Output
     is ordered by cost ascending (input order breaks ties).
     """
+    check_value("cost_key", cost_key, str)
     records = _record_list(records)
     missing = [r.name for r in records if cost_key not in r.indicators]
     if missing:
         raise CoverageError(
-            f"records missing cost indicator {cost_key!r}: {', '.join(missing)}",
+            f"records missing cost indicator {_echo(cost_key)}: {', '.join(missing)}",
             offenders=tuple(missing),
         )
     no_quality = [r.name for r in records if r.quality is None]
@@ -398,7 +399,7 @@ def _below(buckets, carrying: int):
 def _check_max_pairs(max_pairs) -> None:
     """Refuse a listing bound that is not None or an integer >= 0."""
     if max_pairs is not None and (type(max_pairs) is not int or max_pairs < 0):
-        raise ValueError(f"max_pairs must be an integer >= 0, got {max_pairs!r}")
+        raise ValueError(f"max_pairs must be an integer >= 0, got {_echo(max_pairs)}")
 
 
 def rank_disagreement(records, indicator_a: str, indicator_b: str,
@@ -421,6 +422,8 @@ def rank_disagreement(records, indicator_a: str, indicator_b: str,
     keeps those partner bitmasks, one row per record, and
     ``inverted_pairs`` decodes them all at once on first access.
     """
+    check_value("indicator_a", indicator_a, str)
+    check_value("indicator_b", indicator_b, str)
     _check_max_pairs(max_pairs)
     records = _record_list(records)
     return _disagreement(tuple(r.name for r in records), _ranking(records, indicator_a),
@@ -434,8 +437,8 @@ def _disagreement(names, ranking_a, ranking_b, max_pairs) -> RankDisagreement:
     everyone = carrying_a & carrying_b
     n = everyone.bit_count()
     if n < 2:
-        raise InsufficientDataError(f"need >= 2 records carrying both {indicator_a!r} "
-                                    f"and {indicator_b!r}, got {n}")
+        raise InsufficientDataError(f"need >= 2 records carrying both "
+                                    f"{_echo(indicator_a)} and {_echo(indicator_b)}, got {n}")
     below_a, ties_a = _below(buckets_a, everyone)
     below_b, ties_b = _below(buckets_b, everyone)
     n0 = n * (n - 1) // 2

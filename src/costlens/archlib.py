@@ -28,6 +28,7 @@ from .archspec import (
     Repeat,
     TokenEmbedding,
     TokenSequence,
+    _echo,
     check_fields,
     check_value,
     from_document,
@@ -50,7 +51,7 @@ class VitConfig:
         image = self.image
         if not (type(image) in (tuple, list) and len(image) == 3
                 and all(type(v) is int and v >= 1 for v in image)):
-            raise ValueError(f"image must be three integers >= 1, got {image!r}")
+            raise ValueError(f"image must be three integers >= 1, got {_echo(image)}")
         object.__setattr__(self, "image", tuple(image))
         check_fields(self)
         if self.model_dim % self.num_heads:
@@ -175,7 +176,7 @@ class LmConfig:
         if self.arrangement not in ARRANGEMENTS:
             raise ValueError(
                 f"arrangement must be {' or '.join(ARRANGEMENTS)}, "
-                f"got {self.arrangement!r}"
+                f"got {_echo(self.arrangement)}"
             )
         check_fields(self)
         if self.model_dim % self.heads:
@@ -252,7 +253,8 @@ def build_from_reference(family: str, args: dict) -> ArchSpec:
     by spec files and CLI flags. :func:`~costlens.archspec.from_document`
     reads the arguments as a document of the family's config."""
     if not isinstance(family, str) or family not in BUILDERS:
-        raise ValueError(f"unknown builder family {family!r} "
+        raise ValueError(f"unknown builder family {_echo(family)} "
                          f"(known: {', '.join(sorted(BUILDERS))})")
     config, builder = BUILDERS[family]
-    return builder(from_document(config, args, f"bad arguments for builder {family!r}: "))
+    return builder(from_document(config, args,
+                                 f"bad arguments for builder {_echo(family)}: "))

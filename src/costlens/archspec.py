@@ -295,8 +295,13 @@ _ECHO_CHARS = 100  # of a refused value's repr: an error line stays short for an
 
 
 def _echo(value) -> str:
-    """The repr of a refused value, cut after ``_ECHO_CHARS`` characters."""
-    text = repr(value)
+    """The repr of a refused value, cut after ``_ECHO_CHARS`` characters; every
+    message that quotes a value renders it here. A value whose repr cannot
+    be made (nested past the stack, an int past 4,300 digits) is ``<type>``."""
+    try:
+        text = repr(value)
+    except (RecursionError, ValueError):
+        return f"<{type(value).__name__}>"
     return text if len(text) <= _ECHO_CHARS else text[:_ECHO_CHARS] + "..."
 
 
@@ -477,7 +482,7 @@ _INPUT_TAGS = {Image: "image", TokenSequence: "token_sequence"}
 _TAGS = {**_LAYER_TAGS, **_INPUT_TAGS}
 #: A union is read by the ``kind`` tag of its document:
 #: (what, {tag: (class, the prefix of its field errors)}).
-_UNIONS = {union: (what, {tag: (cls, f"bad fields for {what} kind {tag!r}: ")
+_UNIONS = {union: (what, {tag: (cls, f"bad fields for {what} kind {_echo(tag)}: ")
                           for cls, tag in tags.items()})
            for union, what, tags in ((LayerSpec, "layer", _LAYER_TAGS),
                                      (InputSignature, "input", _INPUT_TAGS))}
@@ -525,7 +530,7 @@ def _read_tagged(union, value):
         raise ValueError(f"{what} must be a JSON object with a 'kind' field")
     tagged = classes.get(kind) if type(kind) is str else None
     if tagged is None:
-        raise ValueError(f"unknown {what} kind {kind!r}")
+        raise ValueError(f"unknown {what} kind {_echo(kind)}")
     cls, prefix = tagged
     args = dict(value)
     del args["kind"]
@@ -535,8 +540,9 @@ def _read_tagged(union, value):
 def _build(cls, args: dict, prefix: str = ""):
     reading = _READINGS.get(cls) or _reading(cls)
     if not (reading.names.keys() >= args.keys() >= reading.required):
-        errors = [f"unknown field {k!r}" for k in sorted(args.keys() - reading.names, key=str)]
-        errors += [f"missing field {k!r}" for k in reading.names
+        errors = [f"unknown field {_echo(k)}"
+                  for k in sorted(args.keys() - reading.names, key=str)]
+        errors += [f"missing field {_echo(k)}" for k in reading.names
                    if k in reading.required and k not in args]
         raise ValueError(prefix + "; ".join(errors))
     for name, default in reading.defaults:
@@ -569,7 +575,10 @@ def _to_json(value):
 
 def spec_to_dict(spec: ArchSpec) -> dict:
     check_value("spec", spec, ArchSpec)
-    return {"schema_version": SCHEMA_VERSION, **to_document(spec)}
+    try:  # validate() bounds nesting, but a spec built in Python need not be valid
+        return {"schema_version": SCHEMA_VERSION, **to_document(spec)}
+    except RecursionError:
+        raise ValueError("architecture nested too deeply") from None
 
 
 def check_schema_version(version) -> None:
@@ -582,7 +591,10 @@ def spec_from_dict(d: dict) -> ArchSpec:
     if not isinstance(d, dict):
         raise ValueError("architecture document must be a JSON object")
     check_schema_version(d.get("schema_version", SCHEMA_VERSION))
-    return _build(ArchSpec, {k: v for k, v in d.items() if k != "schema_version"})
+    try:  # the reader recurses on every level, before validate() can bound the nesting
+        return _build(ArchSpec, {k: v for k, v in d.items() if k != "schema_version"})
+    except RecursionError:
+        raise ValueError("architecture nested too deeply") from None
 
 
 def to_json(spec: ArchSpec) -> str:

@@ -58,7 +58,7 @@ from .analysis import (
     read_records,
 )
 from .archlib import ARRANGEMENTS, BUILDER_ARGS, build_from_reference
-from .archspec import ArchSpec, validate  # validate: the bench tracer test reads cli.validate
+from .archspec import ArchSpec, _echo, validate  # validate: the bench tracer test reads it
 from .footprint import EnergyProfile, PricingProfile
 from .indicators import OptimizerKind
 from .profiles import _hardware, _rates, compute_profile, read_spec_file, record_from_profile
@@ -294,7 +294,7 @@ def _spec_from_args(args) -> ArchSpec:
     extra = [_flag(name) for name in kwargs if name not in BUILDER_ARGS[args.family]]
     if extra:
         raise ValueError(f"{', '.join(extra)} {'does' if len(extra) == 1 else 'do'} "
-                         f"not apply to builder {args.family!r}")
+                         f"not apply to builder {_echo(args.family)}")
     return build_from_reference(args.family, kwargs)
 
 
@@ -360,7 +360,7 @@ def cmd_compare(args) -> int:
     if args.indicators is not None:
         wanted = [s.strip() for s in args.indicators.split(",") if s.strip()]
         if not wanted:
-            raise ValueError(f"--indicators {args.indicators!r} names no indicator")
+            raise ValueError(f"--indicators {_echo(args.indicators)} names no indicator")
         present = indicators_present(records)
         unknown = [w for w in wanted if w not in present]
         if unknown:

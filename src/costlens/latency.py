@@ -18,14 +18,13 @@ model is for orderings and what-if comparisons under a documented preset.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
 from importlib import resources
 
 from .analysis import _read_document
-from .archspec import ArchSpec, check_fields, check_value, from_document
+from .archspec import ArchSpec, _echo, check_fields, check_value
 from .indicators import _steps, layer_mac_bytes
 from .trace import Step
 
@@ -84,15 +83,15 @@ def load_hardware(name_or_path: str) -> HardwareModel:
     for candidate in candidates:
         if os.path.isfile(candidate):
             return _read_document(HardwareModel, candidate)
-    if bare and name_or_path not in _SHIPPED:
+    # Known names only, so a typo never grows the cache nor reaches the file system.
+    if bare and name_or_path not in _SHIPPED and name_or_path in preset_names():
         shipped = resources.files("costlens").joinpath(f"data/hardware/{name_or_path}.json")
-        if shipped.is_file():  # known names only, so a typo never grows the cache
-            _SHIPPED[name_or_path] = from_document(
-                HardwareModel, json.loads(shipped.read_text("utf-8")))
+        with resources.as_file(shipped) as path:  # a real file, wherever the package ships
+            _SHIPPED[name_or_path] = _read_document(HardwareModel, path)
     if name_or_path in _SHIPPED:
         return _SHIPPED[name_or_path]
     raise FileNotFoundError(
-        f"no hardware preset or file named {name_or_path!r} "
+        f"no hardware preset or file named {_echo(name_or_path)} "
         f"(shipped presets: {', '.join(preset_names())})"
     )
 
@@ -138,6 +137,6 @@ def _speed(latency: float, batch: int) -> SpeedEstimate:
     throughput = batch / latency if 0 < latency < math.inf else math.inf
     if not math.isfinite(throughput) or not math.isfinite(latency):
         raise OverflowError(
-            f"latency {latency!r} s at batch {batch} gives no finite throughput"
+            f"latency {_echo(latency)} s at batch {batch} gives no finite throughput"
         )
     return SpeedEstimate(latency_sec=latency, throughput_examples_per_sec=throughput)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from .analysis import PROFILE_FIELDS, InputFileError, ModelRecord, _load_json, _read_document
 from .archlib import build_from_reference
 from .archspec import (
-    ArchSpec, InvalidSpecError, check_schema_version, check_value, ensure_valid,
+    ArchSpec, InvalidSpecError, _echo, check_schema_version, check_value, ensure_valid,
     from_document, spec_from_dict, to_document,
 )
 from .footprint import (
@@ -108,27 +108,26 @@ def compute_profile(spec: ArchSpec, batch: int = 1,
 def record_from_profile(profile_dict: dict) -> ModelRecord:
     """Re-ingest an emitted profile as an analysis record.
 
-    The indicator values are taken from the fields ``PROFILE_FIELDS`` names:
-    an ``int`` as it is and any other value through ``float``, so a JSON
-    profile round-trips exactly. Quality is not part of a cost profile;
-    the record carries ``quality=None``.
+    The name and the indicator values, taken from the fields
+    ``PROFILE_FIELDS`` names, go to ``ModelRecord`` as they are, so a JSON
+    profile round-trips exactly and a value it refuses is named. Quality is
+    not part of a cost profile; the record carries ``quality=None``.
     """
     check_value("profile_dict", profile_dict, dict)
     if "name" not in profile_dict:
         raise ValueError("profile_dict: missing field 'name'")
-    return ModelRecord(name=str(profile_dict["name"]), indicators={
-        indicator: v if type(v := profile_dict[key]) is int else float(v)
-        for indicator, key in PROFILE_FIELDS.items() if profile_dict.get(key) is not None})
+    return ModelRecord(name=profile_dict["name"], indicators={
+        indicator: v for indicator, key in PROFILE_FIELDS.items()
+        if (v := profile_dict.get(key)) is not None})
 
 
 def _hardware(hw) -> HardwareModel:
     """A hardware preset name, a JSON path or an inline object, which no refusal echoes."""
     try:
         return load_hardware(hw) if isinstance(hw, str) else from_document(HardwareModel, hw)
-    except (OSError, ValueError, RecursionError) as exc:  # keeps a file's name and offset
-        what = f"hardware {hw!r}" if isinstance(hw, str) else "inline hardware"
-        reason = "JSON nested too deeply" if isinstance(exc, RecursionError) else exc
-        raise InputFileError(f"bad {what}: {reason}", **getattr(exc, "detail", {}))
+    except (OSError, ValueError) as exc:  # keeps a file's name and offset
+        what = f"hardware {_echo(hw)}" if isinstance(hw, str) else "inline hardware"
+        raise InputFileError(f"bad {what}: {exc}", **getattr(exc, "detail", {}))
 
 
 def _rates(cls, path: str, what: str):
@@ -154,7 +153,7 @@ def read_spec_file(path: str) -> tuple[ArchSpec, HardwareModel | None, int | Non
             raise ValueError("exactly one of 'arch' or 'builder' is required")
         unknown = sorted(doc.keys() - _SPEC_FILE_KEYS)
         if unknown:
-            raise ValueError("; ".join(f"unknown field {k!r}" for k in unknown))
+            raise ValueError("; ".join(f"unknown field {_echo(k)}" for k in unknown))
         batch = doc.get("batch")
         for key, kind in (("batch", int), ("name", str), ("notes", str)):
             if key in doc:  # so a null is refused, not read as the key left out
@@ -177,10 +176,8 @@ def read_spec_file(path: str) -> tuple[ArchSpec, HardwareModel | None, int | Non
         hardware = _hardware(hardware) if "hardware" in doc else None
     except InvalidSpecError as exc:
         raise InputFileError(f"{path}: {exc}", file=path, **exc.detail)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise InputFileError(f"{path}: {exc}", file=path)
-    except RecursionError:
-        raise InputFileError(f"{path}: architecture nested too deeply", file=path)
     if "name" in doc:  # after validation, so a bad name inside "arch" is still refused
         spec = replace(spec, name=doc["name"])
     return spec, hardware, batch

@@ -71,6 +71,7 @@ from costlens import (
     read_records,
     read_spec_file,
     record_from_profile,
+    spec_from_dict,
     spec_to_dict,
     to_json,
     validate,
@@ -625,6 +626,59 @@ def test_huge_refused_value_gives_a_short_error_line(workdir, place, value):
     assert all(name in message for _, message in json.loads(err).get("violations", []))
 
 
+#: Where the value sits mid-message: (the input holding it, a spec file's
+#: document or a records CSV's text; what the refusal says; the ``detail``
+#: key that keeps the whole value, or None).
+ECHOED_WITHIN = {
+    "layer_kind": (lambda v: tokens([{"kind": v}]), "unknown layer kind", None),
+    "arch_unknown_key": (lambda v: {"schema_version": 1, "arch": {**SPECS[4]["arch"], v: 1}},
+                         "unknown field", None),
+    "spec_file_unknown_key": (lambda v: {**SPECS[0], v: 1}, "unknown field", None),
+    "builder_family": (lambda v: {**SPECS[0], "builder": {**_VIT, "family": v}},
+                       "unknown builder family", None),
+    "builder_image": (lambda v: {**SPECS[0], "builder": {**_VIT, "image": v}},
+                      "image must be three integers >= 1", None),
+    "builder_arrangement": (lambda v: {**SPECS[3], "builder": {**SPECS[3]["builder"],
+                                                               "arrangement": v}},
+                            "arrangement must be", None),
+    "hardware_name": (lambda v: {**SPECS[0], "hardware": v},
+                      "no hardware preset or file named", None),
+    "records_cell": (lambda v: f"name,quality,params\na,1,{v}\nb,2,3\n",
+                     "is not numeric", None),
+    "records_duplicate_name": (lambda v: f"name,quality,params\n{v},1,2\n{v},2,3\n",
+                               "duplicate model name", "model"),
+    "records_duplicate_column": (lambda v: f"name,quality,{v},{v}\na,1,2,3\n",
+                                 "column names must be unique", "column"),
+}
+
+#: Characters of a records CSV's huge value: under the csv module's field
+#: limit of 131,072, so the reader hands the cell on.
+CELL_CHARS = 131_000
+
+
+@pytest.mark.parametrize("value", HUGE_VALUES, ids=["ascii", "escaped"])
+@pytest.mark.parametrize("place", ECHOED_WITHIN)
+def test_huge_value_within_a_refusal_gives_a_short_error(workdir, place, value):
+    """Each refusal once echoed the whole value: about 1 MB (2 MB for a
+    hardware name, echoed twice) and, in a records file, a line of 131 KB
+    or, with the duplicate name also in ``model``, 262 KB. ``detail`` keeps
+    the exact text, as programs read it."""
+    make, says, kept = ECHOED_WITHIN[place]
+    if place.startswith("records"):
+        value = value[:CELL_CHARS]
+        path = workdir / "huge.csv"
+        path.write_text(make(value), encoding="utf-8")
+        argv = ["compare", "--records", str(path)]
+    else:
+        argv = ["profile", write_json(workdir / "huge.json", make(value))]
+    result = run(argv)
+    error = assert_refused(result, says)
+    assert len(json.dumps(error).encode()) < 4096, len(json.dumps(error).encode())
+    assert value not in error and "..." in error
+    if kept is not None:
+        assert json.loads(result[2])[kept] == value
+
+
 # ---------------------------------------------------------------------------
 # Drift guard: every number and flag field of every input dataclass
 
@@ -762,6 +816,31 @@ _HW_DOC = {"peak_flops_per_sec": 1}  # a document, not a HardwareModel
 _RECORDS = [ModelRecord("a", {"params": 1.0, "flops": 2.0}),
             ModelRecord("b", {"params": 2.0, "flops": 1.0})]
 
+
+def _nested_arch(levels):
+    """An architecture document whose one layer is ``levels`` Repeats deep,
+    built without recursion. The reader recurses about five frames a level,
+    so from a fresh interpreter 198 levels already pass the stack."""
+    layer = _DENSE
+    for _ in range(levels):
+        layer = {"kind": "repeat", "times": 1, "body": [layer]}
+    return {"schema_version": 1, "input": _TOKENS, "layers": [layer]}
+
+
+def _nested_arch_text(levels):
+    """``_nested_arch(levels)`` as JSON text, written without recursion."""
+    return ('{"schema_version": 1, "input": ' + json.dumps(_TOKENS) + ', "layers": ['
+            + '{"kind": "repeat", "times": 1, "body": [' * levels + json.dumps(_DENSE)
+            + "]}" * levels + "]}")
+
+
+def _repeat_chain(levels):
+    layer = Dense(8, 8)
+    for _ in range(levels):
+        layer = Repeat((layer,), times=1)
+    return ArchSpec("deep", TokenSequence(4, 10), (layer,))
+
+
 #: Library calls with one argument of the wrong kind: (call, the name, or
 #: the whole message, the refusal must carry).
 LIBRARY_LEAKS = {
@@ -835,6 +914,42 @@ LIBRARY_LEAKS = {
                              "records must be an iterable of ModelRecord"),
     "frontier_records_ints": (lambda: pareto_frontier([1]),
                               "records must be an iterable of ModelRecord"),
+    "spec_from_dict_300_deep": (lambda: spec_from_dict(_nested_arch(300)),
+                                "architecture nested too deeply"),
+    "spec_from_dict_600_deep": (lambda: spec_from_dict(_nested_arch(600)),
+                                "architecture nested too deeply"),
+    "from_json_300_deep": (lambda: from_json(_nested_arch_text(300)), "nested too deeply"),
+    "from_json_600_deep": (lambda: from_json(_nested_arch_text(600)), "nested too deeply"),
+    "to_json_2000_deep": (lambda: to_json(_repeat_chain(2000)),
+                          "architecture nested too deeply"),
+    "profile_batch_past_the_digit_limit": (lambda: compute_profile(_SMALL, batch=-10**5000),
+                                           "batch must be an integer >= 1, got <int>"),
+    "report_max_pairs_past_the_digit_limit": (
+        lambda: misnomer_report(_RECORDS, max_pairs=-10**5000),
+        "max_pairs must be an integer >= 0, got <int>"),
+    "frontier_cost_key_list": (lambda: pareto_frontier(_RECORDS, cost_key=[]),
+                               "cost_key must be a string, got []"),
+    "disagreement_indicator_list": (lambda: rank_disagreement(_RECORDS, [], "flops"),
+                                    "indicator_a must be a string, got []"),
+    "disagreement_indicator_int": (lambda: rank_disagreement(_RECORDS, 5, "flops"),
+                                   "indicator_a must be a string, got 5"),
+    "disagreement_indicator_b_none": (lambda: rank_disagreement(_RECORDS, "params", None),
+                                      "indicator_b must be a string, got None"),
+    "record_name_int": (lambda: ModelRecord(5, {"params": 1.0}),
+                        "name must be a string, got 5"),
+    "record_name_list": (lambda: ModelRecord([], {"params": 1.0}),
+                         "name must be a string, got []"),
+    "record_from_profile_str_value": (
+        lambda: record_from_profile({"name": "x", "params": "a"}),
+        "record 'x': indicator 'params' must be finite"),
+    "record_from_profile_list_value": (
+        lambda: record_from_profile({"name": "x", "params": [1]}),
+        "record 'x': indicator 'params' must be finite"),
+    "record_from_profile_bool_value": (
+        lambda: record_from_profile({"name": "x", "flops": True}),
+        "record 'x': indicator 'flops' must be finite"),
+    "record_from_profile_name": (lambda: record_from_profile({"name": 5, "params": 1}),
+                                 "name must be a string, got 5"),
 }
 
 
