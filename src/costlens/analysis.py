@@ -11,10 +11,11 @@ and dominated under another.
 A report ranks each indicator once, and each indicator pair masks those
 ranks with the records carrying both; each indicator's frontier is read
 from the same ranking. The inverted-pair listing is held
-as each record's discordant partners in one bitmask and decoded a whole
-listing at once: ``inverted_pairs`` builds the ``InvertedPair`` objects
-from it on first access, and the CLI formats its lines from the same
-decoder, in bounded slices, without building them.
+as each record's discordant partners in one bitmask, and one decoder reads
+it a record's row at a time, picking per partner from two sequences over
+the records the caller gives: ``inverted_pairs`` builds the
+``InvertedPair`` objects from it on first access, and the CLI picks line
+templates with it, in bounded slices, without building them.
 
 All indicator values are treated as lower-is-better; throughput is
 declared higher-is-better at ingestion and negated internally so the rule
@@ -30,7 +31,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress, groupby, islice, repeat
+from itertools import compress, groupby, islice
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -329,33 +330,43 @@ class _Listing(NamedTuple):
     rows: tuple[tuple[int, int, int, int], ...]
 
 
-#: ``bytes.translate`` table turning the digits of ``format(m, "b")``
-#: into 0/1 bytes, a selector for ``itertools.compress``.
+#: ``bytes.translate`` table turning the digits of ``bin(m)`` into 0/1
+#: bytes, a selector for ``itertools.compress``.
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _listed_pairs(listing: _Listing):
-    """``(me, other, me_first)`` of each listed pair in record order: ``me`` is
-    the row's record, ``model_a`` when ``me_first``. A bitmask column is
-    decoded whole, row ``i`` padded to the ``n - 1 - i`` records after it."""
-    names, rows = listing.names, listing.rows
-    last = len(names) - 1
+def _bits(mask: int, width: int) -> bytes:
+    """Byte ``k`` is bit ``k`` of ``mask``, for ``k`` below ``width``."""
+    return bin(mask | 1 << width)[:2:-1].encode().translate(_BIT_BYTES)
 
-    def selector(k):  # rows last to first, so one reversal orders every bit
-        bits = "".join([format(row[k], f"0{last - row[0]}b") for row in reversed(rows)])
-        return bits[::-1].encode().translate(_BIT_BYTES)
 
-    picked = selector(1)
-    me = chain.from_iterable([repeat(names[i], bits.bit_count()) for i, bits, *_ in rows])
-    other = compress(chain.from_iterable([names[i + 1:] for i, *_ in rows]), picked)
-    listed = sum(row[3] for row in rows)
-    return islice(zip(me, other, compress(selector(2), picked)), listed)
+def _listed_rows(listing: _Listing, me_first, other_first):
+    """``(i, items, count)`` of each listed row ``i``, in record order: ``items``
+    yields, in partner order, ``me_first[j]`` for a partner ``j`` costlier under
+    ``indicator_a`` and ``other_first[j]`` for any other, two sequences over the
+    records; its first ``count`` are listed. A mixed row reads them interleaved."""
+    both = [None] * (2 * len(me_first))
+    both[::2], both[1::2] = other_first, me_first
+    for i, partners, a_first, count in listing.rows:
+        start, width = i + 1, partners.bit_length()
+        if a_first == partners or not a_first:  # every partner faces one way
+            side = me_first if a_first else other_first
+            yield i, compress(side[start:start + width], _bits(partners, width)), count
+        else:
+            picked = bytearray(2 * width)
+            picked[::2], picked[1::2] = _bits(partners ^ a_first, width), _bits(a_first, width)
+            yield i, compress(both[2 * start:2 * (start + width)], picked), count
 
 
 def _inverted_pairs(listings) -> tuple[InvertedPair, ...]:
-    return tuple(InvertedPair(*((me, other) if me_first else (other, me)),
-                              listing.indicator_a, listing.indicator_b)
-                 for listing in listings for me, other, me_first in _listed_pairs(listing))
+    pairs = []
+    for listing in filter(attrgetter("rows"), listings):
+        a, b, names = listing.indicator_a, listing.indicator_b, listing.names
+        rows = _listed_rows(listing, [(n, True) for n in names], [(n, False) for n in names])
+        for i, items, count in rows:
+            pairs += [InvertedPair(*((names[i], other) if first else (other, names[i])), a, b)
+                      for other, first in islice(items, count)]
+    return tuple(pairs)
 
 
 @dataclass(frozen=True)
@@ -420,7 +431,7 @@ def rank_disagreement(records, indicator_a: str, indicator_b: str,
     below and above it are integers used as bitsets, so its concordant and
     discordant partners take a few whole-integer operations. The listing
     keeps those partner bitmasks, one row per record, and
-    ``inverted_pairs`` decodes them all at once on first access.
+    ``inverted_pairs`` decodes them row by row on first access.
     """
     check_value("indicator_a", indicator_a, str)
     check_value("indicator_b", indicator_b, str)

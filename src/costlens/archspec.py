@@ -575,6 +575,10 @@ def _to_json(value):
 
 def spec_to_dict(spec: ArchSpec) -> dict:
     check_value("spec", spec, ArchSpec)
+    try:  # metadata may hold any value in Python; validate() leaves it unchecked
+        json.dumps(spec.metadata)
+    except (TypeError, ValueError, RecursionError) as exc:  # ValueError: a cycle
+        raise ValueError(f"metadata cannot be written as JSON: {exc}") from None
     try:  # validate() bounds nesting, but a spec built in Python need not be valid
         return {"schema_version": SCHEMA_VERSION, **to_document(spec)}
     except RecursionError:

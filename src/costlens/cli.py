@@ -39,9 +39,10 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from html import escape
-from itertools import islice
+from itertools import chain, islice
 
 from .analysis import (
     HIGHER_BETTER,
@@ -51,7 +52,7 @@ from .analysis import (
     InsufficientDataError,
     MisnomerReport,
     ModelRecord,
-    _listed_pairs,
+    _listed_rows,
     indicators_present,
     misnomer_report,
     pareto_frontier,
@@ -221,15 +222,31 @@ def _render_misnomer(report: MisnomerReport):
     lines.append("inverted pairs (cheaper under the first indicator, "
                  "costlier under the second):")
     yield "\n".join(lines) + "\n"
+    # A row's lines join per-record templates, in which its record stands as a
+    # run of NULs longer than any a name holds, so replace() finds only those.
+    names = report._listings[0].names if report._listings else ()
+    held = re.findall("\0+", "\n".join(chain(names, *report.indicator_pairs_examined)))
+    ph = "\0" * (1 + max(map(len, held), default=0))
     shown = 0
     for listing in report._listings:  # the pairs, never built as InvertedPair
-        ind_a, ind_b = listing.indicator_a, listing.indicator_b
-        pairs = _listed_pairs(listing)
-        while chunk := [f"  {me} < {other} on {ind_a} but {me} > {other} on {ind_b}\n"
-                        if me_first else
-                        f"  {other} < {me} on {ind_a} but {other} > {me} on {ind_b}\n"
-                        for me, other, me_first in islice(pairs, LISTING_SLICE)]:
-            shown += len(chunk)
+        if not listing.rows:  # no templates to build: cost follows the rows listed
+            continue
+        a, b = listing.indicator_a, listing.indicator_b
+        rows = _listed_rows(listing,
+                            [f"  {ph} < {o} on {a} but {ph} > {o} on {b}\n" for o in names],
+                            [f"  {o} < {ph} on {a} but {o} > {ph} on {b}\n" for o in names])
+        chunk, room = [], LISTING_SLICE
+        for i, items, count in rows:
+            shown += count
+            while count >= room:  # a row is cut where a slice fills
+                chunk.append("".join(islice(items, room)).replace(ph, names[i]))
+                yield "".join(chunk)
+                count -= room
+                chunk, room = [], LISTING_SLICE
+            if count:
+                chunk.append("".join(islice(items, count)).replace(ph, names[i]))
+                room -= count
+        if chunk:
             yield "".join(chunk)
     lines = []
     if shown < report.n_inverted_pairs:
@@ -279,7 +296,7 @@ def _flag(name: str) -> str:
 
 def _add_builder_flags(parser):
     """``--family`` and one flag per builder argument, read from its annotation."""
-    settings = {int: {"type": int}, tuple[int, int, int]: {"type": int, "nargs": 3},
+    settings = {int: {"type": _int}, tuple[int, int, int]: {"type": _int, "nargs": 3},
                 str: {"choices": ARRANGEMENTS}}
     group = parser.add_argument_group("builder flags (instead of a spec file)")
     group.add_argument("--family", choices=list(BUILDER_ARGS))
@@ -433,10 +450,24 @@ def cmd_pareto(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors, in every subcommand, exit 2
-    with one JSON line like any other malformed input."""
+    with one JSON line like any other malformed input. A refused choice,
+    a flag's or the command's, is echoed cut short."""
 
     def error(self, message):
         raise ValueError(f"{self.prog}: {message}")
+
+    def _check_value(self, action, value):  # argparse's one check of a choice
+        if action.choices is not None and value not in action.choices:
+            raise argparse.ArgumentError(action, f"invalid choice: {_echo(value)} (choose "
+                                                 f"from {', '.join(map(repr, action.choices))})")
+
+
+def _int(text: str) -> int:
+    """The type of an integer flag, whose refusal echoes the text cut short."""
+    try:
+        return int(text)
+    except ValueError:  # not an integer, or past Python's digit limit
+        raise argparse.ArgumentTypeError(f"invalid int value: {_echo(text)}") from None
 
 
 @functools.cache
@@ -452,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", help="compute every indicator for one architecture")
     p.add_argument("spec", nargs="?", help="spec file (JSON)")
     p.add_argument("--hw", help="hardware preset name or JSON path")
-    p.add_argument("--batch", type=int)
+    p.add_argument("--batch", type=_int)
     p.add_argument("--optimizer", choices=[o.value for o in OptimizerKind],
                    default="adam")
     p.add_argument("--energy", help="energy profile JSON (enables carbon)")
@@ -465,8 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--records", help="records CSV instead of spec files")
     p.add_argument("--indicators", help="comma-separated indicator subset")
     p.add_argument("--hw", help="hardware preset for spec-file profiling")
-    p.add_argument("--batch", type=int)
-    p.add_argument("--max-pairs", type=int, metavar="N",
+    p.add_argument("--batch", type=_int)
+    p.add_argument("--max-pairs", type=_int, metavar="N",
                    help="list at most N inverted pairs (all are still counted)")
 
     p = sub.add_parser("pareto", help="frontier of quality versus one cost indicator")

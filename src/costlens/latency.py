@@ -137,6 +137,6 @@ def _speed(latency: float, batch: int) -> SpeedEstimate:
     throughput = batch / latency if 0 < latency < math.inf else math.inf
     if not math.isfinite(throughput) or not math.isfinite(latency):
         raise OverflowError(
-            f"latency {_echo(latency)} s at batch {batch} gives no finite throughput"
+            f"latency {_echo(latency)} s at batch {_echo(batch)} gives no finite throughput"
         )
     return SpeedEstimate(latency_sec=latency, throughput_examples_per_sec=throughput)

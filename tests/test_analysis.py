@@ -298,25 +298,52 @@ LISTING_HEAD = ("inverted pairs (cheaper under the first indicator, "
                 "costlier under the second):")
 
 
+def pair_lines(report) -> list[str]:
+    """The line of each of ``report.inverted_pairs``, formatted afresh."""
+    return [f"  {a} < {b} on {ind_a} but {a} > {b} on {ind_b}\n"
+            for a, b, ind_a, ind_b in report.inverted_pairs]
+
+
 def assert_rendered_listing(report):
     """The pair lines the CLI prints are the lines formatted from
     ``report.inverted_pairs``, followed by the right closing line. The
-    renderer's chunks are joined: each holds whole lines."""
-    expected = [f"  {a} < {b} on {ind_a} but {a} > {b} on {ind_b}"
-                for a, b, ind_a, ind_b in report.inverted_pairs]
+    renderer's chunks are joined: each holds whole lines. Compared as text,
+    as a name may hold a line break."""
+    expected = "".join(pair_lines(report))
     chunks = list(_render_misnomer(report))
     assert all(chunk.endswith("\n") for chunk in chunks)
-    lines = "".join(chunks).split("\n")
-    start = lines.index(LISTING_HEAD) + 1
-    assert lines[start:start + len(expected)] == expected
-    after = lines[start + len(expected)]
-    if len(expected) < report.n_inverted_pairs:
-        assert after == (f"  showing {len(expected)} of "
-                         f"{report.n_inverted_pairs} inverted pairs")
-    elif not expected:
-        assert after == "  none"
+    text = "".join(chunks)
+    start = text.index(LISTING_HEAD + "\n") + len(LISTING_HEAD) + 1
+    assert text[start:start + len(expected)] == expected
+    after = text[start + len(expected):]
+    shown = len(report.inverted_pairs)
+    if shown < report.n_inverted_pairs:
+        assert after.startswith(f"  showing {shown} of "
+                                f"{report.n_inverted_pairs} inverted pairs\n")
+    elif not shown:
+        assert after.startswith("  none\n")
     else:
         assert after.startswith("pareto instability")
+
+
+def assert_sliced_alike(report, sizes=(1, 2, 3, 7)):
+    """At each ``LISTING_SLICE`` the renderer writes the same text, and each
+    listing chunk holds between 1 and that many whole pair lines."""
+    whole = "".join(_render_misnomer(report))
+    lines = pair_lines(report)
+    for size in sizes:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "LISTING_SLICE", size)
+            chunks = list(_render_misnomer(report))
+        assert "".join(chunks) == whole
+        k = 0
+        for chunk in chunks[1:-1]:  # the head and the tail around the listings
+            held = 0
+            while chunk:
+                assert chunk.startswith(lines[k])
+                chunk, k, held = chunk[len(lines[k]):], k + 1, held + 1
+            assert 0 < held <= size
+        assert k == len(lines)
 
 
 def mid_row_cut(report):
@@ -328,6 +355,21 @@ def mid_row_cut(report):
             if row[3] >= 2:
                 return before + 1
             before += row[3]
+    return None
+
+
+def mixed_row_cut(report):
+    """A ``max_pairs`` that ends the listing inside a row whose partners face
+    both ways, just after its first partner facing the other way from the
+    row's first, or None when no such row has a partner after that one."""
+    before = 0
+    for listing in report._listings:
+        for _, partners, a_first, count in listing.rows:
+            ways = [a_first >> k & 1 for k in range(partners.bit_length()) if partners >> k & 1]
+            turn = next((k for k in range(1, count) if ways[k] != ways[0]), None)
+            if turn is not None and turn + 1 < count:
+                return before + turn + 1
+            before += count
     return None
 
 
@@ -482,6 +524,100 @@ class TestRankBitsetsDifferential:
             rank_disagreement(records, "params", "flops", max_pairs=-1)
         with pytest.raises(ValueError):
             misnomer_report(records, max_pairs=-1)
+
+
+#: Pieces of names that the renderer must carry through unchanged: runs of
+#: NULs, format markers, quotes and line breaks. ``st.characters`` adds
+#: every other code point up to U+00FF.
+PIECES = ["\0", "\0\0", "\0\0\0", "%s", "%%", "%(a)s", "{}", "{0}", '"', "'", "\n",
+          "\r\n", " on ", " but ", " < "]
+AWKWARD = st.lists(st.one_of(st.characters(max_codepoint=0xFF), st.sampled_from(PIECES)),
+                   max_size=4).map("".join)
+
+
+@st.composite
+def awkward_record_sets(draw):
+    """Records whose names and indicator names hold ``AWKWARD`` text, with
+    values from a wider range than ``VALUES``, so that rows run longer."""
+    columns = draw(st.lists(AWKWARD, min_size=2, max_size=4, unique=True))
+    values = st.one_of(VALUES, st.integers(0, 40).map(float))
+    return [ModelRecord(draw(AWKWARD), dict(zip(columns, draw(st.lists(
+                values, min_size=len(columns), max_size=len(columns))))),
+                        quality=float(i % 3))
+            for i in range(draw(st.integers(2, 25)))]
+
+
+class TestRowRenderer:
+    """The CLI renders each listed row from per-record line templates,
+    the row's record standing in them as a run of NULs."""
+
+    @DIFFERENTIAL
+    @given(awkward_record_sets(), st.integers(0, 60))
+    def test_awkward_names_render_as_their_pairs(self, records, k):
+        full = misnomer_report(records)
+        assert full.inverted_pairs == tuple(p for _, ref in oracle_listing(records)
+                                            for p in ref.inverted_pairs)
+        for cut in {None, k, mid_row_cut(full), mixed_row_cut(full)}:
+            report = misnomer_report(records, max_pairs=cut)
+            assert_rendered_listing(report)
+            assert_sliced_alike(report)
+
+    def test_names_holding_every_code_point_to_u00ff(self):
+        latin1 = "".join(map(chr, range(0x100)))
+        names = [latin1, latin1[::-1], "\0" * 5, "a\0\0b", "%s{}\"'\n", "\0", "x\r\ny",
+                 " on a but ", "m7", "\0\0\0\0"]
+        columns = ("\0\0 on " + latin1, "%(a)s {b}\n'\"", "params")
+        rng = random.Random(3)
+        ranks = [rng.sample(range(len(names)), len(names)) for _ in columns]
+        records = [ModelRecord(name, {c: float(r[i]) for c, r in zip(columns, ranks)},
+                               quality=float(i % 4)) for i, name in enumerate(names)]
+        full = misnomer_report(records)
+        assert full.n_inverted_pairs > 30
+        for cut in (None, 1, mid_row_cut(full), mixed_row_cut(full)):
+            report = misnomer_report(records, max_pairs=cut)
+            assert_rendered_listing(report)
+            assert_sliced_alike(report)
+
+    def test_cut_inside_a_mixed_row(self):
+        records = sweep_records(14, seed=5)
+        full = misnomer_report(records)
+        cut = mixed_row_cut(full)
+        report = misnomer_report(records, max_pairs=cut)
+        _, partners, a_first, count = [row for listing in report._listings
+                                       for row in listing.rows][-1]
+        assert a_first not in (0, partners) and count < partners.bit_count()
+        assert report.inverted_pairs == full.inverted_pairs[:cut]
+        assert_rendered_listing(report)
+        assert_sliced_alike(report)
+
+    def test_slice_boundary_inside_a_mixed_row(self):
+        """The slice holds the rows before a mixed row and its first partner."""
+        report = misnomer_report(sweep_records(14, seed=5))
+        rows = report._listings[0].rows
+        end = next(k for k, (_, partners, a_first, count) in enumerate(rows)
+                   if a_first not in (0, partners) and count >= 2)
+        size = sum(row[3] for row in rows[:end]) + 1
+        assert_sliced_alike(report, sizes=(size,))
+
+    def test_listings_of_uniform_rows_and_of_none(self):
+        """``params`` rises with the position, ``flops`` falls and ``latency``
+        rises: every partner of a row faces one way, ``model_a`` first under
+        ``(params, flops)`` and second under ``(flops, latency)``, and
+        ``(params, latency)`` lists nothing."""
+        records = [rec(f"m{i}", 0.0, params=float(i), flops=float(-i), latency=float(i))
+                   for i in range(12)]
+        report = misnomer_report(records)
+        assert [{(a_first == partners, a_first == 0) for _, partners, a_first, _ in l.rows}
+                for l in report._listings] == [{(True, False)}, set(), {(False, True)}]
+        for cut in (None, 0, 5, 66, 67, 131):
+            cut_report = misnomer_report(records, max_pairs=cut)
+            assert_rendered_listing(cut_report)
+            assert_sliced_alike(cut_report)
+        agreeing = misnomer_report([rec(f"m{i}", 0.0, params=float(i), latency=float(i))
+                                    for i in range(5)])
+        assert agreeing._listings[0].rows == ()
+        assert_rendered_listing(agreeing)
+        assert_sliced_alike(agreeing)
 
 
 def sweep_records(n, seed=2000):

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import dataclasses
 import importlib
 import io
@@ -947,6 +948,23 @@ def distinct_records_csv(path: Path, n: int) -> str:
     return str(path)
 
 
+def awkward_records_csv(path: Path, n: int) -> str:
+    """``distinct_records_csv``'s values under names and indicator names that
+    hold runs of NULs, every code point to U+00FF, format markers, quotes
+    and line breaks, quoted by the csv module where they need it."""
+    latin1 = "".join(map(chr, range(1, 0x100)))
+    pieces = ["\0", "\0\0\0", "%s", "{}", '"', "'", "\n", "\r\n", latin1, " on "]
+    rng = random.Random(n)
+    columns = [f"{pieces[k]}c{k}{pieces[-1 - k]}" for k in range(4)]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["name", "quality", *columns])
+        order = [rng.sample(range(n), n) for _ in columns]
+        writer.writerows([f"{pieces[i % 10]}m{i}{pieces[i * 3 % 10]}", i % 5,
+                          *(c[i] for c in order)] for i in range(n))
+    return str(path)
+
+
 #: Runs the command line on its arguments and prints its own peak RSS
 #: (VmHWM, in kB) on stderr. The child reads it itself because a child's
 #: ``ru_maxrss`` also counts the parent's pages it held until ``exec``.
@@ -978,18 +996,26 @@ class TestStreamedCompare:
             return super().write(text)
 
     def test_any_slice_size_writes_the_same_bytes(self, tmp_path, monkeypatch, capsys):
-        path = distinct_records_csv(tmp_path / "r.csv", 30)
+        """On distinct values; on names and indicators holding NULs, every
+        code point to U+00FF, format markers, quotes and line breaks; and on
+        listings of rows whose partners all face one way, or of no rows."""
+        distinct = distinct_records_csv(tmp_path / "r.csv", 30)
+        awkward = awkward_records_csv(tmp_path / "awkward.csv", 30)
+        uniform = tmp_path / "uniform.csv"
+        uniform.write_text("name,quality,params,flops,latency\n" + "".join(
+            f"m{i},0,{i},{12 - i},{i}\n" for i in range(12)))
 
-        def compare(*flags):
-            code, out, err = run_cli(["compare", "--records", path, *flags], capsys)
+        def compare(path, *flags):
+            code, out, err = run_cli(["compare", "--records", str(path), *flags], capsys)
             assert (code, err) == (0, "")
             return out
 
         cuts = [(), ("--max-pairs", "0"), ("--max-pairs", "3"), ("--max-pairs", "1000")]
-        expected = [compare(*cut) for cut in cuts]
+        paths = [distinct, awkward, uniform]
+        expected = [compare(path, *cut) for path in paths for cut in cuts]
         for size in (1, 2, 7, 215):  # 215: the first listing ends on a slice boundary
             monkeypatch.setattr(cli, "LISTING_SLICE", size)
-            assert [compare(*cut) for cut in cuts] == expected
+            assert [compare(path, *cut) for path in paths for cut in cuts] == expected
 
     def test_writes_are_bounded_slices(self, tmp_path, monkeypatch):
         path = distinct_records_csv(tmp_path / "r.csv", 40)

@@ -626,6 +626,31 @@ def test_huge_refused_value_gives_a_short_error_line(workdir, place, value):
     assert all(name in message for _, message in json.loads(err).get("violations", []))
 
 
+#: Flags that argparse refuses before costlens reads them: (the command
+#: line, what the refusal says). Each once echoed the whole value: 100,071
+#: bytes for a 100,000-character ``--depth``, 6,146 for a 5,000-digit
+#: ``--max-pairs`` (past Python's digit limit, so read as no integer).
+FLAG_VALUES = {
+    "depth": (["profile", "--family", "vit", "--depth", "x" * 100_000],
+              "argument --depth: invalid int value: 'xxx"),
+    "batch": (["profile", "--batch", "x" * 100_000], "argument --batch: invalid int value"),
+    "family": (["profile", "--family", "x" * 100_000],
+               "argument --family: invalid choice: 'xxx"),
+    "max_pairs": (["compare", "--max-pairs", "1" * 5_000],
+                  "argument --max-pairs: invalid int value: '111"),
+    "command": (["x" * 100_000], "argument command: invalid choice: 'xxx"),
+}
+
+
+@pytest.mark.parametrize("place", FLAG_VALUES)
+def test_huge_flag_value_gives_a_short_error_line(place):
+    argv, says = FLAG_VALUES[place]
+    code, out, err = run(argv)
+    error = assert_refused((code, out, err), says)
+    assert len(err.encode()) < 4096, len(err.encode())
+    assert error.count("...") == 1
+
+
 #: Where the value sits mid-message: (the input holding it, a spec file's
 #: document or a records CSV's text; what the refusal says; the ``detail``
 #: key that keeps the whole value, or None).
@@ -881,6 +906,12 @@ LIBRARY_LEAKS = {
                               "inp must be an Image or a TokenSequence, got {}"),
     "spec_to_dict_spec": (lambda: spec_to_dict(5), "spec must be an ArchSpec, got 5"),
     "to_json_spec": (lambda: to_json(5), "spec must be an ArchSpec, got 5"),
+    "to_json_metadata": (lambda: to_json(ArchSpec("x", TokenSequence(4, 10), (),
+                                                  metadata={"a": {1, 2}})),
+                         "metadata cannot be written as JSON"),
+    "spec_to_dict_metadata": (lambda: spec_to_dict(ArchSpec("x", TokenSequence(4, 10), (),
+                                                            metadata={"a": {1, 2}})),
+                              "metadata cannot be written as JSON"),
     "from_json_text": (lambda: from_json(5), "text must be a str"),
     "record_from_profile_dict": (lambda: record_from_profile(5),
                                  "profile_dict must be an object, got 5"),

@@ -234,6 +234,10 @@ class TestThroughput:
         assert est.throughput_examples_per_sec == pytest.approx(100.0)
 
     def test_batch_past_the_float_range_is_refused_with_the_documented_text(self):
-        with pytest.raises(OverflowError,
-                           match=r"^latency inf s at batch 1000+ gives no finite throughput$"):
+        with pytest.raises(OverflowError, match=r"^latency inf s at batch 10{99}\.\.\. "
+                                                r"gives no finite throughput$"):
             estimate_latency(vit_base(16, 224), load_hardware("default"), 10**400)
+        # past Python's 4,300-digit limit the batch cannot be written out
+        with pytest.raises(OverflowError, match=r"^latency inf s at batch <int> "
+                                                r"gives no finite throughput$"):
+            estimate_latency(vit_base(16, 224), load_hardware("default"), 10**5000)
