@@ -32,17 +32,22 @@ shape = dict(patch=16, depth=12, model_dim=768, num_heads=12, ffn_dim=3072)
 print("-- depth-wise parameter sharing ------------------------------")
 vanilla = build_vit(VitConfig(**shape))
 shared = build_universal_transformer(UtConfig(**shape, steps=12))
+rows = []
 for name, spec in [("vanilla 12-block", vanilla), ("shared block x12", shared)]:
     p = count_params(spec)
     f = count_flops(spec)
     tm = training_memory(spec, batch=8, optimizer=OptimizerKind.ADAM)
     im = inference_memory(spec, batch=8)
+    rows.append((p.total, im.peak_inference_bytes, f, tm.activation_bytes))
     print(f"{name:>18}: params {p.millions:6.1f}M  GFLOPs {f.gflops:6.2f}  "
           f"train peak {tm.peak_training_bytes / 2**30:5.2f} GiB  "
           f"(activations {tm.activation_bytes / 2**30:4.2f} GiB)  "
           f"infer peak {im.peak_inference_bytes / 2**20:6.1f} MiB")
-print("Sharing drops parameters ~11x and inference memory with them, but")
-print("FLOPs and training activations do not move at all.")
+(p_vanilla, im_vanilla, *unmoved), (p_shared, im_shared, *as_shared) = rows
+assert unmoved == as_shared, "sharing moved FLOPs or training activations"
+print(f"Sharing drops parameters {p_vanilla / p_shared:.2f}x and peak inference")
+print(f"memory {im_vanilla / im_shared:.2f}x, but FLOPs and training activations")
+print("do not move at all.")
 print()
 
 print("-- expert routing (K=1 active) -------------------------------")

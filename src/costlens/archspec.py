@@ -302,7 +302,12 @@ def _echo(value) -> str:
         text = repr(value)
     except (RecursionError, ValueError):
         return f"<{type(value).__name__}>"
-    return text if len(text) <= _ECHO_CHARS else text[:_ECHO_CHARS] + "..."
+    return _cut(text, _ECHO_CHARS)
+
+
+def _cut(text: str, chars: int) -> str:
+    """``text`` cut after ``chars`` characters, marked by ``...``."""
+    return text if len(text) <= chars else text[:chars] + "..."
 
 
 def _wrong(name: str, kind, optional: bool, value) -> str:

@@ -59,7 +59,7 @@ from .analysis import (
     read_records,
 )
 from .archlib import ARRANGEMENTS, BUILDER_ARGS, build_from_reference
-from .archspec import ArchSpec, _echo, validate  # validate: the bench tracer test reads it
+from .archspec import ArchSpec, _cut, _echo, validate  # validate: the bench tracer test reads it
 from .footprint import EnergyProfile, PricingProfile
 from .indicators import OptimizerKind
 from .profiles import _hardware, _rates, compute_profile, read_spec_file, record_from_profile
@@ -296,7 +296,7 @@ def _flag(name: str) -> str:
 
 def _add_builder_flags(parser):
     """``--family`` and one flag per builder argument, read from its annotation."""
-    settings = {int: {"type": _int}, tuple[int, int, int]: {"type": _int, "nargs": 3},
+    settings = {int: {"type": int}, tuple[int, int, int]: {"type": int, "nargs": 3},
                 str: {"choices": ARRANGEMENTS}}
     group = parser.add_argument_group("builder flags (instead of a spec file)")
     group.add_argument("--family", choices=list(BUILDER_ARGS))
@@ -462,14 +462,6 @@ class _Parser(argparse.ArgumentParser):
                                                  f"from {', '.join(map(repr, action.choices))})")
 
 
-def _int(text: str) -> int:
-    """The type of an integer flag, whose refusal echoes the text cut short."""
-    try:
-        return int(text)
-    except ValueError:  # not an integer, or past Python's digit limit
-        raise argparse.ArgumentTypeError(f"invalid int value: {_echo(text)}") from None
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command line parser, built once per process (parsing leaves it as is)."""
@@ -483,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", help="compute every indicator for one architecture")
     p.add_argument("spec", nargs="?", help="spec file (JSON)")
     p.add_argument("--hw", help="hardware preset name or JSON path")
-    p.add_argument("--batch", type=_int)
+    p.add_argument("--batch", type=int)
     p.add_argument("--optimizer", choices=[o.value for o in OptimizerKind],
                    default="adam")
     p.add_argument("--energy", help="energy profile JSON (enables carbon)")
@@ -496,8 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--records", help="records CSV instead of spec files")
     p.add_argument("--indicators", help="comma-separated indicator subset")
     p.add_argument("--hw", help="hardware preset for spec-file profiling")
-    p.add_argument("--batch", type=_int)
-    p.add_argument("--max-pairs", type=_int, metavar="N",
+    p.add_argument("--batch", type=int)
+    p.add_argument("--max-pairs", type=int, metavar="N",
                    help="list at most N inverted pairs (all are still counted)")
 
     p = sub.add_parser("pareto", help="frontier of quality versus one cost indicator")
@@ -505,6 +497,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cost", required=True)
     p.add_argument("--svg", help="write an SVG scatter to this path")
     return parser
+
+
+#: Characters of an error line's ``error``, past which ``main`` cuts it,
+#: whoever wrote the text; ``detail`` keeps its exact values.
+_ERROR_CHARS = 1000
 
 
 def _stderr_line(line: str) -> None:
@@ -532,6 +529,7 @@ def main(argv=None) -> int:
         code, error = 2, {"error": str(exc), **getattr(exc, "detail", {})}
     except AnalysisError as exc:
         code, error = 1, {"error": str(exc)}
+    error["error"] = _cut(error["error"], _ERROR_CHARS)
     _stderr_line(json.dumps(error, sort_keys=True))
     return code
 

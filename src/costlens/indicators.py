@@ -211,22 +211,26 @@ def training_memory(spec: ArchSpec, batch: int = 1,
     helps inference memory far more than training memory.
     """
     sums = _sums(_steps(spec, batch)[0])
-    return _memory(_params(sums), sums, spec.element_bytes, batch, optimizer)
+    return MemoryEstimate(*_memory(_params(sums), sums, spec.element_bytes, batch, optimizer))
 
 
 def _memory(params: int, sums: _Sums, eb: int, batch: int,
-            optimizer: OptimizerKind) -> MemoryEstimate:
-    """Training memory from the checked ``params`` and the other ``sums``."""
+            optimizer: OptimizerKind) -> tuple[int, int, int, int, int, int]:
+    """Training memory from the checked ``params`` and the other ``sums``, as
+    the fields of a ``MemoryEstimate`` in order."""
     check_value("optimizer", optimizer, OptimizerKind)
     param_bytes = _checked(params * eb, "parameter bytes")
     opt_bytes = OPTIMIZER_STATE_COPIES[optimizer] * param_bytes
     activations = _checked(sums.out_elements * batch, "activation element count")
     act_bytes = _checked(activations * eb, "activation bytes")
     peak_train = _checked(2 * param_bytes + opt_bytes + act_bytes, "peak training bytes")
-    peak_inference = _checked(param_bytes + sums.largest_out * eb * batch,
-                              "peak inference bytes")
-    return MemoryEstimate(param_bytes, param_bytes, opt_bytes, act_bytes, peak_train,
-                          peak_inference)
+    return (param_bytes, param_bytes, opt_bytes, act_bytes, peak_train,
+            _peak_inference(param_bytes, sums, eb, batch))
+
+
+def _peak_inference(param_bytes: int, sums: _Sums, eb: int, batch: int) -> int:
+    """The weights plus the largest single output of a batch, checked."""
+    return _checked(param_bytes + sums.largest_out * eb * batch, "peak inference bytes")
 
 
 def inference_memory(spec: ArchSpec, batch: int = 1) -> MemoryEstimate:
@@ -236,5 +240,5 @@ def inference_memory(spec: ArchSpec, batch: int = 1) -> MemoryEstimate:
     sums = _sums(_steps(spec, batch)[0])
     eb = spec.element_bytes
     param_bytes = _checked(_params(sums) * eb, "parameter bytes")
-    peak = _checked(param_bytes + sums.largest_out * eb * batch, "peak inference bytes")
+    peak = _peak_inference(param_bytes, sums, eb, batch)
     return MemoryEstimate(param_bytes, 0, 0, peak - param_bytes, peak, peak)

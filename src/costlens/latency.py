@@ -111,7 +111,7 @@ def estimate_latency(spec: ArchSpec, hw: HardwareModel, batch: int = 1) -> Speed
     Raises OverflowError unless latency and throughput are finite floats
     (a spec without layers has no finite throughput).
     """
-    return _speed(_roofline(spec, hw, batch)[1], batch)
+    return SpeedEstimate(*_speed(_roofline(spec, hw, batch)[1], batch))
 
 
 def _roofline(spec: ArchSpec, hw: HardwareModel, batch: int) -> tuple[list[Step], float]:
@@ -119,24 +119,27 @@ def _roofline(spec: ArchSpec, hw: HardwareModel, batch: int) -> tuple[list[Step]
     steps at the true length, the only per-node record, and the latency of a
     batch at the hardware's padded length, which every latency figure reads."""
     check_value("hardware", hw, HardwareModel)
+    bandwidth, overhead = hw.mem_bandwidth_bytes_per_sec, hw.per_op_overhead_sec
+    try:
+        rate = hw.peak_flops_per_sec * hw.num_devices
+    except OverflowError:  # a device count past the float range: no op has a finite time
+        return _steps(spec, batch, hw.length_pad_multiple, lambda step: math.inf)
 
-    def op_seconds(step: Step) -> float:
+    def op_seconds(step: Step) -> float:  # runs after _steps has validated the spec
         mac_bytes = layer_mac_bytes(step, spec.element_bytes, batch)
         try:
-            compute = step.flops * batch / (hw.peak_flops_per_sec * hw.num_devices)
-            memory = mac_bytes / hw.mem_bandwidth_bytes_per_sec
-            return hw.per_op_overhead_sec + max(compute, memory)
+            return overhead + max(step.flops * batch / rate, mac_bytes / bandwidth)
         except OverflowError:  # past the float range: no finite latency
             return math.inf
 
     return _steps(spec, batch, hw.length_pad_multiple, op_seconds)
 
 
-def _speed(latency: float, batch: int) -> SpeedEstimate:
+def _speed(latency: float, batch: int) -> tuple[float, float]:
     # The latency is inf for a batch past the float range: batch / inf overflows.
     throughput = batch / latency if 0 < latency < math.inf else math.inf
     if not math.isfinite(throughput) or not math.isfinite(latency):
         raise OverflowError(
             f"latency {_echo(latency)} s at batch {_echo(batch)} gives no finite throughput"
         )
-    return SpeedEstimate(latency_sec=latency, throughput_examples_per_sec=throughput)
+    return latency, throughput

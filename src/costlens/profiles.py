@@ -76,9 +76,10 @@ def compute_profile(spec: ArchSpec, batch: int = 1,
     params = _params(sums)
     flops = _checked(sums.flops, "FLOP count")
     macs = _checked(sums.macs, "MAC count")
-    train = _memory(params, sums, eb, batch, optimizer)
+    param_bytes, _, _, act_bytes, peak_train, peak_inference = _memory(
+        params, sums, eb, batch, optimizer)
     # Checked after the counts, so a count past 64 bits is the error reported.
-    speed = None if latency is None else _speed(latency, batch)
+    latency, throughput = (None, None) if latency is None else _speed(latency, batch)
 
     return CostProfile(
         name=spec.name,
@@ -92,13 +93,12 @@ def compute_profile(spec: ArchSpec, batch: int = 1,
         gflops=macs / 1e9,
         activation_elements=_checked(sums.out_elements, "activation element count"),
         mac_bytes=_checked(sums.moved_elements * eb, "memory access volume"),
-        parameter_bytes=train.parameter_bytes,
-        activation_bytes=train.activation_bytes,
-        peak_training_bytes=train.peak_training_bytes,
-        peak_inference_bytes=train.peak_inference_bytes,
-        latency_sec=None if speed is None else speed.latency_sec,
-        throughput_examples_per_sec=(None if speed is None
-                                     else speed.throughput_examples_per_sec),
+        parameter_bytes=param_bytes,
+        activation_bytes=act_bytes,
+        peak_training_bytes=peak_train,
+        peak_inference_bytes=peak_inference,
+        latency_sec=latency,
+        throughput_examples_per_sec=throughput,
         hardware=hardware.name if hardware is not None else None,
         carbon_kg_co2e=carbon_footprint(energy) if energy is not None else None,
         monetary_cost=monetary_cost(pricing) if pricing is not None else None,

@@ -9,7 +9,10 @@ and ``copies``, how many parameter sets it stores (the same product, with
 a ``share_params`` repeat contributing 1). Every indicator is a fold over
 these steps, so cost grows with the size of the spec, not with the number
 of layers it executes. :func:`evaluate` validates its spec first: it is
-the one spec check between a spec and its steps.
+the one spec check between a spec and its steps. A node's kind is its
+exact type, as ``validate`` admits it: a subclass of a layer kind is
+refused there, so the fold tests ``type(layer) is Dense`` and never
+``isinstance``.
 
 ``PatchEmbed`` is only valid as the first layer, so the sequence length is
 the same at every node and every iteration of a ``Repeat`` is identical:
@@ -79,10 +82,10 @@ class Step(NamedTuple):
     copies: int           # stored parameter sets
 
 
-def _leaf_costs(layer, L: int, tokens: int):
+def _leaf_costs(layer, kind, L: int, tokens: int):
     """(params, matmul_macs, flops, in_elements, out_elements) of one
-    primitive layer at sequence length ``L`` of ``tokens`` true tokens."""
-    if isinstance(layer, PatchEmbed):
+    primitive layer, of type ``kind``, at length ``L`` of ``tokens`` true tokens."""
+    if kind is PatchEmbed:
         # The patches, their input and the positional table are unpadded.
         patches = tokens - (1 if layer.add_cls_token else 0)
         d = layer.embed_dim
@@ -97,7 +100,7 @@ def _leaf_costs(layer, L: int, tokens: int):
             flops += L * d * ADD_FLOPS_PER_ELEMENT
         return params, macs, flops, patches * patch_in, L * d
 
-    if isinstance(layer, Attention):
+    if kind is Attention:
         d, dq = layer.model_dim, layer.qkv_dim
         proj_macs = 4 * L * d * dq                 # Q, K, V, output
         quad_macs = 2 * L * L * dq                 # logits + value mixing
@@ -108,7 +111,7 @@ def _leaf_costs(layer, L: int, tokens: int):
         flops += L * d * ADD_FLOPS_PER_ELEMENT                  # residual
         return 4 * d * dq + 4 * dq, macs, flops, L * d, L * d
 
-    if isinstance(layer, FeedForward):
+    if kind is FeedForward:
         d, h = layer.model_dim, layer.hidden_dim
         macs = 2 * L * d * h
         flops = 2 * macs
@@ -117,17 +120,17 @@ def _leaf_costs(layer, L: int, tokens: int):
         flops += L * d * ADD_FLOPS_PER_ELEMENT                  # residual
         return d * h + h + h * d + d, macs, flops, L * d, L * d
 
-    if isinstance(layer, LayerNorm):
+    if kind is LayerNorm:
         d = layer.model_dim
         return 2 * d, 0, LAYERNORM_FLOPS_PER_ELEMENT * L * d, L * d, L * d
 
-    if isinstance(layer, Dense):
+    if kind is Dense:
         a, b = layer.in_dim, layer.out_dim
         macs = L * a * b
         flops = 2 * macs + (L * b * ADD_FLOPS_PER_ELEMENT if layer.bias else 0)
         return a * b + (b if layer.bias else 0), macs, flops, L * a, L * b
 
-    if isinstance(layer, TokenEmbedding):
+    if kind is TokenEmbedding:
         v, d = layer.vocab, layer.embed_dim
         macs = L * d * v                        # output logit projection
         # The lookup itself is free. Two output tensors: the embedded
@@ -135,12 +138,12 @@ def _leaf_costs(layer, L: int, tokens: int):
         params = v * d if layer.tied_output else 2 * v * d
         return params, macs, 2 * macs, L, L * d + L * v
 
-    if isinstance(layer, ClassifierHead):
+    if kind is ClassifierHead:
         d, k = layer.model_dim, layer.classes
         macs = d * k
         return d * k + k, macs, 2 * macs + k * ADD_FLOPS_PER_ELEMENT, d, k
 
-    raise TypeError(f"unexpected layer type {type(layer).__name__}")
+    raise TypeError(f"unexpected layer type {kind.__name__}")
 
 
 def _fold(layers, prefix, L, P, count, copies, seconds, out) -> float:
@@ -150,31 +153,33 @@ def _fold(layers, prefix, L, P, count, copies, seconds, out) -> float:
     total = 0.0
     for i, layer in enumerate(layers):
         path = f"{prefix}[{i}]" if prefix else f"layers[{i}]"
-        if isinstance(layer, Repeat):
+        kind = type(layer)
+        if kind is Repeat:
             n = layer.times
             body = _fold(layer.body, f"{path}.body", L, P, count * n,
                          copies if layer.share_params else copies * n,
                          seconds, out)
             total += n * body
             continue
-        if isinstance(layer, Parallel):
+        if kind is Parallel:
             slowest = 0.0
             for b, branch in enumerate(layer.branches):
                 slowest = max(slowest, _fold(branch, f"{path}.branches[{b}]", L, P,
                                              count, copies, seconds, out))
             total += slowest
             continue
-        step = _node_step(layer, path, L, L, count, copies)
+        step = _node_step(layer, kind, path, L, L, count, copies)
         out.append(step)
         if seconds is not None:
             total += seconds(step if P == L else
-                             _node_step(layer, path, P, L, count, copies))
+                             _node_step(layer, kind, path, P, L, count, copies))
     return total
 
 
-def _node_step(layer, path, L, tokens, count, copies) -> Step:
-    """The step of a leaf or ``MoE`` node at length ``L`` of ``tokens`` true tokens."""
-    if isinstance(layer, MoE):
+def _node_step(layer, kind, path, L, tokens, count, copies) -> Step:
+    """The step of a leaf or ``MoE`` node of type ``kind`` at length ``L`` of
+    ``tokens`` true tokens; a leaf's skips the named tuple's ``__new__`` frame."""
+    if kind is MoE:
         # One composite op: the router plus K of E experts per token.
         expert: list[Step] = []
         _fold([layer.expert], f"{path}.expert", L, L, 1, 1, None, expert)
@@ -191,8 +196,9 @@ def _node_step(layer, path, L, tokens, count, copies) -> Step:
             out_elements=expert[-1].out_elements,
             count=count, copies=copies,
         )
-    params, macs, flops, n_in, n_out = _leaf_costs(layer, L, tokens)
-    return Step(path, layer, L, params, params, macs, flops, n_in, n_out, count, copies)
+    params, macs, flops, n_in, n_out = _leaf_costs(layer, kind, L, tokens)
+    return tuple.__new__(Step, (path, layer, L, params, params, macs, flops, n_in, n_out,
+                                count, copies))
 
 
 def evaluate(spec: ArchSpec, pad_multiple: int | None = None,

@@ -651,6 +651,30 @@ def test_huge_flag_value_gives_a_short_error_line(place):
     assert error.count("...") == 1
 
 
+#: Text that costlens does not format, echoed whole before ``main`` cut
+#: ``error``: (the command line after the spec file, if one comes first;
+#: the path that ``file`` keeps exact, or None). Argparse's list of
+#: unrecognized arguments gave an error line of 100,048 bytes; a path too
+#: long for the file system, echoed by ``cannot read`` and again by
+#: ``OSError``, 300,073 bytes for a spec and 15,073 for a records file.
+UNFORMATTED = {
+    "unrecognized_argument": (True, ["x" * 100_000], None),
+    "spec_path": (False, ["profile", "y" * 100_000], "y" * 100_000),
+    "records_path": (False, ["compare", "--records", "z" * 5_000], "z" * 5_000),
+}
+
+
+@pytest.mark.parametrize("place", UNFORMATTED)
+def test_long_unformatted_text_gives_a_short_error(workdir, place):
+    after_spec, argv, kept = UNFORMATTED[place]
+    if after_spec:
+        argv = ["profile", write_json(workdir / "spec.json", SPECS[0]), *argv]
+    code, out, err = run(argv)
+    error = assert_refused((code, out, err))
+    assert len(error) < 4096 and error.endswith("..."), len(error)
+    assert json.loads(err).get("file") == kept
+
+
 #: Where the value sits mid-message: (the input holding it, a spec file's
 #: document or a records CSV's text; what the refusal says; the ``detail``
 #: key that keeps the whole value, or None).
@@ -873,7 +897,10 @@ LIBRARY_LEAKS = {
                          "hardware must be a HardwareModel, got {'peak_flops_per_sec': 1}"),
     "latency_hardware": (lambda: estimate_latency(_SMALL, _HW_DOC),
                          "hardware must be a HardwareModel, got {'peak_flops_per_sec': 1}"),
-    "profile_energy": (lambda: compute_profile(_SMALL, 1, load_hardware("default"),
+    "latency_spec": (lambda: estimate_latency(5, load_hardware("default")), "not an ArchSpec"),
+    "profile_spec_with_hardware": (lambda: compute_profile(5, 1, load_hardware("default")),
+                                   "not an ArchSpec"),
+    "profile_energy":(lambda: compute_profile(_SMALL, 1, load_hardware("default"),
                                                energy={}),
                        "energy must be an EnergyProfile, got {}"),
     "profile_pricing": (lambda: compute_profile(_SMALL, 1, pricing={}),

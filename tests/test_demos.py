@@ -1,4 +1,5 @@
-"""Every demo runs to completion, as a script, against the source tree."""
+"""Every demo runs to completion, as a script, against the source tree, and
+a demo with a golden under ``tests/golden/`` prints it byte for byte."""
 
 import os
 import subprocess
@@ -9,10 +10,16 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = ROOT / "tests" / "golden"
+
+
+def golden(demo: Path) -> Path:
+    return GOLDEN / f"demo_{demo.stem}.txt"
 
 
 def test_demos_found():
     assert DEMOS, "an empty list would leave test_demo_runs with nothing to run"
+    assert golden(ROOT / "demos" / "sharing_and_experts.py").is_file()
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
@@ -22,6 +29,8 @@ def test_demo_runs(demo, tmp_path):
                           timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout
+    if golden(demo).is_file():
+        assert proc.stdout == golden(demo).read_text("utf-8")
 
 
 def test_readme_library_tour_runs():

@@ -255,17 +255,19 @@ def test_padded_moe_is_timed_padded_and_counted_true():
 
 @pytest.fixture()
 def breakdowns(monkeypatch):
-    """The class name of each ``ParamCount`` and ``FlopCount`` built, through
-    any module's binding."""
+    """The class name of each ``ParamCount``, ``FlopCount``, ``MemoryEstimate``
+    and ``SpeedEstimate`` built, through any module's binding."""
     built = []
-    for name in ("ParamCount", "FlopCount"):
-        real = getattr(costlens.indicators, name)
+    for home, name in ((costlens.indicators, "ParamCount"), (costlens.indicators, "FlopCount"),
+                       (costlens.indicators, "MemoryEstimate"),
+                       (costlens.latency, "SpeedEstimate")):
+        real = getattr(home, name)
 
         def spy(*args, real=real, **kwargs):
             built.append(real.__name__)
             return real(*args, **kwargs)
 
-        for module in (costlens.indicators, costlens.profiles):
+        for module in (costlens.indicators, costlens.latency, costlens.profiles):
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, spy)
     return built
@@ -280,6 +282,19 @@ def test_breakdowns_only_for_count_params_and_count_flops(breakdowns):
     assert breakdowns == ["ParamCount"]
     count_flops(spec, 8)
     assert breakdowns == ["ParamCount", "FlopCount"]
+
+
+def test_estimates_only_for_the_memory_and_latency_calls(breakdowns):
+    """``compute_profile`` reads memory and speed as plain values; each
+    public call builds its one estimate."""
+    spec = vit_base(16, 224)
+    for hw in (None, load_hardware("default"), load_hardware("tpu_like")):
+        compute_profile(spec, 8, hw)
+    assert breakdowns == []
+    training_memory(spec, 8)
+    inference_memory(spec, 8)
+    estimate_latency(spec, load_hardware("default"), 8)
+    assert breakdowns == ["MemoryEstimate", "MemoryEstimate", "SpeedEstimate"]
 
 
 def test_step_is_immutable_with_its_fields_in_order():
@@ -363,6 +378,38 @@ def test_evaluate_refuses_an_invalid_spec(spec):
     with pytest.raises(InvalidSpecError) as exc:
         costlens.trace.evaluate(spec)
     assert exc.value.violations == costlens.archspec.validate(spec).violations
+
+
+class Wide(Dense):
+    """A subclass of a leaf kind, which is no layer kind."""
+
+
+class Looped(Repeat):
+    """A subclass of a container kind, which is no layer kind."""
+
+
+#: Specs holding a subclass of a layer kind: the fold dispatches on the
+#: exact type, so only ``validate`` stands between them and a wrong cost.
+SUBCLASSED = {
+    "leaf": (ArchSpec("x", TokenSequence(4, 10), (Wide(8, 8),)), "Wide"),
+    "nested_leaf": (ArchSpec("x", TokenSequence(4, 10), (Repeat((Wide(8, 8),), 2),)),
+                    "Wide"),
+    "repeat": (ArchSpec("x", TokenSequence(4, 10), (Looped((Dense(8, 8),), 3),)), "Looped"),
+}
+
+
+@pytest.mark.parametrize("spec, name", SUBCLASSED.values(), ids=SUBCLASSED.keys())
+def test_a_subclass_of_a_layer_kind_is_refused_before_the_fold(spec, name, monkeypatch):
+    def fold(*args):
+        raise AssertionError("a refused spec was costed")
+
+    monkeypatch.setattr(costlens.trace, "_fold", fold)
+    assert [v.message for v in costlens.archspec.validate(spec).violations] == [
+        f"unknown layer kind {name}"]
+    for call in (costlens.trace.evaluate, compute_profile,
+                 lambda s: compute_profile(s, 8, load_hardware("tpu_like"))):
+        with pytest.raises(InvalidSpecError, match=f"unknown layer kind {name}"):
+            call(spec)
 
 
 @pytest.fixture()

@@ -11,6 +11,7 @@ from costlens import (
     LayerNorm,
     Parallel,
     TokenSequence,
+    compute_profile,
     count_flops,
     depth_width_pair,
     estimate_latency,
@@ -163,6 +164,13 @@ class TestLatency:
             spec, HardwareModel(1e12, 1e300, 0.0, num_devices=4), 1
         ).latency_sec
         assert four == pytest.approx(one / 4)
+
+    def test_device_count_past_the_float_range_has_no_finite_latency(self):
+        spec = vit_base(32, 224)
+        hw = HardwareModel(1e12, 1e11, 1e-6, num_devices=10**400)
+        for call in (lambda: estimate_latency(spec, hw), lambda: compute_profile(spec, 1, hw)):
+            with pytest.raises(OverflowError, match="latency inf s at batch 1 gives"):
+                call()
 
     def test_overhead_counts_per_executed_op(self):
         spec = tokens(4, [LayerNorm(8), LayerNorm(8)])
