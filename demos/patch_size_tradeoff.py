@@ -18,17 +18,23 @@ SWEEP = [(8, 224), (16, 224), (32, 224), (64, 192)]
 
 print(f"{'patch':>5} {'tokens':>7} {'params (M)':>11} {'GFLOPs':>8} "
       f"{'params/GFLOP (M)':>17}")
+rows = []
 for patch, image in SWEEP:
     spec = build_vit(VitConfig(patch=patch, depth=12, model_dim=768,
                                num_heads=12, ffn_dim=3072,
                                image=(image, image, 3)))
     params = count_params(spec)
     flops = count_flops(spec)
+    rows.append((params.millions, flops.gflops))
     print(f"{patch:>5} {input_sequence_length(spec):>7} "
           f"{params.millions:>11.2f} {flops.gflops:>8.2f} "
           f"{params.millions / flops.gflops:>17.1f}")
+(_, gflops_8), (params_64, gflops_64) = rows[0], rows[-1]
+assert params_64 == max(p for p, _ in rows) and gflops_64 == min(f for _, f in rows), \
+    "the 64-pixel model is no longer the largest and the cheapest"
 
 print()
 print("Parameter count says the 64-pixel model is the largest; FLOPs say")
-print("it is ~80x cheaper than the 8-pixel one. Comparing these models on")
+print(f"it is {gflops_8 / gflops_64:.0f}x cheaper than the 8-pixel one. Comparing "
+      "these models on")
 print("parameter count alone inverts the actual compute ordering.")

@@ -167,31 +167,39 @@ def _read_document(cls, path: str, prefix: str = ""):
         raise InputFileError(prefix + str(exc), file=path)
 
 
-def read_records(path: str) -> list[ModelRecord]:
-    """One record per data row of a records CSV file (format in
-    docs/file-formats.md). A ``family`` column is ignored, ``quality`` may be
-    any finite score, and each indicator cell obeys the ``float`` field rule
-    of ``check_value``. A file that breaks the format raises ``InputFileError``."""
-    def refuse(line: int, message: str, **detail) -> InputFileError:
-        return InputFileError(f"{path}:{line}: {message}", file=path, line=line, **detail)
-
-    check_value("path", path, (str, os.PathLike))  # open() reads an int as a descriptor
-    rows = []  # (physical line where the row starts, cells), blank rows skipped
+def _csv_rows(path: str):
+    """(physical line where the row starts, cells) of each non-blank row of a
+    CSV file, read as it is iterated; a file that cannot be read raises
+    ``InputFileError``."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             start = 1
             for row in reader:
                 if row:
-                    rows.append((start, row))
+                    yield start, row
                 start = reader.line_num + 1
     except FileNotFoundError:
         raise InputFileError(f"no such file: {path}", file=path)
     except (OSError, ValueError, csv.Error) as exc:
         raise InputFileError(f"cannot read {path}: {exc}", file=path)
-    if not rows:
+
+
+def read_records(path: str) -> list[ModelRecord]:
+    """One record per data row of a records CSV file (format in
+    docs/file-formats.md). A ``family`` column is ignored, ``quality`` may be
+    any finite score, and each indicator cell obeys the ``float`` field rule
+    of ``check_value``. A file that breaks the format raises ``InputFileError``.
+    Each record is built as its row is read."""
+    def refuse(line: int, message: str, **detail) -> InputFileError:
+        return InputFileError(f"{path}:{line}: {message}", file=path, line=line, **detail)
+
+    check_value("path", path, (str, os.PathLike))  # open() reads an int as a descriptor
+    rows = _csv_rows(path)
+    head_line, header = next(rows, (None, None))
+    if header is None:
         raise InputFileError(f"{path}: empty records file", file=path)
-    head_line, header = rows[0][0], [h.strip() for h in rows[0][1]]
+    header = [h.strip() for h in header]
     first = {}  # column name -> its first column number
     for i, col in enumerate(header, start=1):
         if not col or first.setdefault(col, i) != i:
@@ -201,12 +209,10 @@ def read_records(path: str) -> list[ModelRecord]:
     if missing:
         raise InputFileError(f"{path}: records header must contain 'name' and "
                                f"'quality' (missing: {', '.join(missing)})", file=path)
-    if len(rows) == 1:
-        raise InputFileError(f"{path}: no data rows", file=path)
     number_cols = [c for c in header if c not in ("name", "family")]
     records = []
     first_line = {}
-    for lineno, row in rows[1:]:
+    for lineno, row in rows:
         if len(row) != len(header):
             raise refuse(lineno, f"expected {len(header)} cells, got {len(row)}")
         cells = dict(zip(header, (c.strip() for c in row)))
@@ -242,6 +248,8 @@ def read_records(path: str) -> list[ModelRecord]:
             records.append(ModelRecord(name, numbers, quality))
         except ValueError as exc:
             raise refuse(lineno, str(exc))
+    if not records:
+        raise InputFileError(f"{path}: no data rows", file=path)
     return records
 
 

@@ -10,19 +10,19 @@ could actually hold.
 
 Each public indicator checks ``batch`` and evaluates the spec once with
 :func:`costlens.trace.evaluate`, which validates it, and reads its totals
-from :func:`_sums`, one pass over the steps. ``compute_profile`` reads every
-total from that same pass, so each count has one summation path. The
-steps are the only per-node record: an indicator returns totals only.
+from :func:`costlens.trace._sums`, one pass over the steps. ``compute_profile``
+reads every total from that same pass, and ``trace`` costs an ``MoE`` node
+from the same sums of its expert's steps, so each count has one summation
+path. The steps are the only per-node record: an indicator returns totals only.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .archspec import ArchSpec, UINT64_MAX, check_value
-from .trace import Step, evaluate
+from .trace import Step, _Sums, _sums, evaluate
 
 
 def _checked(value: int, what: str) -> int:
@@ -36,33 +36,6 @@ def _steps(spec: ArchSpec, batch: int = 1, pad_multiple: int | None = None,
     """Check ``batch``, the one batch check before a fold, then :func:`evaluate`."""
     check_value("batch", batch)
     return evaluate(spec, pad_multiple, seconds)
-
-
-class _Sums(NamedTuple):
-    """Per-example totals of a step list, before any range check."""
-
-    params: int          # stored: unique params x copies
-    unrolled: int        # executed: params x count
-    flops: int
-    macs: int
-    out_elements: int    # every building-block output
-    moved_elements: int  # params and inputs read, outputs written
-    largest_out: int     # the largest single output
-
-
-def _sums(steps: list[Step]) -> _Sums:
-    """Every total of ``steps`` in one pass; callers check the range."""
-    params = unrolled = flops = macs = out = moved = largest = 0
-    for _, _, _, p, unique, m, f, n_in, n_out, n, copies in steps:
-        params += unique * copies
-        unrolled += p * n
-        flops += f * n
-        macs += m * n
-        out += n_out * n
-        moved += (p + n_in + n_out) * n
-        if n_out > largest:  # repetition does not change the largest output
-            largest = n_out
-    return _Sums(params, unrolled, flops, macs, out, moved, largest)
 
 
 def _params(sums: _Sums) -> int:

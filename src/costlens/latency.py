@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .analysis import _read_document
-from .archspec import ArchSpec, _echo, check_fields, check_value
+from .archspec import _FLOAT_MAX, ArchSpec, _echo, check_fields, check_value
 from .indicators import _steps, layer_mac_bytes
 from .trace import Step
 
@@ -46,6 +46,10 @@ class HardwareModel:
         for name in ("peak_flops_per_sec", "mem_bandwidth_bytes_per_sec"):
             if getattr(self, name) == 0:
                 raise ValueError(f"{name} must be > 0")
+        # A finite compute rate, so no device count makes an op free.
+        if self.num_devices > _FLOAT_MAX or self.peak_flops_per_sec * self.num_devices == math.inf:
+            raise ValueError(f"num_devices x peak_flops_per_sec must be within the float "
+                             f"range, got {_echo(self.num_devices)} x {self.peak_flops_per_sec}")
 
 
 #: Environment variable naming a directory of extra hardware preset JSONs.
@@ -120,10 +124,7 @@ def _roofline(spec: ArchSpec, hw: HardwareModel, batch: int) -> tuple[list[Step]
     batch at the hardware's padded length, which every latency figure reads."""
     check_value("hardware", hw, HardwareModel)
     bandwidth, overhead = hw.mem_bandwidth_bytes_per_sec, hw.per_op_overhead_sec
-    try:
-        rate = hw.peak_flops_per_sec * hw.num_devices
-    except OverflowError:  # a device count past the float range: no op has a finite time
-        return _steps(spec, batch, hw.length_pad_multiple, lambda step: math.inf)
+    rate = hw.peak_flops_per_sec * hw.num_devices  # finite, as HardwareModel checks
 
     def op_seconds(step: Step) -> float:  # runs after _steps has validated the spec
         mac_bytes = layer_mac_bytes(step, spec.element_bytes, batch)

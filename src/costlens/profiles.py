@@ -24,8 +24,9 @@ from .footprint import (
     carbon_footprint,
     monetary_cost,
 )
-from .indicators import OptimizerKind, _checked, _memory, _params, _steps, _sums
+from .indicators import OptimizerKind, _checked, _memory, _params, _steps
 from .latency import HardwareModel, _roofline, _speed, load_hardware
+from .trace import _sums
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,13 @@ times the node executes (the product of the enclosing ``Repeat.times``),
 and ``copies``, how many parameter sets it stores (the same product, with
 a ``share_params`` repeat contributing 1). Every indicator is a fold over
 these steps, so cost grows with the size of the spec, not with the number
-of layers it executes. :func:`evaluate` validates its spec first: it is
-the one spec check between a spec and its steps. A node's kind is its
-exact type, as ``validate`` admits it: a subclass of a layer kind is
-refused there, so the fold tests ``type(layer) is Dense`` and never
-``isinstance``.
+of layers it executes. :func:`_sums` is the one summation path over a step
+list: the indicators read their totals from it, and an ``MoE`` node is
+costed from the sums of its expert's steps. :func:`evaluate` validates its
+spec first: it is the one spec check between a spec and its steps. A
+node's kind is its exact type, as ``validate`` admits it: a subclass of a
+layer kind is refused there, so the fold tests ``type(layer) is Dense`` and
+never ``isinstance``.
 
 ``PatchEmbed`` is only valid as the first layer, so the sequence length is
 the same at every node and every iteration of a ``Repeat`` is identical:
@@ -80,6 +82,33 @@ class Step(NamedTuple):
     out_elements: int     # per example
     count: int            # executions
     copies: int           # stored parameter sets
+
+
+class _Sums(NamedTuple):
+    """Per-example totals of a step list, before any range check."""
+
+    params: int          # stored: unique params x copies
+    unrolled: int        # executed: params x count
+    flops: int
+    macs: int
+    out_elements: int    # every building-block output
+    moved_elements: int  # params and inputs read, outputs written
+    largest_out: int     # the largest single output
+
+
+def _sums(steps: list[Step]) -> _Sums:
+    """Every total of ``steps`` in one pass; callers check the range."""
+    params = unrolled = flops = macs = out = moved = largest = 0
+    for _, _, _, p, unique, m, f, n_in, n_out, n, copies in steps:
+        params += unique * copies
+        unrolled += p * n
+        flops += f * n
+        macs += m * n
+        out += n_out * n
+        moved += (p + n_in + n_out) * n
+        if n_out > largest:  # repetition does not change the largest output
+            largest = n_out
+    return _Sums(params, unrolled, flops, macs, out, moved, largest)
 
 
 def _leaf_costs(layer, kind, L: int, tokens: int):
@@ -178,24 +207,19 @@ def _fold(layers, prefix, L, P, count, copies, seconds, out) -> float:
 
 def _node_step(layer, kind, path, L, tokens, count, copies) -> Step:
     """The step of a leaf or ``MoE`` node of type ``kind`` at length ``L`` of
-    ``tokens`` true tokens; a leaf's skips the named tuple's ``__new__`` frame."""
+    ``tokens`` true tokens; either skips the named tuple's ``__new__`` frame."""
     if kind is MoE:
         # One composite op: the router plus K of E experts per token.
         expert: list[Step] = []
         _fold([layer.expert], f"{path}.expert", L, L, 1, 1, None, expert)
+        s = _sums(expert)
         dr, E, K = layer.router_dim, layer.num_experts, layer.experts_per_token
         router_macs = L * dr * E
-        return Step(
-            path, layer, L,
-            params=dr * E + E * sum(s.params * s.count for s in expert),
-            unique_params=dr * E + E * sum(s.unique_params * s.copies for s in expert),
-            matmul_macs=router_macs + K * sum(s.matmul_macs * s.count for s in expert),
-            flops=(2 * router_macs + SOFTMAX_FLOPS_PER_ELEMENT * L * E
-                   + K * sum(s.flops * s.count for s in expert)),
-            in_elements=expert[0].in_elements,
-            out_elements=expert[-1].out_elements,
-            count=count, copies=copies,
-        )
+        flops = 2 * router_macs + SOFTMAX_FLOPS_PER_ELEMENT * L * E + K * s.flops
+        return tuple.__new__(Step, (path, layer, L, dr * E + E * s.unrolled,
+                                    dr * E + E * s.params, router_macs + K * s.macs, flops,
+                                    expert[0].in_elements, expert[-1].out_elements,
+                                    count, copies))
     params, macs, flops, n_in, n_out = _leaf_costs(layer, kind, L, tokens)
     return tuple.__new__(Step, (path, layer, L, params, params, macs, flops, n_in, n_out,
                                 count, copies))

@@ -221,6 +221,16 @@ class TestProfile:
         assert len(err.strip().splitlines()) == 1
         assert "must be finite" in json.loads(err)["error"]
 
+    def test_device_count_past_the_float_range_exits_2(self, vit16, tmp_path, capsys):
+        path = tmp_path / "hw.json"
+        path.write_text('{"peak_flops_per_sec": 1e12, "mem_bandwidth_bytes_per_sec": 1e11,'
+                        ' "per_op_overhead_sec": 1e-6, "num_devices": 1%s}' % ("0" * 400))
+        code, out, err = run_cli(["profile", vit16, "--hw", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert len(err.strip().splitlines()) == 1
+        doc = json.loads(err)
+        assert "num_devices" in doc["error"] and doc["file"] == str(path)
+
     def test_preset_names_stay_in_preset_directories(self, vit16, tmp_path,
                                                      monkeypatch, capsys):
         hw = {"peak_flops_per_sec": 1e12, "mem_bandwidth_bytes_per_sec": 1e11,

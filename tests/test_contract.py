@@ -675,6 +675,65 @@ def test_long_unformatted_text_gives_a_short_error(workdir, place):
     assert json.loads(err).get("file") == kept
 
 
+#: A valid command line of each command, with file names in the work
+#: directory: (argv, the index of each file argument, by its name).
+COMMAND_LINES = {
+    "profile": (["profile", "spec.json", "--hw", "hw.json", "--energy", "energy.json",
+                 "--pricing", "pricing.json", "--batch", "2", "--format", "json"],
+                {"spec": 1, "--hw": 3, "--energy": 5, "--pricing": 7}),
+    "compare": (["compare", "spec.json", "spec2.json", "--hw", "hw.json", "--max-pairs", "3"],
+                {"spec": 2, "--hw": 4}),
+    "compare_records": (["compare", "--records", "records.csv", "--indicators",
+                         "params,flops"], {"records": 2}),
+    "pareto": (["pareto", "records.csv", "--cost", "params", "--svg", "out.svg"],
+               {"records": 1, "--svg": 5}),
+}
+
+
+@pytest.fixture(scope="module")
+def command_lines(workdir):
+    """``COMMAND_LINES`` with each file written and named by its full path."""
+    for name, doc in {"spec.json": SPECS[0], "spec2.json": SPECS[1], "hw.json": _HW,
+                      "energy.json": ENERGY, "pricing.json": PRICING}.items():
+        write_json(workdir / name, doc)
+    (workdir / "records.csv").write_text("".join(",".join(r) + "\n" for r in RECORDS))
+    return {command: ([str(workdir / a) if a.endswith((".json", ".csv", ".svg")) else a
+                       for a in argv], places)
+            for command, (argv, places) in COMMAND_LINES.items()}
+
+
+def assert_short_refusal(result):
+    error = assert_refused(result)
+    assert len(error.encode()) < 4096, len(error.encode())
+
+
+@pytest.mark.parametrize("command", COMMAND_LINES)
+def test_command_lines_run(command_lines, command):
+    assert run(command_lines[command][0])[0] == 0
+
+
+@CONTRACT
+@given(command=st.sampled_from(list(COMMAND_LINES)), position=st.integers(0, 12),
+       char=st.sampled_from(["x", "-", "0", "\u00e9", "/"]))
+def test_long_token_anywhere_gives_a_short_error(command_lines, command, position, char):
+    argv = list(command_lines[command][0])
+    argv.insert(position % (len(argv) + 1), char * 100_000)
+    assert_short_refusal(run(argv))
+
+
+@CONTRACT
+@given(place=st.sampled_from([(c, f) for c, (_, files) in COMMAND_LINES.items()
+                              for f in files]),
+       unit=st.sampled_from(["y", "y/"]), chars=st.sampled_from([300, 5_000, 100_000]))
+def test_long_path_in_each_file_argument_gives_a_short_error(workdir, command_lines, place,
+                                                             unit, chars):
+    command, argument = place
+    argv, places = command_lines[command]
+    argv = list(argv)
+    argv[places[argument]] = str(workdir / (unit * chars)[:chars])
+    assert_short_refusal(run(argv))
+
+
 #: Where the value sits mid-message: (the input holding it, a spec file's
 #: document or a records CSV's text; what the refusal says; the ``detail``
 #: key that keeps the whole value, or None).

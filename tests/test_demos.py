@@ -43,3 +43,8 @@ def test_readme_library_tour_runs():
                           cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
                           timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_every_demo_has_a_golden():
+    """No demo's printed figures go unchecked."""
+    assert [demo.stem for demo in DEMOS if not golden(demo).is_file()] == []
