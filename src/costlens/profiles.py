@@ -1,16 +1,13 @@
 """One-stop cost profile: every indicator a given set of inputs permits.
 
 A :class:`CostProfile` bundles the hardware-independent counts with the
-optional hardware-, energy- and pricing-dependent estimates. Count-style
-fields (params, flops, macs, activation, memory traffic) are reported per
-example so they can be compared across batch settings; memory, latency
-and throughput are reported at the requested batch size.
+optional hardware-, energy- and pricing-dependent estimates.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .analysis import PROFILE_FIELDS, InputFileError, ModelRecord, _load_json, _read_document
 from .archlib import build_from_reference
@@ -31,6 +28,16 @@ from .trace import _sums
 
 @dataclass(frozen=True)
 class CostProfile:
+    """Every cost indicator of one spec; immutable once built.
+
+    The counts (``params``, ``flops``, ``macs``, ``gflops``,
+    ``activation_elements``, ``mac_bytes``) are per example, so they compare
+    across batch settings; memory, latency and throughput are at ``batch``.
+    ``None`` marks an indicator the inputs do not permit: latency and
+    throughput without hardware, carbon without an energy profile, cost
+    without pricing.
+    """
+
     name: str
     batch: int
     element_bytes: int
@@ -54,6 +61,17 @@ class CostProfile:
 
     def to_dict(self) -> dict:
         return to_document(self)
+
+
+_FIELDS = tuple(f.name for f in fields(CostProfile))
+
+
+def _profile(*values) -> CostProfile:
+    """The ``CostProfile`` of ``values`` in field order, its ``__dict__``
+    filled at once; it has no ``__post_init__``, so no check is skipped."""
+    profile = object.__new__(CostProfile)
+    profile.__dict__.update(zip(_FIELDS, values))
+    return profile
 
 
 def compute_profile(spec: ArchSpec, batch: int = 1,
@@ -82,27 +100,14 @@ def compute_profile(spec: ArchSpec, batch: int = 1,
     # Checked after the counts, so a count past 64 bits is the error reported.
     latency, throughput = (None, None) if latency is None else _speed(latency, batch)
 
-    return CostProfile(
-        name=spec.name,
-        batch=batch,
-        element_bytes=eb,
-        optimizer=optimizer.value,
-        params=params,
-        params_million=params / 1e6,
-        flops=flops,
-        macs=macs,
-        gflops=macs / 1e9,
-        activation_elements=_checked(sums.out_elements, "activation element count"),
-        mac_bytes=_checked(sums.moved_elements * eb, "memory access volume"),
-        parameter_bytes=param_bytes,
-        activation_bytes=act_bytes,
-        peak_training_bytes=peak_train,
-        peak_inference_bytes=peak_inference,
-        latency_sec=latency,
-        throughput_examples_per_sec=throughput,
-        hardware=hardware.name if hardware is not None else None,
-        carbon_kg_co2e=carbon_footprint(energy) if energy is not None else None,
-        monetary_cost=monetary_cost(pricing) if pricing is not None else None,
+    return _profile(
+        spec.name, batch, eb, optimizer.value, params, params / 1e6, flops, macs,
+        macs / 1e9, _checked(sums.out_elements, "activation element count"),
+        _checked(sums.moved_elements * eb, "memory access volume"), param_bytes, act_bytes,
+        peak_train, peak_inference, latency, throughput,
+        hardware.name if hardware is not None else None,
+        carbon_footprint(energy) if energy is not None else None,
+        monetary_cost(pricing) if pricing is not None else None,
     )
 
 

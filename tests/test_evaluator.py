@@ -23,6 +23,7 @@ from costlens import (
     ArchSpec,
     Attention,
     ClassifierHead,
+    CostProfile,
     Dense,
     FeedForward,
     HardwareModel,
@@ -256,7 +257,8 @@ def test_padded_moe_is_timed_padded_and_counted_true():
 @pytest.fixture()
 def breakdowns(monkeypatch):
     """The class name of each ``ParamCount``, ``FlopCount``, ``MemoryEstimate``
-    and ``SpeedEstimate`` built, through any module's binding."""
+    and ``SpeedEstimate`` built, through any module's binding, and of each
+    call of ``CostProfile.__init__``."""
     built = []
     for home, name in ((costlens.indicators, "ParamCount"), (costlens.indicators, "FlopCount"),
                        (costlens.indicators, "MemoryEstimate"),
@@ -270,6 +272,13 @@ def breakdowns(monkeypatch):
         for module in (costlens.indicators, costlens.latency, costlens.profiles):
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, spy)
+    real_init = CostProfile.__init__
+
+    def init_spy(self, *args, **kwargs):
+        built.append("CostProfile")
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CostProfile, "__init__", init_spy)
     return built
 
 
@@ -295,6 +304,15 @@ def test_estimates_only_for_the_memory_and_latency_calls(breakdowns):
     inference_memory(spec, 8)
     estimate_latency(spec, load_hardware("default"), 8)
     assert breakdowns == ["MemoryEstimate", "MemoryEstimate", "SpeedEstimate"]
+
+
+def test_only_replace_calls_the_profile_init(breakdowns):
+    """``compute_profile`` fills its ``CostProfile`` in one step;
+    ``dataclasses.replace`` still goes through ``__init__``."""
+    profile = compute_profile(vit_base(16, 224), 8, load_hardware("tpu_like"))
+    assert breakdowns == []
+    dataclasses.replace(profile, latency_sec=1.0)
+    assert breakdowns == ["CostProfile"]
 
 
 def test_step_is_immutable_with_its_fields_in_order():
