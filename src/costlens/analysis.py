@@ -169,10 +169,10 @@ def _read_document(cls, path: str, prefix: str = ""):
 
 def _csv_rows(path: str):
     """(physical line where the row starts, cells) of each non-blank row of a
-    CSV file, read as it is iterated; a file that cannot be read raises
-    ``InputFileError``."""
+    CSV file, read as it is iterated, a leading byte-order mark dropped; a file
+    that cannot be read raises ``InputFileError``."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             start = 1
             for row in reader:
@@ -183,6 +183,13 @@ def _csv_rows(path: str):
         raise InputFileError(f"no such file: {path}", file=path)
     except (OSError, ValueError, csv.Error) as exc:
         raise InputFileError(f"cannot read {path}: {exc}", file=path)
+
+
+def _numeral(text: str, kind):
+    """``kind(text)``, but ValueError for the ``1_0`` and non-ASCII digits it reads."""
+    if "_" in text or not text.isascii():
+        raise ValueError(text)
+    return kind(text)
 
 
 def read_records(path: str) -> list[ModelRecord]:
@@ -230,11 +237,8 @@ def read_records(path: str) -> list[ModelRecord]:
             text = cells[col]
             if text == "":
                 continue
-            # float() alone would also read 1_0 and non-ASCII digits.
             try:
-                if "_" in text or not text.isascii():
-                    raise ValueError(text)
-                numbers[col] = float(text)
+                numbers[col] = _numeral(text, float)
             except ValueError:
                 raise refuse(lineno, f"cell {_echo(col)} is not numeric: {_echo(text)}",
                              column=col)

@@ -53,6 +53,7 @@ from .analysis import (
     MisnomerReport,
     ModelRecord,
     _listed_rows,
+    _numeral,
     indicators_present,
     misnomer_report,
     pareto_frontier,
@@ -294,9 +295,17 @@ def _flag(name: str) -> str:
     return {"layers_per_stack": "--layers"}.get(name, "--" + name.replace("_", "-"))
 
 
+def _int(text: str) -> int:
+    """An integer flag's value, its numeral read by the rule of a records cell."""
+    try:
+        return _numeral(text, int)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_echo(text)}")
+
+
 def _add_builder_flags(parser):
     """``--family`` and one flag per builder argument, read from its annotation."""
-    settings = {int: {"type": int}, tuple[int, int, int]: {"type": int, "nargs": 3},
+    settings = {int: {"type": _int}, tuple[int, int, int]: {"type": _int, "nargs": 3},
                 str: {"choices": ARRANGEMENTS}}
     group = parser.add_argument_group("builder flags (instead of a spec file)")
     group.add_argument("--family", choices=list(BUILDER_ARGS))
@@ -464,18 +473,20 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command line parser, built once per process (parsing leaves it as is)."""
+    """Built once per process (parsing leaves it as is); ``commands`` maps each
+    command to its sub-parser, which ``main`` runs alone on a line naming it."""
     parser = _Parser(
         prog="costlens",
         description="Analytical cost indicators and cross-indicator "
                     "disagreement analysis for neural architectures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("profile", help="compute every indicator for one architecture")
     p.add_argument("spec", nargs="?", help="spec file (JSON)")
     p.add_argument("--hw", help="hardware preset name or JSON path")
-    p.add_argument("--batch", type=int)
+    p.add_argument("--batch", type=_int)
     p.add_argument("--optimizer", choices=[o.value for o in OptimizerKind],
                    default="adam")
     p.add_argument("--energy", help="energy profile JSON (enables carbon)")
@@ -488,8 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--records", help="records CSV instead of spec files")
     p.add_argument("--indicators", help="comma-separated indicator subset")
     p.add_argument("--hw", help="hardware preset for spec-file profiling")
-    p.add_argument("--batch", type=int)
-    p.add_argument("--max-pairs", type=int, metavar="N",
+    p.add_argument("--batch", type=_int)
+    p.add_argument("--max-pairs", type=_int, metavar="N",
                    help="list at most N inverted pairs (all are still counted)")
 
     p = sub.add_parser("pareto", help="frontier of quality versus one cost indicator")
@@ -512,8 +523,19 @@ def _stderr_line(line: str) -> None:
 
 
 def main(argv=None) -> int:
+    """Run a command line (``sys.argv[1:]`` when None) and return its exit code.
+    A line naming a command is parsed in one pass, by that command's sub-parser;
+    any other, by the full parser, which only refuses it or prints help."""
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        argv = list(sys.argv[1:] if argv is None else argv)
+        sub = parser.commands.get(argv[0]) if argv and isinstance(argv[0], str) else None
+        if sub is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+            if extra:  # worded as the full parse words it
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
         if sys.stdout is None:  # closed before start-up: fail as a closed descriptor does
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         # Looked up on each call, so a replaced cmd_<name> takes effect.

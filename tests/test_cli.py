@@ -577,6 +577,13 @@ class TestCompare:
         assert code == 0
         assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
+    def test_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        """Spreadsheet programs save a CSV file with a UTF-8 byte-order mark."""
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + (GOLDEN / "compare_tie_heavy.csv").read_bytes())
+        code, out, _ = run_cli(["compare", "--records", str(path)], capsys)
+        assert (code, out.encode("utf-8")) == (0, (GOLDEN / "compare_tie_heavy.txt").read_bytes())
+
     def test_max_pairs_truncates_listing(self, records_csv, capsys):
         full = (GOLDEN / "compare_depth_width_scaling.txt").read_text(
             encoding="utf-8").splitlines()
@@ -1135,6 +1142,19 @@ class TestParser:
         assert (code, out) == (2, "")
         assert err.count("\n") == 1
         assert json.loads(err) == {"error": message}
+
+    def test_one_parse_per_call(self, vit16, records_csv, monkeypatch, capsys):
+        """A line naming a command is parsed by that command's sub-parser
+        alone, not by the full parser and then the sub-parser."""
+        parsed = []
+        real = argparse.ArgumentParser.parse_known_args
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                            lambda self, *a, **k: parsed.append(self.prog) or real(self, *a, **k))
+        for argv in (["profile", vit16], ["compare", "--records", records_csv],
+                     ["pareto", records_csv, "--cost", "flops"]):
+            parsed.clear()
+            assert run_cli(argv, capsys)[0] == 0
+            assert parsed == [f"costlens {argv[0]}"]
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

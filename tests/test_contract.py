@@ -27,6 +27,7 @@ import re
 import sys
 import time
 import typing
+from itertools import chain
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -76,6 +77,7 @@ from costlens import (
     to_json,
     validate,
 )
+from costlens import cli
 from costlens.archlib import MoeConfig, UtConfig
 from costlens.archspec import _reading, field_errors, from_document
 from costlens.cli import main
@@ -732,6 +734,67 @@ def test_long_path_in_each_file_argument_gives_a_short_error(workdir, command_li
     argv = list(argv)
     argv[places[argument]] = str(workdir / (unit * chars)[:chars])
     assert_short_refusal(run(argv))
+
+
+#: Tokens that no option takes as they stand: help, an unknown option, a
+#: prefix of two options, an option with its value after ``=``, ``--``,
+#: unknown commands, numbers and paths.
+STRAY_TOKENS = ["-h", "-x", "--he", "--batch=2", "--", "bogus", "PROFILE", "", "7", "-3",
+                "1_0", "x.json"]
+
+
+def _segments(parser) -> list[list[str]]:
+    """Each stray token alone, and each option of ``parser`` followed by a
+    value it takes: every choice, else an integer or a path."""
+    segments = [[token] for token in STRAY_TOKENS]
+    for action in parser._actions:
+        values = action.choices or (["2"] if action.type is not None else ["x.json"])
+        count = action.nargs if isinstance(action.nargs, int) else 1
+        for option in action.option_strings:
+            segments += [[option]] if count == 0 else [[option, *[v] * count] for v in values]
+    return segments
+
+
+#: Command lines: stray tokens alone, or a command followed by its own
+#: options, values and stray tokens.
+ARGV = st.one_of(
+    st.lists(st.sampled_from(STRAY_TOKENS), max_size=3),
+    *(st.lists(st.sampled_from(_segments(sub)), max_size=6).map(
+        lambda segments, name=name: [name, *chain.from_iterable(segments)])
+      for name, sub in cli.build_parser().commands.items()),
+)
+
+
+def _ending(call):
+    """How ``call()`` ends: its value, the ``ValueError`` it raises, or the
+    exit code and stdout of the help it prints."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return "value", call()
+    except ValueError as exc:
+        return "refused", str(exc)
+    except SystemExit as exc:
+        return "exited", exc.code, out.getvalue()
+
+
+@CONTRACT
+@given(argv=ARGV)
+@example(argv=["profile", "ok.json", "--", "-x"])
+@example(argv=["compare", "--max-pairs", "3", "a.json", "b.json", "--", "--hw"])
+def test_main_parses_as_the_full_parser(argv):
+    """The namespace ``main`` hands to ``cmd_<name>`` has the ``vars`` of the
+    full parse of the same line; where the full parse refuses the line or
+    prints help, ``main`` does the same with the same text."""
+    handed, err = [], io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+        for name in cli.build_parser().commands:
+            mp.setattr(cli, f"cmd_{name}", lambda args: handed.append(vars(args)) or 0)
+        ending = _ending(lambda: main(argv))
+    if ending[0] == "value":  # 0 once a namespace is handed on, else 2 and the error line
+        ending = ("value", handed[0]) if ending[1] == 0 else (
+            "refused", json.loads(err.getvalue())["error"])
+    assert ending == _ending(lambda: vars(cli.build_parser().parse_args(argv)))
 
 
 #: Where the value sits mid-message: (the input holding it, a spec file's

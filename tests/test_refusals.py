@@ -125,6 +125,24 @@ COMMANDS = [
     [*_VIT_FLAGS, "--steps", "7"],
     [*_VIT_FLAGS, "--num-experts", "4", "--steps", "7"],
     ["profile", "--family", "universal_transformer", "--vocab", "7", "--layers", "9"],
+    # Integer flags read a numeral as a records cell does: no 1_0, no "８".
+    ["profile", "ok.json", "--batch", "1_0"],
+    ["profile", "ok.json", "--batch", "\uff18"],
+    ["compare", "ok.json", "ok.json", "--batch", "\uff18"],
+    ["compare", "--records", "two.csv", "--max-pairs", "1_0"],
+    ["profile", "--family", "vit", "--depth", "\uff12"],
+    [*_VIT_FLAGS, "--image", "64", "6_4", "3"],
+    # Usage errors, on the full parse and on a command's own sub-parser.
+    [],
+    ["bogus"],
+    ["PROFILE", "ok.json"],
+    ["profile", "ok.json", "extra"],
+    ["profile", "ok.json", "a", "b"],
+    ["--", "profile", "ok.json"],
+    ["pareto"],
+    ["compare", "--records"],
+    ["profile", "ok.json", "--format", "json", "-x"],
+    ["profile", "--he"],
 ]
 
 
