@@ -10,12 +10,13 @@ and dominated under another.
 
 A report ranks each indicator once, and each indicator pair masks those
 ranks with the records carrying both; each indicator's frontier is read
-from the same ranking. The inverted-pair listing is held
-as each record's discordant partners in one bitmask, and one decoder reads
-it a record's row at a time, picking per partner from two sequences over
-the records the caller gives: ``inverted_pairs`` builds the
-``InvertedPair`` objects from it on first access, and the CLI picks line
-templates with it, in bounded slices, without building them.
+from the same ranks by ``_frontier``, the one domination rule, which
+``pareto_frontier`` runs on the costs themselves. The inverted-pair
+listing is held as each record's discordant partners in one bitmask, and
+one decoder reads it a record's row at a time, picking per partner from
+two sequences over the records the caller gives: ``inverted_pairs``
+builds the ``InvertedPair`` objects from it on first access, and the CLI
+picks line templates with it, in bounded slices, without building them.
 
 All indicator values are treated as lower-is-better; throughput is
 declared higher-is-better at ingestion and negated internally so the rule
@@ -67,10 +68,6 @@ class InsufficientDataError(AnalysisError):
 
 class CoverageError(AnalysisError):
     """Records are missing a required column/indicator."""
-
-    def __init__(self, message: str, offenders: tuple[str, ...] = ()):
-        super().__init__(message)
-        self.offenders = offenders
 
 
 @dataclass(frozen=True)
@@ -138,14 +135,17 @@ class InputFileError(ValueError):
 
 
 def _load_json(path: str):
-    """The JSON document of an input file, or ``InputFileError`` naming it."""
+    """The JSON document of an input file, a leading byte-order mark skipped,
+    or ``InputFileError`` naming it; an offset counts the bytes as stored."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            return json.load(fh)
+            text = fh.read()
+        mark = text.startswith("\ufeff")
+        return json.loads(text[mark:])
     except FileNotFoundError:
         raise InputFileError(f"no such file: {path}", file=path)
     except json.JSONDecodeError as exc:
-        offset = len(exc.doc[:exc.pos].encode("utf-8"))
+        offset = len(text[:mark + exc.pos].encode("utf-8"))
         raise InputFileError(
             f"malformed JSON in {path}: {exc.msg} (byte offset {offset})",
             file=path, offset=offset,
@@ -283,32 +283,27 @@ def pareto_frontier(records, cost_key: str = "params"):
     missing = [r.name for r in records if cost_key not in r.indicators]
     if missing:
         raise CoverageError(
-            f"records missing cost indicator {_echo(cost_key)}: {', '.join(missing)}",
-            offenders=tuple(missing),
-        )
+            f"records missing cost indicator {_echo(cost_key)}: {', '.join(missing)}")
     no_quality = [r.name for r in records if r.quality is None]
     if no_quality:
-        raise CoverageError(
-            f"records missing quality: {', '.join(no_quality)}",
-            offenders=tuple(no_quality),
-        )
-
-    cost = lambda r: r.cost_value(cost_key)
-    return _undominated(groupby(sorted(records, key=cost), key=cost), attrgetter("quality"))
+        raise CoverageError(f"records missing quality: {', '.join(no_quality)}")
+    keys = [r.cost_value(cost_key) for r in records]
+    return [records[k] for k in _frontier(keys, [r.quality for r in records])]
 
 
-def _undominated(groups, quality) -> list:
-    """The members of ``groups`` that no other member dominates. ``groups``
-    yields ``(cost, members)`` runs of equal cost in ascending cost, as
-    ``groupby`` does; a member is kept when its ``quality`` is the best of
-    its run and beats every cheaper run's."""
+def _frontier(keys, quality) -> list[int]:
+    """The positions no other position dominates, in ascending ``keys`` order
+    with input order breaking ties; a None key leaves its position out. A
+    position is kept when its ``quality`` is the best among its equal keys and
+    beats every smaller key's. Both are sequences over the same positions."""
     kept = []
-    best = -math.inf  # best quality among strictly cheaper members
-    for _, group in groups:
+    best = -math.inf  # best quality at a strictly smaller key
+    order = sorted([k for k, v in enumerate(keys) if v is not None], key=keys.__getitem__)
+    for _, group in groupby(order, key=keys.__getitem__):
         group = list(group)
-        top = max(map(quality, group))
+        top = max([quality[k] for k in group])
         if top > best:
-            kept += [m for m in group if quality(m) == top]
+            kept += [k for k in group if quality[k] == top]
             best = top
     return kept
 
@@ -581,18 +576,16 @@ def misnomer_report(records, max_pairs: int | None = None) -> MisnomerReport:
     instability = []
     if have_quality:
         # Keyed by position, so rows sharing a name stay apart. Each
-        # frontier is read from the ranking: the carrying positions in
-        # ascending rank, input order breaking ties, as pareto_frontier sorts.
+        # frontier is read from the ranks, which order as the costs do.
         quality = [r.quality for r in records]
         frontier_under = [[] for _ in records]
         dominated_under = [[] for _ in records]
         for ind in present:
             ranks = rankings[ind][1]
-            rank = ranks.__getitem__
-            carrying = sorted([k for k, r in enumerate(ranks) if r is not None], key=rank)
-            on = set(_undominated(groupby(carrying, key=rank), quality.__getitem__))
-            for k in carrying:
-                (frontier_under if k in on else dominated_under)[k].append(ind)
+            on = set(_frontier(ranks, quality))
+            for k, rank in enumerate(ranks):
+                if rank is not None:
+                    (frontier_under if k in on else dominated_under)[k].append(ind)
         instability = [
             ParetoInstability(r.name, tuple(front), tuple(dominated))
             for r, front, dominated in zip(records, frontier_under, dominated_under)

@@ -216,6 +216,11 @@ class Violation:
     message: str
 
 
+#: An image input whose first layer is not the PatchEmbed that tokenizes it:
+#: ``validate`` reports it and ``input_sequence_length`` raises it.
+_NO_PATCH_EMBED = Violation("layers[0]", "image input requires a leading PatchEmbed")
+
+
 @dataclass(frozen=True)
 class ValidationResult:
     violations: tuple[Violation, ...]
@@ -370,11 +375,8 @@ def validate(spec: ArchSpec) -> ValidationResult:
             out += [Violation("input", m) for m in field_errors(inp)]
     else:
         out.append(Violation("input", f"unknown input signature {type(inp).__name__}"))
-    if isinstance(inp, Image):
-        try:
-            _leading_patch_embed(spec)
-        except InvalidSpecError as exc:
-            out += exc.violations
+    if isinstance(inp, Image) and not isinstance(next(iter(spec.layers), None), PatchEmbed):
+        out.append(_NO_PATCH_EMBED)
 
     _walk(spec.layers, "layers[{}]", 0, spec, out)
     return ValidationResult(tuple(out))
@@ -460,23 +462,14 @@ def derive_sequence_length(inp: InputSignature, patch: int, add_cls: bool) -> in
     return (inp.height // patch) * (inp.width // patch) + (1 if add_cls else 0)
 
 
-def _leading_patch_embed(spec: ArchSpec) -> PatchEmbed:
-    """The PatchEmbed that tokenizes an image input: the first layer, or
-    :class:`InvalidSpecError` when the first layer is not one. The
-    evaluator takes the sequence length from it."""
-    first = spec.layers[0] if spec.layers else None
-    if not isinstance(first, PatchEmbed):
-        raise InvalidSpecError(
-            (Violation("layers[0]", "image input requires a leading PatchEmbed"),)
-        )
-    return first
-
-
 def input_sequence_length(spec: ArchSpec) -> int:
-    """Sequence length entering the layer stack (after any patching)."""
+    """Sequence length entering the layer stack (after any patching by the
+    leading PatchEmbed, without which an image input raises InvalidSpecError)."""
     if isinstance(spec.input, TokenSequence):
         return spec.input.length
-    first = _leading_patch_embed(spec)
+    first = next(iter(spec.layers), None)
+    if not isinstance(first, PatchEmbed):
+        raise InvalidSpecError((_NO_PATCH_EMBED,))
     return derive_sequence_length(spec.input, first.patch, first.add_cls_token)
 
 

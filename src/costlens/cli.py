@@ -190,19 +190,13 @@ def _profile_lines(d: dict, fmt: str) -> str:
         text = json.dumps(d, sort_keys=True, separators=(",\n  ", ": "))
         return "{\n  " + text[1:-1] + "\n}\n"
     keys = sorted(d)
+    cells = [d[k] if isinstance(d[k], str) else format_fixed(d[k]) for k in keys]
     if fmt == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(keys)
-        writer.writerow([
-            d[k] if isinstance(d[k], str) else format_fixed(d[k]) for k in keys
-        ])
+        csv.writer(buf, lineterminator="\n").writerows((keys, cells))
         return buf.getvalue()
-    width = max(len(k) for k in keys)
-    lines = [f"{k:<{width}}  "
-             f"{d[k] if isinstance(d[k], str) else format_fixed(d[k])}"
-             for k in keys]
-    return "\n".join(lines) + "\n"
+    width = max(map(len, keys))
+    return "".join(f"{k:<{width}}  {cell}\n" for k, cell in zip(keys, cells))
 
 
 #: Inverted-pair lines ``compare`` renders per stdout write, so that its

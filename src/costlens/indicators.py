@@ -114,13 +114,6 @@ class MemoryEstimate:
 # Parameters
 
 
-def patch_embed_weight_params(patch: int, in_channels: int, embed_dim: int) -> int:
-    """Closed form for the patch-embedding projection matrix alone:
-    patch * patch * channels * embed_dim (bias, CLS and positional tables
-    are counted separately)."""
-    return patch * patch * in_channels * embed_dim
-
-
 def count_params(spec: ArchSpec) -> ParamCount:
     """Parameter count; bodies of parameter-shared repeats count once."""
     total = _params(sums := _sums(_steps(spec)[0]))

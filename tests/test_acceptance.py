@@ -12,9 +12,11 @@ import time
 from fractions import Fraction
 
 from costlens import (
+    ArchSpec,
     EnergyProfile,
     Image,
     LmConfig,
+    PatchEmbed,
     PricingProfile,
     carbon_footprint,
     count_flops,
@@ -33,7 +35,6 @@ from costlens import (
 )
 from costlens.archlib import MoeConfig
 from costlens.cli import read_records_csv
-from costlens.indicators import patch_embed_weight_params
 
 from support import (
     TABLE1,
@@ -88,7 +89,11 @@ def test_criterion_03_sequence_length_formula():
 
 
 def test_criterion_04_patch_embed_closed_form():
-    got = patch_embed_weight_params(64, 3, 768)
+    # one 64x64 patch with neither CLS token nor positional table: the
+    # evaluator's count is the projection matrix and its 768 bias
+    spec = ArchSpec("p", Image(64, 64, 3),
+                    (PatchEmbed(64, 3, 768, add_cls_token=False, positional=False),))
+    got = count_params(spec).total - 768
     report(4, f"64x64x3x768 = {got}", got == 9_437_184)
 
 

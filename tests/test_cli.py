@@ -205,6 +205,33 @@ class TestProfile:
         assert doc["carbon_kg_co2e"] == 50.0
         assert doc["monetary_cost"] == 12_800.0
 
+    def test_byte_order_mark_is_skipped_in_json(self, vit16, tmp_path, capsys):
+        """Every JSON input saved with a UTF-8 byte-order mark reads as without
+        it: the spec, a hardware file beside it, and the --hw, --energy and
+        --pricing files."""
+        with data_file("hardware/tpu_like.json") as p:
+            hardware = Path(p).read_text(encoding="utf-8")
+        spec = json.loads(Path(vit16).read_text(encoding="utf-8"))
+        texts = {"spec.json": json.dumps({**spec, "hardware": "hw.json"}),
+                 "hw.json": hardware, "other_hw.json": hardware.replace("9e13", "8e13"),
+                 "energy.json": '{"ee_train_kwh": 100, "co2e_per_kwh": 0.5}',
+                 "pricing.json": '{"total_train_hours": 100, "num_chips": 64, '
+                                 '"price_per_chip_hour": 2.0}'}
+        outputs = []
+        for mark in (b"", b"\xef\xbb\xbf"):
+            folder = tmp_path / f"mark{len(mark)}"
+            folder.mkdir()
+            for name, text in texts.items():
+                (folder / name).write_bytes(mark + text.encode("utf-8"))
+            flags = ["--energy", str(folder / "energy.json"),
+                     "--pricing", str(folder / "pricing.json"), "--format", "json"]
+            outputs.append([run_cli(["profile", str(folder / "spec.json"), *flags], capsys),
+                            run_cli(["profile", str(folder / "spec.json"), *flags,
+                                     "--hw", str(folder / "other_hw.json")], capsys)])
+        assert outputs[0] == outputs[1]
+        assert [code for code, _, _ in outputs[0]] == [0, 0]
+        assert outputs[0][0][1] != outputs[0][1][1]  # each hardware file was read
+
     @pytest.mark.parametrize("flag, doc", [
         ("--hw", {"peak_flops_per_sec": "nan",
                   "mem_bandwidth_bytes_per_sec": 1e9,

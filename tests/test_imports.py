@@ -1,4 +1,5 @@
-"""No module of the package imports a name it never reads.
+"""No module of the package imports a name it never reads, and none
+defines a name that nothing names.
 
 No linter ships with the test dependencies, so this walks the syntax tree
 of every ``src/costlens`` module except ``__init__.py``, whose imports are
@@ -7,11 +8,13 @@ anywhere in the module, annotations included.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SOURCE = Path(__file__).resolve().parent.parent / "src" / "costlens"
+ROOT = Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "src" / "costlens"
 
 #: Imports kept though the module never reads them: (module, name) -> why.
 KEPT = {
@@ -39,3 +42,26 @@ def test_every_import_is_read(path):
     unused = unused_imports(ast.parse(path.read_text("utf-8")))
     assert [n for n in unused if (path.stem, n) not in KEPT] == []
     assert all(name in unused for module, name in KEPT if module == path.stem)
+
+
+def test_every_definition_is_named_elsewhere():
+    """A module-level function or class is named somewhere besides its own
+    definition: in the package, a demo, the README or the file formats. The
+    ``cmd_*`` handlers are exempt, as ``cli.main`` looks them up by name."""
+    texts = {p: p.read_text("utf-8") for p in (
+        *SOURCE.glob("*.py"), *(ROOT / "demos").glob("*.py"), ROOT / "README.md",
+        ROOT / "docs" / "file-formats.md")}
+    unnamed = []
+    for path in sorted(SOURCE.glob("*.py")):
+        lines = texts[path].splitlines(keepends=True)
+        for node in ast.parse(texts[path]).body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("cmd_")):
+                continue
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            elsewhere = [text for other, text in texts.items() if other != path]
+            elsewhere.append("".join(lines[:first - 1] + lines[node.end_lineno:]))
+            word = re.compile(rf"\b{re.escape(node.name)}\b")
+            if not any(map(word.search, elsewhere)):
+                unnamed.append(f"{path.stem}.{node.name}")
+    assert unnamed == []

@@ -28,7 +28,7 @@ from costlens import (
     memory_access_cost,
     training_memory,
 )
-from costlens.indicators import layer_mac_bytes, patch_embed_weight_params
+from costlens.indicators import layer_mac_bytes
 from costlens.trace import evaluate
 
 from support import TABLE1, random_repeat_pair, vit_base
@@ -56,9 +56,6 @@ BREAKDOWN_SPECS = [
 
 
 class TestParams:
-    def test_patch_embed_weight_closed_form(self):
-        assert patch_embed_weight_params(64, 3, 768) == 9_437_184
-
     def test_patch_embed_full_count(self):
         # weight matrix + bias + CLS + positional table (10 tokens at 192)
         spec = ArchSpec("p", Image(192, 192, 3), (PatchEmbed(64, 3, 768),))

@@ -87,6 +87,7 @@ FILES = {
     "pricing_missing_field.json": json.dumps({"total_train_hours": 1, "num_chips": 1}),
     "two.csv": "name,quality,params,flops\na,1,1,\nb,2,,2\n",
     "nocost.csv": "name,quality,params,flops\na,1,1,1\nb,2,2,\n",
+    "malformed_bom.json": b'\xef\xbb\xbf{"a": }',
 }
 
 #: A complete builder command line for the vit family.
@@ -143,6 +144,8 @@ COMMANDS = [
     ["compare", "--records"],
     ["profile", "ok.json", "--format", "json", "-x"],
     ["profile", "--he"],
+    # The byte-order mark is skipped, and the offset still counts its 3 bytes.
+    ["profile", "malformed_bom.json"],
 ]
 
 
