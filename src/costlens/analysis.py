@@ -16,7 +16,8 @@ listing is held as each record's discordant partners in one bitmask, and
 one decoder reads it a record's row at a time, picking per partner from
 two sequences over the records the caller gives: ``inverted_pairs``
 builds the ``InvertedPair`` objects from it on first access, and the CLI
-picks line templates with it, in bounded slices, without building them.
+picks line templates with it, one listed row per write, without building
+them.
 
 All indicator values are treated as lower-is-better; throughput is
 declared higher-is-better at ingestion and negated internally so the rule
@@ -414,23 +415,14 @@ def _below(buckets, carrying: int):
     return below, ties
 
 
-def _check_max_pairs(max_pairs) -> None:
-    """Refuse a listing bound that is not None or an integer >= 0."""
-    if max_pairs is not None and (type(max_pairs) is not int or max_pairs < 0):
-        raise ValueError(f"max_pairs must be an integer >= 0, got {_echo(max_pairs)}")
-
-
-def rank_disagreement(records, indicator_a: str, indicator_b: str,
-                      max_pairs: int | None = None) -> RankDisagreement:
+def rank_disagreement(records, indicator_a: str, indicator_b: str) -> RankDisagreement:
     """Tie-corrected Kendall tau (tau-b) between two cost orderings.
 
     ``inverted_pairs`` lists the discordant pairs in record order (pair
-    ``(i, j)`` before ``(i, j + 1)`` before ``(i + 1, j)``): every one of
-    them, or the first ``max_pairs`` when that is given; ``n_discordant``
-    always counts them all. When every pair is tied in at least one
-    indicator the correlation is undefined; it is reported as 1.0 when
-    there are no discordant pairs (the orderings never actually disagree)
-    and 0.0 otherwise.
+    ``(i, j)`` before ``(i, j + 1)`` before ``(i + 1, j)``). When every
+    pair is tied in at least one indicator the correlation is undefined;
+    it is reported as 1.0 when there are no discordant pairs (the
+    orderings never actually disagree) and 0.0 otherwise.
 
     The counts come from rank bitmasks: each indicator is ranked once over
     the record positions (once per report in ``misnomer_report``) and masked
@@ -442,10 +434,9 @@ def rank_disagreement(records, indicator_a: str, indicator_b: str,
     """
     check_value("indicator_a", indicator_a, str)
     check_value("indicator_b", indicator_b, str)
-    _check_max_pairs(max_pairs)
     records = _record_list(records)
     return _disagreement(tuple(r.name for r in records), _ranking(records, indicator_a),
-                         _ranking(records, indicator_b), max_pairs)
+                         _ranking(records, indicator_b), None)
 
 
 def _disagreement(names, ranking_a, ranking_b, max_pairs) -> RankDisagreement:
@@ -541,7 +532,8 @@ def misnomer_report(records, max_pairs: int | None = None) -> MisnomerReport:
     the first ``max_pairs`` when that is given, and is built on first
     access; ``n_inverted_pairs`` counts every discordant pair.
     """
-    _check_max_pairs(max_pairs)
+    if max_pairs is not None and (type(max_pairs) is not int or max_pairs < 0):
+        raise ValueError(f"max_pairs must be an integer >= 0, got {_echo(max_pairs)}")
     records = _record_list(records)
     if len(records) < 2:
         raise InsufficientDataError(f"need >= 2 records, got {len(records)}")

@@ -11,9 +11,9 @@ cannot be written, is closed or cannot encode the output (``cannot write
 stdout: <reason>``). Exits 1 and 2 print one JSON line on stderr. A
 refused input prints nothing on stdout, as every refusal is decided before
 the first write; a stdout that fails partway may hold a prefix of the
-output, as ``compare`` writes its report in bounded slices. A stderr that
-cannot be written loses its lines and changes neither the exit code nor
-stdout.
+output, as ``compare`` writes its report one listed row per write. A
+stderr that cannot be written loses its lines and changes neither the
+exit code nor stdout.
 
 The CLI opens no input file itself. ``costlens.read_spec_file`` reads
 spec files and ``costlens.read_records`` records files (formats in
@@ -199,15 +199,11 @@ def _profile_lines(d: dict, fmt: str) -> str:
     return "".join(f"{k:<{width}}  {cell}\n" for k, cell in zip(keys, cells))
 
 
-#: Inverted-pair lines ``compare`` renders per stdout write, so that its
-#: memory follows the records, not the pairs it lists.
-LISTING_SLICE = 4096
-
-
 def _render_misnomer(report: MisnomerReport):
     """The report's text as chunks to write in order, each of whole lines:
-    the tau lines and the listing header, each listing in slices of at most
-    ``LISTING_SLICE`` lines, then the tail sections."""
+    the tau lines and the listing header, one listed row per chunk (at most
+    n - 1 lines for n records, so memory follows the records, not the
+    pairs), then the tail sections."""
     lines = ["", "rank agreement (kendall tau-b, tie-corrected):"]
     if not report.indicator_pairs_examined:
         lines.append("  (no indicator pair carried by >= 2 models)")
@@ -230,19 +226,9 @@ def _render_misnomer(report: MisnomerReport):
         rows = _listed_rows(listing,
                             [f"  {ph} < {o} on {a} but {ph} > {o} on {b}\n" for o in names],
                             [f"  {o} < {ph} on {a} but {o} > {ph} on {b}\n" for o in names])
-        chunk, room = [], LISTING_SLICE
         for i, items, count in rows:
             shown += count
-            while count >= room:  # a row is cut where a slice fills
-                chunk.append("".join(islice(items, room)).replace(ph, names[i]))
-                yield "".join(chunk)
-                count -= room
-                chunk, room = [], LISTING_SLICE
-            if count:
-                chunk.append("".join(islice(items, count)).replace(ph, names[i]))
-                room -= count
-        if chunk:
-            yield "".join(chunk)
+            yield "".join(islice(items, count)).replace(ph, names[i])
     lines = []
     if shown < report.n_inverted_pairs:
         lines.append(f"  showing {shown} of {report.n_inverted_pairs} inverted pairs")
@@ -405,8 +391,8 @@ def cmd_compare(args) -> int:
     rows = [[r.name, text.get(r.quality, "")]
             + [text.get(r.indicators.get(c), "") for c in columns] for r in ordered]
     table = "\n".join(_table(["name", "quality"] + columns, rows)) + "\n"
-    # max_pairs is passed only when given, so a stand-in for
-    # misnomer_report that takes just the records still fits.
+    # max_pairs is passed only when given, so a stand-in for misnomer_report
+    # that takes just the records (as in bench/test_bench.py) still fits.
     limit = {} if args.max_pairs is None else {"max_pairs": args.max_pairs}
     chunks = _render_misnomer(misnomer_report(records, **limit))
     # Every refusal is decided before this first write, so a refused input

@@ -102,7 +102,7 @@ def compute_profile(spec: ArchSpec, batch: int = 1,
 
     return _profile(
         spec.name, batch, eb, optimizer.value, params, params / 1e6, flops, macs,
-        macs / 1e9, _checked(sums.out_elements, "activation element count"),
+        macs / 1e9, sums.out_elements,
         _checked(sums.moved_elements * eb, "memory access volume"), param_bytes, act_bytes,
         peak_train, peak_inference, latency, throughput,
         hardware.name if hardware is not None else None,

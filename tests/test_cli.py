@@ -12,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import time
+from itertools import islice
 from pathlib import Path
 from xml.dom import minidom
 
@@ -31,6 +32,7 @@ from costlens import (
     count_flops,
     count_params,
     load_hardware,
+    misnomer_report,
     preset_names,
     rank_disagreement,
     read_records,
@@ -1023,8 +1025,8 @@ sys.exit(code)
 
 
 class TestStreamedCompare:
-    """``compare`` writes its report in slices; a stdout cut short ends
-    in exit 2 and one JSON line, and memory follows the records."""
+    """``compare`` writes its report one listed row per write; a stdout cut
+    short ends in exit 2 and one JSON line, and memory follows the records."""
 
     class PipeClosedAfter(io.StringIO):
         """A stdout that takes ``accepted`` writes, then refuses every one."""
@@ -1039,40 +1041,32 @@ class TestStreamedCompare:
             self.accepted -= 1
             return super().write(text)
 
-    def test_any_slice_size_writes_the_same_bytes(self, tmp_path, monkeypatch, capsys):
-        """On distinct values; on names and indicators holding NULs, every
-        code point to U+00FF, format markers, quotes and line breaks; and on
-        listings of rows whose partners all face one way, or of no rows."""
-        distinct = distinct_records_csv(tmp_path / "r.csv", 30)
-        awkward = awkward_records_csv(tmp_path / "awkward.csv", 30)
-        uniform = tmp_path / "uniform.csv"
-        uniform.write_text("name,quality,params,flops,latency\n" + "".join(
-            f"m{i},0,{i},{12 - i},{i}\n" for i in range(12)))
-
-        def compare(path, *flags):
-            code, out, err = run_cli(["compare", "--records", str(path), *flags], capsys)
-            assert (code, err) == (0, "")
-            return out
-
-        cuts = [(), ("--max-pairs", "0"), ("--max-pairs", "3"), ("--max-pairs", "1000")]
-        paths = [distinct, awkward, uniform]
-        expected = [compare(path, *cut) for path in paths for cut in cuts]
-        for size in (1, 2, 7, 215):  # 215: the first listing ends on a slice boundary
-            monkeypatch.setattr(cli, "LISTING_SLICE", size)
-            assert [compare(path, *cut) for path in paths for cut in cuts] == expected
-
     def test_writes_are_bounded_slices(self, tmp_path, monkeypatch):
-        path = distinct_records_csv(tmp_path / "r.csv", 40)
-        monkeypatch.setattr(cli, "LISTING_SLICE", 50)
-        writes = []
-        monkeypatch.setattr(sys, "stdout", io.StringIO())
-        monkeypatch.setattr(sys.stdout, "write", writes.append)
-        assert main(["compare", "--records", path]) == 0
-        head, *listing, tail = writes
-        assert head.startswith("name ") and head.endswith("costlier under the second):\n")
-        assert listing and all(0 < len(w.splitlines()) <= 50 for w in listing)
-        assert tail.startswith("pareto instability")
-        assert all(w.endswith("\n") for w in writes)
+        """Head, then each listed row in one write of 1 to n - 1 lines for
+        n records, then tail; on distinct values, and on names and
+        indicators holding NULs, every code point to U+00FF, format
+        markers, quotes and line breaks."""
+
+        def listing_writes(path):
+            writes = []
+            monkeypatch.setattr(sys, "stdout", io.StringIO())
+            monkeypatch.setattr(sys.stdout, "write", writes.append)
+            assert main(["compare", "--records", path]) == 0
+            head, *listing, tail = writes
+            assert head.startswith("name ") and head.endswith("costlier under the second):\n")
+            assert tail.startswith("pareto instability")
+            report = misnomer_report(read_records(path))
+            lines = iter(f"  {a} < {b} on {x} but {a} > {b} on {y}\n"
+                         for a, b, x, y in report.inverted_pairs)
+            assert listing == ["".join(islice(lines, row[3]))
+                               for l in report._listings for row in l.rows]
+            assert next(lines, None) is None
+            return listing
+
+        n = 40
+        assert all(0 < len(w.splitlines()) < n
+                   for w in listing_writes(distinct_records_csv(tmp_path / "r.csv", n)))
+        listing_writes(awkward_records_csv(tmp_path / "awkward.csv", n))
 
     def test_broken_pipe_after_some_writes(self, tmp_path, monkeypatch, capsys):
         path = distinct_records_csv(tmp_path / "r.csv", 60)

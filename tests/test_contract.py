@@ -1078,8 +1078,6 @@ LIBRARY_LEAKS = {
                           "pad_multiple must be an integer >= 1, got True"),
     "evaluate_pad_zero": (lambda: evaluate(_SMALL, 0),
                           "pad_multiple must be an integer >= 1, got 0"),
-    "disagreement_max_pairs": (lambda: rank_disagreement(_RECORDS, "params", "flops", "x"),
-                               "max_pairs must be an integer >= 0, got 'x'"),
     "report_max_pairs": (lambda: misnomer_report(_RECORDS, max_pairs="x"),
                          "max_pairs must be an integer >= 0, got 'x'"),
     "report_bool_max_pairs": (lambda: misnomer_report(_RECORDS, max_pairs=True),
