@@ -139,8 +139,8 @@ def _load_json(path: str):
     """The JSON document of an input file, a leading byte-order mark skipped,
     or ``InputFileError`` naming it; an offset counts the bytes as stored."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
+        with open(path, "rb", buffering=0) as fh:  # one read, one decode
+            text = fh.read().decode("utf-8")
         mark = text.startswith("\ufeff")
         return json.loads(text[mark:])
     except FileNotFoundError:

@@ -551,6 +551,10 @@ def _build(cls, args: dict, prefix: str = ""):
     return cls(**args)
 
 
+#: Field types that ``to_document`` stores as they are.
+_PLAIN = frozenset({int, float, str, bool})
+
+
 def to_document(obj) -> dict:
     """The JSON object of a dataclass: the ``kind`` tag of a layer or an
     input, then every field that is not None."""
@@ -559,7 +563,7 @@ def to_document(obj) -> dict:
     for name in _reading(type(obj)).names:
         value = getattr(obj, name)
         if value is not None:
-            doc[name] = _to_json(value)
+            doc[name] = value if type(value) in _PLAIN else _to_json(value)
     return doc
 
 

@@ -185,9 +185,13 @@ def svg_scatter(records, cost_key: str, frontier) -> str:
 # Output rendering
 
 
+#: indent=2's bytes for a flat object, from the C encoder.
+_PROFILE_JSON = json.JSONEncoder(sort_keys=True, separators=(",\n  ", ": "))
+
+
 def _profile_lines(d: dict, fmt: str) -> str:
-    if fmt == "json":  # indent=2's bytes for a flat object, from the C encoder
-        text = json.dumps(d, sort_keys=True, separators=(",\n  ", ": "))
+    if fmt == "json":
+        text = _PROFILE_JSON.encode(d)
         return "{\n  " + text[1:-1] + "\n}\n"
     keys = sorted(d)
     cells = [d[k] if isinstance(d[k], str) else format_fixed(d[k]) for k in keys]
@@ -267,6 +271,8 @@ def _table(header: list[str], rows: list[list[str]]) -> list[str]:
 
 #: Every builder argument, with its annotated type, in declaration order.
 _ALL_BUILDER_ARGS = {n: kind for accepted in BUILDER_ARGS.values() for n, kind in accepted.items()}
+#: The dests of every builder flag, ``--family`` first.
+_BUILDER_DESTS = ("family", *_ALL_BUILDER_ARGS)
 
 
 def _flag(name: str) -> str:
@@ -308,8 +314,7 @@ def cmd_profile(args) -> int:
     hardware = None
     batch = None
     if args.spec is not None:
-        extra = [_flag(name) for name in ("family", *_ALL_BUILDER_ARGS)
-                 if getattr(args, name) is not None]
+        extra = [_flag(name) for name in _BUILDER_DESTS if getattr(args, name) is not None]
         if extra:
             raise ValueError(f"a spec file cannot be combined with {', '.join(extra)}")
         spec, hardware, batch = read_spec_file(args.spec)

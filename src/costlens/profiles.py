@@ -157,9 +157,9 @@ def read_spec_file(path: str) -> tuple[ArchSpec, HardwareModel | None, int | Non
         check_schema_version(doc.get("schema_version"))
         if ("arch" in doc) == ("builder" in doc):
             raise ValueError("exactly one of 'arch' or 'builder' is required")
-        unknown = sorted(doc.keys() - _SPEC_FILE_KEYS)
-        if unknown:
-            raise ValueError("; ".join(f"unknown field {_echo(k)}" for k in unknown))
+        if not doc.keys() <= _SPEC_FILE_KEYS:
+            raise ValueError("; ".join(f"unknown field {_echo(k)}"
+                                       for k in sorted(doc.keys() - _SPEC_FILE_KEYS)))
         batch = doc.get("batch")
         for key, kind in (("batch", int), ("name", str), ("notes", str)):
             if key in doc:  # so a null is refused, not read as the key left out

@@ -234,6 +234,32 @@ class TestProfile:
         assert [code for code, _, _ in outputs[0]] == [0, 0]
         assert outputs[0][0][1] != outputs[0][1][1]  # each hardware file was read
 
+    def test_each_json_input_is_opened_once_unbuffered(self, vit16, tmp_path, capsys,
+                                                       monkeypatch):
+        """A warm ``profile`` opens its spec, the hardware file beside it, and
+        its --energy and --pricing files once each, as one unbuffered binary read."""
+        with data_file("hardware/tpu_like.json") as p:
+            shutil.copy(p, tmp_path / "hw.json")
+        spec = json.loads(Path(vit16).read_text(encoding="utf-8"))
+        (tmp_path / "spec.json").write_text(json.dumps({**spec, "hardware": "hw.json"}))
+        (tmp_path / "energy.json").write_text('{"ee_train_kwh": 100, "co2e_per_kwh": 0.5}')
+        (tmp_path / "pricing.json").write_text(
+            '{"total_train_hours": 100, "num_chips": 64, "price_per_chip_hour": 2.0}')
+        argv = ["profile", str(tmp_path / "spec.json"), "--energy", str(tmp_path / "energy.json"),
+                "--pricing", str(tmp_path / "pricing.json"), "--format", "json"]
+        warm = run_cli(argv, capsys)
+        opened = []
+
+        def spy(path, *args, **kwargs):
+            opened.append((path, *args, *kwargs.items()))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(costlens.analysis, "open", spy, raising=False)
+        assert run_cli(argv, capsys) == warm
+        assert warm[0] == 0
+        assert opened == [(str(tmp_path / name), "rb", ("buffering", 0))
+                          for name in ("spec.json", "hw.json", "energy.json", "pricing.json")]
+
     @pytest.mark.parametrize("flag, doc", [
         ("--hw", {"peak_flops_per_sec": "nan",
                   "mem_bandwidth_bytes_per_sec": 1e9,

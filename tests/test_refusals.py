@@ -74,6 +74,14 @@ REFUSED_SPECS = {
     "hardware_null.json": spec(builder=_VIT, hardware=None),
 }
 
+#: Spec files refused for their bytes, profiled after every other command.
+BYTE_REFUSED_SPECS = {
+    # 0xE9 at byte 10,007, past the first 8,192 bytes a buffered read takes.
+    "late_latin1.json": b'{"schema_version": 1, "notes": "' + b"x" * 9960
+                        + b'", "name": "caf\xe9"}',
+    "empty.json": b"",
+}
+
 #: The other files the command lines read.
 FILES = {
     "ok.json": spec(builder=_VIT),
@@ -146,12 +154,13 @@ COMMANDS = [
     ["profile", "--he"],
     # The byte-order mark is skipped, and the offset still counts its 3 bytes.
     ["profile", "malformed_bom.json"],
+    *(["profile", name] for name in BYTE_REFUSED_SPECS),
 ]
 
 
 @pytest.fixture()
 def fixture_dir(tmp_path, monkeypatch):
-    for name, content in {**REFUSED_SPECS, **FILES}.items():
+    for name, content in {**REFUSED_SPECS, **BYTE_REFUSED_SPECS, **FILES}.items():
         if isinstance(content, str):
             (tmp_path / name).write_text(content, encoding="utf-8")
         elif content is not None:
@@ -174,7 +183,7 @@ def test_golden_refusals(fixture_dir, capsys):
     assert refusals(capsys) == GOLDEN.read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("name", REFUSED_SPECS)
+@pytest.mark.parametrize("name", [*REFUSED_SPECS, *BYTE_REFUSED_SPECS])
 def test_library_reader_refuses_as_the_cli(fixture_dir, capsys, name):
     with pytest.raises(costlens.InputFileError) as info:
         costlens.read_spec_file(name)
