@@ -546,7 +546,6 @@ def misnomer_report(records, max_pairs: int | None = None) -> MisnomerReport:
 
     names = tuple(r.name for r in records)
     rankings = {ind: _ranking(records, ind) for ind in present}
-    pairs = []
     taus = {}
     listings = []
     room = max_pairs
@@ -557,7 +556,6 @@ def misnomer_report(records, max_pairs: int | None = None) -> MisnomerReport:
                 result = _disagreement(names, rankings[ind_a], rankings[ind_b], room)
             except InsufficientDataError:
                 continue
-            pairs.append((ind_a, ind_b))
             taus[(ind_a, ind_b)] = result.kendall_tau
             listings.append(result._listing)
             if room is not None:
@@ -585,7 +583,7 @@ def misnomer_report(records, max_pairs: int | None = None) -> MisnomerReport:
         ]
 
     return MisnomerReport(
-        indicator_pairs_examined=tuple(pairs),
+        indicator_pairs_examined=tuple(taus),
         kendall_tau=taus,
         n_inverted_pairs=n_inverted,
         pareto_instability=tuple(instability),

@@ -348,11 +348,8 @@ def check_fields(obj) -> None:
 def check_value(name: str, value, kind=int) -> None:
     """Raise ValueError unless ``value`` passes the field rule for ``kind``; a
     class with no rule, or a tuple of classes, admits its instances."""
-    try:  # one lookup: read_records checks each CSV cell, compute_profile its optimizer
-        admits = _TESTS[kind]
-    except KeyError:  # a class kind's test is made once, as each rule kind's is
-        admits = _TESTS[kind] = lambda v: isinstance(v, kind)
-    if not admits(value):
+    admits = _TESTS.get(kind)  # one lookup: read_records checks each CSV cell
+    if not (isinstance(value, kind) if admits is None else admits(value)):
         raise ValueError(_wrong(name, kind, False, value))
 
 

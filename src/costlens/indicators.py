@@ -39,10 +39,9 @@ def _steps(spec: ArchSpec, batch: int = 1, pad_multiple: int | None = None,
 
 
 def _params(sums: _Sums) -> int:
-    """The stored parameter count; the unrolled count is checked as well."""
-    total = _checked(sums.params, "parameter count")
+    """The stored parameter count, checked through the unrolled one, never below it."""
     _checked(sums.unrolled, "parameter count")
-    return total
+    return sums.params
 
 
 @dataclass(frozen=True)
@@ -156,11 +155,6 @@ def memory_access_cost(spec: ArchSpec, batch: int = 1) -> int:
     """
     moved = _sums(_steps(spec, batch)[0]).moved_elements
     return _checked(moved * spec.element_bytes * batch, "memory access volume")
-
-
-def layer_mac_bytes(step: Step, element_bytes: int, batch: int) -> int:
-    """Bytes one execution of a step moves, as :func:`memory_access_cost` counts them."""
-    return (step.params + step.in_elements + step.out_elements) * element_bytes * batch
 
 
 # ---------------------------------------------------------------------------

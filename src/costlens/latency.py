@@ -25,7 +25,7 @@ from importlib import resources
 
 from .analysis import _read_document
 from .archspec import _FLOAT_MAX, ArchSpec, _echo, check_fields, check_value
-from .indicators import _steps, layer_mac_bytes
+from .indicators import _steps
 from .trace import Step
 
 
@@ -127,9 +127,9 @@ def _roofline(spec: ArchSpec, hw: HardwareModel, batch: int) -> tuple[list[Step]
     rate = hw.peak_flops_per_sec * hw.num_devices  # finite, as HardwareModel checks
 
     def op_seconds(step: Step) -> float:  # runs after _steps has validated the spec
-        mac_bytes = layer_mac_bytes(step, spec.element_bytes, batch)
+        moved = (step.params + step.in_elements + step.out_elements) * spec.element_bytes
         try:
-            return overhead + max(step.flops * batch / rate, mac_bytes / bandwidth)
+            return overhead + max(step.flops * batch / rate, moved * batch / bandwidth)
         except OverflowError:  # past the float range: no finite latency
             return math.inf
 

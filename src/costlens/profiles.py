@@ -146,9 +146,9 @@ _SPEC_FILE_KEYS = {"schema_version", "name", "arch", "builder", "hardware", "bat
 
 
 def read_spec_file(path: str) -> tuple[ArchSpec, HardwareModel | None, int | None]:
-    """Parse a spec file (format in docs/file-formats.md) into (validated
-    architecture, optional hardware, batch); a bad file raises ``InputFileError``,
-    which names every violation of an invalid architecture."""
+    """Parse a spec file (format in docs/file-formats.md) into (architecture, optional
+    hardware, batch); a bad file raises ``InputFileError`` naming every violation of
+    an ``arch``. A builder reference, valid by construction, is checked once: by its cost call."""
     check_value("path", path, (str, os.PathLike))
     doc = _load_json(path)
     try:
@@ -166,6 +166,7 @@ def read_spec_file(path: str) -> tuple[ArchSpec, HardwareModel | None, int | Non
                 check_value(key, doc[key], kind)
         if "arch" in doc:
             spec = spec_from_dict(doc["arch"])
+            ensure_valid(spec)  # here, so each violation names the file
         else:
             check_value("builder", doc["builder"], dict)
             builder = dict(doc["builder"])
@@ -173,7 +174,6 @@ def read_spec_file(path: str) -> tuple[ArchSpec, HardwareModel | None, int | Non
             if family is None:
                 raise ValueError("builder reference requires a 'family' field")
             spec = build_from_reference(family, builder)
-        ensure_valid(spec)
         hardware = doc.get("hardware")
         if isinstance(hardware, str):  # a file beside the spec file comes first
             beside = os.path.join(os.path.dirname(path), hardware)

@@ -415,6 +415,12 @@ def oracle_steps(spec, pad_multiple=None) -> list[OracleStep]:
     return steps
 
 
+def layer_mac_bytes(step, element_bytes: int, batch: int) -> int:
+    """Bytes one execution of a step moves: its parameters and input read,
+    its output written, per example, times ``batch``."""
+    return (step.params + step.in_elements + step.out_elements) * element_bytes * batch
+
+
 def oracle_params(spec):
     """(unique, unrolled, per-node breakdown) with shared bodies once."""
 

@@ -5,6 +5,8 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from costlens import (
     ArchSpec,
@@ -31,6 +33,7 @@ from costlens import (
     depth_width_pair,
     load_hardware,
     preset_names,
+    read_spec_file,
     validate,
 )
 from costlens import archlib
@@ -374,6 +377,64 @@ class TestBuilderGolden:
         for label, call in BUILDER_CALLS.items():
             assert documents[label] == golden[label], label
             assert spec_from_dict(golden[label]) == call(), label
+
+
+# The contract suite's profile: the same examples on every run, so Tier-1
+# stays deterministic.
+CONTRACT = settings(max_examples=150, derandomize=True, deadline=None,
+                    database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+_small = st.integers(1, 6)
+
+
+@st.composite
+def valid_configs(draw):
+    """(family, config) of a valid config of any family: the patch divides
+    the image, the heads divide the width, K <= E, and an encoder-decoder
+    reads and writes equal lengths."""
+    family = draw(st.sampled_from(sorted(BUILDERS)))
+    heads = draw(_small)
+    width = heads * draw(_small)
+    if family == "lm":
+        arrangement = draw(st.sampled_from(archlib.ARRANGEMENTS))
+        input_len = draw(st.integers(1, 64))
+        output_len = input_len if arrangement == "encoder_decoder" else draw(st.integers(1, 64))
+        return family, LmConfig(arrangement, draw(_small), width, draw(st.integers(1, 64)),
+                                heads, draw(st.integers(1, 100)), input_len, output_len)
+    patch = draw(_small)
+    vit = dict(patch=patch, depth=draw(_small), model_dim=width, num_heads=heads,
+               ffn_dim=draw(st.integers(1, 64)), classes=draw(st.integers(1, 20)),
+               image=(patch * draw(_small), patch * draw(_small), draw(st.integers(1, 4))))
+    if family == "universal_transformer":
+        return family, UtConfig(**vit, steps=draw(st.integers(1, 12)))
+    if family == "moe":
+        experts = draw(_small)
+        return family, MoeConfig(**vit, num_experts=experts,
+                                 experts_per_token=draw(st.integers(1, experts)),
+                                 moe_every=draw(st.integers(1, 4)))
+    return family, VitConfig(**vit)
+
+
+@pytest.fixture(scope="module")
+def reference_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("builder") / "reference.json"
+
+
+@CONTRACT
+@given(valid_configs())
+def test_every_builder_output_validates(reference_file, family_cfg):
+    """``read_spec_file`` does not check a builder reference, because every
+    builder output passes ``validate``; the file reads as the reference builds."""
+    family, cfg = family_cfg
+    spec = BUILDERS[family][1](cfg)
+    assert validate(spec).ok
+    args = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
+    reference_file.write_text(json.dumps({"schema_version": 1,
+                                          "builder": {"family": family, **args}}))
+    built = build_from_reference(family, args)
+    assert built == spec
+    assert read_spec_file(str(reference_file)) == (built, None, None)
 
 
 if __name__ == "__main__":

@@ -46,13 +46,15 @@ from costlens import (
     load_hardware,
     memory_access_cost,
     preset_names,
+    to_json,
     training_memory,
 )
-from costlens.indicators import OPTIMIZER_STATE_COPIES, layer_mac_bytes
+from costlens.indicators import OPTIMIZER_STATE_COPIES
 
 from support import (
     data_file,
     group_by_node,
+    layer_mac_bytes,
     oracle_latency,
     oracle_params,
     oracle_steps,
@@ -351,7 +353,7 @@ def test_clean_inputs_run_no_rule_loop(rule_loops):
     assert rule_loops == [broken.input]
 
 
-def test_one_validation_per_public_call(validate_calls):
+def test_one_validation_per_public_call(validate_calls, tmp_path):
     spec = vit_base(16, 224)
     tpu, default = load_hardware("tpu_like"), load_hardware("default")
     for call in (count_params, count_flops, activation_size,
@@ -364,16 +366,22 @@ def test_one_validation_per_public_call(validate_calls):
         validate_calls.clear()
         call(spec)
         assert len(validate_calls) == 1
-    # The CLI checks the spec file's architecture when it reads the file,
-    # and compute_profile checks it again: twice per spec file.
+    # The CLI checks an "arch" when it reads the file, and compute_profile
+    # checks it again: twice. A builder reference is valid by construction,
+    # so only compute_profile checks it: once per file.
     with data_file("specs/vit_b16.json") as path:
         validate_calls.clear()
         assert costlens.cli.main(["profile", str(path), "--hw", "tpu_like"]) == 0
+    assert len(validate_calls) == 1
+    arch = tmp_path / "arch.json"
+    arch.write_text(f'{{"schema_version": 1, "arch": {to_json(spec)}}}')
+    validate_calls.clear()
+    assert costlens.cli.main(["profile", str(arch), "--hw", "tpu_like"]) == 0
     assert len(validate_calls) == 2
     with data_file("specs/vit_b16.json") as a, data_file("specs/vit_b32.json") as b:
         validate_calls.clear()
         assert costlens.cli.main(["compare", a, b]) == 0
-    assert len(validate_calls) == 4
+    assert len(validate_calls) == 2
     broken = dataclasses.replace(spec, layers=(*spec.layers, Dense(in_dim=0, out_dim=8)))
     for call in (compute_profile, lambda s: compute_profile(s, 8, tpu)):
         with pytest.raises(InvalidSpecError, match="in_dim must be"):

@@ -28,10 +28,9 @@ from costlens import (
     memory_access_cost,
     training_memory,
 )
-from costlens.indicators import layer_mac_bytes
 from costlens.trace import evaluate
 
-from support import TABLE1, random_repeat_pair, vit_base
+from support import TABLE1, layer_mac_bytes, random_repeat_pair, vit_base
 
 
 def tokens(length=8, layers=()):
