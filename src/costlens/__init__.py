@@ -15,6 +15,7 @@ from .archspec import (
     Dense,
     FeedForward,
     Image,
+    InputFileError,
     InvalidSpecError,
     LayerNorm,
     MoE,
@@ -61,7 +62,6 @@ from .footprint import (
 from .analysis import (
     AnalysisError,
     CoverageError,
-    InputFileError,
     InsufficientDataError,
     MisnomerReport,
     ModelRecord,

@@ -28,7 +28,6 @@ record list.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -37,7 +36,7 @@ from itertools import compress, groupby, islice
 from operator import attrgetter
 from typing import NamedTuple
 
-from .archspec import _echo, check_value, from_document
+from .archspec import InputFileError, _echo, check_value
 
 #: The canonical indicator ids, in report order, each with the ``CostProfile``
 #: field it is read from. CSV files may carry extra columns (treated as
@@ -67,8 +66,8 @@ class InsufficientDataError(AnalysisError):
     """Fewer comparable records than the operation needs."""
 
 
-class CoverageError(AnalysisError):
-    """Records are missing a required column/indicator."""
+class CoverageError(AnalysisError, ValueError):
+    """Records are missing a required column/indicator: malformed input."""
 
 
 @dataclass(frozen=True)
@@ -123,49 +122,6 @@ def _record_list(records) -> list[ModelRecord]:
     if not ok:
         raise ValueError("records must be an iterable of ModelRecord")
     return records
-
-
-class InputFileError(ValueError):
-    """A file that cannot be read or written, or an input file that breaks its
-    format; ``detail`` holds what is known of the ``file``, ``line``, ``column``,
-    ``model``, ``offset`` and ``violations``."""
-
-    def __init__(self, message: str, **detail):
-        super().__init__(message)
-        self.detail = detail
-
-
-def _load_json(path: str):
-    """The JSON document of an input file, a leading byte-order mark skipped,
-    or ``InputFileError`` naming it; an offset counts the bytes as stored."""
-    try:
-        with open(path, "rb", buffering=0) as fh:  # one read, one decode
-            text = fh.read().decode("utf-8")
-        mark = text.startswith("\ufeff")
-        return json.loads(text[mark:])
-    except FileNotFoundError:
-        raise InputFileError(f"no such file: {path}", file=path)
-    except json.JSONDecodeError as exc:
-        offset = len(text[:mark + exc.pos].encode("utf-8"))
-        raise InputFileError(
-            f"malformed JSON in {path}: {exc.msg} (byte offset {offset})",
-            file=path, offset=offset,
-        )
-    except RecursionError:
-        raise InputFileError(f"{path}: JSON nested too deeply", file=path)
-    except (OSError, ValueError) as exc:
-        raise InputFileError(f"cannot read {path}: {exc}", file=path)
-
-
-def _read_document(cls, path: str, prefix: str = ""):
-    """The dataclass ``cls`` read by ``from_document`` from the JSON file
-    ``path``; a refusal is an ``InputFileError`` naming the file, and a
-    refusal of the document's keys or values starts with ``prefix``."""
-    doc = _load_json(path)  # outside the try, so its refusal keeps file and offset
-    try:
-        return from_document(cls, doc)
-    except ValueError as exc:
-        raise InputFileError(prefix + str(exc), file=path)
 
 
 def _csv_rows(path: str):

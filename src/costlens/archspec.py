@@ -471,7 +471,7 @@ def input_sequence_length(spec: ArchSpec) -> int:
 
 
 # ---------------------------------------------------------------------------
-# JSON documents: one reader and one writer for every input dataclass
+# JSON documents and files: one reader and one writer for every input dataclass
 
 _INPUT_TAGS = {Image: "image", TokenSequence: "token_sequence"}
 _TAGS = {**_LAYER_TAGS, **_INPUT_TAGS}
@@ -546,6 +546,49 @@ def _build(cls, args: dict, prefix: str = ""):
         if name in args:
             args[name] = read(args[name])
     return cls(**args)
+
+
+class InputFileError(ValueError):
+    """A file that cannot be read or written, or an input file that breaks its
+    format; ``detail`` holds what is known of the ``file``, ``line``, ``column``,
+    ``model``, ``offset`` and ``violations``."""
+
+    def __init__(self, message: str, **detail):
+        super().__init__(message)
+        self.detail = detail
+
+
+def _load_json(path: str):
+    """The JSON document of an input file, a leading byte-order mark skipped,
+    or ``InputFileError`` naming it; an offset counts the bytes as stored."""
+    try:
+        with open(path, "rb", buffering=0) as fh:  # one read, one decode
+            text = fh.read().decode("utf-8")
+        mark = text.startswith("\ufeff")
+        return json.loads(text[mark:])
+    except FileNotFoundError:
+        raise InputFileError(f"no such file: {path}", file=path)
+    except json.JSONDecodeError as exc:
+        offset = len(text[:mark + exc.pos].encode("utf-8"))
+        raise InputFileError(
+            f"malformed JSON in {path}: {exc.msg} (byte offset {offset})",
+            file=path, offset=offset,
+        )
+    except RecursionError:
+        raise InputFileError(f"{path}: JSON nested too deeply", file=path)
+    except (OSError, ValueError) as exc:
+        raise InputFileError(f"cannot read {path}: {exc}", file=path)
+
+
+def _read_document(cls, path: str, prefix: str = ""):
+    """The dataclass ``cls`` read by ``from_document`` from the JSON file
+    ``path``; a refusal is an ``InputFileError`` naming the file, and a
+    refusal of the document's keys or values starts with ``prefix``."""
+    doc = _load_json(path)  # outside the try, so its refusal keeps file and offset
+    try:
+        return from_document(cls, doc)
+    except ValueError as exc:
+        raise InputFileError(prefix + str(exc), file=path)
 
 
 #: Field types that ``to_document`` stores as they are.

@@ -5,15 +5,14 @@ output (no timestamps, sorted keys, fixed float formatting). The commands
 call the library unwrapped, and ``main`` alone maps an exception to an
 exit code: 0 success; 1 an ``AnalysisError`` (too few comparable models);
 2 malformed input, a ``ValueError`` or ``OverflowError`` (a refused file,
-flag or usage, or a count past its range) or ``pareto``'s ``CoverageError``
-(a record lacks the cost or quality), or an output path or stdout that
-cannot be written, is closed or cannot encode the output (``cannot write
-stdout: <reason>``). Exits 1 and 2 print one JSON line on stderr. A
-refused input prints nothing on stdout, as every refusal is decided before
-the first write; a stdout that fails partway may hold a prefix of the
-output, as ``compare`` writes its report one listed row per write. A
-stderr that cannot be written loses its lines and changes neither the
-exit code nor stdout.
+flag or usage, a record that lacks the cost or quality, or a count past
+its range), or an output path or stdout that cannot be written, is closed
+or cannot encode the output (``cannot write stdout: <reason>``). Exits 1
+and 2 print one JSON line on stderr. A refused input prints nothing on
+stdout, as every refusal is decided before the first write; a stdout that
+fails partway may hold a prefix of the output, as ``compare`` writes its
+report one listed row per write. A stderr that cannot be written loses
+its lines and changes neither the exit code nor stdout.
 
 The CLI opens no input file itself. ``costlens.read_spec_file`` reads
 spec files and ``costlens.read_records`` records files (formats in
@@ -47,8 +46,6 @@ from itertools import chain, islice
 from .analysis import (
     HIGHER_BETTER,
     AnalysisError,
-    CoverageError,
-    InputFileError,
     InsufficientDataError,
     MisnomerReport,
     ModelRecord,
@@ -60,7 +57,8 @@ from .analysis import (
     read_records,
 )
 from .archlib import ARRANGEMENTS, BUILDER_ARGS, build_from_reference
-from .archspec import ArchSpec, _cut, _echo, validate  # validate: the bench tracer test reads it
+from .archspec import (  # validate: the bench tracer test reads it
+    ArchSpec, InputFileError, _cut, _echo, validate)
 from .footprint import EnergyProfile, PricingProfile
 from .indicators import OptimizerKind
 from .profiles import _hardware, _rates, compute_profile, read_spec_file, record_from_profile
@@ -71,13 +69,11 @@ SIG_DIGITS = 6
 
 
 def format_fixed(x) -> str:
-    """Fixed-notation rendering with up to ``SIG_DIGITS`` significant digits."""
+    """Fixed-notation rendering of a finite number with up to ``SIG_DIGITS`` significant digits."""
     if isinstance(x, int):
         x = float(x)
     if x == 0:
         return "0"
-    if not math.isfinite(x):
-        return str(x)
     digits = SIG_DIGITS - 1 - math.floor(math.log10(abs(x)))
     y = round(x, digits)
     if digits <= 0:
@@ -531,8 +527,7 @@ def main(argv=None) -> int:
         if sys.stdout is sys.__stdout__ is not None:  # so the exit flush cannot fail again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code, error = 2, {"error": f"cannot write stdout: {exc}"}
-    # Before AnalysisError: pareto's missing cost or quality is malformed input.
-    except (ValueError, OverflowError, CoverageError) as exc:
+    except (ValueError, OverflowError) as exc:
         code, error = 2, {"error": str(exc), **getattr(exc, "detail", {})}
     except AnalysisError as exc:
         code, error = 1, {"error": str(exc)}

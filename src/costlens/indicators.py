@@ -8,12 +8,12 @@ All accumulators are checked against the 64-bit unsigned range and raise
 :class:`OverflowError` beyond it, mirroring what a native implementation
 could actually hold.
 
-Each public indicator checks ``batch`` and evaluates the spec once with
-:func:`costlens.trace.evaluate`, which validates it, and reads its totals
-from :func:`costlens.trace._sums`, one pass over the steps. ``compute_profile``
-reads every total from that same pass, and ``trace`` costs an ``MoE`` node
-from the same sums of its expert's steps, so each count has one summation
-path. The steps are the only per-node record: an indicator returns totals only.
+Each public indicator reads its totals from :func:`_totals`, which checks
+``batch``, evaluates the spec once with :func:`costlens.trace.evaluate`
+(which validates it) and sums its steps with :func:`costlens.trace._sums`.
+``compute_profile`` reads every total from that same pass, and ``trace``
+costs an ``MoE`` node from the sums of its expert's steps, so each count has
+one summation path, and an indicator returns totals only, never steps.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import enum
 from dataclasses import dataclass
 
 from .archspec import ArchSpec, UINT64_MAX, check_value
-from .trace import Step, _Sums, _sums, evaluate
+from .trace import _Sums, _sums, evaluate
 
 
 def _checked(value: int, what: str) -> int:
@@ -31,11 +31,13 @@ def _checked(value: int, what: str) -> int:
     return value
 
 
-def _steps(spec: ArchSpec, batch: int = 1, pad_multiple: int | None = None,
-           seconds=None) -> tuple[list[Step], float | None]:
-    """Check ``batch``, the one batch check before a fold, then :func:`evaluate`."""
+def _totals(spec: ArchSpec, batch: int = 1, pad_multiple: int | None = None,
+            seconds=None) -> tuple[_Sums, float | None]:
+    """Check ``batch``, the one batch check before a fold, then :func:`evaluate`:
+    the sums of its steps and its time."""
     check_value("batch", batch)
-    return evaluate(spec, pad_multiple, seconds)
+    steps, time = evaluate(spec, pad_multiple, seconds)
+    return _sums(steps), time
 
 
 def _params(sums: _Sums) -> int:
@@ -115,7 +117,7 @@ class MemoryEstimate:
 
 def count_params(spec: ArchSpec) -> ParamCount:
     """Parameter count; bodies of parameter-shared repeats count once."""
-    total = _params(sums := _sums(_steps(spec)[0]))
+    total = _params(sums := _totals(spec)[0])
     return ParamCount(total, sums.unrolled - total)
 
 
@@ -129,7 +131,7 @@ def count_flops(spec: ArchSpec, batch: int = 1) -> FlopCount:
     Parameter sharing never changes FLOPs: a shared repeat runs its body
     just as many times.
     """
-    sums = _sums(_steps(spec, batch)[0])
+    sums = _totals(spec, batch)[0]
     return FlopCount(_checked(sums.flops * batch, "FLOP count"),
                      _checked(sums.macs * batch, "MAC count"))
 
@@ -140,7 +142,7 @@ def count_flops(spec: ArchSpec, batch: int = 1) -> FlopCount:
 
 def activation_size(spec: ArchSpec, batch: int = 1) -> int:
     """Total elements in every building-block output tensor, per batch."""
-    return _checked(_sums(_steps(spec, batch)[0]).out_elements * batch,
+    return _checked(_totals(spec, batch)[0].out_elements * batch,
                     "activation element count")
 
 
@@ -153,7 +155,7 @@ def memory_access_cost(spec: ArchSpec, batch: int = 1) -> int:
     accesses -- so the total is exactly linear in batch and identical for
     shared and unshared repeats.
     """
-    moved = _sums(_steps(spec, batch)[0]).moved_elements
+    moved = _totals(spec, batch)[0].moved_elements
     return _checked(moved * spec.element_bytes * batch, "memory access volume")
 
 
@@ -170,7 +172,7 @@ def training_memory(spec: ArchSpec, batch: int = 1,
     stores the same activations as its unshared twin, which is why sharing
     helps inference memory far more than training memory.
     """
-    sums = _sums(_steps(spec, batch)[0])
+    sums = _totals(spec, batch)[0]
     return MemoryEstimate(*_memory(_params(sums), sums, spec.element_bytes, batch, optimizer))
 
 
@@ -197,7 +199,7 @@ def inference_memory(spec: ArchSpec, batch: int = 1) -> MemoryEstimate:
     """Peak device memory for a forward pass: weights plus the largest
     single-layer output working set. Gradient and optimizer fields are
     zero by construction."""
-    sums = _sums(_steps(spec, batch)[0])
+    sums = _totals(spec, batch)[0]
     eb = spec.element_bytes
     param_bytes = _checked(_params(sums) * eb, "parameter bytes")
     peak = _peak_inference(param_bytes, sums, eb, batch)

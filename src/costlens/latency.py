@@ -23,10 +23,9 @@ import os
 from dataclasses import dataclass
 from importlib import resources
 
-from .analysis import _read_document
-from .archspec import _FLOAT_MAX, ArchSpec, _echo, check_fields, check_value
-from .indicators import _steps
-from .trace import Step
+from .archspec import _FLOAT_MAX, ArchSpec, _echo, _read_document, check_fields, check_value
+from .indicators import _totals
+from .trace import Step, _Sums
 
 
 @dataclass(frozen=True)
@@ -118,22 +117,22 @@ def estimate_latency(spec: ArchSpec, hw: HardwareModel, batch: int = 1) -> Speed
     return SpeedEstimate(*_speed(_roofline(spec, hw, batch)[1], batch))
 
 
-def _roofline(spec: ArchSpec, hw: HardwareModel, batch: int) -> tuple[list[Step], float]:
-    """Check ``hw``, then fold the spec once with ``indicators._steps``: its
-    steps at the true length, the only per-node record, and the latency of a
-    batch at the hardware's padded length, which every latency figure reads."""
+def _roofline(spec: ArchSpec, hw: HardwareModel, batch: int) -> tuple[_Sums, float]:
+    """Check ``hw``, then fold the spec once with ``indicators._totals``: the
+    sums of its steps at the true length, and the latency of a batch at the
+    hardware's padded length, which every latency figure reads."""
     check_value("hardware", hw, HardwareModel)
     bandwidth, overhead = hw.mem_bandwidth_bytes_per_sec, hw.per_op_overhead_sec
     rate = hw.peak_flops_per_sec * hw.num_devices  # finite, as HardwareModel checks
 
-    def op_seconds(step: Step) -> float:  # runs after _steps has validated the spec
+    def op_seconds(step: Step) -> float:  # runs after _totals has validated the spec
         moved = (step.params + step.in_elements + step.out_elements) * spec.element_bytes
         try:
             return overhead + max(step.flops * batch / rate, moved * batch / bandwidth)
         except OverflowError:  # past the float range: no finite latency
             return math.inf
 
-    return _steps(spec, batch, hw.length_pad_multiple, op_seconds)
+    return _totals(spec, batch, hw.length_pad_multiple, op_seconds)
 
 
 def _speed(latency: float, batch: int) -> tuple[float, float]:

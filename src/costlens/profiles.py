@@ -9,11 +9,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields, replace
 
-from .analysis import PROFILE_FIELDS, InputFileError, ModelRecord, _load_json, _read_document
+from .analysis import PROFILE_FIELDS, ModelRecord
 from .archlib import build_from_reference
 from .archspec import (
-    ArchSpec, InvalidSpecError, _echo, check_schema_version, check_value, ensure_valid,
-    from_document, spec_from_dict, to_document,
+    ArchSpec, InputFileError, InvalidSpecError, _echo, _load_json, _read_document,
+    check_schema_version, check_value, ensure_valid, from_document, spec_from_dict, to_document,
 )
 from .footprint import (
     EnergyProfile,
@@ -21,9 +21,8 @@ from .footprint import (
     carbon_footprint,
     monetary_cost,
 )
-from .indicators import OptimizerKind, _checked, _memory, _params, _steps
+from .indicators import OptimizerKind, _checked, _memory, _params, _totals
 from .latency import HardwareModel, _roofline, _speed, load_hardware
-from .trace import _sums
 
 
 @dataclass(frozen=True)
@@ -88,10 +87,9 @@ def compute_profile(spec: ArchSpec, batch: int = 1,
     pads the sequence is timed at the padded length within that fold.
     Every count is read from one pass over the steps.
     """
-    steps, latency = (_steps(spec, batch) if hardware is None
-                      else _roofline(spec, hardware, batch))
+    sums, latency = (_totals(spec, batch) if hardware is None
+                     else _roofline(spec, hardware, batch))
     eb = spec.element_bytes
-    sums = _sums(steps)
     params = _params(sums)
     flops = _checked(sums.flops, "FLOP count")
     macs = _checked(sums.macs, "MAC count")

@@ -181,7 +181,7 @@ def _fold(layers, prefix, L, P, count, copies, seconds, out) -> float:
     ``seconds``), which ``seconds`` gives of each node's step at length ``P``."""
     total = 0.0
     for i, layer in enumerate(layers):
-        path = f"{prefix}[{i}]" if prefix else f"layers[{i}]"
+        path = f"{prefix}[{i}]"
         kind = type(layer)
         if kind is Repeat:
             n = layer.times
@@ -243,5 +243,5 @@ def evaluate(spec: ArchSpec, pad_multiple: int | None = None,
     steps: list[Step] = []
     length = input_sequence_length(spec)
     pad = pad_multiple or 1
-    total = _fold(spec.layers, "", length, -(-length // pad) * pad, 1, 1, seconds, steps)
+    total = _fold(spec.layers, "layers", length, -(-length // pad) * pad, 1, 1, seconds, steps)
     return steps, (total if seconds is not None else None)

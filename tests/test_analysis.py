@@ -61,6 +61,7 @@ class TestParetoFrontier:
         with pytest.raises(CoverageError) as err:
             pareto_frontier(records, "flops")
         assert str(err.value).endswith(": b")
+        assert isinstance(err.value, ValueError)  # so the CLI reads it as malformed input
 
     def test_sorted_by_cost_ascending(self):
         records = [rec(f"m{i}", q, flops=c)

@@ -21,6 +21,7 @@ import pytest
 import costlens
 from costlens import (
     ArchSpec,
+    CoverageError,
     EnergyProfile,
     InputFileError,
     InvalidSpecError,
@@ -254,7 +255,7 @@ class TestProfile:
             opened.append((path, *args, *kwargs.items()))
             return open(path, *args, **kwargs)
 
-        monkeypatch.setattr(costlens.analysis, "open", spy, raising=False)
+        monkeypatch.setattr(costlens.archspec, "open", spy, raising=False)
         assert run_cli(argv, capsys) == warm
         assert warm[0] == 0
         assert opened == [(str(tmp_path / name), "rb", ("buffering", 0))
@@ -1241,6 +1242,8 @@ class TestErrorLine:
             "violations": [["layers[0]", "Repeat body is empty"]]}
 
     def test_value_errors_are_the_two_refusals(self):
+        """The package's ``ValueError`` classes; of them, only the two file and
+        architecture refusals carry a ``detail``."""
         found = set()
         for info in pkgutil.iter_modules(costlens.__path__, "costlens."):
             if info.name == "costlens.__main__":  # runs main() when imported
@@ -1248,7 +1251,10 @@ class TestErrorLine:
             module = importlib.import_module(info.name)
             found |= {obj for obj in vars(module).values() if isinstance(obj, type)
                       and issubclass(obj, ValueError) and obj.__module__ == info.name}
-        assert found == {InputFileError, InvalidSpecError}
+        assert found == {InputFileError, InvalidSpecError, CoverageError}
+        examples = [InputFileError("x"), InvalidSpecError([]), CoverageError("x")]
+        assert [type(e) for e in examples if hasattr(e, "detail")] == [InputFileError,
+                                                                       InvalidSpecError]
 
 
 class TestDeterminism:

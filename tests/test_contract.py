@@ -211,8 +211,8 @@ def _assert_finite(value):
         assert math.isfinite(value)
 
 
-# format_fixed renders a non-finite value as inf, -inf or nan. Names in
-# these tests never spell those words in lower case.
+# Python prints a non-finite float as inf, -inf or nan. Names in these
+# tests never spell those words in lower case.
 NON_FINITE_TEXT = re.compile(r"(?<![\w.])-?(inf|nan)(?![\w.])")
 
 

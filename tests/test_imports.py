@@ -1,5 +1,5 @@
-"""No module of the package imports a name it never reads, and none
-defines a name that nothing names.
+"""No module of the package imports a name it never reads, none defines a
+name that nothing names, and the cost layer imports nothing above it.
 
 No linter ships with the test dependencies, so this walks the syntax tree
 of every ``src/costlens`` module except ``__init__.py``, whose imports are
@@ -15,6 +15,11 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCE = ROOT / "src" / "costlens"
+
+#: The cost path: it imports nothing from the modules above it, and ``archspec``,
+#: which every module reads, imports no module of the package.
+COST_PATH = ("archspec", "trace", "indicators", "latency", "footprint", "archlib")
+ABOVE = {"analysis", "profiles", "cli"}
 
 #: Imports kept though the module never reads them: (module, name) -> why.
 KEPT = {
@@ -65,3 +70,25 @@ def test_every_definition_is_named_elsewhere():
             if not any(map(word.search, elsewhere)):
                 unnamed.append(f"{path.stem}.{node.name}")
     assert unnamed == []
+
+
+def package_imports(tree: ast.Module) -> set[str]:
+    """The package modules a module imports by a relative import."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.update([node.module.split(".")[0]] if node.module
+                         else (a.name for a in node.names))
+    return found
+
+
+@pytest.mark.parametrize("module", COST_PATH)
+def test_the_cost_path_imports_nothing_above_it(module):
+    imported = package_imports(ast.parse((SOURCE / f"{module}.py").read_text("utf-8")))
+    assert (imported if module == "archspec" else imported & ABOVE) == set()
+
+
+def test_the_layering_guard_sees_what_it_forbids():
+    imported = package_imports(ast.parse(
+        "from .analysis import x\nfrom . import profiles\nfrom .trace import y"))
+    assert imported == {"analysis", "profiles", "trace"}
