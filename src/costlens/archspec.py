@@ -426,7 +426,7 @@ def _walk(layers, at: str, depth: int, spec: ArchSpec, out: list) -> None:
                     out.append(Violation(path, f"in_channels {layer.in_channels} does not "
                                                f"match image channels {inp.channels}"))
                 try:
-                    derive_sequence_length(inp, layer.patch, layer.add_cls_token)
+                    _sequence_length(inp, layer.patch, layer.add_cls_token)
                 except ValueError as exc:
                     out.append(Violation(path, str(exc)))
 
@@ -449,9 +449,19 @@ def derive_sequence_length(inp: InputSignature, patch: int, add_cls: bool) -> in
     The patch size must divide both spatial extents exactly.
     """
     check_value("inp", inp, (Image, TokenSequence))
+    errors = field_errors(inp)
+    if errors:
+        raise ValueError(f"inp.{errors[0]}")
+    check_value("patch", patch)
+    check_value("add_cls", add_cls, bool)
+    return _sequence_length(inp, patch, add_cls)
+
+
+def _sequence_length(inp, patch: int, add_cls: bool) -> int:
+    """:func:`derive_sequence_length` of arguments already checked; ``inp`` may
+    be a subclass of an input kind, which ``validate`` admits."""
     if isinstance(inp, TokenSequence):
         return inp.length
-    check_value("patch", patch)
     if inp.height % patch or inp.width % patch:
         raise ValueError(
             f"patch {patch} does not divide input extent {inp.height}x{inp.width}"
@@ -460,14 +470,14 @@ def derive_sequence_length(inp: InputSignature, patch: int, add_cls: bool) -> in
 
 
 def input_sequence_length(spec: ArchSpec) -> int:
-    """Sequence length entering the layer stack (after any patching by the
-    leading PatchEmbed, without which an image input raises InvalidSpecError)."""
+    """Sequence length entering a valid spec's layer stack (after any patching
+    by the leading PatchEmbed, without which an image input raises InvalidSpecError)."""
     if isinstance(spec.input, TokenSequence):
         return spec.input.length
     first = next(iter(spec.layers), None)
     if not isinstance(first, PatchEmbed):
         raise InvalidSpecError((_NO_PATCH_EMBED,))
-    return derive_sequence_length(spec.input, first.patch, first.add_cls_token)
+    return _sequence_length(spec.input, first.patch, first.add_cls_token)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ All accumulators are checked against the 64-bit unsigned range and raise
 could actually hold.
 
 Each public indicator reads its totals from :func:`_totals`, which checks
-``batch``, evaluates the spec once with :func:`costlens.trace.evaluate`
-(which validates it) and sums its steps with :func:`costlens.trace._sums`.
+``batch``, evaluates the spec once with :func:`costlens.trace._evaluate`
+(which validates it), without step paths, as no total reads them, and
+sums its steps with :func:`costlens.trace._sums`.
 ``compute_profile`` reads every total from that same pass, and ``trace``
 costs an ``MoE`` node from the sums of its expert's steps, so each count has
 one summation path, and an indicator returns totals only, never steps.
@@ -22,7 +23,7 @@ import enum
 from dataclasses import dataclass
 
 from .archspec import ArchSpec, UINT64_MAX, check_value
-from .trace import _Sums, _sums, evaluate
+from .trace import _evaluate, _Sums, _sums
 
 
 def _checked(value: int, what: str) -> int:
@@ -33,10 +34,10 @@ def _checked(value: int, what: str) -> int:
 
 def _totals(spec: ArchSpec, batch: int = 1, pad_multiple: int | None = None,
             seconds=None) -> tuple[_Sums, float | None]:
-    """Check ``batch``, the one batch check before a fold, then :func:`evaluate`:
-    the sums of its steps and its time."""
+    """Check ``batch``, the one batch check before a fold, then evaluate without
+    paths: the sums of the steps and their time."""
     check_value("batch", batch)
-    steps, time = evaluate(spec, pad_multiple, seconds)
+    steps, time = _evaluate(spec, pad_multiple, seconds, None)
     return _sums(steps), time
 
 

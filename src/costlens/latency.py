@@ -128,9 +128,10 @@ def _roofline(spec: ArchSpec, hw: HardwareModel, batch: int) -> tuple[_Sums, flo
     def op_seconds(step: Step) -> float:  # runs after _totals has validated the spec
         moved = (step.params + step.in_elements + step.out_elements) * spec.element_bytes
         try:
-            return overhead + max(step.flops * batch / rate, moved * batch / bandwidth)
+            compute, memory = step.flops * batch / rate, moved * batch / bandwidth
         except OverflowError:  # past the float range: no finite latency
             return math.inf
+        return overhead + (compute if compute >= memory else memory)  # max(), minus a call
 
     return _totals(spec, batch, hw.length_pad_multiple, op_seconds)
 

@@ -10,8 +10,11 @@ a ``share_params`` repeat contributing 1). Every indicator is a fold over
 these steps, so cost grows with the size of the spec, not with the number
 of layers it executes. :func:`_sums` is the one summation path over a step
 list: the indicators read their totals from it, and an ``MoE`` node is
-costed from the sums of its expert's steps. :func:`evaluate` validates its
-spec first: it is the one spec check between a spec and its steps. A
+costed from the sums of its expert's steps. :func:`evaluate` and the
+indicators both fold through :func:`_evaluate`, which validates its spec
+first: it is the one spec check between a spec and its steps. Only
+:func:`evaluate` asks for the path of each step; the indicators and an
+``MoE`` node's expert fold leave it None, because sums never read it. A
 node's kind is its exact type, as ``validate`` admits it: a subclass of a
 layer kind is refused there, so the fold tests ``type(layer) is Dense`` and
 never ``isinstance``.
@@ -71,7 +74,7 @@ class Step(NamedTuple):
     as every fold builds one per node.
     """
 
-    path: str
+    path: str | None      # None in a fold whose steps are only summed
     layer: LayerSpec
     seq_len: int          # true token count; only ``seconds`` sees a padded one
     params: int
@@ -178,14 +181,15 @@ def _leaf_costs(layer, kind, L: int, tokens: int):
 def _fold(layers, prefix, L, P, count, copies, seconds, out) -> float:
     """Append a step per leaf and ``MoE`` node of ``layers`` at length ``L``
     to ``out``; return the time of one pass over ``layers`` (0.0 without
-    ``seconds``), which ``seconds`` gives of each node's step at length ``P``."""
+    ``seconds``), which ``seconds`` gives of each node's step at length ``P``.
+    Paths are built under ``prefix``; without one, each step's path is None."""
     total = 0.0
     for i, layer in enumerate(layers):
-        path = f"{prefix}[{i}]"
+        path = prefix and f"{prefix}[{i}]"
         kind = type(layer)
         if kind is Repeat:
             n = layer.times
-            body = _fold(layer.body, f"{path}.body", L, P, count * n,
+            body = _fold(layer.body, path and f"{path}.body", L, P, count * n,
                          copies if layer.share_params else copies * n,
                          seconds, out)
             total += n * body
@@ -193,7 +197,7 @@ def _fold(layers, prefix, L, P, count, copies, seconds, out) -> float:
         if kind is Parallel:
             slowest = 0.0
             for b, branch in enumerate(layer.branches):
-                slowest = max(slowest, _fold(branch, f"{path}.branches[{b}]", L, P,
+                slowest = max(slowest, _fold(branch, path and f"{path}.branches[{b}]", L, P,
                                              count, copies, seconds, out))
             total += slowest
             continue
@@ -211,7 +215,7 @@ def _node_step(layer, kind, path, L, tokens, count, copies) -> Step:
     if kind is MoE:
         # One composite op: the router plus K of E experts per token.
         expert: list[Step] = []
-        _fold([layer.expert], f"{path}.expert", L, L, 1, 1, None, expert)
+        _fold([layer.expert], None, L, L, 1, 1, None, expert)  # only summed
         s = _sums(expert)
         dr, E, K = layer.router_dim, layer.num_experts, layer.experts_per_token
         router_macs = L * dr * E
@@ -237,11 +241,17 @@ def evaluate(spec: ArchSpec, pad_multiple: int | None = None,
     time is ``None``. ``pad_multiple`` (hardware length padding: None or
     an integer >= 1) rounds the length ``seconds`` sees up to the next
     multiple; in the same fold, a node it changes is costed again there."""
+    return _evaluate(spec, pad_multiple, seconds, "layers")
+
+
+def _evaluate(spec, pad_multiple, seconds, prefix):
+    """:func:`evaluate` with the steps' paths built under ``prefix``, or left
+    None with ``prefix`` None, for callers that only sum the steps."""
     ensure_valid(spec)
     if pad_multiple is not None:
         check_value("pad_multiple", pad_multiple)
     steps: list[Step] = []
     length = input_sequence_length(spec)
     pad = pad_multiple or 1
-    total = _fold(spec.layers, "layers", length, -(-length // pad) * pad, 1, 1, seconds, steps)
+    total = _fold(spec.layers, prefix, length, -(-length // pad) * pad, 1, 1, seconds, steps)
     return steps, (total if seconds is not None else None)

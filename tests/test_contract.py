@@ -1053,6 +1053,19 @@ LIBRARY_LEAKS = {
     "build_lm_cfg": (lambda: build_lm({}), "cfg must be a LmConfig, got {}"),
     "sequence_length_input": (lambda: derive_sequence_length({}, 16, True),
                               "inp must be an Image or a TokenSequence, got {}"),
+    "sequence_length_str_height": (lambda: derive_sequence_length(Image("a", 224, 3), 16, True),
+                                   "inp.height must be an integer >= 1, got 'a'"),
+    "sequence_length_float_height": (
+        lambda: derive_sequence_length(Image(224.0, 224, 3), 16, True),
+        "inp.height must be an integer >= 1, got 224.0"),
+    "sequence_length_zero_extent": (lambda: derive_sequence_length(Image(0, 0, 3), 16, True),
+                                    "inp.height must be an integer >= 1, got 0"),
+    "sequence_length_str_length": (lambda: derive_sequence_length(TokenSequence("x", 5), 16,
+                                                                  True),
+                                   "inp.length must be an integer >= 1, got 'x'"),
+    "sequence_length_str_add_cls": (
+        lambda: derive_sequence_length(Image(224, 224, 3), 16, "yes"),
+        "add_cls must be true or false, got 'yes'"),
     "spec_to_dict_spec": (lambda: spec_to_dict(5), "spec must be an ArchSpec, got 5"),
     "to_json_spec": (lambda: to_json(5), "spec must be an ArchSpec, got 5"),
     "to_json_metadata": (lambda: to_json(ArchSpec("x", TokenSequence(4, 10), (),

@@ -184,12 +184,27 @@ def test_matches_unrolled_walkers(spec, hw, batch, optimizer):
     assert close(profile.throughput_examples_per_sec, batch / latency)
 
 
+@DIFFERENTIAL
+@given(spec=specs(), hw=st.sampled_from(HARDWARE))
+def test_a_fold_without_paths_gives_the_same_steps_and_time(spec, hw):
+    """The indicators' fold, which builds no path, equals ``evaluate`` in
+    every other field of every step, and in the time to the bit."""
+    def seconds(step):
+        return step.flops * 1e-9 + step.seq_len * 1e-6
+
+    stepped, time = costlens.trace.evaluate(spec, hw.length_pad_multiple, seconds)
+    summed, bare = costlens.trace._evaluate(spec, hw.length_pad_multiple, seconds, None)
+    assert bare == time
+    assert [s.path for s in summed] == [None] * len(stepped)
+    assert [s[1:] for s in summed] == [s[1:] for s in stepped]
+
+
 @pytest.fixture()
 def fold_calls(monkeypatch):
     """Positional pad multiple, if any, of each evaluation, whichever
     module's binding calls the evaluator, public or private entry."""
     calls = []
-    for name in ("evaluate",):
+    for name in ("evaluate", "_evaluate"):
         real = getattr(costlens.trace, name)
 
         def spy(*args, real=real, **kwargs):
@@ -440,17 +455,17 @@ def test_a_subclass_of_a_layer_kind_is_refused_before_the_fold(spec, name, monke
 
 @pytest.fixture()
 def length_calls(monkeypatch):
-    """One entry per ``derive_sequence_length`` call, through any module's binding."""
+    """One entry per ``_sequence_length`` call, through any module's binding."""
     calls = []
-    real = costlens.archspec.derive_sequence_length
+    real = costlens.archspec._sequence_length
 
     def spy(*args):
         calls.append(args)
         return real(*args)
 
     for module in (costlens.archspec, costlens.trace):
-        if getattr(module, "derive_sequence_length", None) is real:
-            monkeypatch.setattr(module, "derive_sequence_length", spy)
+        if getattr(module, "_sequence_length", None) is real:
+            monkeypatch.setattr(module, "_sequence_length", spy)
     return calls
 
 
