@@ -8,8 +8,7 @@ the "biggest" model by parameter count is the cheapest to run.
 Run: python demos/patch_size_tradeoff.py
 """
 
-from costlens import VitConfig, build_vit, count_flops, count_params
-from costlens.archspec import input_sequence_length
+from costlens import VitConfig, build_vit, count_flops, count_params, derive_sequence_length
 
 # 64 does not divide 224, so the 64-pixel point uses a 192x192 input
 # (the published numbers for that configuration correspond to a 3x3 grid;
@@ -26,7 +25,7 @@ for patch, image in SWEEP:
     params = count_params(spec)
     flops = count_flops(spec)
     rows.append((params.millions, flops.gflops))
-    print(f"{patch:>5} {input_sequence_length(spec):>7} "
+    print(f"{patch:>5} {derive_sequence_length(spec.input, patch, True):>7} "
           f"{params.millions:>11.2f} {flops.gflops:>8.2f} "
           f"{params.millions / flops.gflops:>17.1f}")
 (_, gflops_8), (params_64, gflops_64) = rows[0], rows[-1]

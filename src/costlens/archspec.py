@@ -216,11 +216,6 @@ class Violation:
     message: str
 
 
-#: An image input whose first layer is not the PatchEmbed that tokenizes it:
-#: ``validate`` reports it and ``input_sequence_length`` raises it.
-_NO_PATCH_EMBED = Violation("layers[0]", "image input requires a leading PatchEmbed")
-
-
 @dataclass(frozen=True)
 class ValidationResult:
     violations: tuple[Violation, ...]
@@ -373,7 +368,7 @@ def validate(spec: ArchSpec) -> ValidationResult:
     else:
         out.append(Violation("input", f"unknown input signature {type(inp).__name__}"))
     if isinstance(inp, Image) and not isinstance(next(iter(spec.layers), None), PatchEmbed):
-        out.append(_NO_PATCH_EMBED)
+        out.append(Violation("layers[0]", "image input requires a leading PatchEmbed"))
 
     _walk(spec.layers, "layers[{}]", 0, spec, out)
     return ValidationResult(tuple(out))
@@ -443,11 +438,9 @@ def ensure_valid(spec: ArchSpec) -> None:
 
 
 def derive_sequence_length(inp: InputSignature, patch: int, add_cls: bool) -> int:
-    """Token count produced by patching an image input.
-
-    Returns ``(H/patch) * (W/patch) + 1`` when a CLS token is appended.
-    The patch size must divide both spatial extents exactly.
-    """
+    """Tokens ``inp`` feeds a layer stack: a ``TokenSequence``'s own
+    ``length``, or an ``Image``'s patch grid ``(H/patch) * (W/patch)``, plus
+    1 when ``add_cls``. The patch size must divide both spatial extents."""
     check_value("inp", inp, (Image, TokenSequence))
     errors = field_errors(inp)
     if errors:
@@ -467,17 +460,6 @@ def _sequence_length(inp, patch: int, add_cls: bool) -> int:
             f"patch {patch} does not divide input extent {inp.height}x{inp.width}"
         )
     return (inp.height // patch) * (inp.width // patch) + (1 if add_cls else 0)
-
-
-def input_sequence_length(spec: ArchSpec) -> int:
-    """Sequence length entering a valid spec's layer stack (after any patching
-    by the leading PatchEmbed, without which an image input raises InvalidSpecError)."""
-    if isinstance(spec.input, TokenSequence):
-        return spec.input.length
-    first = next(iter(spec.layers), None)
-    if not isinstance(first, PatchEmbed):
-        raise InvalidSpecError((_NO_PATCH_EMBED,))
-    return _sequence_length(spec.input, first.patch, first.add_cls_token)
 
 
 # ---------------------------------------------------------------------------

@@ -54,9 +54,9 @@ from .archspec import (
     PatchEmbed,
     Repeat,
     TokenEmbedding,
+    _sequence_length,
     check_value,
     ensure_valid,
-    input_sequence_length,
 )
 
 SOFTMAX_FLOPS_PER_ELEMENT = 5
@@ -251,7 +251,10 @@ def _evaluate(spec, pad_multiple, seconds, prefix):
     if pad_multiple is not None:
         check_value("pad_multiple", pad_multiple)
     steps: list[Step] = []
-    length = input_sequence_length(spec)
+    # A valid spec's first layer is a PatchEmbed exactly when its input is an image.
+    first = next(iter(spec.layers), None)
+    length = (_sequence_length(spec.input, first.patch, first.add_cls_token)
+              if type(first) is PatchEmbed else spec.input.length)
     pad = pad_multiple or 1
     total = _fold(spec.layers, prefix, length, -(-length // pad) * pad, 1, 1, seconds, steps)
     return steps, (total if seconds is not None else None)

@@ -63,6 +63,12 @@ class TestParetoFrontier:
         assert str(err.value).endswith(": b")
         assert isinstance(err.value, ValueError)  # so the CLI reads it as malformed input
 
+    def test_missing_quality_raises_with_offenders(self):
+        records = [rec("a", None, flops=1), rec("b", None, flops=2)]
+        with pytest.raises(CoverageError) as err:
+            pareto_frontier(records, "flops")
+        assert str(err.value) == "records missing quality: a, b"
+
     def test_sorted_by_cost_ascending(self):
         records = [rec(f"m{i}", q, flops=c)
                    for i, (q, c) in enumerate([(5, 9), (1, 1), (3, 4), (6, 12)])]

@@ -38,7 +38,7 @@ from costlens import (
 )
 from costlens import archlib
 from costlens.archlib import BUILDERS
-from costlens.archspec import check_value, input_sequence_length, spec_from_dict, spec_to_dict
+from costlens.archspec import check_value, spec_from_dict, spec_to_dict
 from costlens.trace import evaluate
 
 from support import TABLE1, document_required_fields, vit_base
@@ -62,7 +62,7 @@ class TestVitBuilder:
         assert abs(count_flops(spec).gflops - gflops) / gflops < 0.03
 
     def test_sequence_length_patch32(self):
-        assert input_sequence_length(vit_base(32, 224)) == 50
+        assert evaluate(vit_base(32, 224))[0][0].seq_len == 50
 
     def test_depth_zero_rejected(self):
         with pytest.raises(ValueError, match="depth"):

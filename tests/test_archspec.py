@@ -27,9 +27,9 @@ from costlens.archspec import (
     LayerSpec,
     Violation,
     from_document,
-    input_sequence_length,
     spec_from_dict,
 )
+from costlens.trace import evaluate
 
 from support import oracle_validate, vit_base
 
@@ -41,6 +41,9 @@ class TestSequenceLength:
 
     def test_no_cls(self):
         assert derive_sequence_length(Image(224, 224, 3), 16, False) == 196
+
+    def test_token_input_is_its_own_length(self):
+        assert derive_sequence_length(TokenSequence(16, 100), 16, True) == 16
 
     def test_non_divisible_patch(self):
         with pytest.raises(ValueError, match="does not divide"):
@@ -65,12 +68,12 @@ class TestValidate:
 
     @pytest.mark.parametrize("layers", [(), (LayerNorm(128),)])
     def test_image_without_leading_patch_embed(self, layers):
-        """validate and the sequence length refuse it with one violation."""
+        """validate and a cost call refuse it with one violation."""
         spec = ArchSpec("x", Image(224, 224, 3), layers)
         expected = Violation("layers[0]", "image input requires a leading PatchEmbed")
         assert validate(spec).violations[0] == expected
         with pytest.raises(InvalidSpecError) as err:
-            input_sequence_length(spec)
+            evaluate(spec)
         assert err.value.violations == (expected,)
 
     def test_moe_k_exceeds_e(self):

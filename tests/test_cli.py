@@ -821,6 +821,17 @@ class TestPareto:
         assert (min(ys), max(ys)) == (margin, cli.SVG_HEIGHT - margin)
         assert circles[2].getAttribute("cy") == mid
 
+    def test_svg_equal_records_sit_at_the_centre(self, tmp_path, capsys):
+        p = tmp_path / "r.csv"
+        p.write_text("name,quality,params\na,1.0,2.0\nb,1.0,2.0\n")
+        svg_path = tmp_path / "scatter.svg"
+        code, _, _ = run_cli(["pareto", str(p), "--cost", "params",
+                              "--svg", str(svg_path)], capsys)
+        assert code == 0
+        circles = minidom.parse(str(svg_path)).getElementsByTagName("circle")
+        assert [(c.getAttribute("cx"), c.getAttribute("cy")) for c in circles] \
+            == [("320.00", "240.00")] * 2
+
     @pytest.mark.parametrize("source, cost", [
         ("depth_width_scaling", "params"),
         ("depth_width_scaling", "flops"),

@@ -403,6 +403,29 @@ def test_one_validation_per_public_call(validate_calls, tmp_path):
             call(broken)
 
 
+def test_cli_json_profile_work_counts(validate_calls, monkeypatch):
+    """One CLI ``profile --format json`` of the shipped vit_b16 on
+    ``tpu_like``: one validation, one fold of 7 steps, one hardware read."""
+    folds, loads = [], []
+    real_evaluate, real_load = costlens.trace._evaluate, costlens.latency.load_hardware
+
+    def evaluate_spy(*args):
+        steps, time = real_evaluate(*args)
+        folds.append(len(steps))
+        return steps, time
+
+    def load_spy(name):
+        loads.append(name)
+        return real_load(name)
+
+    monkeypatch.setattr(costlens.indicators, "_evaluate", evaluate_spy)
+    monkeypatch.setattr(costlens.profiles, "load_hardware", load_spy)
+    with data_file("specs/vit_b16.json") as path:
+        assert costlens.cli.main(
+            ["profile", str(path), "--hw", "tpu_like", "--format", "json"]) == 0
+    assert (len(validate_calls), folds, loads) == (1, [7], ["tpu_like"])
+
+
 #: Specs ``evaluate`` once folded into an answer: a non-number as a
 #: dimension, an empty repeat, heads that do not divide ``qkv_dim``, and
 #: something that is not a spec.

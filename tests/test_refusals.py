@@ -74,12 +74,20 @@ REFUSED_SPECS = {
     "hardware_null.json": spec(builder=_VIT, hardware=None),
 }
 
-#: Spec files refused for their bytes, profiled after every other command.
+#: Spec files refused for their bytes, profiled after the usage errors.
 BYTE_REFUSED_SPECS = {
     # 0xE9 at byte 10,007, past the first 8,192 bytes a buffered read takes.
     "late_latin1.json": b'{"schema_version": 1, "notes": "' + b"x" * 9960
                         + b'", "name": "caf\xe9"}',
     "empty.json": b"",
+}
+
+#: Spec files refused for their layer array or builder fields, profiled last.
+LATE_REFUSED_SPECS = {
+    "layers_object.json": spec(arch={"input": _TOKENS, "layers": {"kind": "dense"}}),
+    "lm_heads.json": spec(builder={
+        "family": "lm", "arrangement": "decoder_only", "layers_per_stack": 2,
+        "model_dim": 64, "ffn_dim": 128, "heads": 3, "vocab": 100}),
 }
 
 #: The other files the command lines read.
@@ -96,6 +104,9 @@ FILES = {
     "two.csv": "name,quality,params,flops\na,1,1,\nb,2,,2\n",
     "nocost.csv": "name,quality,params,flops\na,1,1,1\nb,2,2,\n",
     "malformed_bom.json": b'\xef\xbb\xbf{"a": }',
+    "empty.csv": b"",
+    "header.csv": "name,quality,params,flops\n",
+    "noind.csv": "name,quality,params,flops\na,1.0,,\n",
 }
 
 #: A complete builder command line for the vit family.
@@ -155,12 +166,19 @@ COMMANDS = [
     # The byte-order mark is skipped, and the offset still counts its 3 bytes.
     ["profile", "malformed_bom.json"],
     *(["profile", name] for name in BYTE_REFUSED_SPECS),
+    # Records files with no bytes, no data row or a row with no indicator; no input.
+    ["compare", "--records", "empty.csv"],
+    ["compare", "--records", "header.csv"],
+    ["compare", "--records", "noind.csv"],
+    ["compare"],
+    *(["profile", name] for name in LATE_REFUSED_SPECS),
 ]
 
 
 @pytest.fixture()
 def fixture_dir(tmp_path, monkeypatch):
-    for name, content in {**REFUSED_SPECS, **BYTE_REFUSED_SPECS, **FILES}.items():
+    for name, content in {**REFUSED_SPECS, **BYTE_REFUSED_SPECS, **LATE_REFUSED_SPECS,
+                          **FILES}.items():
         if isinstance(content, str):
             (tmp_path / name).write_text(content, encoding="utf-8")
         elif content is not None:
@@ -183,7 +201,7 @@ def test_golden_refusals(fixture_dir, capsys):
     assert refusals(capsys) == GOLDEN.read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("name", [*REFUSED_SPECS, *BYTE_REFUSED_SPECS])
+@pytest.mark.parametrize("name", [*REFUSED_SPECS, *BYTE_REFUSED_SPECS, *LATE_REFUSED_SPECS])
 def test_library_reader_refuses_as_the_cli(fixture_dir, capsys, name):
     with pytest.raises(costlens.InputFileError) as info:
         costlens.read_spec_file(name)
