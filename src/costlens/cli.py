@@ -25,6 +25,14 @@ a plain ``ValueError``, whose message alone makes it.
 ``--batch`` profile spec files, so they are refused with ``--records``.
 ``profile`` takes a spec file or builder flags, never both, and refuses a
 builder flag that ``--family`` does not take.
+
+A command line must be a list of strings. ``main`` reads a line naming a
+command from that command's option table, which ``build_parser`` takes
+from the sub-parser's actions, when each token is an option with its
+values or one of a single run of positionals. The full argparse parse
+reads every other line (help, an abbreviation, ``--flag=value``, ``--``,
+an empty token, a value starting with ``-`` or refused, a missing required
+argument) and words every refusal.
 """
 
 from __future__ import annotations
@@ -455,7 +463,7 @@ class _Parser(argparse.ArgumentParser):
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """Built once per process (parsing leaves it as is); ``commands`` maps each
-    command to its sub-parser, which ``main`` runs alone on a line naming it."""
+    command to its sub-parser and ``tables`` to its option table."""
     parser = _Parser(
         prog="costlens",
         description="Analytical cost indicators and cross-indicator "
@@ -488,7 +496,61 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("records", help="records CSV")
     p.add_argument("--cost", required=True)
     p.add_argument("--svg", help="write an SVG scatter to this path")
+    parser.tables = {name: _option_table(sub) for name, sub in parser.commands.items()}
     return parser
+
+
+def _option_table(sub):
+    """What ``_read`` takes from a sub-parser's own actions: each option
+    string of a store action with a fixed count of values, the defaults,
+    the one positional (``nargs`` None, ``?`` or ``*``, stored as given) and
+    the dests of the required options."""
+    actions = sub._actions
+    options = {flag: a for a in actions if type(a) is argparse._StoreAction
+               and not isinstance(a.nargs, str) for flag in a.option_strings}
+    defaults = {a.dest: a.default for a in actions if a.default is not argparse.SUPPRESS}
+    (positional,) = (a for a in actions if not a.option_strings)
+    return options, defaults, positional, [a.dest for a in actions if a.required and a.option_strings]
+
+
+def _read(tables, argv):
+    """The namespace of a line naming a command that its option table reads
+    as it stands, else None, for the full parse to read or refuse. Each
+    token is an option of the table followed by its count of values, or one
+    of a single run of positionals that the positional takes; no token is
+    empty or a value starting with ``-``, and every required option is given."""
+    if not argv or argv[0] not in tables:
+        return None
+    options, defaults, positional, required = tables[argv[0]]
+    found, loose, closed = {}, [], False
+    tokens = iter(argv[1:])
+    for token in tokens:
+        action = options.get(token)
+        if action is None:  # a positional, in the one run that no option splits
+            if token[:1] in ("", "-") or closed:
+                return None
+            loose.append(token)
+            continue
+        closed = bool(loose)
+        count = action.nargs or 1
+        values = list(islice(tokens, count))
+        if len(values) != count or any(v[:1] in ("", "-") for v in values):
+            return None
+        try:  # the three errors argparse catches of a conversion, and refuses
+            values = [v if action.type is None else action.type(v) for v in values]
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and any(v not in action.choices for v in values):
+            return None
+        found[action.dest] = values if action.nargs else values[0]
+    nargs = positional.nargs
+    if len(loose) > 1 and nargs != "*" or not loose and nargs is None \
+            or any(dest not in found for dest in required):
+        return None
+    found[positional.dest] = loose if nargs == "*" else loose[0] if loose else positional.default
+    args = argparse.Namespace(command=argv[0])
+    vars(args).update(defaults, **found)
+    return args
 
 
 #: Characters of an error line's ``error``, past which ``main`` cuts it,
@@ -503,20 +565,28 @@ def _stderr_line(line: str) -> None:
             print(line, file=sys.stderr)
 
 
+def _strings(line) -> list[str]:
+    """``line`` as a list, refused unless it is an iterable of ``str``."""
+    try:
+        argv = list(line)
+    except TypeError:
+        raise ValueError(f"the command line must be a list of strings, got {_echo(line)}") from None
+    for arg in argv:
+        if not isinstance(arg, str):
+            raise ValueError(f"the command line must hold only strings, got {_echo(arg)}")
+    return argv
+
+
 def main(argv=None) -> int:
     """Run a command line (``sys.argv[1:]`` when None) and return its exit code.
-    A line naming a command is parsed in one pass, by that command's sub-parser;
-    any other, by the full parser, which only refuses it or prints help."""
+    A line not made of strings is refused before any parse. A line naming a
+    command whose every token its option table reads is read from that table
+    (``_read``), with no argparse parse; any other line, by the full parser,
+    which words every refusal and prints help."""
     try:
         parser = build_parser()
-        argv = list(sys.argv[1:] if argv is None else argv)
-        sub = parser.commands.get(argv[0]) if argv and isinstance(argv[0], str) else None
-        if sub is None:
-            args = parser.parse_args(argv)
-        else:
-            args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-            if extra:  # worded as the full parse words it
-                parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        argv = _strings(sys.argv[1:] if argv is None else argv)
+        args = _read(parser.tables, argv) or parser.parse_args(argv)
         if sys.stdout is None:  # closed before start-up: fail as a closed descriptor does
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         # Looked up on each call, so a replaced cmd_<name> takes effect.

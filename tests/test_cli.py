@@ -1195,25 +1195,43 @@ class TestParser:
         (["compare", "--max-pairs", "x"],
          "costlens compare: argument --max-pairs: invalid int value: 'x'"),
         ([], "costlens: the following arguments are required: command"),
-    ], ids=["profile-flag", "compare-flag", "no-command"])
+        (["profile", 5], "the command line must hold only strings, got 5"),
+        (["profile", "--batch", 3], "the command line must hold only strings, got 3"),
+        ([b"profile"], "the command line must hold only strings, got b'profile'"),
+        (5, "the command line must be a list of strings, got 5"),
+        (["compare", "--records", None], "the command line must hold only strings, got None"),
+    ], ids=["profile-flag", "compare-flag", "no-command", "int-positional", "int-value",
+            "bytes", "not-iterable", "none"])
     def test_usage_errors_are_one_json_line(self, capsys, argv, message):
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (2, "")
         assert err.count("\n") == 1
         assert json.loads(err) == {"error": message}
 
-    def test_one_parse_per_call(self, vit16, records_csv, monkeypatch, capsys):
-        """A line naming a command is parsed by that command's sub-parser
-        alone, not by the full parser and then the sub-parser."""
+    def test_one_parse_per_call(self, vit16, records_csv, tmp_path, monkeypatch, capsys):
+        """A line made of its command's options, their values and one run of
+        positionals is read from the command's option table, with no argparse
+        parse; a line that only argparse reads is parsed once, by the full
+        parser (which hands the command's arguments to its sub-parser)."""
+        (tmp_path / "energy.json").write_text('{"ee_train_kwh": 100, "co2e_per_kwh": 0.5}')
+        (tmp_path / "pricing.json").write_text(
+            '{"total_train_hours": 100, "num_chips": 64, "price_per_chip_hour": 2.0}')
         parsed = []
         real = argparse.ArgumentParser.parse_known_args
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
                             lambda self, *a, **k: parsed.append(self.prog) or real(self, *a, **k))
         for argv in (["profile", vit16], ["compare", "--records", records_csv],
-                     ["pareto", records_csv, "--cost", "flops"]):
+                     ["pareto", records_csv, "--cost", "flops"],
+                     ["profile", vit16, "--format", "json", "--optimizer", "sgd",
+                      "--batch", "32", "--hw", "tpu_like", "--energy",
+                      str(tmp_path / "energy.json"), "--pricing", str(tmp_path / "pricing.json")]):
             parsed.clear()
             assert run_cli(argv, capsys)[0] == 0
-            assert parsed == [f"costlens {argv[0]}"]
+            assert parsed == []
+        for argv in (["profile", vit16, "--form", "json"], ["profile", vit16, "--batch=2"]):
+            parsed.clear()
+            assert run_cli(argv, capsys)[0] == 0
+            assert parsed == ["costlens", "costlens profile"]
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

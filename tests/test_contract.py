@@ -16,6 +16,7 @@ to the same rule: an argument of the wrong kind is a ``ValueError`` that
 names it, never Python's own ``AttributeError`` or ``TypeError``.
 """
 
+import argparse
 import contextlib
 import copy
 import dataclasses
@@ -765,6 +766,29 @@ ARGV = st.one_of(
 )
 
 
+def _well_formed(name, sub):
+    """Lines of ``name`` made of its options with their values, in any order
+    and with repeats, and one run of positionals that the positional takes,
+    before, between or after them; every required option is given."""
+    options = [segment for segment in _segments(sub) if len(segment) > 1]
+    required = [a.option_strings for a in sub._actions if a.required and a.option_strings]
+    (positional,) = (a for a in sub._actions if not a.option_strings)
+    least, most = {None: (1, 1), "?": (0, 1), "*": (0, 3)}[positional.nargs]
+    return st.builds(
+        lambda segments, run, at: [name, *chain.from_iterable(segments[:at]), *run,
+                                   *chain.from_iterable(segments[at:])],
+        st.lists(st.sampled_from(options), max_size=6).filter(
+            lambda segments: all(any(s[0] in flags for s in segments) for flags in required)),
+        st.lists(st.sampled_from(["a.json", "b.json", "r.csv"]), min_size=least, max_size=most),
+        st.integers(0, 6),
+    )
+
+
+#: Command lines that ``main`` reads from the command's option table.
+WELL_FORMED = st.one_of(*(_well_formed(name, sub)
+                          for name, sub in cli.build_parser().commands.items()))
+
+
 def _ending(call):
     """How ``call()`` ends: its value, the ``ValueError`` it raises, or the
     exit code and stdout of the help it prints."""
@@ -779,22 +803,44 @@ def _ending(call):
 
 
 @CONTRACT
-@given(argv=ARGV)
-@example(argv=["profile", "ok.json", "--", "-x"])
-@example(argv=["compare", "--max-pairs", "3", "a.json", "b.json", "--", "--hw"])
-def test_main_parses_as_the_full_parser(argv):
+@given(line=st.one_of(ARGV.map(lambda argv: (argv, None)),
+                      WELL_FORMED.map(lambda argv: (argv, True))))
+@example(line=(["profile", "ok.json", "--", "-x"], False))
+@example(line=(["compare", "--max-pairs", "3", "a.json", "b.json", "--", "--hw"], False))
+@example(line=(["compare", "a.json", "--hw", "x", "b.json"], False))
+@example(line=(["profile", "a.json", "--batch", "-3"], False))
+@example(line=(["profile", "a.json", "--batch=2"], False))
+@example(line=(["profile", "a.json", "--form", "json"], False))
+@example(line=(["profile", "--family", "vit", "--image", "1", "2"], False))
+@example(line=(["pareto", "r.csv"], False))
+@example(line=(["compare", "", "--records", "r.csv"], False))
+@example(line=(["profile", "a.json", "-h"], False))
+@example(line=(["profile", "a.json", "--format", "xml"], False))
+@example(line=(["compare", "--records", "r.csv", "--max-pairs", "x"], False))
+@example(line=(["profile", "--image", "8", "8", "3", "--family", "vit", "--image", "4", "4", "1"],
+               True))
+@example(line=(["compare", "--hw", "tpu_like", "a.json", "b.json", "--batch", "2"], True))
+def test_main_parses_as_the_full_parser(line):
     """The namespace ``main`` hands to ``cmd_<name>`` has the ``vars`` of the
     full parse of the same line; where the full parse refuses the line or
-    prints help, ``main`` does the same with the same text."""
-    handed, err = [], io.StringIO()
+    prints help, ``main`` does the same with the same text. A well-formed
+    line (``True``) is read with no argparse parse, and a line that only
+    argparse reads (``False``) is parsed by it."""
+    argv, direct = line
+    handed, parsed, err = [], [], io.StringIO()
+    real = argparse.ArgumentParser.parse_known_args
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
         for name in cli.build_parser().commands:
             mp.setattr(cli, f"cmd_{name}", lambda args: handed.append(vars(args)) or 0)
+        mp.setattr(argparse.ArgumentParser, "parse_known_args",
+                   lambda self, *a, **k: parsed.append(self.prog) or real(self, *a, **k))
         ending = _ending(lambda: main(argv))
     if ending[0] == "value":  # 0 once a namespace is handed on, else 2 and the error line
         ending = ("value", handed[0]) if ending[1] == 0 else (
             "refused", json.loads(err.getvalue())["error"])
     assert ending == _ending(lambda: vars(cli.build_parser().parse_args(argv)))
+    if direct is not None:
+        assert parsed == ([] if direct else ["costlens", f"costlens {argv[0]}"])
 
 
 #: Where the value sits mid-message: (the input holding it, a spec file's
