@@ -636,8 +636,13 @@ def spec_from_dict(d: dict) -> ArchSpec:
 
 
 def to_json(spec: ArchSpec) -> str:
-    """Canonical JSON text; serialize -> parse -> serialize is an identity."""
-    return json.dumps(spec_to_dict(spec), indent=2, sort_keys=True) + "\n"
+    """Canonical JSON text; serialize -> parse -> serialize is an identity.
+    A spec holding a NaN or an infinity, which JSON has no number for, is refused."""
+    doc = spec_to_dict(spec)
+    try:  # after spec_to_dict, json refuses only a number out of its range
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:  # json's own wording of it varies across Python versions
+        raise ValueError("spec cannot be written as JSON: it holds a NaN or an infinity") from None
 
 
 def from_json(text: str) -> ArchSpec:

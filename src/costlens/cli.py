@@ -27,12 +27,13 @@ a plain ``ValueError``, whose message alone makes it.
 builder flag that ``--family`` does not take.
 
 A command line must be a list of strings. ``main`` reads a line naming a
-command from that command's option table, which ``build_parser`` takes
-from the sub-parser's actions, when each token is an option with its
-values or one of a single run of positionals. The full argparse parse
-reads every other line (help, an abbreviation, ``--flag=value``, ``--``,
-an empty token, a value starting with ``-`` or refused, a missing required
-argument) and words every refusal.
+command with no required option (``profile``, ``compare``) from that
+command's option table, which ``build_parser`` takes from the
+sub-parser's actions, when each option takes one value and at most one
+token is positional. The full argparse parse reads every other line
+(help, an abbreviation, ``--flag=value``, ``--``, ``--image H W C``, two
+positionals, an empty token, a value starting with ``-`` or refused,
+``pareto``) and words every refusal.
 """
 
 from __future__ import annotations
@@ -496,58 +497,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("records", help="records CSV")
     p.add_argument("--cost", required=True)
     p.add_argument("--svg", help="write an SVG scatter to this path")
-    parser.tables = {name: _option_table(sub) for name, sub in parser.commands.items()}
+    parser.tables = {name: _option_table(sub) for name, sub in parser.commands.items()
+                     if not any(a.required and a.option_strings for a in sub._actions)}
     return parser
 
 
 def _option_table(sub):
     """What ``_read`` takes from a sub-parser's own actions: each option
-    string of a store action with a fixed count of values, the defaults,
-    the one positional (``nargs`` None, ``?`` or ``*``, stored as given) and
-    the dests of the required options."""
+    string of a store action that takes one value, the defaults and the
+    one positional (``nargs`` ``?`` or ``*``)."""
     actions = sub._actions
     options = {flag: a for a in actions if type(a) is argparse._StoreAction
-               and not isinstance(a.nargs, str) for flag in a.option_strings}
+               and a.nargs is None for flag in a.option_strings}
     defaults = {a.dest: a.default for a in actions if a.default is not argparse.SUPPRESS}
     (positional,) = (a for a in actions if not a.option_strings)
-    return options, defaults, positional, [a.dest for a in actions if a.required and a.option_strings]
+    return options, defaults, positional
 
 
 def _read(tables, argv):
     """The namespace of a line naming a command that its option table reads
-    as it stands, else None, for the full parse to read or refuse. Each
-    token is an option of the table followed by its count of values, or one
-    of a single run of positionals that the positional takes; no token is
-    empty or a value starting with ``-``, and every required option is given."""
+    as it stands, else None, for the full parse to read or refuse: each
+    option is followed by its one value, at most one token is positional,
+    and no token is empty or a value starting with ``-``."""
     if not argv or argv[0] not in tables:
         return None
-    options, defaults, positional, required = tables[argv[0]]
-    found, loose, closed = {}, [], False
+    options, defaults, positional = tables[argv[0]]
+    found = {}
     tokens = iter(argv[1:])
     for token in tokens:
-        action = options.get(token)
-        if action is None:  # a positional, in the one run that no option splits
-            if token[:1] in ("", "-") or closed:
-                return None
-            loose.append(token)
-            continue
-        closed = bool(loose)
-        count = action.nargs or 1
-        values = list(islice(tokens, count))
-        if len(values) != count or any(v[:1] in ("", "-") for v in values):
+        action = options.get(token, positional)
+        value = token if action is positional else next(tokens, "")
+        if value[:1] in ("", "-") or action is positional and action.dest in found:
             return None
         try:  # the three errors argparse catches of a conversion, and refuses
-            values = [v if action.type is None else action.type(v) for v in values]
+            value = value if action.type is None else action.type(value)
         except (argparse.ArgumentTypeError, TypeError, ValueError):
             return None
-        if action.choices is not None and any(v not in action.choices for v in values):
+        if action.choices is not None and value not in action.choices:
             return None
-        found[action.dest] = values if action.nargs else values[0]
-    nargs = positional.nargs
-    if len(loose) > 1 and nargs != "*" or not loose and nargs is None \
-            or any(dest not in found for dest in required):
-        return None
-    found[positional.dest] = loose if nargs == "*" else loose[0] if loose else positional.default
+        found[action.dest] = value
+    if positional.nargs == "*":  # a list, as argparse reads it
+        found[positional.dest] = [found[positional.dest]] if positional.dest in found else []
     args = argparse.Namespace(command=argv[0])
     vars(args).update(defaults, **found)
     return args
@@ -566,8 +556,11 @@ def _stderr_line(line: str) -> None:
 
 
 def _strings(line) -> list[str]:
-    """``line`` as a list, refused unless it is an iterable of ``str``."""
+    """``line`` as a list, refused unless it is an iterable of ``str`` (a
+    string or bytes itself is not)."""
     try:
+        if isinstance(line, (str, bytes, bytearray)):
+            raise TypeError
         argv = list(line)
     except TypeError:
         raise ValueError(f"the command line must be a list of strings, got {_echo(line)}") from None
@@ -579,8 +572,9 @@ def _strings(line) -> list[str]:
 
 def main(argv=None) -> int:
     """Run a command line (``sys.argv[1:]`` when None) and return its exit code.
-    A line not made of strings is refused before any parse. A line naming a
-    command whose every token its option table reads is read from that table
+    A line not made of strings is refused before any parse. A line of
+    ``profile`` or ``compare`` whose every option takes one value, with at
+    most one positional token, is read from the command's option table
     (``_read``), with no argparse parse; any other line, by the full parser,
     which words every refusal and prints help."""
     try:

@@ -1200,8 +1200,10 @@ class TestParser:
         ([b"profile"], "the command line must hold only strings, got b'profile'"),
         (5, "the command line must be a list of strings, got 5"),
         (["compare", "--records", None], "the command line must hold only strings, got None"),
+        ("profile x.json", "the command line must be a list of strings, got 'profile x.json'"),
+        (b"profile", "the command line must be a list of strings, got b'profile'"),
     ], ids=["profile-flag", "compare-flag", "no-command", "int-positional", "int-value",
-            "bytes", "not-iterable", "none"])
+            "bytes", "not-iterable", "none", "str-line", "bytes-line"])
     def test_usage_errors_are_one_json_line(self, capsys, argv, message):
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (2, "")
@@ -1209,10 +1211,10 @@ class TestParser:
         assert json.loads(err) == {"error": message}
 
     def test_one_parse_per_call(self, vit16, records_csv, tmp_path, monkeypatch, capsys):
-        """A line made of its command's options, their values and one run of
-        positionals is read from the command's option table, with no argparse
-        parse; a line that only argparse reads is parsed once, by the full
-        parser (which hands the command's arguments to its sub-parser)."""
+        """A line whose every option takes one value, with at most one
+        positional token, is read from the command's option table, with no
+        argparse parse; a line that only argparse reads is parsed once, by the
+        full parser (which hands the command's arguments to its sub-parser)."""
         (tmp_path / "energy.json").write_text('{"ee_train_kwh": 100, "co2e_per_kwh": 0.5}')
         (tmp_path / "pricing.json").write_text(
             '{"total_train_hours": 100, "num_chips": 64, "price_per_chip_hour": 2.0}')
@@ -1221,23 +1223,38 @@ class TestParser:
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
                             lambda self, *a, **k: parsed.append(self.prog) or real(self, *a, **k))
         for argv in (["profile", vit16], ["compare", "--records", records_csv],
-                     ["pareto", records_csv, "--cost", "flops"],
                      ["profile", vit16, "--format", "json", "--optimizer", "sgd",
                       "--batch", "32", "--hw", "tpu_like", "--energy",
                       str(tmp_path / "energy.json"), "--pricing", str(tmp_path / "pricing.json")]):
             parsed.clear()
             assert run_cli(argv, capsys)[0] == 0
             assert parsed == []
-        for argv in (["profile", vit16, "--form", "json"], ["profile", vit16, "--batch=2"]):
+        for argv in (["profile", vit16, "--form", "json"], ["profile", vit16, "--batch=2"],
+                     ["pareto", records_csv, "--cost", "flops"], ["compare", vit16, vit16],
+                     ["profile", "--family", "vit", "--patch", "16", "--depth", "1",
+                      "--model-dim", "64", "--num-heads", "4", "--ffn-dim", "128",
+                      "--image", "64", "64", "3"]):
             parsed.clear()
             assert run_cli(argv, capsys)[0] == 0
-            assert parsed == ["costlens", "costlens profile"]
+            assert parsed == ["costlens", f"costlens {argv[0]}"]
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["profile", "--help"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: costlens profile")
+
+    def test_help_texts(self, capsys, monkeypatch):
+        """``costlens -h`` and each command's ``-h``, wrapped at the 80 columns
+        argparse reads from ``COLUMNS``: the same bytes on Python 3.10-3.13."""
+        monkeypatch.setenv("COLUMNS", "80")
+        texts = []
+        for argv in (["-h"], ["profile", "-h"], ["compare", "-h"], ["pareto", "-h"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert "\n".join(texts) == (GOLDEN / "help.txt").read_text(encoding="utf-8")
 
     def test_commands_are_looked_up_at_call_time(self, vit16, monkeypatch, capsys):
         assert run_cli(["profile", vit16], capsys)[0] == 0

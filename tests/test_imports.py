@@ -1,5 +1,6 @@
 """No module of the package imports a name it never reads, none defines a
-name that nothing names, and the cost layer imports nothing above it.
+name that nothing names, the cost layer imports nothing above it, and each
+argparse private that ``cli`` relies on has a stated reason.
 
 No linter ships with the test dependencies, so this walks the syntax tree
 of every ``src/costlens`` module except ``__init__.py``, whose imports are
@@ -7,6 +8,7 @@ the public API. A name counts as read when it appears as a loaded name
 anywhere in the module, annotations included.
 """
 
+import argparse
 import ast
 import re
 from pathlib import Path
@@ -26,6 +28,51 @@ KEPT = {
     ("cli", "validate"): "bench/test_bench.py::test_tracer_restores_every_binding "
                          "reads costlens.cli.validate",
 }
+
+
+#: The argparse privates ``cli`` reads or overrides -> why. The CI runs
+#: Python 3.10-3.13, and none of these names is a stable API.
+ARGPARSE_PRIVATES = {
+    "argparse._StoreAction": "cli._option_table takes only plain store actions, not "
+                             "store_const, append or count, into a command's option table",
+    "_actions": "cli._option_table and build_parser read a sub-parser's options, "
+                "defaults and positional from its actions, which no public API lists",
+    "_check_value": "cli._Parser overrides argparse's one check of a choice, to echo a "
+                    "refused value cut short",
+}
+
+
+def argparse_privates(tree: ast.Module) -> set[str]:
+    """The ``argparse._*`` names a module reads, the ``_``-prefixed attributes
+    of a parser or an action it reads, and the argparse privates that its
+    ``_Parser`` methods override."""
+    parser, action = argparse.ArgumentParser(), argparse.Action(["-x"], "x")
+    held = {name for name in {*dir(parser), *dir(action)}
+            if name.startswith("_") and not name.startswith("__")}
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            if isinstance(node.value, ast.Name) and node.value.id == "argparse":
+                found.add(f"argparse.{node.attr}")
+            elif node.attr in held:
+                found.add(node.attr)
+        elif isinstance(node, ast.ClassDef) and node.name == "_Parser":
+            found.update(f.name for f in node.body
+                         if isinstance(f, ast.FunctionDef) and f.name in held)
+    return found
+
+
+def test_every_argparse_private_cli_reads_has_a_reason():
+    assert argparse_privates(ast.parse((SOURCE / "cli.py").read_text("utf-8"))) \
+        == set(ARGPARSE_PRIVATES)
+
+
+def test_the_argparse_guard_sees_what_it_collects():
+    found = argparse_privates(ast.parse(
+        "argparse._SubParsersAction\nsub._option_string_actions\nreport._listings\n"
+        "class _Parser:\n    def _get_values(self): pass\n    def __init__(self): pass\n"
+        "    def _mine(self): pass\n"))
+    assert found == {"argparse._SubParsersAction", "_option_string_actions", "_get_values"}
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
